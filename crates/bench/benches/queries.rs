@@ -7,9 +7,9 @@
 
 use ats_common::Result;
 use ats_compress::{CompressedMatrix, SpaceBudget, SvddCompressed, SvddOptions};
-use ats_core::disk::{save_svdd, DiskStore};
 use ats_core::shard::ShardedStore;
 use ats_core::store::SequenceStore;
+use ats_core::timeblock::TimeBlockedStore;
 use ats_linalg::Matrix;
 use ats_query::engine::{AggregateFn, QueryEngine};
 use ats_query::selection::{Axis, Selection};
@@ -41,17 +41,26 @@ fn bench_aggregate_selectivity(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_disk_store_cell(c: &mut Criterion) {
-    let x = dataset();
-    let svdd = SvddCompressed::compress(&x, &SvddOptions::new(SpaceBudget::from_percent(10.0)))
-        .expect("svdd");
-    let dir = std::env::temp_dir().join(format!("ats-bench-disk-{}", std::process::id()));
+/// Build the bench dataset at the pinned 10 % budget and save it as a
+/// one-block store under `name`, returning the in-memory store too.
+fn saved_store(name: &str) -> (SequenceStore, std::path::PathBuf) {
+    let built = SequenceStore::builder()
+        .budget(SpaceBudget::from_percent(10.0))
+        .shards(1)
+        .time_blocks(1)
+        .build(&dataset())
+        .expect("build");
+    let dir = std::env::temp_dir().join(format!("ats-bench-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    save_svdd(&dir, &svdd).expect("save");
+    built.save(&dir).expect("save");
+    (built, dir)
+}
 
+fn bench_disk_store_cell(c: &mut Criterion) {
+    let (_, dir) = saved_store("disk");
     let mut group = c.benchmark_group("disk_store_cell");
     // Hot: pool big enough for everything — measures the cached path.
-    let hot = DiskStore::open(&dir, 4_096).expect("open");
+    let hot = TimeBlockedStore::open(&dir, 4_096).expect("open");
     group.bench_function("hot_cache", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -60,7 +69,7 @@ fn bench_disk_store_cell(c: &mut Criterion) {
         })
     });
     // Cold-ish: tiny pool forces page churn (still OS-cached I/O).
-    let cold = DiskStore::open(&dir, 4).expect("open");
+    let cold = TimeBlockedStore::open(&dir, 4).expect("open");
     group.bench_function("churning_pool", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -72,13 +81,9 @@ fn bench_disk_store_cell(c: &mut Criterion) {
 }
 
 fn bench_in_memory_vs_disk_row(c: &mut Criterion) {
-    let x = dataset();
-    let svdd = SvddCompressed::compress(&x, &SvddOptions::new(SpaceBudget::from_percent(10.0)))
-        .expect("svdd");
-    let dir = std::env::temp_dir().join(format!("ats-bench-row-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    save_svdd(&dir, &svdd).expect("save");
-    let disk = DiskStore::open(&dir, 4_096).expect("open");
+    let (built, dir) = saved_store("row");
+    let mem = built.compressed();
+    let disk = TimeBlockedStore::open(&dir, 4_096).expect("open");
 
     let mut group = c.benchmark_group("row_reconstruction_backends");
     let mut out = vec![0.0; 128];
@@ -86,7 +91,7 @@ fn bench_in_memory_vs_disk_row(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 997) % 2000;
-            svdd.row_into(i, &mut out).expect("row");
+            mem.row_into(i, &mut out).expect("row");
             black_box(out[0])
         })
     });

@@ -4,9 +4,8 @@
 //! The widened kernels exist to amortize the shared-operand stream
 //! (`x` for axpy, `a` for dot) across independent lanes; these benches
 //! make the claimed win (or parity, on narrow machines) measurable per
-//! commit. The pinned `bench_report` binary samples the same kernels
-//! into `BENCH_*.json`; this Criterion target is the interactive,
-//! statistically sound view.
+//! commit. `atsbench`'s `linalg.*` probes sample the same kernels on
+//! every benchmark run; this Criterion target is the interactive view.
 
 // ats-lint: allow(lint-table) — criterion_group! generates undocumented glue fns; scoped to this bench target
 #![allow(missing_docs)]

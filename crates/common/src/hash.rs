@@ -31,14 +31,48 @@ pub fn hash_u64(key: u64, seed: u64) -> u64 {
 /// Used for file integrity checksums in `ats-storage`; not cryptographic.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = ByteHasher::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// The incremental form of [`hash_bytes`]: feeding a byte stream through
+/// [`ByteHasher::update`] in chunks of any size yields the checksum of
+/// the concatenation, so a file can be checksummed through a fixed
+/// buffer instead of being read whole.
+#[derive(Debug, Clone, Copy)]
+pub struct ByteHasher(u64);
+
+impl ByteHasher {
     const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+
+    /// A hasher that has seen no bytes yet.
+    pub fn new() -> Self {
+        ByteHasher(Self::FNV_OFFSET)
     }
-    mix64(h)
+
+    /// Absorb the next chunk of the stream.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(Self::FNV_PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// The checksum of every byte absorbed so far.
+    pub fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+impl Default for ByteHasher {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Derive `n` bloom-filter bit positions for `key` using double hashing
@@ -95,6 +129,22 @@ mod tests {
     fn hash_bytes_empty_ok() {
         // Empty slices hash deterministically without panicking.
         assert_eq!(hash_bytes(b""), hash_bytes(b""));
+    }
+
+    #[test]
+    fn chunked_hash_equals_one_shot_at_every_split() {
+        let bytes: Vec<u8> = (0..97u32).map(|i| (i * 37 % 251) as u8).collect();
+        let whole = hash_bytes(&bytes);
+        for a in 0..=bytes.len() {
+            for b in a..=bytes.len() {
+                let mut h = ByteHasher::new();
+                h.update(&bytes[..a]);
+                h.update(&bytes[a..b]);
+                h.update(&bytes[b..]);
+                assert_eq!(h.finish(), whole, "split at {a}/{b}");
+            }
+        }
+        assert_eq!(ByteHasher::new().finish(), hash_bytes(b""));
     }
 
     #[test]

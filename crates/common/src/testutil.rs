@@ -58,6 +58,25 @@ impl TestDir {
     pub fn file(&self, name: impl AsRef<Path>) -> PathBuf {
         self.path.join(name)
     }
+
+    /// Copy the regular files of the flat directory `src` into a fresh
+    /// subdirectory `name` and return its path — a scratch copy of a
+    /// committed fixture that a test may corrupt or append to.
+    ///
+    /// Panics on any I/O error, like [`TestDir::new`].
+    pub fn copy_of(&self, src: impl AsRef<Path>, name: &str) -> PathBuf {
+        let (src, dst) = (src.as_ref(), self.file(name));
+        // ats-lint: allow(no-panic) — test-only helper; tests want a loud failure, not a fallback
+        let fail = |e: std::io::Error| -> ! { panic!("TestDir::copy_of({}): {e}", src.display()) };
+        std::fs::create_dir_all(&dst).unwrap_or_else(|e| fail(e));
+        for entry in std::fs::read_dir(src).unwrap_or_else(|e| fail(e)) {
+            let path = entry.unwrap_or_else(|e| fail(e)).path();
+            if let (true, Some(file)) = (path.is_file(), path.file_name()) {
+                std::fs::copy(&path, dst.join(file)).unwrap_or_else(|e| fail(e));
+            }
+        }
+        dst
+    }
 }
 
 impl Drop for TestDir {
@@ -77,6 +96,16 @@ mod tests {
         assert_ne!(a.path(), b.path());
         assert!(a.path().is_dir());
         assert!(b.path().is_dir());
+    }
+
+    #[test]
+    fn copy_of_copies_flat_files() {
+        let dir = TestDir::new("ats-testdir-copy");
+        std::fs::create_dir_all(dir.file("src/sub")).unwrap();
+        std::fs::write(dir.file("src/a.bin"), b"abc").unwrap();
+        let dst = dir.copy_of(dir.file("src"), "dst");
+        assert_eq!(std::fs::read(dst.join("a.bin")).unwrap(), b"abc");
+        assert!(!dst.join("sub").exists());
     }
 
     #[test]

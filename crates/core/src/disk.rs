@@ -1,87 +1,28 @@
-//! [`DiskStore`]: the paper's §4.1 serving architecture, made literal.
+//! The `deltas.bin` codec: how a shard's SVDD outlier triplets (§4.2)
+//! are laid out on disk.
 //!
 //! "Assuming that `V` and `Λ` are already pinned in memory, that the
 //! matrix `U` is stored row-wise on disk, and that an entire row fits in
 //! one disk block, only a single disk access is required to perform this
-//! reconstruction." This module persists a compressed SVD/SVDD store
-//! that way and serves queries from it:
-//!
-//! - `u.atsm` — the `N × k` U matrix, row-aligned pages, behind an LRU
-//!   buffer pool;
-//! - `v.atsm`, `lambda.atsm` — loaded into memory at open;
-//! - `deltas.bin` — the SVDD outlier triplets, loaded into the in-memory
-//!   hash table (they are small by construction: `γ·16` bytes within the
-//!   space budget);
-//! - `manifest.txt` — the parsed, versioned store manifest (format v2):
-//!   method, dimensions, `k`, delta count, Bloom flag, and a CRC per
-//!   component file, all cross-checked at [`DiskStore::open`].
-//!
-//! Saves are crash-safe: every component is staged in a temp directory
-//! and atomically renamed into place (see [`ats_storage::store_dir`]), so
-//! an interrupted save leaves either the previous store or a clean
-//! absence — never a torn directory that opens and serves wrong data.
-//!
-//! A cold cell query is exactly one page fetch of `U`'s row `i` plus
-//! `O(k)` arithmetic plus one hash probe; tests count the fetches.
+//! reconstruction." [`crate::shard::ShardedStore`] is that serving
+//! architecture; this module is the one component file format it owns
+//! that is not an `.atsm` matrix. Deltas are small by construction
+//! (`γ·16` bytes within the space budget), so each shard's file is
+//! loaded whole into the in-memory hash table on first touch — behind a
+//! total decoder, because the bytes come from disk.
 
 use ats_common::codec::{
     get_f64, get_u64, get_varint, put_f64, put_u64, put_varint, u64_from_usize, usize_from_u64,
 };
 use ats_common::{AtsError, Result};
 use ats_compress::delta::DeltaStore;
-use ats_compress::method::BYTES_PER_NUMBER;
-use ats_compress::{CompressedMatrix, SvdCompressed, SvddCompressed};
-use ats_linalg::{vecops, Matrix};
-use ats_storage::file::{write_matrix, MatrixFile, MatrixFileWriter};
-use ats_storage::store_dir::{validate_store_dir, StoreManifest, StoreWriter};
-use ats_storage::{CachedFile, IoStats};
 use std::path::Path;
-use std::sync::Arc;
 
 const DELTA_MAGIC: &[u8; 8] = b"ATSDELT1";
 
 /// Minimum encoded size of one delta triplet: two varints (≥ 1 byte
 /// each) plus an 8-byte delta value.
 const MIN_TRIPLET_BYTES: usize = 10;
-
-/// Persist an SVDD store into `dir`, atomically (created or replaced).
-pub fn save_svdd(dir: impl AsRef<Path>, svdd: &SvddCompressed) -> Result<()> {
-    save_store(dir.as_ref(), svdd.svd(), Some(svdd.deltas()), "svdd")
-}
-
-/// Persist a plain-SVD store into `dir`, atomically.
-pub fn save_svd(dir: impl AsRef<Path>, svd: &SvdCompressed) -> Result<()> {
-    save_store(dir.as_ref(), svd, None, "svd")
-}
-
-fn save_store(
-    dir: &Path,
-    svd: &SvdCompressed,
-    deltas: Option<&DeltaStore>,
-    method: &str,
-) -> Result<()> {
-    let writer = StoreWriter::begin(dir)?;
-    let tmp = writer.path();
-    // U row-wise: one row per sequence, k columns.
-    let mut w = MatrixFileWriter::create(tmp.join("u.atsm"), svd.k())?;
-    for i in 0..svd.rows() {
-        w.append_row(svd.u().row(i))?;
-    }
-    w.finish()?;
-    write_matrix(tmp.join("v.atsm"), svd.v())?;
-    let lambda_m = Matrix::from_vec(1, svd.lambda().len(), svd.lambda().to_vec())?;
-    write_matrix(tmp.join("lambda.atsm"), &lambda_m)?;
-    write_deltas(&tmp.join("deltas.bin"), deltas, svd.cols())?;
-    writer.commit(StoreManifest {
-        method: method.to_string(),
-        rows: svd.rows(),
-        cols: svd.cols(),
-        k: svd.k(),
-        deltas: deltas.map_or(0, DeltaStore::len),
-        bloom: deltas.is_some_and(DeltaStore::has_bloom),
-        crcs: [0; 4], // filled by commit from the staged files
-    })
-}
 
 /// One stored outlier: `(row, column, delta value)` as serialized in
 /// `deltas.bin`.
@@ -144,18 +85,6 @@ pub fn decode_deltas(buf: &[u8]) -> Result<(u64, Vec<DeltaTriplet>)> {
     Ok((cols, triplets))
 }
 
-pub(crate) fn write_deltas(path: &Path, deltas: Option<&DeltaStore>, cols: usize) -> Result<()> {
-    let triplets: Vec<DeltaTriplet> = deltas
-        .map(|d| {
-            d.iter()
-                .map(|(r, c, v)| (u64_from_usize(r), u64_from_usize(c), v))
-                .collect()
-        })
-        .unwrap_or_default();
-    std::fs::write(path, encode_deltas(u64_from_usize(cols), &triplets))?;
-    Ok(())
-}
-
 pub(crate) fn read_deltas(
     path: &Path,
     expected_cols: usize,
@@ -180,363 +109,10 @@ pub(crate) fn read_deltas(
     DeltaStore::build(cols, triplets, with_bloom)
 }
 
-/// An opened on-disk store: `V`/`Λ`/deltas in memory, `U` paged from
-/// disk.
-pub struct DiskStore {
-    u: CachedFile,
-    v: Matrix,
-    lambda: Vec<f64>,
-    deltas: DeltaStore,
-    rows: usize,
-    cols: usize,
-    manifest: StoreManifest,
-}
-
-impl DiskStore {
-    /// Open a store saved by [`save_svdd`] or [`save_svd`].
-    ///
-    /// The manifest is parsed first and every component file is verified
-    /// against its recorded CRC, then the component headers are
-    /// cross-checked against the manifest's dimensions — a store that
-    /// opens is internally consistent, not merely present.
-    ///
-    /// `pool_pages` bounds the buffer pool (each page holds one row of
-    /// `U`); pass e.g. 1024 for a ~`1024·k·8`-byte cache.
-    pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<Self> {
-        let dir = dir.as_ref();
-        let manifest = validate_store_dir(dir)?;
-        if manifest.method != "svd" && manifest.method != "svdd" {
-            return Err(AtsError::Corrupt(format!(
-                "manifest method {:?} is not a disk-servable store (svd|svdd)",
-                manifest.method
-            )));
-        }
-        let stats = IoStats::new();
-        let u_file = Arc::new(MatrixFile::open_with_stats(
-            dir.join("u.atsm"),
-            Arc::clone(&stats),
-        )?);
-        let v = ats_storage::file::read_matrix(dir.join("v.atsm"))?;
-        let lambda_m = ats_storage::file::read_matrix(dir.join("lambda.atsm"))?;
-        if lambda_m.rows() != 1 {
-            return Err(AtsError::Corrupt(format!(
-                "lambda.atsm must be a single row, has {}",
-                lambda_m.rows()
-            )));
-        }
-        let lambda = lambda_m.row(0).to_vec();
-        let k = lambda.len();
-        if u_file.cols() != k || v.cols() != k {
-            return Err(AtsError::Corrupt(format!(
-                "inconsistent store: U has {} columns, V has {}, Λ has {k}",
-                u_file.cols(),
-                v.cols()
-            )));
-        }
-        let rows = u_file.rows();
-        let cols = v.rows();
-        if manifest.rows != rows || manifest.cols != cols || manifest.k != k {
-            return Err(AtsError::Corrupt(format!(
-                "manifest says {}x{} k={}, files hold {rows}x{cols} k={k}",
-                manifest.rows, manifest.cols, manifest.k
-            )));
-        }
-        let deltas = read_deltas(&dir.join("deltas.bin"), cols, manifest.bloom)?;
-        if deltas.len() != manifest.deltas {
-            return Err(AtsError::Corrupt(format!(
-                "manifest says {} deltas, file holds {}",
-                manifest.deltas,
-                deltas.len()
-            )));
-        }
-        Ok(DiskStore {
-            u: CachedFile::row_aligned(u_file, pool_pages.max(1)),
-            v,
-            lambda,
-            deltas,
-            rows,
-            cols,
-            manifest,
-        })
-    }
-
-    /// Number of retained principal components.
-    pub fn k(&self) -> usize {
-        self.lambda.len()
-    }
-
-    /// Number of stored deltas.
-    pub fn num_deltas(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// Whether the delta table carries the §4.2 Bloom filter — faithfully
-    /// restored from the manifest, so a `.bloom(false)` store does not
-    /// grow one on reload.
-    pub fn has_bloom(&self) -> bool {
-        self.deltas.has_bloom()
-    }
-
-    /// The validated store manifest this store was opened from.
-    pub fn manifest(&self) -> &StoreManifest {
-        &self.manifest
-    }
-
-    /// I/O counters of the `U` page cache — lets callers verify the
-    /// one-disk-access property.
-    pub fn io_stats(&self) -> &Arc<IoStats> {
-        self.u.stats()
-    }
-}
-
-impl CompressedMatrix for DiskStore {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn cell(&self, i: usize, j: usize) -> Result<f64> {
-        if j >= self.cols {
-            return Err(AtsError::oob("column", j, self.cols));
-        }
-        let mut u_row = vec![0.0f64; self.k()];
-        self.u.read_row_into(i, &mut u_row)?; // ≤ 1 disk access
-        let mut base = 0.0f64;
-        for ((&lam, &uv), &vv) in self.lambda.iter().zip(&u_row).zip(self.v.row(j)) {
-            base = vecops::fmadd(lam * uv, vv, base);
-        }
-        Ok(match self.deltas.probe(i, j) {
-            Some(d) => base + d,
-            None => base,
-        })
-    }
-
-    fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
-        if out.len() != self.cols {
-            return Err(AtsError::dims(
-                "DiskStore::row_into",
-                (1, out.len()),
-                (1, self.cols),
-            ));
-        }
-        let mut u_row = vec![0.0f64; self.k()];
-        self.u.read_row_into(i, &mut u_row)?;
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for ((&lam, &uv), &vv) in self.lambda.iter().zip(&u_row).zip(self.v.row(j)) {
-                acc = vecops::fmadd(lam * uv, vv, acc);
-            }
-            *o = acc;
-        }
-        for (j, o) in out.iter_mut().enumerate() {
-            if let Some(d) = self.deltas.probe(i, j) {
-                *o += d;
-            }
-        }
-        Ok(())
-    }
-
-    fn storage_bytes(&self) -> usize {
-        (self.rows * self.k() + self.k() + self.cols * self.k()) * BYTES_PER_NUMBER
-            + self.deltas.storage_bytes()
-    }
-
-    fn method_name(&self) -> &'static str {
-        if self.manifest.method == "svd" {
-            "disk-svd"
-        } else {
-            "disk-svdd"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ats_common::TestDir;
-    use ats_compress::{SpaceBudget, SvddOptions};
-
-    fn spiky(n: usize, m: usize) -> Matrix {
-        let mut x = Matrix::from_fn(n, m, |i, j| {
-            ((i % 4) + 1) as f64 * if j % 7 < 5 { 3.0 } else { 0.5 }
-        });
-        x[(3, 2)] += 500.0;
-        x[(n - 1, m - 1)] += 300.0;
-        x
-    }
-
-    fn svdd_budget(x: &Matrix, pct: f64) -> SvddCompressed {
-        SvddCompressed::compress(x, &SvddOptions::new(SpaceBudget::from_percent(pct))).unwrap()
-    }
-
-    #[test]
-    fn svdd_roundtrip_through_disk() {
-        let x = spiky(200, 21);
-        let svdd = svdd_budget(&x, 15.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("rt");
-        save_svdd(&dir, &svdd).unwrap();
-        let store = DiskStore::open(&dir, 64).unwrap();
-        assert_eq!(store.rows(), 200);
-        assert_eq!(store.cols(), 21);
-        assert_eq!(store.k(), svdd.k_opt());
-        assert_eq!(store.num_deltas(), svdd.num_deltas());
-        // U survives the disk round trip bit-identically (f64 cells are
-        // stored exactly), so reconstruction is *exactly* the in-memory
-        // arithmetic — not merely close.
-        let u_file = MatrixFile::open(dir.join("u.atsm")).unwrap();
-        for i in 0..200 {
-            assert_eq!(
-                u_file.read_row(i).unwrap(),
-                svdd.svd().u().row(i),
-                "U row {i} bytes changed across the disk round trip"
-            );
-        }
-        for i in (0..200).step_by(13) {
-            for j in 0..21 {
-                let a = store.cell(i, j).unwrap();
-                let b = svdd.cell(i, j).unwrap();
-                assert_eq!(a, b, "({i},{j}) must reconstruct exactly");
-            }
-        }
-    }
-
-    #[test]
-    fn one_disk_access_per_cold_cell_query() {
-        let x = spiky(100, 14);
-        let svdd = svdd_budget(&x, 20.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("1io");
-        save_svdd(&dir, &svdd).unwrap();
-        let store = DiskStore::open(&dir, 256).unwrap();
-        // Query one cell in each of 50 distinct rows, all cold.
-        for i in 0..50 {
-            store.cell(i, i % 14).unwrap();
-        }
-        assert_eq!(
-            store.io_stats().physical_reads(),
-            50,
-            "the paper's single-disk-access claim (§4.1)"
-        );
-        // Re-query: all hits, no new disk accesses.
-        for i in 0..50 {
-            store.cell(i, (i + 1) % 14).unwrap();
-        }
-        assert_eq!(store.io_stats().physical_reads(), 50);
-        assert_eq!(store.io_stats().cache_hits(), 50);
-    }
-
-    #[test]
-    fn svd_store_without_deltas() {
-        let x = spiky(80, 10);
-        let svd = SvdCompressed::compress(&x, 3, 1).unwrap();
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("svd");
-        save_svd(&dir, &svd).unwrap();
-        let store = DiskStore::open(&dir, 16).unwrap();
-        assert_eq!(store.num_deltas(), 0);
-        assert!(!store.has_bloom());
-        assert_eq!(store.manifest().method, "svd");
-        assert_eq!(store.method_name(), "disk-svd");
-        for i in (0..80).step_by(7) {
-            assert_eq!(store.cell(i, 5).unwrap(), svd.cell(i, 5).unwrap());
-        }
-    }
-
-    #[test]
-    fn row_reconstruction_matches_cells() {
-        let x = spiky(60, 9);
-        let svdd = svdd_budget(&x, 25.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("row");
-        save_svdd(&dir, &svdd).unwrap();
-        let store = DiskStore::open(&dir, 16).unwrap();
-        let mut row = vec![0.0; 9];
-        store.row_into(10, &mut row).unwrap();
-        for (j, &got) in row.iter().enumerate() {
-            assert!((got - store.cell(10, j).unwrap()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn corrupt_store_detected() {
-        let x = spiky(50, 8);
-        let svdd = svdd_budget(&x, 25.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("corrupt");
-        save_svdd(&dir, &svdd).unwrap();
-        // Truncate V: open must fail with a corruption error.
-        let v = std::fs::read(dir.join("v.atsm")).unwrap();
-        std::fs::write(dir.join("v.atsm"), &v[..v.len() - 4]).unwrap();
-        assert!(matches!(
-            DiskStore::open(&dir, 16),
-            Err(AtsError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn data_region_corruption_detected() {
-        // Pre-v2, a flipped byte in U's *data* region opened fine and
-        // served a wrong value; the manifest CRC now catches it.
-        let x = spiky(50, 8);
-        let svdd = svdd_budget(&x, 25.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("ubit");
-        save_svdd(&dir, &svdd).unwrap();
-        let path = dir.join("u.atsm");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = 48 + (bytes.len() - 48) / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            DiskStore::open(&dir, 16),
-            Err(AtsError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn missing_dir_errors() {
-        assert!(DiskStore::open("/nonexistent/ats-store", 16).is_err());
-    }
-
-    #[test]
-    fn storage_bytes_matches_in_memory_form() {
-        let x = spiky(70, 12);
-        let svdd = svdd_budget(&x, 20.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("bytes");
-        save_svdd(&dir, &svdd).unwrap();
-        let store = DiskStore::open(&dir, 16).unwrap();
-        assert_eq!(store.storage_bytes(), svdd.storage_bytes());
-    }
-
-    #[test]
-    fn bloom_flag_round_trips() {
-        // Regression: `read_deltas` used to pass `with_bloom: true`
-        // unconditionally, so a `.bloom(false)` store silently grew a
-        // Bloom filter on reload.
-        let x = spiky(90, 11);
-        for with_bloom in [false, true] {
-            let mut opts = SvddOptions::new(SpaceBudget::from_percent(20.0));
-            opts.with_bloom = with_bloom;
-            let svdd = SvddCompressed::compress(&x, &opts).unwrap();
-            assert_eq!(svdd.deltas().has_bloom(), with_bloom);
-            let tmp = TestDir::new("ats-disk");
-            let dir = tmp.file("bloom");
-            save_svdd(&dir, &svdd).unwrap();
-            let store = DiskStore::open(&dir, 16).unwrap();
-            assert_eq!(store.has_bloom(), with_bloom, "bloom={with_bloom}");
-            assert_eq!(store.manifest().bloom, with_bloom);
-            assert_eq!(
-                store.storage_bytes(),
-                svdd.storage_bytes(),
-                "storage accounting must match the in-memory store"
-            );
-        }
-    }
 
     #[test]
     fn corrupt_delta_count_rejected_without_allocation() {
@@ -560,104 +136,14 @@ mod tests {
     fn delta_trailing_garbage_rejected() {
         let tmp = TestDir::new("ats-disk");
         let path = tmp.file("deltas.bin");
-        let deltas = DeltaStore::build(10, vec![(1, 2, 3.0)], false).unwrap();
-        write_deltas(&path, Some(&deltas), 10).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = encode_deltas(10, &[(1, 2, 3.0)]);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_deltas(&path, 10, false).unwrap().len(), 1);
         bytes.extend_from_slice(b"junk");
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             read_deltas(&path, 10, false),
             Err(AtsError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn interrupted_save_preserves_previous_store() {
-        // Kill-point simulation: a crash mid-save leaves exactly the
-        // state StoreWriter stages — a partial hidden temp directory next
-        // to the untouched previous store. Opening must serve the old
-        // data, bit for bit.
-        let x = spiky(60, 8);
-        let old = svdd_budget(&x, 25.0);
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("killpoint");
-        save_svdd(&dir, &old).unwrap();
-        let baseline = DiskStore::open(&dir, 16).unwrap().cell(7, 3).unwrap();
-
-        // Crash after each individual component write: the temp dir holds
-        // a prefix of the components and no manifest.
-        let stage_tmp = tmp.file(format!(".killpoint.tmp-{}", std::process::id()));
-        for stage in 1..=4 {
-            let _ = std::fs::remove_dir_all(&stage_tmp);
-            std::fs::create_dir_all(&stage_tmp).unwrap();
-            let names = ["u.atsm", "v.atsm", "lambda.atsm", "deltas.bin"];
-            for name in &names[..stage] {
-                std::fs::write(stage_tmp.join(name), b"half-written").unwrap();
-            }
-            let store = DiskStore::open(&dir, 16).unwrap();
-            assert_eq!(
-                store.cell(7, 3).unwrap(),
-                baseline,
-                "stage {stage}: old store must survive an interrupted save"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&stage_tmp);
-
-        // Crash inside the swap window (old dir renamed aside, new not
-        // yet renamed in): a clean absence, not a torn store.
-        let aside = tmp.file(".killpoint.old-test");
-        std::fs::rename(&dir, &aside).unwrap();
-        assert!(DiskStore::open(&dir, 16).is_err());
-        std::fs::rename(&aside, &dir).unwrap();
-        assert_eq!(
-            DiskStore::open(&dir, 16).unwrap().cell(7, 3).unwrap(),
-            baseline
-        );
-    }
-
-    #[test]
-    fn save_replaces_existing_store_atomically() {
-        let tmp = TestDir::new("ats-disk");
-        let dir = tmp.file("replace");
-        let a = svdd_budget(&spiky(40, 7), 25.0);
-        save_svdd(&dir, &a).unwrap();
-        let b = svdd_budget(&spiky(50, 9), 25.0);
-        save_svdd(&dir, &b).unwrap();
-        let store = DiskStore::open(&dir, 16).unwrap();
-        assert_eq!((store.rows(), store.cols()), (50, 9));
-        for i in (0..50).step_by(7) {
-            assert_eq!(store.cell(i, 4).unwrap(), b.cell(i, 4).unwrap());
-        }
-    }
-
-    #[test]
-    fn manifest_dimension_mismatch_detected() {
-        // A manifest that parses but disagrees with the component files
-        // (here: a foreign v.atsm with consistent CRC re-recorded) must
-        // not open. Build two stores and graft one's manifest onto the
-        // other's components.
-        let tmp = TestDir::new("ats-disk");
-        let d1 = tmp.file("s1");
-        let d2 = tmp.file("s2");
-        save_svdd(&d1, &svdd_budget(&spiky(40, 7), 25.0)).unwrap();
-        save_svdd(&d2, &svdd_budget(&spiky(60, 7), 25.0)).unwrap();
-        // Graft s2's u.atsm (60 rows) into s1 (40 rows).
-        let foreign_u = std::fs::read(d2.join("u.atsm")).unwrap();
-        std::fs::write(d1.join("u.atsm"), &foreign_u).unwrap();
-        // The stale CRC catches the graft immediately…
-        assert!(validate_store_dir(&d1).is_err());
-        // …and even a manifest "blessed" with recomputed CRCs (but s1's
-        // original dimensions) must fail the dimension cross-check.
-        let mut manifest = DiskStore::open(&d2, 4).unwrap().manifest().clone();
-        manifest.rows = 40;
-        for (i, name) in ats_storage::store_dir::COMPONENT_FILES.iter().enumerate() {
-            manifest.crcs[i] = ats_storage::store_dir::file_crc(d1.join(name)).unwrap();
-        }
-        std::fs::write(d1.join("manifest.txt"), manifest.encode()).unwrap();
-        match DiskStore::open(&d1, 4) {
-            Err(AtsError::Corrupt(_)) => {}
-            Err(e) => panic!("expected Corrupt, got {e}"),
-            Ok(_) => panic!("dimension mismatch must not open"),
-        }
     }
 }

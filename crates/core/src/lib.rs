@@ -6,11 +6,16 @@
 //!
 //! - [`store`] — [`store::SequenceStore`]: pick a method and a space
 //!   budget, compress a dataset, run cell and aggregate queries;
-//! - [`disk`] — [`disk::DiskStore`]: the paper's serving architecture
-//!   made literal. `V` and `Λ` are pinned in memory, rows of `U` live in
-//!   a row-aligned matrix file behind an LRU buffer pool, and deltas sit
-//!   in a hash table — so a cold cell query costs exactly **one disk
-//!   access** (§4.1), which the tests verify by counting page fetches;
+//! - [`shard`] — [`shard::ShardedStore`]: the paper's serving architecture
+//!   made literal, one decomposition at a time. `V` and `Λ` are pinned in
+//!   memory, rows of `U` live in row-aligned matrix files (one per
+//!   row-range shard) behind LRU buffer pools, and deltas sit in hash
+//!   tables — so a cold cell query costs exactly **one disk access**
+//!   (§4.1), which the tests verify by counting page fetches;
+//! - [`timeblock`] — [`timeblock::TimeBlockedStore`]: what every saved
+//!   store opens as — a grid of [`shard::ShardedStore`]s along the time
+//!   axis (one block for v2/v3 directories), plus the time-axis append;
+//! - [`disk`] — the `deltas.bin` codec;
 //! - [`viz`] — Appendix A: project every sequence onto the first two
 //!   principal components for dataset visualization (the Fig. 11
 //!   scatter plots), plus a terminal renderer used by the examples.
@@ -42,10 +47,9 @@ pub mod store;
 pub mod timeblock;
 pub mod viz;
 
-pub use disk::DiskStore;
 pub use shard::{append_rows, AppendReport, ShardedStore};
 pub use store::{Method, SequenceStore};
 pub use timeblock::{
-    append_time_block, retrain_flags, time_block_ranges, MemTimeBlocked, TimeAppendReport,
-    TimeBlockedStore, RETRAIN_SSE_FACTOR,
+    append_time_block, retrain_flags, time_block_ranges, TimeAppendReport, TimeBlockedStore,
+    TimeGrid, RETRAIN_SSE_FACTOR,
 };

@@ -40,7 +40,7 @@ use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::Matrix;
 use ats_storage::file::{read_matrix, write_matrix, MatrixFile, MatrixFileWriter};
 use ats_storage::store_dir::{
-    file_crc, shard_dir_name, validate_sharded_store_dir, MANIFEST_FILE, SHARDED_STORE_VERSION,
+    file_crc, publish_manifest, shard_dir_name, validate_sharded_store_dir, SHARDED_STORE_VERSION,
 };
 use ats_storage::synopsis::{ShardSynopsis, SynopsisBuilder, SYNOPSIS_FILE};
 use ats_storage::{
@@ -49,61 +49,25 @@ use ats_storage::{
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-/// Persist an SVD/SVDD store into `dir` as a sharded (v3) store
-/// directory, atomically. `ranges` lists the row range of each shard,
-/// contiguous and ascending, covering exactly `0..rows` — the same
-/// ranges the sharded build passes ran over (see
+/// Write one decomposition's component files (shared factors plus
+/// per-shard `U` slices, delta partitions, and synopses) into `dir` in
+/// the v3 layout, returning its manifest with CRCs unfilled (the commit
+/// path computes them from the staged files). `ranges` lists the row
+/// range of each shard, contiguous and ascending, covering exactly
+/// `0..rows` — the same ranges the sharded build passes ran over (see
 /// [`ats_compress::shard_ranges`]).
 ///
 /// Pass 3 of the build, made literal: one `U` file per shard (the rows
 /// of the already-computed global `U` sliced by range) and one delta
 /// partition per shard, with delta rows stored relative to the shard
 /// start and sorted by `(row, col)` so the byte image is deterministic.
-pub(crate) fn save_sharded(
-    dir: &Path,
-    svd: &SvdCompressed,
-    deltas: Option<&DeltaStore>,
-    method: &str,
-    ranges: &[(usize, usize)],
-) -> Result<()> {
-    let writer = StoreWriter::begin(dir)?;
-    let entries = write_sharded_components(writer.path(), svd, deltas, ranges)?;
-    writer.commit_sharded(sharded_manifest_for(svd, deltas, method, entries))
-}
-
-/// The v3 manifest describing a freshly-staged store, CRCs unfilled
-/// (the commit path computes them from the staged files).
-pub(crate) fn sharded_manifest_for(
-    svd: &SvdCompressed,
-    deltas: Option<&DeltaStore>,
-    method: &str,
-    entries: Vec<ShardEntry>,
-) -> ShardedManifest {
-    ShardedManifest {
-        method: method.to_string(),
-        rows: svd.rows(),
-        cols: svd.cols(),
-        k: svd.k(),
-        deltas: deltas.map_or(0, DeltaStore::len),
-        bloom: deltas.is_some_and(DeltaStore::has_bloom),
-        crc_v: 0,
-        crc_lambda: 0,
-        shards: entries,
-        source_version: SHARDED_STORE_VERSION,
-    }
-}
-
-/// Write a store's component files (shared factors plus per-shard `U`
-/// slices and delta partitions) into `dir` in the v3 layout, returning
-/// the shard entries with CRCs unfilled. Shared by the v3 save (which
-/// stages into a [`StoreWriter`] temp dir) and the v4 save (which
-/// stages one of these trees per time block).
 pub(crate) fn write_sharded_components(
     dir: &Path,
     svd: &SvdCompressed,
     deltas: Option<&DeltaStore>,
+    method: &str,
     ranges: &[(usize, usize)],
-) -> Result<Vec<ShardEntry>> {
+) -> Result<ShardedManifest> {
     let rows = svd.rows();
     let cols = svd.cols();
     check_ranges(ranges, rows)?;
@@ -130,44 +94,13 @@ pub(crate) fn write_sharded_components(
     let lambda_m = Matrix::from_vec(1, svd.lambda().len(), svd.lambda().to_vec())?;
     write_matrix(dir.join("lambda.atsm"), &lambda_m)?;
 
-    // Pass 3 is already walking every row of `U`; reconstruct each row
-    // through the same panel kernel the serving path uses and patch the
-    // shard's deltas in, so the emitted synopsis bounds the *served*
-    // values exactly — no widening slack for deltas is needed.
     let vt = VPanel::from_v(svd.v());
-    let mut entries = Vec::with_capacity(ranges.len());
+    let mut shards = Vec::with_capacity(ranges.len());
     for (idx, (&(start, end), bucket)) in ranges.iter().zip(&buckets).enumerate() {
         let sdir = dir.join(shard_dir_name(idx));
         std::fs::create_dir(&sdir)?;
-        let mut w = MatrixFileWriter::create(sdir.join("u.atsm"), svd.k())?;
-        for i in start..end {
-            w.append_row(svd.u().row(i))?;
-        }
-        w.finish()?;
-        std::fs::write(
-            sdir.join("deltas.bin"),
-            encode_deltas(u64_from_usize(cols), bucket),
-        )?;
-        let mut synopsis = SynopsisBuilder::new(end - start, cols)?;
-        let mut served = vec![0.0f64; cols];
-        let mut cursor = 0usize; // bucket is sorted by (local row, col)
-        for (local, i) in (start..end).enumerate() {
-            kernels::reconstruct_row(svd.u().row(i), svd.lambda(), &vt, &mut served);
-            let local_u = u64_from_usize(local);
-            while let Some(&(r, c, dv)) = bucket.get(cursor) {
-                if r != local_u {
-                    break;
-                }
-                let j = usize_from_u64(c, "delta column")?;
-                if let Some(slot) = served.get_mut(j) {
-                    *slot += dv;
-                }
-                cursor += 1;
-            }
-            synopsis.push_row(&served)?;
-        }
-        std::fs::write(sdir.join(SYNOPSIS_FILE), synopsis.finish()?.encode())?;
-        entries.push(ShardEntry {
+        emit_shard(&sdir, svd.u(), start..end, svd.lambda(), &vt, bucket)?;
+        shards.push(ShardEntry {
             start,
             end,
             deltas: bucket.len(),
@@ -177,7 +110,66 @@ pub(crate) fn write_sharded_components(
             append_sse: None,
         });
     }
-    Ok(entries)
+    Ok(ShardedManifest {
+        method: method.to_string(),
+        rows,
+        cols,
+        k: svd.k(),
+        deltas: deltas.map_or(0, DeltaStore::len),
+        bloom: deltas.is_some_and(DeltaStore::has_bloom),
+        crc_v: 0,
+        crc_lambda: 0,
+        shards,
+        source_version: SHARDED_STORE_VERSION,
+    })
+}
+
+/// Emit one shard's three files into `sdir`: rows `rows` of `u` as
+/// `u.atsm`, `deltas` (shard-local rows, sorted by `(row, col)`) as
+/// `deltas.bin`, and the zone-map synopsis of the rows *as served*.
+///
+/// The emit is already walking every row of `U`, so each is
+/// reconstructed through the same panel kernel the serving path uses
+/// and the shard's deltas are patched in: the synopsis bounds the
+/// served values exactly — no widening slack for deltas is needed.
+fn emit_shard(
+    sdir: &Path,
+    u: &Matrix,
+    rows: std::ops::Range<usize>,
+    lambda: &[f64],
+    vt: &VPanel,
+    deltas: &[DeltaTriplet],
+) -> Result<()> {
+    let cols = vt.cols();
+    let mut w = MatrixFileWriter::create(sdir.join("u.atsm"), u.cols())?;
+    for i in rows.clone() {
+        w.append_row(u.row(i))?;
+    }
+    w.finish()?;
+    std::fs::write(
+        sdir.join("deltas.bin"),
+        encode_deltas(u64_from_usize(cols), deltas),
+    )?;
+    let mut synopsis = SynopsisBuilder::new(rows.len(), cols)?;
+    let mut served = vec![0.0f64; cols];
+    let mut cursor = 0usize;
+    for (local, i) in rows.enumerate() {
+        kernels::reconstruct_row(u.row(i), lambda, vt, &mut served);
+        let local_u = u64_from_usize(local);
+        while let Some(&(r, c, dv)) = deltas.get(cursor) {
+            if r != local_u {
+                break;
+            }
+            let j = usize_from_u64(c, "delta column")?;
+            if let Some(slot) = served.get_mut(j) {
+                *slot += dv;
+            }
+            cursor += 1;
+        }
+        synopsis.push_row(&served)?;
+    }
+    std::fs::write(sdir.join(SYNOPSIS_FILE), synopsis.finish()?.encode())?;
+    Ok(())
 }
 
 /// Reject shard ranges that are not contiguous, ascending, non-empty,
@@ -252,7 +244,16 @@ impl ShardedStore {
     /// `R` shards gets `max(pool_pages / R, 1)` pages.
     pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<Self> {
         let dir = dir.as_ref();
-        let manifest = validate_sharded_store_dir(dir)?;
+        Self::from_validated(dir, validate_sharded_store_dir(dir)?, pool_pages)
+    }
+
+    /// Serve `dir` under a manifest whose component CRCs the caller has
+    /// already verified (one block of a validated time-blocked store).
+    pub(crate) fn from_validated(
+        dir: &Path,
+        manifest: ShardedManifest,
+        pool_pages: usize,
+    ) -> Result<Self> {
         if manifest.method != "svd" && manifest.method != "svdd" {
             return Err(AtsError::Corrupt(format!(
                 "manifest method {:?} is not a disk-servable store (svd|svdd)",
@@ -447,6 +448,12 @@ impl ShardedStore {
             .map(|h| h.entry.start)
             .unwrap_or_default();
         Ok((idx, i - start))
+    }
+}
+
+impl AsRef<dyn CompressedMatrix> for ShardedStore {
+    fn as_ref(&self) -> &(dyn CompressedMatrix + 'static) {
+        self
     }
 }
 
@@ -685,43 +692,23 @@ pub fn append_rows<S: RowSource + ?Sized>(
         .checked_add(batch.rows())
         .ok_or_else(|| AtsError::InvalidArgument("appended row count overflows".into()))?;
 
-    // Stage the new shard hidden, make it durable, then rename it in.
-    let final_name = shard_dir_name(index);
-    let staged = dir.join(format!(".{final_name}.tmp-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&staged);
-    std::fs::create_dir_all(&staged)?;
-    let mut w = MatrixFileWriter::create(staged.join("u.atsm"), manifest.k)?;
-    for i in 0..u_new.rows() {
-        w.append_row(u_new.row(i))?;
-    }
-    w.finish()?;
-    std::fs::write(
-        staged.join("deltas.bin"),
-        encode_deltas(u64_from_usize(manifest.cols), &[]),
+    // Stage the new shard hidden, make it durable, then rename it in
+    // (over any orphan a crashed append left at that index — the
+    // manifest does not reference it, so it is dead weight, not data).
+    // Appended rows serve as reconstructions under the frozen factors
+    // with no deltas, so the emitted synopsis bounds exactly what
+    // queries will see.
+    let target = dir.join(shard_dir_name(index));
+    let writer = StoreWriter::begin(&target)?;
+    emit_shard(
+        writer.path(),
+        &u_new,
+        0..u_new.rows(),
+        &lambda,
+        &VPanel::from_v(&v),
+        &[],
     )?;
-    // The fresh shard gets its synopsis too: appended rows serve as
-    // reconstructions under the frozen factors with no deltas, so the
-    // tiles bound exactly what queries will see.
-    let vt = VPanel::from_v(&v);
-    let mut synopsis = SynopsisBuilder::new(u_new.rows(), manifest.cols)?;
-    let mut served = vec![0.0f64; manifest.cols];
-    for i in 0..u_new.rows() {
-        kernels::reconstruct_row(u_new.row(i), &lambda, &vt, &mut served);
-        synopsis.push_row(&served)?;
-    }
-    std::fs::write(staged.join(SYNOPSIS_FILE), synopsis.finish()?.encode())?;
-    sync_path(&staged.join("u.atsm"))?;
-    sync_path(&staged.join("deltas.bin"))?;
-    sync_path(&staged.join(SYNOPSIS_FILE))?;
-    sync_path(&staged)?;
-    let target = dir.join(&final_name);
-    if target.exists() {
-        // Orphan from a previous crashed append — the manifest does not
-        // reference it, so it is dead weight, not data.
-        std::fs::remove_dir_all(&target)?;
-    }
-    std::fs::rename(&staged, &target)?;
-    sync_path(dir)?;
+    writer.commit_dir()?;
 
     // Publish: extend the manifest and replace it atomically.
     let mut next = manifest;
@@ -735,11 +722,7 @@ pub fn append_rows<S: RowSource + ?Sized>(
         crc_synopsis: Some(file_crc(target.join(SYNOPSIS_FILE))?),
         append_sse: Some(sse),
     });
-    let tmp_manifest = dir.join(format!(".manifest.tmp-{}", std::process::id()));
-    std::fs::write(&tmp_manifest, next.encode())?;
-    sync_path(&tmp_manifest)?;
-    std::fs::rename(&tmp_manifest, dir.join(MANIFEST_FILE))?;
-    sync_path(dir)?;
+    publish_manifest(dir, &next.encode())?;
 
     if let Some(cache) = cache {
         cache.ingest(batch, threads)?;
@@ -751,18 +734,44 @@ pub fn append_rows<S: RowSource + ?Sized>(
     })
 }
 
-/// Flush a file or directory to stable storage.
-fn sync_path(path: &Path) -> Result<()> {
-    std::fs::File::open(path)?.sync_all()?;
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::disk::{save_svdd, DiskStore};
+    use crate::disk::decode_deltas;
     use ats_common::TestDir;
     use ats_compress::{shard_ranges, SpaceBudget, SvddCompressed, SvddOptions};
+
+    /// Stage and commit `svdd` as a v3 directory over `ranges`.
+    fn save_sharded(dir: &Path, svdd: &SvddCompressed, ranges: &[(usize, usize)]) -> Result<()> {
+        let w = StoreWriter::begin(dir)?;
+        let m =
+            write_sharded_components(w.path(), svdd.svd(), Some(svdd.deltas()), "svdd", ranges)?;
+        w.commit_sharded(m)
+    }
+
+    /// A scratch copy of the golden v2 directory (real bytes from the
+    /// retired v2 writer: phone 40 × 24, seed 7, 25 %), and the values
+    /// it must serve: scalar Eq. 12 over the fixture's own `U`/`Λ`/`V`
+    /// in ascending component order, plus its own deltas.
+    pub(crate) fn v2_fixture(tmp: &TestDir) -> (PathBuf, Matrix) {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../storage/tests/fixtures/v2-store");
+        let dir = tmp.copy_of(src, "v2");
+        let (u, v) = (
+            read_matrix(dir.join("u.atsm")).unwrap(),
+            read_matrix(dir.join("v.atsm")).unwrap(),
+        );
+        let lambda = read_matrix(dir.join("lambda.atsm")).unwrap();
+        let mut truth = Matrix::from_fn(u.rows(), v.rows(), |i, j| {
+            (0..lambda.cols())
+                .map(|t| lambda[(0, t)] * u[(i, t)] * v[(j, t)])
+                .sum()
+        });
+        let (_, deltas) = decode_deltas(&std::fs::read(dir.join("deltas.bin")).unwrap()).unwrap();
+        for (r, c, d) in deltas {
+            truth[(r as usize, c as usize)] += d;
+        }
+        (dir, truth)
+    }
 
     /// The interior-mutability audit behind the `ats serve` daemon, as a
     /// compile-time fact: the opened store (lazy `OnceLock` shard states,
@@ -801,7 +810,7 @@ mod tests {
         let ranges = shard_ranges(203, 3);
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("rt");
-        save_sharded(&dir, svdd.svd(), Some(svdd.deltas()), "svdd", &ranges).unwrap();
+        save_sharded(&dir, &svdd, &ranges).unwrap();
         let store = ShardedStore::open(&dir, 64).unwrap();
         assert_eq!(store.shard_count(), 3);
         assert_eq!(store.rows(), 203);
@@ -831,23 +840,29 @@ mod tests {
 
     #[test]
     fn v2_store_opens_as_single_shard() {
-        let x = spiky(120, 11);
-        let svdd = SvddCompressed::compress(&x, &SvddOptions::new(SpaceBudget::from_percent(20.0)))
-            .unwrap();
         let tmp = TestDir::new("ats-shard");
-        let dir = tmp.file("v2");
-        save_svdd(&dir, &svdd).unwrap(); // legacy v2 writer
-        let legacy = DiskStore::open(&dir, 32).unwrap();
+        let (dir, truth) = v2_fixture(&tmp);
         let store = ShardedStore::open(&dir, 32).unwrap();
         assert_eq!(store.shard_count(), 1);
         assert_eq!(store.shard_starts(), vec![0]);
         assert_eq!(store.manifest().source_version, 2);
-        assert_eq!(store.storage_bytes(), legacy.storage_bytes());
-        for i in (0..120).step_by(11) {
-            for j in 0..11 {
-                assert_eq!(store.cell(i, j).unwrap(), legacy.cell(i, j).unwrap());
+        assert_eq!((store.rows(), store.cols(), store.k()), (40, 24, 2));
+        assert_eq!(store.num_deltas(), 55);
+        assert_eq!(store.method_name(), "disk-svdd");
+        let mut row = vec![0.0; 24];
+        for i in 0..40 {
+            store.row_into(i, &mut row).unwrap();
+            for j in 0..24 {
+                assert_eq!(
+                    store.cell(i, j).unwrap().to_bits(),
+                    truth[(i, j)].to_bits(),
+                    "({i},{j})"
+                );
+                assert_eq!(row[j].to_bits(), truth[(i, j)].to_bits(), "row ({i},{j})");
             }
         }
+        // One page of the one top-level U file per cold row.
+        assert_eq!(store.io_snapshot().physical_reads, 40);
     }
 
     #[test]
@@ -857,7 +872,7 @@ mod tests {
         let ranges = shard_ranges(256, 4);
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("1io");
-        save_sharded(&dir, svdd.svd(), Some(svdd.deltas()), "svdd", &ranges).unwrap();
+        save_sharded(&dir, &svdd, &ranges).unwrap();
         let store = ShardedStore::open(&dir, 256).unwrap();
         // Query 10 distinct rows of shard 1 only, all cold.
         let (s1_start, s1_end) = ranges[1];
@@ -892,7 +907,7 @@ mod tests {
         let ranges = shard_ranges(96, 3);
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("syn");
-        save_sharded(&dir, svdd.svd(), Some(svdd.deltas()), "svdd", &ranges).unwrap();
+        save_sharded(&dir, &svdd, &ranges).unwrap();
         let store = ShardedStore::open(&dir, 64).unwrap();
         for (s, &(start, end)) in ranges.iter().enumerate() {
             let syn = store.shard_synopsis(s).expect("fresh store has synopses");
@@ -921,8 +936,7 @@ mod tests {
             }
         }
         // A v2 store opens with no synopses and serves unchanged.
-        let v2 = tmp.file("v2");
-        save_svdd(&v2, &svdd).unwrap();
+        let (v2, _) = v2_fixture(&tmp);
         let legacy = ShardedStore::open(&v2, 16).unwrap();
         assert!(legacy.shard_synopsis(0).is_none());
         assert!(legacy.shard_synopsis(7).is_none());
@@ -934,14 +948,7 @@ mod tests {
         let svdd = svdd_sharded(&x, 20.0, 2);
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("append-syn");
-        save_sharded(
-            &dir,
-            svdd.svd(),
-            Some(svdd.deltas()),
-            "svdd",
-            &shard_ranges(80, 2),
-        )
-        .unwrap();
+        save_sharded(&dir, &svdd, &shard_ranges(80, 2)).unwrap();
         let batch = Matrix::from_fn(10, 12, |i, j| (i as f64) - (j as f64) * 0.25);
         append_rows(&dir, &batch, 1, None).unwrap();
         let store = ShardedStore::open(&dir, 32).unwrap();
@@ -970,14 +977,7 @@ mod tests {
             vec![(0, 96), (96, 96)],           // empty shard
             vec![(0, 40)],                     // short coverage
         ] {
-            let err = save_sharded(
-                &tmp.file("bad"),
-                svdd.svd(),
-                Some(svdd.deltas()),
-                "svdd",
-                &ranges,
-            )
-            .unwrap_err();
+            let err = save_sharded(&tmp.file("bad"), &svdd, &ranges).unwrap_err();
             assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
         }
     }
@@ -989,7 +989,7 @@ mod tests {
         let ranges = shard_ranges(160, 2);
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("append");
-        save_sharded(&dir, svdd.svd(), Some(svdd.deltas()), "svdd", &ranges).unwrap();
+        save_sharded(&dir, &svdd, &ranges).unwrap();
 
         let batch = Matrix::from_fn(24, 14, |i, j| ((i % 3) + 2) as f64 * ((j % 5) as f64 + 0.5));
         let mut cache = GramCache::from_source(&x, 1).unwrap();
@@ -1030,23 +1030,25 @@ mod tests {
 
     #[test]
     fn append_refuses_v2_and_bad_shapes() {
-        let x = spiky(80, 10);
-        let svdd = SvddCompressed::compress(&x, &SvddOptions::new(SpaceBudget::from_percent(20.0)))
-            .unwrap();
         let tmp = TestDir::new("ats-shard");
-        let dir = tmp.file("v2only");
-        save_svdd(&dir, &svdd).unwrap();
-        let batch = Matrix::from_fn(8, 10, |i, j| (i + j) as f64);
-        let err = append_rows(&dir, &batch, 1, None).unwrap_err();
+        let (v2, _) = v2_fixture(&tmp);
+        let batch = Matrix::from_fn(8, 24, |i, j| (i + j) as f64);
+        let err = append_rows(&v2, &batch, 1, None).unwrap_err();
         assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
         assert!(err.to_string().contains("v2"), "{err}");
+        assert_eq!(ShardedStore::open(&v2, 16).unwrap().rows(), 40);
 
-        // Re-save as v3, then a wrong-width batch is refused.
-        let ranges = shard_ranges(80, 2);
-        save_sharded(&dir, svdd.svd(), Some(svdd.deltas()), "svdd", &ranges).unwrap();
+        // Against a v3 store a wrong-width batch is refused.
+        let dir = tmp.file("v3");
+        save_sharded(
+            &dir,
+            &svdd_sharded(&spiky(80, 10), 20.0, 2),
+            &shard_ranges(80, 2),
+        )
+        .unwrap();
         let wrong = Matrix::from_fn(8, 9, |i, j| (i + j) as f64);
         assert!(append_rows(&dir, &wrong, 1, None).is_err());
-        // And the store is unchanged by the refused appends.
+        // And the store is unchanged by the refused append.
         assert_eq!(ShardedStore::open(&dir, 16).unwrap().rows(), 80);
     }
 
@@ -1057,7 +1059,7 @@ mod tests {
         let ranges = shard_ranges(100, 2);
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("crash");
-        save_sharded(&dir, svdd.svd(), Some(svdd.deltas()), "svdd", &ranges).unwrap();
+        save_sharded(&dir, &svdd, &ranges).unwrap();
         let baseline = ShardedStore::open(&dir, 16).unwrap().cell(50, 4).unwrap();
 
         // Crash after the shard dir was renamed in but before the
@@ -1080,5 +1082,34 @@ mod tests {
         std::fs::create_dir(&staged).unwrap();
         std::fs::write(staged.join("u.atsm"), b"junk").unwrap();
         assert_eq!(ShardedStore::open(&dir, 16).unwrap().rows(), 108);
+    }
+
+    #[test]
+    fn manifest_dimension_mismatch_detected_at_first_touch() {
+        // A manifest that parses and whose CRCs all check out, but which
+        // disagrees with a component file's own header, must not serve:
+        // graft a 60-row U into a 40-row store and "bless" the graft
+        // with a recomputed CRC.
+        let tmp = TestDir::new("ats-shard");
+        let (d1, d2) = (tmp.file("s1"), tmp.file("s2"));
+        save_sharded(&d1, &svdd_sharded(&spiky(40, 7), 25.0, 1), &[(0, 40)]).unwrap();
+        save_sharded(&d2, &svdd_sharded(&spiky(60, 7), 25.0, 1), &[(0, 60)]).unwrap();
+        let u1 = d1.join(shard_dir_name(0)).join("u.atsm");
+        std::fs::copy(d2.join(shard_dir_name(0)).join("u.atsm"), &u1).unwrap();
+        // The stale CRC catches the graft immediately…
+        assert!(matches!(
+            ShardedStore::open(&d1, 4),
+            Err(AtsError::Corrupt(_))
+        ));
+        // …and with the CRC recomputed (rows still 40) the header
+        // cross-check refuses the shard the first time it is touched.
+        let mut manifest = ShardedManifest::read(&d1).unwrap();
+        manifest.shards[0].crc_u = file_crc(&u1).unwrap();
+        std::fs::write(d1.join("manifest.txt"), manifest.encode()).unwrap();
+        let store = ShardedStore::open(&d1, 4).unwrap();
+        match store.cell(0, 0) {
+            Err(AtsError::Corrupt(_)) => {}
+            other => panic!("dimension mismatch must not serve: {other:?}"),
+        }
     }
 }

@@ -2,22 +2,21 @@
 //!
 //! The full lifecycle is first-class: [`StoreBuilder::build`] compresses,
 //! [`SequenceStore::save`] persists the SVD/SVDD methods crash-safely to
-//! a store directory (format v2, see [`crate::disk`]), and
-//! [`SequenceStore::open`] serves the saved store back with `U` paged
-//! from disk — without callers reaching into `ats_core::disk` internals.
+//! a store directory (one block → format v3, several → v4; see
+//! [`crate::timeblock`]), and [`SequenceStore::open`] serves the saved
+//! store back with `U` paged from disk — without callers reaching into
+//! the storage internals.
 
-use crate::shard;
+use crate::shard::ShardedStore;
 use crate::timeblock::{
-    self, reconstruction_sse, time_block_ranges, BlockToSave, MemTimeBlocked, TimeBlockedStore,
+    block_table, save_blocks, time_block_ranges, BuiltBlock, TimeBlockedStore, TimeGrid,
 };
 use ats_common::{AtsError, Result};
 use ats_compress::cluster::{ClusterAlgo, ClusterCompressed};
 use ats_compress::dct::DctCompressed;
 use ats_compress::method::block_budget;
 use ats_compress::sampling::SampleCompressed;
-use ats_compress::{
-    shard_ranges, CompressedMatrix, SpaceBudget, SvdCompressed, SvddCompressed, SvddOptions,
-};
+use ats_compress::{shard_ranges, CompressedMatrix, SpaceBudget};
 use ats_linalg::Matrix;
 use ats_query::engine::{AggregateFn, QueryEngine};
 use ats_query::metrics::{error_report, ErrorReport};
@@ -133,62 +132,48 @@ impl StoreBuilder {
         self
     }
 
-    /// Per-block SVD/SVDD builds over column slices of the source, one
-    /// [`ColumnSlice`] pass set per block, assembled into a routing
-    /// [`MemTimeBlocked`] grid.
+    /// One SVD/SVDD decomposition per column block of the source (a
+    /// [`ColumnSlice`] pass set each, under the block's share of the
+    /// budget), served through a routing [`TimeGrid`] when there are
+    /// several. A one-block build is the plain global decomposition.
     fn build_blocks<S: RowSource + ?Sized>(
         &self,
         source: &S,
-        col_ranges: &[(usize, usize)],
-    ) -> Result<(Arc<dyn CompressedMatrix>, Persist)> {
+    ) -> Result<(Arc<dyn CompressedMatrix>, Vec<BuiltBlock>)> {
         let row_ranges = shard_ranges(source.rows(), self.shards);
-        let mut arcs: Vec<Arc<dyn CompressedMatrix>> = Vec::new();
+        let (method, threads, bloom) = (self.method.name(), self.threads, self.with_bloom);
+        let col_ranges = time_block_ranges(source.cols(), self.time_blocks);
+        if col_ranges.len() <= 1 {
+            let only = BuiltBlock::build(
+                method,
+                source,
+                self.budget,
+                threads,
+                bloom,
+                &row_ranges,
+                false,
+            )?;
+            return Ok((only.matrix(), vec![only]));
+        }
         let mut blocks = Vec::new();
-        for &(c0, c1) in col_ranges {
+        for &(c0, c1) in &col_ranges {
             let slice = ColumnSlice::new(source, c0, c1)?;
             let budget = block_budget(self.budget, source.rows(), c1 - c0);
-            match self.method {
-                Method::Svd => {
-                    let c = Arc::new(SvdCompressed::compress_budget_sharded(
-                        &slice,
-                        budget,
-                        self.threads,
-                        &row_ranges,
-                    )?);
-                    let sse = reconstruction_sse(&slice, c.as_ref())?;
-                    blocks.push(PersistBlock {
-                        data: BlockPersist::Svd(Arc::clone(&c)),
-                        sse,
-                    });
-                    arcs.push(c);
-                }
-                Method::Svdd => {
-                    let mut opts = SvddOptions::new(budget);
-                    opts.threads = self.threads;
-                    opts.with_bloom = self.with_bloom;
-                    let c = Arc::new(SvddCompressed::compress_sharded(
-                        &slice,
-                        &opts,
-                        &row_ranges,
-                    )?);
-                    let sse = reconstruction_sse(&slice, c.as_ref())?;
-                    blocks.push(PersistBlock {
-                        data: BlockPersist::Svdd(Arc::clone(&c)),
-                        sse,
-                    });
-                    arcs.push(c);
-                }
-                other => {
-                    return Err(AtsError::internal(format!(
-                        "time-blocked build reached for {other:?}"
-                    )))
-                }
-            }
+            blocks.push(BuiltBlock::build(
+                method,
+                &slice,
+                budget,
+                threads,
+                bloom,
+                &row_ranges,
+                true,
+            )?);
         }
-        Ok((
-            Arc::new(MemTimeBlocked::new(arcs)?),
-            Persist::Blocks(blocks),
-        ))
+        let grid = TimeGrid::new(
+            block_table(method, &blocks),
+            blocks.iter().map(BuiltBlock::matrix).collect(),
+        )?;
+        Ok((Arc::new(grid), blocks))
     }
 
     /// Compress from any [`RowSource`] (disk file or in-memory matrix).
@@ -196,40 +181,12 @@ impl StoreBuilder {
     /// Clustering methods need the data in memory and will materialize
     /// the source (they are the paper's non-streaming baseline).
     pub fn build<S: RowSource + ?Sized>(self, source: &S) -> Result<SequenceStore> {
-        if matches!(self.method, Method::Svd | Method::Svdd) {
-            let col_ranges = time_block_ranges(source.cols(), self.time_blocks);
-            if col_ranges.len() > 1 {
-                let (compressed, persist) = self.build_blocks(source, &col_ranges)?;
-                return Ok(SequenceStore {
-                    compressed,
-                    method: self.method,
-                    threads: self.threads,
-                    shards: self.shards,
-                    time_blocks: col_ranges.len(),
-                    persist,
-                });
-            }
-        }
-        let mut persist = Persist::None;
-        let ranges = shard_ranges(source.rows(), self.shards);
+        let mut persist = Vec::new();
         let compressed: Arc<dyn CompressedMatrix> = match self.method {
-            Method::Svd => {
-                let c = Arc::new(SvdCompressed::compress_budget_sharded(
-                    source,
-                    self.budget,
-                    self.threads,
-                    &ranges,
-                )?);
-                persist = Persist::Svd(Arc::clone(&c));
-                c
-            }
-            Method::Svdd => {
-                let mut opts = SvddOptions::new(self.budget);
-                opts.threads = self.threads;
-                opts.with_bloom = self.with_bloom;
-                let c = Arc::new(SvddCompressed::compress_sharded(source, &opts, &ranges)?);
-                persist = Persist::Svdd(Arc::clone(&c));
-                c
+            Method::Svd | Method::Svdd => {
+                let (compressed, blocks) = self.build_blocks(source)?;
+                persist = blocks;
+                compressed
             }
             Method::Dct => Arc::new(DctCompressed::compress_budget(source, self.budget)?),
             Method::ClusterHierarchical => {
@@ -262,34 +219,10 @@ impl StoreBuilder {
             method: self.method,
             threads: self.threads,
             shards: self.shards,
-            time_blocks: 1,
+            time_blocks: persist.len().max(1),
             persist,
         })
     }
-}
-
-/// Keeps a concrete handle to the persistable methods so
-/// [`SequenceStore::save`] can reach the SVD parts without downcasting.
-enum Persist {
-    Svd(Arc<SvdCompressed>),
-    Svdd(Arc<SvddCompressed>),
-    /// One decomposition per time block, with build-time SSEs —
-    /// persists as the time-blocked (v4) layout.
-    Blocks(Vec<PersistBlock>),
-    None,
-}
-
-/// One freshly-built time block awaiting persistence.
-struct PersistBlock {
-    data: BlockPersist,
-    /// Build-time reconstruction SSE of the block against its source
-    /// slice (after delta patching for SVDD).
-    sse: f64,
-}
-
-enum BlockPersist {
-    Svd(Arc<SvdCompressed>),
-    Svdd(Arc<SvddCompressed>),
 }
 
 /// A compressed, queryable time-sequence store.
@@ -299,7 +232,10 @@ pub struct SequenceStore {
     threads: usize,
     shards: usize,
     time_blocks: usize,
-    persist: Persist,
+    /// The freshly built SVD/SVDD decomposition of every time block —
+    /// what [`SequenceStore::save`] writes. Empty for the other methods
+    /// and for an opened store (already on disk).
+    persist: Vec<BuiltBlock>,
 }
 
 impl SequenceStore {
@@ -327,60 +263,30 @@ impl SequenceStore {
         }
     }
 
-    /// Persist this store into `dir` as a crash-safe sharded (v3) store
-    /// directory (temp-dir staging + fsync + atomic rename; see
-    /// [`crate::shard`]). The on-disk shard ranges are the same
-    /// block-aligned ranges the build passes ran over
-    /// ([`StoreBuilder::shards`]).
+    /// Persist this store into `dir` as a crash-safe store directory
+    /// (temp-dir staging + fsync + atomic rename; see
+    /// [`ats_storage::store_dir`]): the sharded (v3) layout for a
+    /// one-block store, the time-blocked (v4) layout for several. The
+    /// on-disk shard ranges are the same block-aligned ranges the build
+    /// passes ran over ([`StoreBuilder::shards`]).
     ///
     /// Only the disk-servable methods persist: [`Method::Svd`] and
     /// [`Method::Svdd`]. Other methods return
     /// [`AtsError::InvalidArgument`].
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<()> {
-        match &self.persist {
-            Persist::Svd(c) => shard::save_sharded(
-                dir.as_ref(),
-                c,
-                None,
-                "svd",
-                &shard_ranges(c.rows(), self.shards),
-            ),
-            Persist::Svdd(c) => shard::save_sharded(
-                dir.as_ref(),
-                c.svd(),
-                Some(c.deltas()),
-                "svdd",
-                &shard_ranges(c.svd().rows(), self.shards),
-            ),
-            Persist::Blocks(blocks) => {
-                let to_save: Vec<BlockToSave<'_>> = blocks
-                    .iter()
-                    .map(|b| match &b.data {
-                        BlockPersist::Svd(c) => BlockToSave {
-                            svd: c,
-                            deltas: None,
-                            sse: b.sse,
-                        },
-                        BlockPersist::Svdd(c) => BlockToSave {
-                            svd: c.svd(),
-                            deltas: Some(c.deltas()),
-                            sse: b.sse,
-                        },
-                    })
-                    .collect();
-                timeblock::save_timeblocked(
-                    dir.as_ref(),
-                    &to_save,
-                    self.method.name(),
-                    &shard_ranges(self.rows(), self.shards),
-                )
-            }
-            Persist::None => Err(AtsError::InvalidArgument(format!(
+        if self.persist.is_empty() {
+            return Err(AtsError::InvalidArgument(format!(
                 "cannot save a {:?} store: only freshly built svd/svdd stores persist \
                  (an opened store is already on disk)",
                 self.method
-            ))),
+            )));
         }
+        save_blocks(
+            dir.as_ref(),
+            &self.persist,
+            self.method.name(),
+            &shard_ranges(self.rows(), self.shards),
+        )
     }
 
     /// Open a store directory written by [`SequenceStore::save`] — the
@@ -406,15 +312,15 @@ impl SequenceStore {
                 )))
             }
         };
-        let shards = store.block(0)?.shard_count();
-        let time_blocks = store.block_count();
+        let shards = store.blocks().first().map_or(1, ShardedStore::shard_count);
+        let time_blocks = store.blocks().len();
         Ok(SequenceStore {
             compressed: Arc::new(store),
             method,
             threads: 1,
             shards,
             time_blocks,
-            persist: Persist::None,
+            persist: Vec::new(),
         })
     }
 
@@ -718,6 +624,10 @@ mod tests {
             assert_eq!(opened.rows(), 150);
             assert_eq!(opened.cols(), 21);
             assert_eq!(opened.storage_bytes(), built.storage_bytes());
+            assert_eq!(
+                opened.compressed().method_name(),
+                format!("disk-{}", method.name())
+            );
             // Bit-identical serving: same U/V/Λ bytes, same arithmetic.
             for i in (0..150).step_by(13) {
                 for j in 0..21 {
@@ -777,6 +687,8 @@ mod tests {
                 built.storage_bytes(),
                 "bloom={bloom}"
             );
+            let manifest = TimeBlockedStore::open(&dir, 16).unwrap().manifest().clone();
+            assert_eq!(manifest.bloom, bloom, "flag restored from the manifest");
         }
     }
 
@@ -832,32 +744,37 @@ mod tests {
 
     #[test]
     fn legacy_v2_store_opens_as_single_shard() {
-        // A v2 directory written by the legacy writer is exactly a
-        // one-shard v3 store: SequenceStore::open serves it unchanged.
-        let x = structured(150, 21);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .shards(1)
-            .time_blocks(1) // the legacy writer predates time blocking
-            .build(&x)
-            .unwrap();
-        let svdd = match &built.persist {
-            Persist::Svdd(c) => Arc::clone(c),
-            _ => unreachable!("default method is svdd"),
-        };
+        // A v2 directory written by the retired legacy writer is exactly
+        // a one-shard, one-block store: SequenceStore::open serves the
+        // committed golden bytes unchanged, cells, batches and
+        // aggregates alike.
         let tmp = ats_common::TestDir::new("ats-store-v2compat");
-        let dir = tmp.file("legacy");
-        crate::disk::save_svdd(&dir, &svdd).unwrap();
+        let (dir, truth) = crate::shard::tests::v2_fixture(&tmp);
         let opened = SequenceStore::open(&dir, 64).unwrap();
         assert_eq!(opened.method(), Method::Svdd);
-        assert_eq!(opened.shards(), 1);
-        assert_eq!((opened.rows(), opened.cols()), (150, 21));
-        assert_eq!(opened.storage_bytes(), built.storage_bytes());
-        for i in (0..150).step_by(13) {
-            for j in 0..21 {
-                assert_eq!(opened.cell(i, j).unwrap(), built.cell(i, j).unwrap());
+        assert_eq!((opened.shards(), opened.time_blocks()), (1, 1));
+        assert_eq!((opened.rows(), opened.cols()), (40, 24));
+        let mut cells = Vec::new();
+        let mut sum = ats_common::OnlineStats::new();
+        for i in 0..40 {
+            for j in 0..24 {
+                assert_eq!(
+                    opened.cell(i, j).unwrap().to_bits(),
+                    truth[(i, j)].to_bits()
+                );
+                cells.push((i, j));
+                sum.push(truth[(i, j)]);
             }
         }
+        for (&(i, j), got) in cells.iter().zip(opened.batch_cells(&cells).unwrap()) {
+            assert_eq!(got.to_bits(), truth[(i, j)].to_bits(), "batch ({i},{j})");
+        }
+        let total = opened
+            .aggregate(&Selection::all(), AggregateFn::Sum)
+            .unwrap();
+        assert_eq!(total.to_bits(), sum.sum().to_bits());
+        // Already on disk, and not in a layout this build writes.
+        assert!(opened.save(tmp.file("resave")).is_err());
     }
 
     #[test]

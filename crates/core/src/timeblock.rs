@@ -41,8 +41,14 @@
 //! A v2/v3 directory is exactly a one-block v4 store whose block
 //! directory is the store directory itself; [`TimeBlockedStore::open`]
 //! serves it through the same code with zero behavioral change.
+//!
+//! One routing type serves both lives of a store: [`TimeGrid`] over
+//! in-memory decompositions is what [`crate::store::StoreBuilder`]
+//! returns for a multi-block build, and [`TimeGrid`] over
+//! [`ShardedStore`]s ([`TimeBlockedStore`]) is what every saved store —
+//! one block or many — opens as.
 
-use crate::shard::{sharded_manifest_for, write_sharded_components, ShardedStore};
+use crate::shard::{write_sharded_components, ShardedStore};
 use ats_common::{AtsError, Result};
 use ats_compress::method::block_budget;
 use ats_compress::{
@@ -50,12 +56,11 @@ use ats_compress::{
     SvddOptions,
 };
 use ats_storage::store_dir::{
-    file_crc, tblock_dir_name, write_sharded_manifest_into, MANIFEST_FILE,
-    TIMEBLOCKED_STORE_VERSION,
+    file_crc, publish_manifest, tblock_dir_name, validate_timeblocked_store_dir,
+    write_sharded_manifest_into, MANIFEST_FILE, TIMEBLOCKED_STORE_VERSION,
 };
 use ats_storage::{
-    IoSnapshot, RowSource, ShardSynopsis, ShardedManifest, StoreWriter, TimeBlockEntry,
-    TimeBlockedManifest,
+    IoSnapshot, RowSource, ShardSynopsis, StoreWriter, TimeBlockEntry, TimeBlockedManifest,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -99,100 +104,232 @@ pub fn reconstruction_sse<S: RowSource + ?Sized>(
     Ok(sse)
 }
 
-/// A column-partitioned grid of compressed matrices serving as one: the
-/// in-memory form of a time-blocked store (freshly built, before save)
-/// and the routing engine behind the disk-backed [`TimeBlockedStore`].
+/// A freshly built decomposition over one column block: what a store
+/// holds between [`crate::store::StoreBuilder::build`] and
+/// [`crate::store::SequenceStore::save`], and what
+/// [`append_time_block`] builds before landing it.
+pub(crate) struct BuiltBlock {
+    data: Decomposition,
+    /// Reconstruction SSE against the block's source slice (after delta
+    /// patching for SVDD) — measured for the blocks of a time-blocked
+    /// store, whose manifest records it; `None` for a one-block build.
+    sse: Option<f64>,
+}
+
+enum Decomposition {
+    Svd(Arc<SvdCompressed>),
+    Svdd(Arc<SvddCompressed>),
+}
+
+impl BuiltBlock {
+    /// Run the build passes for `method` (`"svd"` or `"svdd"`) over
+    /// `source` with row-range shards `ranges`, measuring the
+    /// reconstruction SSE in one more pass only when `measure_sse`.
+    pub(crate) fn build<S: RowSource + ?Sized>(
+        method: &str,
+        source: &S,
+        budget: SpaceBudget,
+        threads: usize,
+        with_bloom: bool,
+        ranges: &[(usize, usize)],
+        measure_sse: bool,
+    ) -> Result<Self> {
+        let data = match method {
+            "svd" => Decomposition::Svd(Arc::new(SvdCompressed::compress_budget_sharded(
+                source, budget, threads, ranges,
+            )?)),
+            "svdd" => {
+                let mut opts = SvddOptions::new(budget);
+                opts.threads = threads;
+                opts.with_bloom = with_bloom;
+                Decomposition::Svdd(Arc::new(SvddCompressed::compress_sharded(
+                    source, &opts, ranges,
+                )?))
+            }
+            other => {
+                return Err(AtsError::Corrupt(format!(
+                    "method {other:?} is not a disk-servable store (svd|svdd)"
+                )))
+            }
+        };
+        let mut block = BuiltBlock { data, sse: None };
+        if measure_sse {
+            block.sse = Some(reconstruction_sse(source, block.matrix().as_ref())?);
+        }
+        Ok(block)
+    }
+
+    /// The block as a servable matrix (shared with this handle).
+    pub(crate) fn matrix(&self) -> Arc<dyn CompressedMatrix> {
+        match &self.data {
+            Decomposition::Svd(c) => Arc::clone(c) as Arc<dyn CompressedMatrix>,
+            Decomposition::Svdd(c) => Arc::clone(c) as Arc<dyn CompressedMatrix>,
+        }
+    }
+
+    fn svd(&self) -> &SvdCompressed {
+        match &self.data {
+            Decomposition::Svd(c) => c,
+            Decomposition::Svdd(c) => c.svd(),
+        }
+    }
+
+    fn deltas(&self) -> Option<&DeltaStore> {
+        match &self.data {
+            Decomposition::Svd(_) => None,
+            Decomposition::Svdd(c) => Some(c.deltas()),
+        }
+    }
+}
+
+/// The block table describing `blocks` laid side by side in time order:
+/// column ranges accumulating from 0 and each block's measured SSE,
+/// nested-manifest CRCs unfilled (the commit computes them).
+pub(crate) fn block_table(method: &str, blocks: &[BuiltBlock]) -> TimeBlockedManifest {
+    let mut entries = Vec::with_capacity(blocks.len());
+    let mut start = 0usize;
+    for b in blocks {
+        let end = start + b.svd().cols();
+        entries.push(TimeBlockEntry {
+            start,
+            end,
+            sse: b.sse,
+            crc_manifest: 0,
+        });
+        start = end;
+    }
+    TimeBlockedManifest {
+        method: method.to_string(),
+        rows: blocks.first().map_or(0, |b| b.svd().rows()),
+        cols: start,
+        bloom: blocks
+            .first()
+            .and_then(BuiltBlock::deltas)
+            .is_some_and(DeltaStore::has_bloom),
+        blocks: entries,
+        source_version: TIMEBLOCKED_STORE_VERSION,
+    }
+}
+
+/// Persist freshly built blocks into `dir`, atomically: one block lands
+/// as a sharded (v3) directory, several as a time-blocked (v4) directory
+/// whose every block is a complete nested v3 tree (components plus
+/// CRC-filled nested manifest). Everything is staged inside one
+/// [`StoreWriter`] temp directory and exposed by its single
+/// all-or-nothing commit — a torn save never exposes a half-written
+/// store. `row_ranges` are the shard ranges the build passes ran over.
+pub(crate) fn save_blocks(
+    dir: &Path,
+    blocks: &[BuiltBlock],
+    method: &str,
+    row_ranges: &[(usize, usize)],
+) -> Result<()> {
+    let writer = StoreWriter::begin(dir)?;
+    let stage = |bdir: &Path, b: &BuiltBlock| {
+        write_sharded_components(bdir, b.svd(), b.deltas(), method, row_ranges)
+    };
+    if let [only] = blocks {
+        let manifest = stage(writer.path(), only)?;
+        return writer.commit_sharded(manifest);
+    }
+    for (i, b) in blocks.iter().enumerate() {
+        let bdir = writer.path().join(tblock_dir_name(i));
+        std::fs::create_dir(&bdir)?;
+        write_sharded_manifest_into(&bdir, stage(&bdir, b)?)?;
+    }
+    writer.commit_timeblocked(block_table(method, blocks))
+}
+
+/// A column-partitioned grid of compressed matrices serving as one:
+/// the routing behind both a freshly built multi-block store
+/// (`B = Arc<dyn CompressedMatrix>`) and every opened one
+/// ([`TimeBlockedStore`], `B = ShardedStore`).
 ///
 /// Every query routes to the owning block(s) with columns rebased to
 /// block-local indices; a single-block grid delegates straight through,
-/// so wrapping a monolithic store here changes nothing.
-pub struct MemTimeBlocked {
-    blocks: Vec<Arc<dyn CompressedMatrix>>,
-    /// Absolute `[start, end)` column bounds per block, contiguous from 0.
-    bounds: Vec<(usize, usize)>,
-    rows: usize,
-    cols: usize,
+/// so a monolithic store served through here changes nothing.
+pub struct TimeGrid<B> {
+    /// The block table: column ranges and recorded SSEs. For an opened
+    /// store this is the validated top-level manifest (normalized for
+    /// v2/v3 directories).
+    table: TimeBlockedManifest,
+    blocks: Vec<B>,
 }
 
-impl MemTimeBlocked {
-    /// Assemble a grid from blocks in time order. All blocks must have
-    /// the same row count; column bounds accumulate from 0.
-    pub fn new(blocks: Vec<Arc<dyn CompressedMatrix>>) -> Result<Self> {
-        let first = blocks
-            .first()
-            .ok_or_else(|| AtsError::InvalidArgument("a time-blocked grid needs blocks".into()))?;
-        let rows = first.rows();
-        let mut bounds = Vec::new();
-        let mut cols = 0usize;
-        for (i, b) in blocks.iter().enumerate() {
-            if b.rows() != rows {
+/// An opened store directory of any format: one lazily-paged
+/// [`ShardedStore`] per time block behind the routing grid. Opening a
+/// v2/v3 directory yields a single-block grid that delegates straight
+/// through — legacy stores serve unchanged.
+pub type TimeBlockedStore = TimeGrid<ShardedStore>;
+
+impl<B: AsRef<dyn CompressedMatrix>> TimeGrid<B> {
+    /// Assemble a grid from blocks in time order under the table that
+    /// describes them: every block must span the table's rows and
+    /// exactly its entry's columns.
+    pub(crate) fn new(table: TimeBlockedManifest, blocks: Vec<B>) -> Result<Self> {
+        if blocks.is_empty() || blocks.len() != table.blocks.len() {
+            return Err(AtsError::InvalidArgument(format!(
+                "a time-blocked grid needs one block per table entry, got {} for {}",
+                blocks.len(),
+                table.blocks.len()
+            )));
+        }
+        for (b, entry) in blocks.iter().zip(&table.blocks) {
+            let b = b.as_ref();
+            if b.rows() != table.rows || b.cols() != entry.cols() || entry.cols() == 0 {
                 return Err(AtsError::dims(
-                    "MemTimeBlocked::new",
+                    "TimeGrid::new",
                     (b.rows(), b.cols()),
-                    (rows, b.cols()),
+                    (table.rows, entry.cols()),
                 ));
             }
-            if b.cols() == 0 {
-                return Err(AtsError::InvalidArgument(format!(
-                    "time block {i} has zero columns"
-                )));
-            }
-            let end = cols
-                .checked_add(b.cols())
-                .ok_or_else(|| AtsError::InvalidArgument("total column count overflows".into()))?;
-            bounds.push((cols, end));
-            cols = end;
         }
-        Ok(MemTimeBlocked {
-            blocks,
-            bounds,
-            rows,
-            cols,
-        })
+        Ok(TimeGrid { table, blocks })
     }
 
-    /// The block owning absolute column `j`: `(index, start, end)`.
-    fn route(&self, j: usize) -> Result<(usize, usize, usize)> {
-        self.bounds
+    /// The block owning absolute column `j`, with the block's start.
+    fn route(&self, j: usize) -> Result<(&dyn CompressedMatrix, &TimeBlockEntry)> {
+        self.table
+            .block_of_col(j)
+            .and_then(|idx| Some((self.blocks.get(idx)?.as_ref(), self.table.blocks.get(idx)?)))
+            .ok_or_else(|| AtsError::oob("column", j, self.table.cols))
+    }
+
+    /// Blocks paired with their table entries, in time order.
+    fn entries(&self) -> impl Iterator<Item = (&dyn CompressedMatrix, &TimeBlockEntry)> + '_ {
+        let blocks = self
+            .blocks
             .iter()
-            .position(|&(s, e)| j >= s && j < e)
-            .and_then(|idx| self.bounds.get(idx).map(|&(s, e)| (idx, s, e)))
-            .ok_or_else(|| AtsError::oob("column", j, self.cols))
-    }
-
-    fn block(&self, idx: usize) -> Result<&dyn CompressedMatrix> {
-        self.blocks
-            .get(idx)
-            .map(AsRef::as_ref)
-            .ok_or_else(|| AtsError::oob("time block", idx, self.blocks.len()))
+            .map(|b| -> &dyn CompressedMatrix { b.as_ref() });
+        blocks.zip(&self.table.blocks)
     }
 }
 
-impl CompressedMatrix for MemTimeBlocked {
+impl<B: AsRef<dyn CompressedMatrix> + Send + Sync> CompressedMatrix for TimeGrid<B> {
     fn rows(&self) -> usize {
-        self.rows
+        self.table.rows
     }
 
     fn cols(&self) -> usize {
-        self.cols
+        self.table.cols
     }
 
     fn cell(&self, i: usize, j: usize) -> Result<f64> {
-        let (idx, start, _) = self.route(j)?;
-        self.block(idx)?.cell(i, j - start)
+        let (block, entry) = self.route(j)?;
+        block.cell(i, j - entry.start)
     }
 
     fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
-        if out.len() != self.cols {
+        if out.len() != self.table.cols {
             return Err(AtsError::dims(
-                "MemTimeBlocked::row_into",
+                "TimeGrid::row_into",
                 (1, out.len()),
-                (1, self.cols),
+                (1, self.table.cols),
             ));
         }
-        for (b, &(s, e)) in self.blocks.iter().zip(&self.bounds) {
+        for (b, e) in self.entries() {
             let slot = out
-                .get_mut(s..e)
+                .get_mut(e.start..e.end)
                 .ok_or_else(|| AtsError::internal("row_into output undersized"))?;
             b.row_into(i, slot)?;
         }
@@ -206,17 +343,17 @@ impl CompressedMatrix for MemTimeBlocked {
     fn cells_in_row(&self, i: usize, cols: &[usize], out: &mut [f64]) -> Result<()> {
         if out.len() != cols.len() {
             return Err(AtsError::dims(
-                "MemTimeBlocked::cells_in_row",
+                "TimeGrid::cells_in_row",
                 (1, out.len()),
                 (1, cols.len()),
             ));
         }
-        if let (1, Some(b)) = (self.blocks.len(), self.blocks.first()) {
-            return b.cells_in_row(i, cols, out);
+        if let [only] = self.blocks.as_slice() {
+            return only.as_ref().cells_in_row(i, cols, out);
         }
         for &j in cols {
-            if j >= self.cols {
-                return Err(AtsError::oob("column", j, self.cols));
+            if j >= self.table.cols {
+                return Err(AtsError::oob("column", j, self.table.cols));
             }
         }
         let mut pos = 0usize;
@@ -224,51 +361,54 @@ impl CompressedMatrix for MemTimeBlocked {
             let first = *cols
                 .get(pos)
                 .ok_or_else(|| AtsError::internal("cells_in_row cursor out of range"))?;
-            let (idx, start, end) = self.route(first)?;
+            let (block, entry) = self.route(first)?;
             let mut len = 1usize;
-            while cols.get(pos + len).is_some_and(|&j| j >= start && j < end) {
+            while cols
+                .get(pos + len)
+                .is_some_and(|&j| j >= entry.start && j < entry.end)
+            {
                 len += 1;
             }
             let run = cols
                 .get(pos..pos + len)
                 .ok_or_else(|| AtsError::internal("cells_in_row run out of range"))?;
-            let local: Vec<usize> = run.iter().map(|&j| j - start).collect();
+            let local: Vec<usize> = run.iter().map(|&j| j - entry.start).collect();
             let slot = out
                 .get_mut(pos..pos + len)
                 .ok_or_else(|| AtsError::internal("cells_in_row output undersized"))?;
-            self.block(idx)?.cells_in_row(i, &local, slot)?;
+            block.cells_in_row(i, &local, slot)?;
             pos += len;
         }
         Ok(())
     }
 
     fn rows_into(&self, rows: &[usize], out: &mut [f64]) -> Result<()> {
-        let m = self.cols;
+        let m = self.table.cols;
         if out.len() != rows.len() * m {
             return Err(AtsError::dims(
-                "MemTimeBlocked::rows_into",
+                "TimeGrid::rows_into",
                 (rows.len(), m),
                 (out.len() / m.max(1), m),
             ));
         }
-        if let (1, Some(b)) = (self.blocks.len(), self.blocks.first()) {
-            return b.rows_into(rows, out);
+        if let [only] = self.blocks.as_slice() {
+            return only.as_ref().rows_into(rows, out);
         }
         for &i in rows {
-            if i >= self.rows {
-                return Err(AtsError::oob("row", i, self.rows));
+            if i >= self.table.rows {
+                return Err(AtsError::oob("row", i, self.table.rows));
             }
         }
         if m == 0 {
             return Ok(());
         }
-        for (b, &(s, e)) in self.blocks.iter().zip(&self.bounds) {
-            let width = e - s;
+        for (b, e) in self.entries() {
+            let width = e.cols();
             let mut buf = vec![0.0f64; rows.len() * width];
             b.rows_into(rows, &mut buf)?;
             for (orow, brow) in out.chunks_mut(m).zip(buf.chunks(width)) {
                 let slot = orow
-                    .get_mut(s..e)
+                    .get_mut(e.start..e.end)
                     .ok_or_else(|| AtsError::internal("rows_into output undersized"))?;
                 slot.copy_from_slice(brow);
             }
@@ -277,51 +417,40 @@ impl CompressedMatrix for MemTimeBlocked {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.blocks.iter().map(|b| b.storage_bytes()).sum()
+        self.entries().map(|(b, _)| b.storage_bytes()).sum()
     }
 
     fn method_name(&self) -> &'static str {
-        self.blocks
-            .first()
-            .map_or("timeblocked", |b| b.method_name())
+        self.entries()
+            .next()
+            .map_or("timeblocked", |(b, _)| b.method_name())
     }
 
     fn shard_starts(&self) -> Vec<usize> {
-        self.blocks
-            .first()
-            .map_or_else(Vec::new, |b| b.shard_starts())
+        self.entries()
+            .next()
+            .map_or_else(Vec::new, |(b, _)| b.shard_starts())
     }
 
     fn time_block_starts(&self) -> Vec<usize> {
-        self.bounds.iter().map(|&(s, _)| s).collect()
+        self.table.blocks.iter().map(|e| e.start).collect()
     }
 
     fn time_block(&self, b: usize) -> Option<&dyn CompressedMatrix> {
         self.blocks.get(b).map(AsRef::as_ref)
     }
 
-    /// A single-block grid delegates straight through — wrapping a
-    /// monolithic store changes nothing, including its synopses. A
-    /// multi-block grid exposes none at the top level: each block's
-    /// synopses describe *block-local* columns, so pruning happens per
-    /// block via [`CompressedMatrix::time_block`].
+    /// A single-block grid delegates straight through — serving a
+    /// monolithic store through the grid changes nothing, including its
+    /// synopses. A multi-block grid exposes none at the top level: each
+    /// block's synopses describe *block-local* columns, so pruning
+    /// happens per block via [`CompressedMatrix::time_block`].
     fn shard_synopsis(&self, shard: usize) -> Option<&ShardSynopsis> {
         match self.blocks.as_slice() {
-            [only] => only.shard_synopsis(shard),
+            [only] => only.as_ref().shard_synopsis(shard),
             _ => None,
         }
     }
-}
-
-/// An opened time-blocked store: one lazily-paged [`ShardedStore`] per
-/// time block behind a routing [`MemTimeBlocked`] grid. Opening a v2/v3
-/// directory yields a single-block grid that delegates straight through
-/// — legacy stores serve unchanged.
-pub struct TimeBlockedStore {
-    manifest: TimeBlockedManifest,
-    nested: Vec<ShardedManifest>,
-    blocks: Vec<Arc<ShardedStore>>,
-    grid: MemTimeBlocked,
 }
 
 impl TimeBlockedStore {
@@ -332,70 +461,32 @@ impl TimeBlockedStore {
     /// split evenly across blocks (then across each block's shards).
     pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<Self> {
         let dir = dir.as_ref();
-        let manifest = TimeBlockedManifest::read(dir)?;
-        let nested = manifest.read_blocks(dir)?;
-        let per_block = (pool_pages / manifest.blocks.len().max(1)).max(1);
+        let (manifest, nested) = validate_timeblocked_store_dir(dir)?;
+        let per_block = (pool_pages / nested.len().max(1)).max(1);
         let mut blocks = Vec::new();
-        for i in 0..manifest.blocks.len() {
-            blocks.push(Arc::new(ShardedStore::open(
-                manifest.block_dir(dir, i),
+        for (i, block_manifest) in nested.into_iter().enumerate() {
+            blocks.push(ShardedStore::from_validated(
+                &manifest.block_dir(dir, i),
+                block_manifest,
                 per_block,
-            )?));
+            )?);
         }
-        let grid = MemTimeBlocked::new(
-            blocks
-                .iter()
-                .map(|b| Arc::clone(b) as Arc<dyn CompressedMatrix>)
-                .collect(),
-        )?;
-        if grid.rows() != manifest.rows || grid.cols() != manifest.cols {
-            return Err(AtsError::Corrupt(format!(
-                "blocks assemble to {}x{}, manifest declares {}x{}",
-                grid.rows(),
-                grid.cols(),
-                manifest.rows,
-                manifest.cols
-            )));
-        }
-        Ok(TimeBlockedStore {
-            manifest,
-            nested,
-            blocks,
-            grid,
-        })
+        TimeGrid::new(manifest, blocks)
     }
 
     /// The validated top-level manifest (normalized for v2/v3 stores).
     pub fn manifest(&self) -> &TimeBlockedManifest {
-        &self.manifest
+        &self.table
     }
 
-    /// Each block's validated nested manifest, in block order.
-    pub fn nested_manifests(&self) -> &[ShardedManifest] {
-        &self.nested
-    }
-
-    /// Number of time blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Borrow block `b`'s nested store.
-    pub fn block(&self, b: usize) -> Result<&ShardedStore> {
-        self.blocks
-            .get(b)
-            .map(AsRef::as_ref)
-            .ok_or_else(|| AtsError::oob("time block", b, self.blocks.len()))
+    /// The nested store of every time block, in block order.
+    pub fn blocks(&self) -> &[ShardedStore] {
+        &self.blocks
     }
 
     /// Total stored deltas across all blocks.
     pub fn num_deltas(&self) -> usize {
-        self.nested.iter().map(|m| m.deltas).sum()
-    }
-
-    /// Whether the delta tables carry the §4.2 Bloom filter.
-    pub fn has_bloom(&self) -> bool {
-        self.manifest.bloom
+        self.blocks.iter().map(ShardedStore::num_deltas).sum()
     }
 
     /// Per-shard I/O counters flattened block-major: block 0's shards,
@@ -421,101 +512,6 @@ impl TimeBlockedStore {
         }
         total
     }
-}
-
-impl CompressedMatrix for TimeBlockedStore {
-    fn rows(&self) -> usize {
-        self.grid.rows()
-    }
-    fn cols(&self) -> usize {
-        self.grid.cols()
-    }
-    fn cell(&self, i: usize, j: usize) -> Result<f64> {
-        self.grid.cell(i, j)
-    }
-    fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
-        self.grid.row_into(i, out)
-    }
-    fn cells_in_row(&self, i: usize, cols: &[usize], out: &mut [f64]) -> Result<()> {
-        self.grid.cells_in_row(i, cols, out)
-    }
-    fn rows_into(&self, rows: &[usize], out: &mut [f64]) -> Result<()> {
-        self.grid.rows_into(rows, out)
-    }
-    fn storage_bytes(&self) -> usize {
-        self.grid.storage_bytes()
-    }
-    fn method_name(&self) -> &'static str {
-        self.grid.method_name()
-    }
-    fn shard_starts(&self) -> Vec<usize> {
-        self.grid.shard_starts()
-    }
-    fn time_block_starts(&self) -> Vec<usize> {
-        self.grid.time_block_starts()
-    }
-    fn time_block(&self, b: usize) -> Option<&dyn CompressedMatrix> {
-        self.grid.time_block(b)
-    }
-    fn shard_synopsis(&self, shard: usize) -> Option<&ShardSynopsis> {
-        self.grid.shard_synopsis(shard)
-    }
-}
-
-/// One freshly-built block headed for a v4 save: its decomposition,
-/// optional delta table, and build-time reconstruction SSE.
-pub(crate) struct BlockToSave<'a> {
-    pub svd: &'a SvdCompressed,
-    pub deltas: Option<&'a DeltaStore>,
-    pub sse: f64,
-}
-
-/// Persist a multi-block store into `dir` as a v4 store directory,
-/// atomically: every block's complete nested v3 tree (components plus
-/// CRC-filled nested manifest) is staged inside one [`StoreWriter`]
-/// temp directory, and the top manifest is written by the single
-/// all-or-nothing commit — a torn multi-block save never exposes a
-/// half-written store.
-pub(crate) fn save_timeblocked(
-    dir: &Path,
-    blocks: &[BlockToSave<'_>],
-    method: &str,
-    row_ranges: &[(usize, usize)],
-) -> Result<()> {
-    let first = blocks
-        .first()
-        .ok_or_else(|| AtsError::InvalidArgument("a time-blocked save needs blocks".into()))?;
-    let rows = first.svd.rows();
-    let bloom = first.deltas.is_some_and(DeltaStore::has_bloom);
-
-    let writer = StoreWriter::begin(dir)?;
-    let tmp = writer.path();
-    let mut entries = Vec::new();
-    let mut start = 0usize;
-    for (i, b) in blocks.iter().enumerate() {
-        let bdir = tmp.join(tblock_dir_name(i));
-        std::fs::create_dir(&bdir)?;
-        let shard_entries = write_sharded_components(&bdir, b.svd, b.deltas, row_ranges)?;
-        write_sharded_manifest_into(
-            &bdir,
-            sharded_manifest_for(b.svd, b.deltas, method, shard_entries),
-        )?;
-        entries.push(TimeBlockEntry {
-            start,
-            end: start + b.svd.cols(),
-            sse: Some(b.sse),
-            crc_manifest: 0,
-        });
-        start += b.svd.cols();
-    }
-    writer.commit_timeblocked(TimeBlockedManifest {
-        method: method.to_string(),
-        rows,
-        cols: start,
-        bloom,
-        blocks: entries,
-        source_version: TIMEBLOCKED_STORE_VERSION,
-    })
 }
 
 /// Default multiple of the store-wide mean per-cell squared error past
@@ -612,45 +608,29 @@ pub fn append_time_block<S: RowSource + ?Sized>(
     }
 
     // Build the new block with the same method and row-shard count as
-    // the existing store, under the per-block budget floor.
+    // the existing store, under the per-block budget floor, and measure
+    // it.
     let shards = nested.first().map_or(1, |m| m.shards.len());
     let ranges = shard_ranges(manifest.rows, shards);
-    let budget = block_budget(budget, manifest.rows, t);
+    let block = BuiltBlock::build(
+        &manifest.method,
+        batch,
+        block_budget(budget, manifest.rows, t),
+        threads,
+        manifest.bloom,
+        &ranges,
+        true,
+    )?;
+    let sse = block
+        .sse
+        .ok_or_else(|| AtsError::internal("appended block built without its SSE"))?;
+
+    // Land it as a complete nested v3 store (the save stages, fsyncs,
+    // renames in, and clears any orphan); publish only afterwards by
+    // replacing the top manifest atomically.
     let index = manifest.blocks.len();
     let target = dir.join(tblock_dir_name(index));
-
-    // Build, measure, then stage the block as a complete nested v3
-    // store and rename it in (save_sharded's writer handles staging,
-    // fsync, and orphan cleanup); publish only afterwards by replacing
-    // the top manifest atomically.
-    let sse = match manifest.method.as_str() {
-        "svd" => {
-            let svd = SvdCompressed::compress_budget_sharded(batch, budget, threads, &ranges)?;
-            let sse = reconstruction_sse(batch, &svd)?;
-            crate::shard::save_sharded(&target, &svd, None, &manifest.method, &ranges)?;
-            sse
-        }
-        "svdd" => {
-            let mut opts = SvddOptions::new(budget);
-            opts.threads = threads;
-            opts.with_bloom = manifest.bloom;
-            let c = SvddCompressed::compress_sharded(batch, &opts, &ranges)?;
-            let sse = reconstruction_sse(batch, &c)?;
-            crate::shard::save_sharded(
-                &target,
-                c.svd(),
-                Some(c.deltas()),
-                &manifest.method,
-                &ranges,
-            )?;
-            sse
-        }
-        other => {
-            return Err(AtsError::Corrupt(format!(
-                "manifest method {other:?} is not a disk-servable store (svd|svdd)"
-            )))
-        }
-    };
+    save_blocks(&target, &[block], &manifest.method, &ranges)?;
 
     let mut next = manifest;
     let start = next.cols;
@@ -661,23 +641,13 @@ pub fn append_time_block<S: RowSource + ?Sized>(
         crc_manifest: file_crc(target.join(MANIFEST_FILE))?,
     });
     next.cols = start + t;
-    let tmp_manifest = dir.join(format!(".manifest.tmp-{}", std::process::id()));
-    std::fs::write(&tmp_manifest, next.encode())?;
-    sync_path(&tmp_manifest)?;
-    std::fs::rename(&tmp_manifest, dir.join(MANIFEST_FILE))?;
-    sync_path(dir)?;
+    publish_manifest(dir, &next.encode())?;
 
     Ok(TimeAppendReport {
         block_index: index,
         cols: t,
         sse,
     })
-}
-
-/// Flush a file or directory to stable storage.
-fn sync_path(path: &Path) -> Result<()> {
-    std::fs::File::open(path)?.sync_all()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -814,7 +784,7 @@ mod tests {
         let dir = tmp.file("store");
         built.save(&dir).unwrap();
         let store = TimeBlockedStore::open(&dir, 96).unwrap();
-        assert_eq!(store.block_count(), 3);
+        assert_eq!(store.blocks().len(), 3);
         // Touch only columns 10..20 — block 1 of [0..10, 10..20, 20..30].
         for i in (0..96).step_by(9) {
             for j in 12..18 {
@@ -945,7 +915,7 @@ mod tests {
 
         let store = TimeBlockedStore::open(&dir, 64).unwrap();
         assert_eq!(store.cols(), 25);
-        assert_eq!(store.block_count(), 3);
+        assert_eq!(store.blocks().len(), 3);
         // The SSE survives the manifest round trip bit-exactly.
         assert_eq!(
             store.manifest().blocks[2].sse.map(f64::to_bits),

@@ -25,9 +25,9 @@ use ats_common::{AtsError, Result};
 /// slice (see [`vecops::axpy8`]): every widening of the block halves the
 /// number of passes over the `V` panel per reconstructed row, and eight
 /// rows is the widest block that still fits the accumulator registers of
-/// mainstream x86-64/aarch64 without spilling. Measured under
-/// `cargo xtask bench-report` (kernel micro suite); blocks that don't
-/// fill to 8 fall back to [`vecops::axpy4`] and then to single rows.
+/// mainstream x86-64/aarch64 without spilling. Measured by `atsbench`'s
+/// `linalg.*` probes; blocks that don't fill to 8 fall back to
+/// [`vecops::axpy4`] and then to single rows.
 pub const BLOCK_ROWS: usize = 8;
 
 /// Rows per fallback sub-block when fewer than [`BLOCK_ROWS`] remain.

@@ -12,7 +12,7 @@
 //! scattered back in request order and are bitwise identical to the
 //! per-cell loop, whatever the request order, duplication, or thread count.
 
-use crate::engine::QueryEngine;
+use crate::engine::{fork_join, QueryEngine};
 use ats_common::{AtsError, Result};
 use ats_compress::CompressedMatrix;
 
@@ -130,37 +130,20 @@ impl QueryEngine<'_> {
             }
         } else {
             let chunk = groups.len().div_ceil(self.threads);
-            let parts: Vec<Result<Vec<(usize, f64)>>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .chunks(chunk)
-                    .map(|gs| {
-                        let (order, cells) = (&order, cells);
-                        scope.spawn(move |_| -> Result<Vec<(usize, f64)>> {
-                            let mut out = Vec::new();
-                            let mut scatter = Vec::new();
-                            for g in gs {
-                                run_group(self.matrix(), cells, order, g, &mut scatter)?;
-                                out.extend_from_slice(&scatter);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("batch cell worker panicked")),
-                    })
-                    .collect()
-            })
-            .map_err(|_| AtsError::internal("batch cell thread scope panicked"))?;
+            let chunks: Vec<&[RowGroup]> = groups.chunks(chunk).collect();
+            let parts = fork_join(&chunks, "batch cell", |gs| {
+                let mut out = Vec::new();
+                let mut scatter = Vec::new();
+                for g in gs.iter() {
+                    run_group(self.matrix(), cells, &order, g, &mut scatter)?;
+                    out.extend_from_slice(&scatter);
+                }
+                Ok(out)
+            })?;
             // Chunk-order merge; each (position, value) pair is disjoint,
             // so the scatter is deterministic regardless of thread count.
-            for part in parts {
-                for (t, v) in part? {
-                    values[t] = v;
-                }
+            for (t, v) in parts.into_iter().flatten() {
+                values[t] = v;
             }
         }
         Ok(BatchResult {

@@ -227,187 +227,121 @@ impl<'a> QueryEngine<'a> {
         })
     }
 
-    /// Fold the selected cells into one [`OnlineStats`], splitting the
-    /// selected rows across `self.threads` workers when worthwhile.
+    /// Fold the selected cells into one [`OnlineStats`] through the
+    /// partition walk ([`QueryEngine::walk`]), each unit scanned by
+    /// [`QueryEngine::stats_over_rows`].
     ///
-    /// Over a time-blocked matrix ([`CompressedMatrix::time_block_starts`]
-    /// returns more than one entry) the selected *columns* are first
-    /// grouped by owning block: each overlapping block folds its columns
-    /// into a private accumulator through that block's own decomposition
-    /// (taking the shard fan-out below inside the block), and the
-    /// per-block partials merge in ascending block order. Blocks whose
-    /// column range the selection never touches see no I/O at all — the
-    /// pruning the per-block `IoStats` assertions pin down.
-    ///
-    /// Over a sharded matrix ([`CompressedMatrix::shard_starts`] returns
-    /// more than one entry) the scan fans out by *owning shard* instead
-    /// of by arbitrary row chunk: each shard's selected rows fold into
-    /// that shard's private accumulator and the partials merge in shard
-    /// order — so the result is one deterministic value for a given
-    /// shard layout, independent of the thread count.
+    /// `dense_cols` decides, for a single-decomposition matrix, whether
+    /// whole rows are reconstructed. Inside a time-blocked matrix the
+    /// heuristic is re-evaluated against each block's own width: a
+    /// range covering most of one block should reconstruct whole block
+    /// rows even when it is a sliver of the full matrix.
     fn selection_stats(&self, sel: &Selection, dense_cols: bool) -> Result<OnlineStats> {
         let (n, m) = (self.matrix().rows(), self.matrix().cols());
         sel.validate(n, m)?;
         let cols: Vec<usize> = sel.cols.to_vec(m);
         let rows: Vec<usize> = sel.rows.iter(n).collect();
-        let tstarts = self.matrix().time_block_starts();
-        if tstarts.len() > 1 {
-            return self.timeblocked_stats(&rows, &cols, &tstarts);
-        }
-        self.stats_dispatch(&rows, &cols, dense_cols)
-    }
-
-    /// Shard/thread dispatch over one decomposition: the body of
-    /// [`QueryEngine::selection_stats`] once the time-block routing (if
-    /// any) has already rebased the columns.
-    fn stats_dispatch(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        dense_cols: bool,
-    ) -> Result<OnlineStats> {
-        let starts = self.matrix().shard_starts();
-        if starts.len() > 1 {
-            return self.sharded_stats(rows, cols, dense_cols, &starts);
-        }
-        if self.threads <= 1 || rows.len() < 2 * self.threads {
-            return self.stats_over_rows(rows, cols, dense_cols);
-        }
-        let chunk = rows.len().div_ceil(self.threads);
-        let shards: Vec<Result<OnlineStats>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .map(|rows| scope.spawn(move |_| self.stats_over_rows(rows, cols, dense_cols)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(AtsError::internal("selection stats worker panicked")),
-                })
-                .collect()
-        })
-        .map_err(|_| AtsError::internal("selection stats thread scope panicked"))?;
-        // Merge in chunk order (Chan et al. combine): deterministic for a
-        // given thread count.
-        let mut stats = OnlineStats::new();
-        for shard in shards {
-            stats.merge(&shard?);
-        }
-        Ok(stats)
-    }
-
-    /// Time-block fan-out kernel: group the selected columns by owning
-    /// block, fold each overlapping block's columns (rebased to
-    /// block-local indices) through that block's own decomposition —
-    /// re-entering [`QueryEngine::stats_dispatch`], so the block's own
-    /// shard fan-out and threading apply inside it — and merge the
-    /// per-block partials in ascending block order. Blocks the
-    /// selection does not overlap are never touched: their `U`/delta
-    /// pages see zero I/O, which the per-block `IoStats` tests assert.
-    fn timeblocked_stats(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        tstarts: &[usize],
-    ) -> Result<OnlineStats> {
-        let m = self.matrix().cols();
-        // tstarts is ascending with tstarts[0] == 0: column j belongs
-        // to the last block whose start is ≤ j.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); tstarts.len()];
-        for &j in cols {
-            let idx = match tstarts.binary_search(&j) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
+        let blocked = self.matrix().time_block_starts().len() > 1;
+        self.walk(&rows, &cols, "selection stats", |block, local, unit| {
+            let dense = if blocked {
+                local.len() * 3 >= block.matrix().cols()
+            } else {
+                dense_cols
             };
-            let start = tstarts.get(idx).copied().unwrap_or(0);
-            if let Some(g) = groups.get_mut(idx) {
-                g.push(j - start);
+            block.stats_over_rows(unit.rows, local, dense)
+        })
+    }
+
+    /// The partition walk every aggregate scan takes, generic over the
+    /// partial it folds (`OnlineStats`, `WhereStats`):
+    ///
+    /// 1. **Blocks.** Over a time-blocked matrix
+    ///    ([`CompressedMatrix::time_block_starts`] returns more than one
+    ///    entry) the selected *columns* are grouped by owning block and
+    ///    rebased to block-local indices; each overlapping block is
+    ///    scanned through its own decomposition (`leaf` receives an
+    ///    engine over that block). Blocks the selection never touches
+    ///    see no I/O at all — the pruning the per-block `IoStats`
+    ///    assertions pin down. Any other matrix is its own single block.
+    /// 2. **Units.** Inside a block the selected *rows* are grouped by
+    ///    owning shard when the block is sharded
+    ///    ([`CompressedMatrix::shard_starts`] returns more than one
+    ///    entry), otherwise split into `self.threads` contiguous chunks
+    ///    when there are enough of them to be worth it.
+    /// 3. **Run.** Units run through `leaf` in waves of `self.threads`.
+    /// 4. **Merge.** Unit partials merge in unit (shard or chunk) order
+    ///    into the block's partial, block partials in ascending block
+    ///    order into the answer — one deterministic value for a given
+    ///    layout, independent of the thread count when sharded.
+    ///
+    /// This is the one place a query trace would hook in: the block
+    /// loop sees which blocks a query touched, the unit list which
+    /// shards, and `leaf` is where rows, tiles and `U` pages are spent.
+    fn walk<P: Partial>(
+        &self,
+        rows: &[usize],
+        cols: &[usize],
+        what: &str,
+        leaf: impl Fn(&QueryEngine<'_>, &[usize], &Unit<'_>) -> Result<P> + Sync,
+    ) -> Result<P> {
+        let top = self.matrix();
+        let tstarts = top.time_block_starts();
+        let mut blocks: Vec<(&dyn CompressedMatrix, Vec<usize>)> = Vec::new();
+        if tstarts.len() > 1 {
+            let groups = group_by_start(cols, &tstarts, true);
+            for (b, local) in groups.into_iter().enumerate() {
+                if local.is_empty() {
+                    continue;
+                }
+                let block = top.time_block(b).ok_or_else(|| {
+                    AtsError::internal(format!("time block {b} advertised but not served"))
+                })?;
+                blocks.push((block, local));
             }
+        } else {
+            blocks.push((top, cols.to_vec()));
         }
-        let mut stats = OnlineStats::new();
-        for (b, local) in groups.iter().enumerate() {
-            if local.is_empty() {
-                continue;
-            }
-            let block = self.matrix().time_block(b).ok_or_else(|| {
-                AtsError::internal(format!("time block {b} advertised but not served"))
-            })?;
-            let width = tstarts
-                .get(b + 1)
-                .copied()
-                .unwrap_or(m)
-                .saturating_sub(tstarts.get(b).copied().unwrap_or(0));
-            // Re-evaluate the dense-row heuristic against the block's
-            // own width: a range covering most of one block should
-            // reconstruct whole block rows even when it is a sliver of
-            // the full matrix.
-            let dense = local.len() * 3 >= width;
-            let sub = QueryEngine {
-                handle: MatrixHandle::Borrowed(block),
+
+        let mut answer = P::empty();
+        for (matrix, local) in &blocks {
+            let block = QueryEngine {
+                handle: MatrixHandle::Borrowed(*matrix),
                 threads: self.threads,
                 synopsis: self.synopsis,
             };
-            stats.merge(&sub.stats_dispatch(rows, local, dense)?);
-        }
-        Ok(stats)
-    }
-
-    /// Shard fan-out kernel: group the selected rows by owning shard,
-    /// fold each group into a private accumulator (up to `self.threads`
-    /// groups scanned concurrently, in waves), and merge the per-shard
-    /// partials in ascending shard order.
-    fn sharded_stats(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        dense_cols: bool,
-        starts: &[usize],
-    ) -> Result<OnlineStats> {
-        // starts is ascending with starts[0] == 0, so every row lands in
-        // the last shard whose start is ≤ the row.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); starts.len()];
-        for &i in rows {
-            let idx = match starts.binary_search(&i) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
+            let starts = matrix.shard_starts();
+            let sharded = starts.len() > 1;
+            let by_shard = if sharded {
+                group_by_start(rows, &starts, false)
+            } else {
+                Vec::new()
             };
-            groups[idx].push(i);
-        }
-        let mut partials: Vec<OnlineStats> = Vec::with_capacity(groups.len());
-        if self.threads <= 1 {
-            for g in &groups {
-                partials.push(self.stats_over_rows(g, cols, dense_cols)?);
-            }
-        } else {
-            for wave in groups.chunks(self.threads) {
-                let wave_stats: Vec<Result<OnlineStats>> = crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|g| {
-                            let cols = &cols;
-                            scope.spawn(move |_| self.stats_over_rows(g, cols, dense_cols))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(_) => Err(AtsError::internal("shard stats worker panicked")),
-                        })
-                        .collect()
-                })
-                .map_err(|_| AtsError::internal("shard stats thread scope panicked"))?;
-                for s in wave_stats {
-                    partials.push(s?);
+            let units: Vec<Unit<'_>> = if sharded {
+                (by_shard.iter().zip(&starts).enumerate())
+                    .map(|(shard, (rows, &start))| Unit { shard, start, rows })
+                    .collect()
+            } else {
+                let chunk = if self.threads <= 1 || rows.len() < 2 * self.threads {
+                    rows.len().max(1)
+                } else {
+                    rows.len().div_ceil(self.threads)
+                };
+                (rows.chunks(chunk).map(|rows| Unit {
+                    shard: 0,
+                    start: 0,
+                    rows,
+                }))
+                .collect()
+            };
+            let mut partial = P::empty();
+            for wave in units.chunks(self.threads) {
+                for unit_partial in fork_join(wave, what, |unit| leaf(&block, local, unit))? {
+                    partial.absorb(&unit_partial);
                 }
             }
+            answer.absorb(&partial);
         }
-        let mut stats = OnlineStats::new();
-        for p in &partials {
-            stats.merge(p);
-        }
-        Ok(stats)
+        Ok(answer)
     }
 
     /// Serial scan kernel: fold the selected columns of `rows` into one
@@ -490,12 +424,12 @@ impl<'a> QueryEngine<'a> {
             ));
         }
         let count_only = matches!(f, AggregateFn::Count);
-        let tstarts = self.matrix().time_block_starts();
-        let ws = if tstarts.len() > 1 {
-            self.timeblocked_where(&rows, &cols, pred, count_only, &tstarts)?
-        } else {
-            self.where_dispatch(&rows, &cols, pred, count_only)?
-        };
+        // Each unit classifies against its own shard's synopsis (tile
+        // columns are block-local, tile rows shard-local).
+        let ws = self.walk(&rows, &cols, "where scan", |block, local, unit| {
+            let syn = block.pruning_synopsis(unit.shard, unit.start);
+            block.where_over_rows(unit.rows, local, pred, count_only, syn)
+        })?;
         match f {
             AggregateFn::Count => {
                 let total = ws
@@ -516,152 +450,6 @@ impl<'a> QueryEngine<'a> {
                 f.finish(&ws.stats)
             }
         }
-    }
-
-    /// Time-block fan-out for `where` scans: the predicate-filtered
-    /// sibling of [`QueryEngine::timeblocked_stats`]. Each overlapping
-    /// block classifies against its *own* synopses (tile columns are
-    /// block-local), and per-block partials merge in block order.
-    fn timeblocked_where(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
-        count_only: bool,
-        tstarts: &[usize],
-    ) -> Result<WhereStats> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); tstarts.len()];
-        for &j in cols {
-            let idx = match tstarts.binary_search(&j) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
-            };
-            let start = tstarts.get(idx).copied().unwrap_or(0);
-            if let Some(g) = groups.get_mut(idx) {
-                g.push(j - start);
-            }
-        }
-        let mut ws = WhereStats::new();
-        for (b, local) in groups.iter().enumerate() {
-            if local.is_empty() {
-                continue;
-            }
-            let block = self.matrix().time_block(b).ok_or_else(|| {
-                AtsError::internal(format!("time block {b} advertised but not served"))
-            })?;
-            let sub = QueryEngine {
-                handle: MatrixHandle::Borrowed(block),
-                threads: self.threads,
-                synopsis: self.synopsis,
-            };
-            ws.merge(&sub.where_dispatch(rows, local, pred, count_only)?);
-        }
-        Ok(ws)
-    }
-
-    /// Shard/thread dispatch for `where` scans over one decomposition,
-    /// mirroring [`QueryEngine::stats_dispatch`]: fan out by owning
-    /// shard when the matrix is sharded (each shard classifies against
-    /// its own synopsis), otherwise chunk the selected rows across
-    /// threads, and merge partials in shard/chunk order.
-    fn where_dispatch(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
-        count_only: bool,
-    ) -> Result<WhereStats> {
-        let starts = self.matrix().shard_starts();
-        if starts.len() > 1 {
-            return self.sharded_where(rows, cols, pred, count_only, &starts);
-        }
-        let syn = self.pruning_synopsis(0, 0);
-        if self.threads <= 1 || rows.len() < 2 * self.threads {
-            return self.where_over_rows(rows, cols, pred, count_only, syn);
-        }
-        let chunk = rows.len().div_ceil(self.threads);
-        let parts: Vec<Result<WhereStats>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .map(|rows| {
-                    scope.spawn(move |_| self.where_over_rows(rows, cols, pred, count_only, syn))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(AtsError::internal("where scan worker panicked")),
-                })
-                .collect()
-        })
-        .map_err(|_| AtsError::internal("where scan thread scope panicked"))?;
-        let mut ws = WhereStats::new();
-        for p in parts {
-            ws.merge(&p?);
-        }
-        Ok(ws)
-    }
-
-    /// Shard fan-out for `where` scans: group the selected rows by
-    /// owning shard, scan each group against that shard's synopsis (up
-    /// to `self.threads` shards concurrently, in waves), and merge the
-    /// per-shard partials in ascending shard order.
-    fn sharded_where(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
-        count_only: bool,
-        starts: &[usize],
-    ) -> Result<WhereStats> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); starts.len()];
-        for &i in rows {
-            let idx = match starts.binary_search(&i) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
-            };
-            groups[idx].push(i);
-        }
-        let mut partials: Vec<WhereStats> = Vec::with_capacity(groups.len());
-        if self.threads <= 1 {
-            for (s, g) in groups.iter().enumerate() {
-                let syn = self.pruning_synopsis(s, starts.get(s).copied().unwrap_or(0));
-                partials.push(self.where_over_rows(g, cols, pred, count_only, syn)?);
-            }
-        } else {
-            let indexed: Vec<(usize, &Vec<usize>)> = groups.iter().enumerate().collect();
-            for wave in indexed.chunks(self.threads) {
-                let wave_stats: Vec<Result<WhereStats>> = crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|&(s, g)| {
-                            let cols = &cols;
-                            let syn = self.pruning_synopsis(s, starts.get(s).copied().unwrap_or(0));
-                            scope.spawn(move |_| {
-                                self.where_over_rows(g, cols, pred, count_only, syn)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(_) => Err(AtsError::internal("where shard worker panicked")),
-                        })
-                        .collect()
-                })
-                .map_err(|_| AtsError::internal("where shard thread scope panicked"))?;
-                for s in wave_stats {
-                    partials.push(s?);
-                }
-            }
-        }
-        let mut ws = WhereStats::new();
-        for p in &partials {
-            ws.merge(p);
-        }
-        Ok(ws)
     }
 
     /// The synopsis to prune shard `shard` with (whose rows start at
@@ -775,11 +563,97 @@ impl WhereStats {
             proved: 0,
         }
     }
+}
 
-    fn merge(&mut self, other: &WhereStats) {
+/// A partial aggregate the partition walk can fold: an identity and an
+/// order-sensitive merge (units merge in shard/chunk order, blocks in
+/// block order, so a layout fixes the float association).
+trait Partial: Send {
+    fn empty() -> Self;
+    fn absorb(&mut self, other: &Self);
+}
+
+impl Partial for OnlineStats {
+    fn empty() -> Self {
+        OnlineStats::new()
+    }
+    fn absorb(&mut self, other: &Self) {
+        // Chan et al. combine.
+        self.merge(other);
+    }
+}
+
+impl Partial for WhereStats {
+    fn empty() -> Self {
+        WhereStats::new()
+    }
+    fn absorb(&mut self, other: &Self) {
         self.stats.merge(&other.stats);
         self.proved += other.proved;
     }
+}
+
+/// One unit of the partition walk: the selected rows one worker scans
+/// inside one block — an owning shard's rows (`shard` indexes
+/// [`CompressedMatrix::shard_starts`], `start` is its first absolute
+/// row) or, in an unsharded block, a contiguous chunk of shard 0.
+struct Unit<'a> {
+    shard: usize,
+    start: usize,
+    rows: &'a [usize],
+}
+
+/// Group ascending-or-not `items` by owning partition, where `starts`
+/// is ascending with `starts[0] == 0` and an item belongs to the last
+/// partition whose start is ≤ it; `rebase` subtracts the partition
+/// start. Every partition gets a (possibly empty) group.
+fn group_by_start(items: &[usize], starts: &[usize], rebase: bool) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); starts.len()];
+    for &x in items {
+        let idx = match starts.binary_search(&x) {
+            Ok(p) => p,
+            Err(p) => p.saturating_sub(1),
+        };
+        let base = if rebase {
+            starts.get(idx).copied().unwrap_or(0)
+        } else {
+            0
+        };
+        if let Some(g) = groups.get_mut(idx) {
+            g.push(x - base);
+        }
+    }
+    groups
+}
+
+/// Run `f` over every item on its own scoped thread and return the
+/// results in item order; a panicking worker surfaces as an internal
+/// error naming `what`. A lone item runs inline.
+pub(crate) fn fork_join<T: Sync, R: Send>(
+    items: &[T],
+    what: &str,
+    f: impl Fn(&T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    if let [only] = items {
+        return Ok(vec![f(only)?]);
+    }
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .iter()
+            .map(|item| {
+                let f = &f;
+                scope.spawn(move |_| f(item))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
+                Err(_) => Err(AtsError::internal(format!("{what} worker panicked"))),
+            })
+            .collect()
+    })
+    .map_err(|_| AtsError::internal(format!("{what} thread scope panicked")))?
 }
 
 /// All aggregates of one selection, computed in a single scan.

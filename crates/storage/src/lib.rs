@@ -21,9 +21,11 @@
 //!   hit/miss accounting, and [`pool::CachedFile`] which serves row reads
 //!   through it — this is what lets tests *prove* the paper's
 //!   one-disk-access-per-cell-query claim instead of asserting it;
-//! - [`store_dir`] — store-directory format v2: the versioned, checksummed
-//!   [`store_dir::StoreManifest`] and the crash-safe atomic
-//!   [`store_dir::StoreWriter`] used by `ats-core`'s persistence layer;
+//! - [`store_dir`] — the store-directory format: the versioned,
+//!   checksummed [`store_dir::ShardedManifest`] (one block) and
+//!   [`store_dir::TimeBlockedManifest`] (block table), and the crash-safe
+//!   atomic [`store_dir::StoreWriter`] used by `ats-core`'s persistence
+//!   layer;
 //! - [`synopsis`] — per-shard zone-map synopses (`synopsis.bin`): exact
 //!   min/max/sum/count tiles over the *served* values, the pruning index
 //!   behind sublinear `where` scans;
@@ -43,6 +45,6 @@ pub use iostats::{IoSnapshot, IoStats};
 pub use pool::{BufferPool, CachedFile};
 pub use source::{ColumnSlice, MemSource, RowSource};
 pub use store_dir::{
-    ShardEntry, ShardedManifest, StoreManifest, StoreWriter, TimeBlockEntry, TimeBlockedManifest,
+    ShardEntry, ShardedManifest, StoreWriter, TimeBlockEntry, TimeBlockedManifest,
 };
 pub use synopsis::{ShardSynopsis, SynopsisBuilder, TileStat, COL_BLOCK, ROW_BLOCK, SYNOPSIS_FILE};

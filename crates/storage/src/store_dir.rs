@@ -1,50 +1,59 @@
-//! Store-directory format v2: versioned manifest, per-component CRCs,
-//! and crash-safe atomic saves.
+//! Store-directory format: versioned manifests, per-component CRCs, and
+//! crash-safe atomic saves.
 //!
 //! A *store directory* is the on-disk home of a compressed store (the
-//! paper's §4.1 serving layout): `u.atsm`, `v.atsm`, `lambda.atsm`,
-//! `deltas.bin`, plus `manifest.txt`. Format v1 wrote these files in
-//! place and treated the manifest as decoration — a crash mid-save left
-//! a half-written directory that opened silently, and a bit-flip in any
-//! component went undetected unless it happened to land in an `.atsm`
-//! header. Version 2 makes the directory the durability boundary:
+//! paper's §4.1 serving layout). Three generations exist on disk; one
+//! codec reads them all and only the last two are ever written:
+//!
+//! | version | layout | status |
+//! |---|---|---|
+//! | 2 | `u.atsm v.atsm lambda.atsm deltas.bin` at the top level | read-only: parsed as a one-shard v3 view |
+//! | 3 | `v.atsm lambda.atsm` + `shard-NNNN/{u.atsm,deltas.bin,synopsis.bin}` | written for a one-block store |
+//! | 4 | block table over `tblock-NNNN/`, each a complete nested v3 store | written for several time blocks |
 //!
 //! - **Atomic saves** ([`StoreWriter`]): every component is written into
 //!   a hidden sibling temp directory, fsynced, and the whole directory is
 //!   renamed into place in one step. A crash at *any* point leaves either
-//!   the previous store or no store — never a torn one.
-//! - **Validated opens** ([`validate_store_dir`]): `manifest.txt` is a
-//!   parsed, versioned document carrying the method, dimensions, `k`,
-//!   delta count, the Bloom-filter flag, and a CRC per component file; it
-//!   is itself covered by a trailing self-checksum. Opening cross-checks
-//!   every CRC against the bytes on disk, so truncation, deletion, or
-//!   corruption of any component surfaces as [`AtsError::Corrupt`].
+//!   the previous store or no store — never a torn one. In-place growth
+//!   (the append paths) lands a new directory the same way and then
+//!   replaces the manifest atomically ([`publish_manifest`]).
+//! - **Validated opens** ([`validate_timeblocked_store_dir`]):
+//!   `manifest.txt` is a parsed, versioned document carrying the method,
+//!   dimensions, and a CRC per component file; it is itself covered by a
+//!   trailing self-checksum. Opening cross-checks every CRC against the
+//!   bytes on disk, so truncation, deletion, or corruption of any
+//!   component surfaces as [`AtsError::Corrupt`].
 //!
-//! The manifest is line-oriented `key=value` text so it stays greppable:
+//! Manifests are line-oriented `key=value` text so they stay greppable:
 //!
 //! ```text
-//! ats-store-version=2
+//! ats-store-version=3
 //! method=svdd
 //! rows=2000
 //! cols=366
 //! k=5
 //! deltas=1423
 //! bloom=true
-//! crc.u.atsm=9f47c1d2e8a33b10
-//! crc.v.atsm=...
+//! crc.v.atsm=9f47c1d2e8a33b10
 //! crc.lambda.atsm=...
-//! crc.deltas.bin=...
+//! shards=1
+//! shard.0.rows=0..2000
+//! shard.0.deltas=1423
+//! shard.0.crc.u=...
+//! shard.0.crc.deltas=...
+//! shard.0.crc.synopsis=...
 //! manifest-crc=...          # hash of every preceding byte
 //! ```
 
-use ats_common::codec::u64_from_usize;
-use ats_common::hash::hash_bytes;
+use ats_common::hash::{hash_bytes, ByteHasher};
 use ats_common::{AtsError, Result};
+use std::collections::BTreeMap;
 use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
-/// Current store-directory format version.
-pub const STORE_VERSION: u32 = 2;
+/// Legacy single-directory format version: read, never written.
+const LEGACY_STORE_VERSION: u32 = 2;
 
 /// Sharded store-directory format version (row-range shards).
 pub const SHARDED_STORE_VERSION: u32 = 3;
@@ -57,168 +66,169 @@ pub const TIMEBLOCKED_STORE_VERSION: u32 = 4;
 /// Name of the manifest file inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.txt";
 
-/// Component files of a store directory, in manifest order.
-pub const COMPONENT_FILES: [&str; 4] = ["u.atsm", "v.atsm", "lambda.atsm", "deltas.bin"];
+/// Per-shard component files, living inside each `shard-NNNN/` subdir.
+pub const SHARD_FILES: [&str; 2] = ["u.atsm", "deltas.bin"];
 
-/// Parsed, validated contents of a v2 `manifest.txt`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreManifest {
-    /// Compression method tag (`"svd"` or `"svdd"`).
-    pub method: String,
-    /// Number of sequences (`N`).
-    pub rows: usize,
-    /// Sequence length (`M`).
-    pub cols: usize,
-    /// Retained principal components.
-    pub k: usize,
-    /// Number of outlier deltas in `deltas.bin`.
-    pub deltas: usize,
-    /// Whether the delta table carries a Bloom filter (§4.2) — restored
-    /// on open so a `.bloom(false)` store does not silently grow one.
-    pub bloom: bool,
-    /// CRC of each component file, parallel to [`COMPONENT_FILES`].
-    pub crcs: [u64; 4],
+/// Bytes checksummed per read by [`file_crc`].
+const CRC_BUF_BYTES: usize = 64 * 1024;
+
+/// Checksum of a whole file's contents (the per-component CRC recorded
+/// in the manifest), streamed through a fixed buffer so validating a
+/// store never holds a `U` file in memory.
+pub fn file_crc(path: impl AsRef<Path>) -> Result<u64> {
+    let mut file = File::open(path)?;
+    let mut hasher = ByteHasher::new();
+    let mut buf = vec![0u8; CRC_BUF_BYTES];
+    loop {
+        let n = match file.read(&mut buf) {
+            Ok(0) => return Ok(hasher.finish()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        hasher.update(
+            buf.get(..n)
+                .ok_or_else(|| AtsError::internal("read returned more than the buffer holds"))?,
+        );
+    }
 }
 
-impl StoreManifest {
-    /// Serialize to the canonical text form, including the trailing
-    /// `manifest-crc` self-checksum line.
-    pub fn encode(&self) -> String {
-        let mut text = String::new();
-        text.push_str(&format!("ats-store-version={STORE_VERSION}\n"));
-        text.push_str(&format!("method={}\n", self.method));
-        text.push_str(&format!("rows={}\n", self.rows));
-        text.push_str(&format!("cols={}\n", self.cols));
-        text.push_str(&format!("k={}\n", self.k));
-        text.push_str(&format!("deltas={}\n", self.deltas));
-        text.push_str(&format!("bloom={}\n", self.bloom));
-        for (name, crc) in COMPONENT_FILES.iter().zip(&self.crcs) {
-            text.push_str(&format!("crc.{name}={crc:016x}\n"));
-        }
-        let csum = hash_bytes(text.as_bytes());
-        text.push_str(&format!("manifest-crc={csum:016x}\n"));
-        text
+/// CRC of the component file at `path`, with a missing file reported as
+/// the caller's `missing` error: corruption when validating a committed
+/// store, a caller bug when committing a staged one.
+fn component_crc(path: &Path, missing: impl FnOnce() -> AtsError) -> Result<u64> {
+    match file_crc(path) {
+        Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Err(missing()),
+        other => other,
     }
+}
 
-    /// Parse and validate manifest text: self-checksum, version, and the
-    /// presence of every required key exactly once.
-    pub fn parse(text: &str) -> Result<Self> {
+/// CRC of a component staged for commit; staging it is the caller's job.
+fn staged_crc(path: &Path, what: &str) -> Result<u64> {
+    component_crc(path, || {
+        AtsError::InvalidArgument(format!("commit without staged component {what}"))
+    })
+}
+
+/// Read `dir/manifest.txt`. A missing directory surfaces as the
+/// underlying I/O error ("clean absence"); a directory that exists but
+/// has no manifest is a corrupt store.
+fn read_manifest_text(dir: &Path) -> Result<String> {
+    match fs::read_to_string(dir.join(MANIFEST_FILE)) {
+        Ok(t) => Ok(t),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.is_dir() => {
+            Err(AtsError::Corrupt(format!(
+                "store at {} has no {MANIFEST_FILE} (not an ats store)",
+                dir.display()
+            )))
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Append the `manifest-crc` self-checksum line to a manifest body.
+fn seal(mut body: String) -> String {
+    let csum = hash_bytes(body.as_bytes());
+    body.push_str(&format!("manifest-crc={csum:016x}\n"));
+    body
+}
+
+/// The `key=value` fields of a manifest whose self-checksum has been
+/// verified. A schema *takes* the keys it defines; whatever is left at
+/// [`Fields::finish`] is an unknown key. Every manifest version is read
+/// through this one type, so duplicate, unknown, missing, and malformed
+/// fields are rejected identically everywhere.
+struct Fields<'a>(BTreeMap<&'a str, &'a str>);
+
+impl<'a> Fields<'a> {
+    fn parse(text: &'a str) -> Result<Self> {
         // The self-checksum covers every byte before its own line.
-        let head = checked_manifest_head(text)?;
-
-        let mut version = None;
-        let mut method = None;
-        let mut rows = None;
-        let mut cols = None;
-        let mut k = None;
-        let mut deltas = None;
-        let mut bloom = None;
-        let mut crcs: [Option<u64>; 4] = [None; 4];
-        for line in head.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+        let crc_line_start = text
+            .rfind("manifest-crc=")
+            .ok_or_else(|| AtsError::Corrupt("manifest missing self-checksum".into()))?;
+        let (head, tail) = text
+            .split_at_checked(crc_line_start)
+            .ok_or_else(|| AtsError::internal("manifest-crc offset off a char boundary"))?;
+        let tail = tail.strip_suffix('\n').unwrap_or(tail);
+        let stored_crc = parse_hex_u64(
+            tail.strip_prefix("manifest-crc=")
+                .ok_or_else(|| AtsError::Corrupt("malformed manifest-crc line".into()))?,
+        )?;
+        let computed = hash_bytes(head.as_bytes());
+        if stored_crc != computed {
+            return Err(AtsError::Corrupt(format!(
+                "manifest self-checksum mismatch: stored {stored_crc:#x}, computed {computed:#x}"
+            )));
+        }
+        let mut map = BTreeMap::new();
+        for line in head.lines().map(str::trim).filter(|l| !l.is_empty()) {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| AtsError::Corrupt(format!("malformed manifest line {line:?}")))?;
-            let slot: &mut Option<_> = match key {
-                "ats-store-version" => {
-                    set_once("ats-store-version", &mut version, parse_usize(key, value)?)?;
-                    continue;
-                }
-                "method" => {
-                    set_once("method", &mut method, value.to_string())?;
-                    continue;
-                }
-                "rows" => &mut rows,
-                "cols" => &mut cols,
-                "k" => &mut k,
-                "deltas" => &mut deltas,
-                "bloom" => {
-                    let b = match value {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(AtsError::Corrupt(format!(
-                                "manifest bloom flag must be true|false, got {other:?}"
-                            )))
-                        }
-                    };
-                    set_once("bloom", &mut bloom, b)?;
-                    continue;
-                }
-                crc_key => {
-                    let i = COMPONENT_FILES
-                        .iter()
-                        .position(|name| crc_key == format!("crc.{name}"))
-                        .ok_or_else(|| {
-                            AtsError::Corrupt(format!("unknown manifest key {crc_key:?}"))
-                        })?;
-                    let slot = crcs
-                        .get_mut(i)
-                        .ok_or_else(|| AtsError::internal("component CRC index out of range"))?;
-                    set_once(crc_key, slot, parse_hex_u64(value)?)?;
-                    continue;
-                }
-            };
-            let parsed = parse_usize(key, value)?;
-            set_once(key, slot, parsed)?;
+            if map.insert(key, value).is_some() {
+                return Err(AtsError::Corrupt(format!("duplicate manifest key {key:?}")));
+            }
         }
+        Ok(Fields(map))
+    }
 
-        let version =
-            version.ok_or_else(|| AtsError::Corrupt("manifest missing version".into()))?;
-        if u64_from_usize(version) != u64::from(STORE_VERSION) {
+    /// Take an optional field.
+    fn opt(&mut self, key: &str) -> Option<&'a str> {
+        self.0.remove(key)
+    }
+
+    /// Take a required field.
+    fn text(&mut self, key: &str) -> Result<&'a str> {
+        self.opt(key)
+            .ok_or_else(|| AtsError::Corrupt(format!("manifest missing {key}")))
+    }
+
+    fn number(&mut self, key: &str) -> Result<usize> {
+        parse_usize(key, self.text(key)?)
+    }
+
+    fn hex(&mut self, key: &str) -> Result<u64> {
+        parse_hex_u64(self.text(key)?)
+    }
+
+    fn opt_hex(&mut self, key: &str) -> Result<Option<u64>> {
+        self.opt(key).map(parse_hex_u64).transpose()
+    }
+
+    fn flag(&mut self, key: &str) -> Result<bool> {
+        match self.text(key)? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            other => Err(AtsError::Corrupt(format!(
+                "manifest {key} flag must be true|false, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Take a `START..END` field and check it continues a partition:
+    /// it must begin at `*next` and be non-empty. Advances `*next`.
+    fn range(&mut self, key: &str, next: &mut usize) -> Result<(usize, usize)> {
+        let value = self.text(key)?;
+        let (a, b) = value.split_once("..").ok_or_else(|| {
+            AtsError::Corrupt(format!("manifest {key}={value:?} is not START..END"))
+        })?;
+        let (start, end) = (parse_usize(key, a)?, parse_usize(key, b)?);
+        if start != *next || end <= start {
             return Err(AtsError::Corrupt(format!(
-                "unsupported store format version {version} (expected {STORE_VERSION})"
+                "manifest {key}={start}..{end} is not contiguous from {next}"
             )));
         }
-        let require = |what: &str, v: Option<usize>| {
-            v.ok_or_else(|| AtsError::Corrupt(format!("manifest missing {what}")))
-        };
-        let mut out_crcs = [0u64; 4];
-        for ((out, src), name) in out_crcs.iter_mut().zip(&crcs).zip(COMPONENT_FILES) {
-            *out = src.ok_or_else(|| AtsError::Corrupt(format!("manifest missing crc.{name}")))?;
+        *next = end;
+        Ok((start, end))
+    }
+
+    /// Reject whatever the schema did not take.
+    fn finish(self) -> Result<()> {
+        match self.0.keys().next() {
+            Some(key) => Err(AtsError::Corrupt(format!("unknown manifest key {key:?}"))),
+            None => Ok(()),
         }
-        Ok(StoreManifest {
-            method: method.ok_or_else(|| AtsError::Corrupt("manifest missing method".into()))?,
-            rows: require("rows", rows)?,
-            cols: require("cols", cols)?,
-            k: require("k", k)?,
-            deltas: require("deltas", deltas)?,
-            bloom: bloom.ok_or_else(|| AtsError::Corrupt("manifest missing bloom flag".into()))?,
-            crcs: out_crcs,
-        })
     }
-
-    /// Read and parse `dir/manifest.txt`.
-    ///
-    /// A missing directory surfaces as the underlying I/O error ("clean
-    /// absence"); a directory that exists but has no manifest is a
-    /// corrupt or pre-v2 store.
-    pub fn read(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref();
-        let path = dir.join(MANIFEST_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.is_dir() => {
-                return Err(AtsError::Corrupt(format!(
-                    "store at {} has no {MANIFEST_FILE} (not a v{STORE_VERSION} store)",
-                    dir.display()
-                )));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        Self::parse(&text)
-    }
-}
-
-fn set_once<T>(key: &str, slot: &mut Option<T>, value: T) -> Result<()> {
-    if slot.is_some() {
-        return Err(AtsError::Corrupt(format!("duplicate manifest key {key:?}")));
-    }
-    *slot = Some(value);
-    Ok(())
 }
 
 fn parse_usize(key: &str, value: &str) -> Result<usize> {
@@ -232,40 +242,10 @@ fn parse_hex_u64(value: &str) -> Result<u64> {
         .map_err(|_| AtsError::Corrupt(format!("manifest checksum {value:?} is not hex")))
 }
 
-/// Checksum of a whole file's contents (the per-component CRC recorded
-/// in the manifest).
-pub fn file_crc(path: impl AsRef<Path>) -> Result<u64> {
-    Ok(hash_bytes(&fs::read(path)?))
-}
-
-/// Validate a store directory: parse the manifest and cross-check every
-/// component file's CRC against it.
-///
-/// Returns the manifest on success. A missing directory propagates as an
-/// I/O error; anything else — missing manifest, missing component,
-/// truncated or bit-flipped bytes — is [`AtsError::Corrupt`].
-pub fn validate_store_dir(dir: impl AsRef<Path>) -> Result<StoreManifest> {
-    let dir = dir.as_ref();
-    let manifest = StoreManifest::read(dir)?;
-    for (name, &expected) in COMPONENT_FILES.iter().zip(&manifest.crcs) {
-        let path = dir.join(name);
-        let got = match file_crc(&path) {
-            Ok(c) => c,
-            Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(AtsError::Corrupt(format!(
-                    "store component {name} is missing from {}",
-                    dir.display()
-                )));
-            }
-            Err(e) => return Err(e),
-        };
-        if got != expected {
-            return Err(AtsError::Corrupt(format!(
-                "store component {name} checksum mismatch: manifest {expected:#x}, file {got:#x}"
-            )));
-        }
-    }
-    Ok(manifest)
+fn unsupported_version(version: usize, expected: &str) -> AtsError {
+    AtsError::Corrupt(format!(
+        "unsupported store format version {version} (expected {expected})"
+    ))
 }
 
 /// Name of the subdirectory holding shard `index` inside a v3 store
@@ -273,13 +253,6 @@ pub fn validate_store_dir(dir: impl AsRef<Path>) -> Result<StoreManifest> {
 pub fn shard_dir_name(index: usize) -> String {
     format!("shard-{index:04}")
 }
-
-/// Shared (global) component files of a v3 store directory, in manifest
-/// order: the `V` and `Λ` factors every shard reconstructs against.
-pub const SHARED_FILES: [&str; 2] = ["v.atsm", "lambda.atsm"];
-
-/// Per-shard component files, living inside each `shard-NNNN/` subdir.
-pub const SHARD_FILES: [&str; 2] = ["u.atsm", "deltas.bin"];
 
 /// One row-range shard recorded in a v3 manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,7 +286,7 @@ impl ShardEntry {
 }
 
 /// Parsed, validated contents of a sharded (v3) `manifest.txt` — or a
-/// v2 manifest normalized into a single-shard view.
+/// legacy v2 manifest normalized into a single-shard view.
 ///
 /// The v3 layout keeps `V` and `Λ` at the top level (they are global:
 /// every shard reconstructs against the same factors) and gives each
@@ -324,15 +297,15 @@ impl ShardEntry {
 /// store/
 ///   manifest.txt        # this document
 ///   v.atsm  lambda.atsm # shared factors
-///   shard-0000/ u.atsm deltas.bin
-///   shard-0001/ u.atsm deltas.bin
+///   shard-0000/ u.atsm deltas.bin synopsis.bin
+///   shard-0001/ u.atsm deltas.bin synopsis.bin
 ///   ...
 /// ```
 ///
 /// Delta rows inside a shard's `deltas.bin` are stored *relative to the
 /// shard's start row*, so a v2 directory — whose single `deltas.bin`
-/// is based at row 0 — is exactly a one-shard v3 store and opens as
-/// one ([`ShardedManifest::read`] normalizes it, `source_version = 2`).
+/// is based at row 0 — is exactly a one-shard v3 store and parses as
+/// one (`source_version = 2`, components at the top level).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedManifest {
     /// Compression method tag (`"svd"` or `"svdd"`).
@@ -362,7 +335,7 @@ impl ShardedManifest {
     /// Directory holding shard `index`'s component files: the store
     /// directory itself for a normalized v2 store, `shard-NNNN/` for v3.
     pub fn shard_dir(&self, base: &Path, index: usize) -> PathBuf {
-        if self.source_version == STORE_VERSION {
+        if self.source_version == LEGACY_STORE_VERSION {
             base.to_path_buf()
         } else {
             base.join(shard_dir_name(index))
@@ -402,9 +375,7 @@ impl ShardedManifest {
                 text.push_str(&format!("shard.{i}.append-sse={:016x}\n", sse.to_bits()));
             }
         }
-        let csum = hash_bytes(text.as_bytes());
-        text.push_str(&format!("manifest-crc={csum:016x}\n"));
-        text
+        seal(text)
     }
 
     /// Parse manifest text of either format: v3 natively, v2 normalized
@@ -413,154 +384,83 @@ impl ShardedManifest {
     /// (contiguous ascending ranges covering `0..rows`, per-shard delta
     /// counts summing to the total).
     pub fn parse(text: &str) -> Result<Self> {
-        match sniff_version(text)? {
-            2 => Ok(Self::from_v2(StoreManifest::parse(text)?)),
-            3 => Self::parse_v3(text),
-            v => Err(AtsError::Corrupt(format!(
-                "unsupported store format version {v} (expected {STORE_VERSION} or {SHARDED_STORE_VERSION})"
-            ))),
-        }
+        let mut fields = Fields::parse(text)?;
+        let version = fields.number("ats-store-version")?;
+        let manifest = Self::from_fields(version, &mut fields)?;
+        fields.finish()?;
+        Ok(manifest)
     }
 
-    /// Normalize a v2 manifest into the single-shard view.
-    pub fn from_v2(m: StoreManifest) -> Self {
-        let [crc_u, crc_v, crc_lambda, crc_deltas] = m.crcs;
-        ShardedManifest {
-            method: m.method,
-            rows: m.rows,
-            cols: m.cols,
-            k: m.k,
-            deltas: m.deltas,
-            bloom: m.bloom,
+    /// The v2/v3 schema over already-checksummed fields.
+    fn from_fields(version: usize, f: &mut Fields<'_>) -> Result<Self> {
+        let method = f.text("method")?.to_string();
+        let (rows, cols, k) = (f.number("rows")?, f.number("cols")?, f.number("k")?);
+        let deltas = f.number("deltas")?;
+        let bloom = f.flag("bloom")?;
+        let (crc_v, crc_lambda) = (f.hex("crc.v.atsm")?, f.hex("crc.lambda.atsm")?);
+        let (shards, source_version) = match version {
+            // A v2 directory is one shard whose files sit at the top level.
+            2 => {
+                let only = ShardEntry {
+                    start: 0,
+                    end: rows,
+                    deltas,
+                    crc_u: f.hex("crc.u.atsm")?,
+                    crc_deltas: f.hex("crc.deltas.bin")?,
+                    crc_synopsis: None,
+                    append_sse: None,
+                };
+                (vec![only], LEGACY_STORE_VERSION)
+            }
+            3 => {
+                let count = f.number("shards")?;
+                if count == 0 {
+                    return Err(AtsError::Corrupt("manifest declares zero shards".into()));
+                }
+                let mut shards = Vec::new();
+                let (mut next_start, mut delta_sum) = (0usize, 0usize);
+                for i in 0..count {
+                    let key = |field: &str| format!("shard.{i}.{field}");
+                    let (start, end) = f.range(&key("rows"), &mut next_start)?;
+                    let entry = ShardEntry {
+                        start,
+                        end,
+                        deltas: f.number(&key("deltas"))?,
+                        crc_u: f.hex(&key("crc.u"))?,
+                        crc_deltas: f.hex(&key("crc.deltas"))?,
+                        crc_synopsis: f.opt_hex(&key("crc.synopsis"))?,
+                        append_sse: f.opt_hex(&key("append-sse"))?.map(f64::from_bits),
+                    };
+                    delta_sum = delta_sum.checked_add(entry.deltas).ok_or_else(|| {
+                        AtsError::Corrupt("shard delta counts overflow usize".into())
+                    })?;
+                    shards.push(entry);
+                }
+                if next_start != rows {
+                    return Err(AtsError::Corrupt(format!(
+                        "shard ranges cover 0..{next_start} but manifest declares {rows} rows"
+                    )));
+                }
+                if delta_sum != deltas {
+                    return Err(AtsError::Corrupt(format!(
+                        "shard delta counts sum to {delta_sum} but manifest declares {deltas}"
+                    )));
+                }
+                (shards, SHARDED_STORE_VERSION)
+            }
+            v => return Err(unsupported_version(v, "2 or 3")),
+        };
+        Ok(ShardedManifest {
+            method,
+            rows,
+            cols,
+            k,
+            deltas,
+            bloom,
             crc_v,
             crc_lambda,
-            shards: vec![ShardEntry {
-                start: 0,
-                end: m.rows,
-                deltas: m.deltas,
-                crc_u,
-                crc_deltas,
-                crc_synopsis: None,
-                append_sse: None,
-            }],
-            source_version: STORE_VERSION,
-        }
-    }
-
-    fn parse_v3(text: &str) -> Result<Self> {
-        let head = checked_manifest_head(text)?;
-
-        let mut version = None;
-        let mut method = None;
-        let mut rows = None;
-        let mut cols = None;
-        let mut k = None;
-        let mut deltas = None;
-        let mut bloom = None;
-        let mut crc_v = None;
-        let mut crc_lambda = None;
-        let mut shard_count = None;
-        let mut slots: std::collections::BTreeMap<usize, ShardSlot> =
-            std::collections::BTreeMap::new();
-        for line in head.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| AtsError::Corrupt(format!("malformed manifest line {line:?}")))?;
-            match key {
-                "ats-store-version" => {
-                    set_once("ats-store-version", &mut version, parse_usize(key, value)?)?
-                }
-                "method" => set_once("method", &mut method, value.to_string())?,
-                "rows" => set_once("rows", &mut rows, parse_usize(key, value)?)?,
-                "cols" => set_once("cols", &mut cols, parse_usize(key, value)?)?,
-                "k" => set_once("k", &mut k, parse_usize(key, value)?)?,
-                "deltas" => set_once("deltas", &mut deltas, parse_usize(key, value)?)?,
-                "bloom" => {
-                    let b = match value {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(AtsError::Corrupt(format!(
-                                "manifest bloom flag must be true|false, got {other:?}"
-                            )))
-                        }
-                    };
-                    set_once("bloom", &mut bloom, b)?;
-                }
-                "crc.v.atsm" => set_once("crc.v.atsm", &mut crc_v, parse_hex_u64(value)?)?,
-                "crc.lambda.atsm" => {
-                    set_once("crc.lambda.atsm", &mut crc_lambda, parse_hex_u64(value)?)?
-                }
-                "shards" => set_once("shards", &mut shard_count, parse_usize(key, value)?)?,
-                shard_key => parse_shard_key(shard_key, value, &mut slots)?,
-            }
-        }
-
-        let version =
-            version.ok_or_else(|| AtsError::Corrupt("manifest missing version".into()))?;
-        if u64_from_usize(version) != u64::from(SHARDED_STORE_VERSION) {
-            return Err(AtsError::Corrupt(format!(
-                "unsupported store format version {version} (expected {SHARDED_STORE_VERSION})"
-            )));
-        }
-        let require = |what: &str, v: Option<usize>| {
-            v.ok_or_else(|| AtsError::Corrupt(format!("manifest missing {what}")))
-        };
-        let rows = require("rows", rows)?;
-        let deltas = require("deltas", deltas)?;
-        let shard_count = require("shards", shard_count)?;
-        if shard_count == 0 {
-            return Err(AtsError::Corrupt("manifest declares zero shards".into()));
-        }
-        if slots.len() != shard_count || slots.keys().enumerate().any(|(want, &got)| want != got) {
-            return Err(AtsError::Corrupt(format!(
-                "manifest declares {shard_count} shards but defines indices {:?}",
-                slots.keys().collect::<Vec<_>>()
-            )));
-        }
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut next_start = 0usize;
-        let mut delta_sum = 0usize;
-        for (i, slot) in slots {
-            let entry = slot.finish(i)?;
-            if entry.start != next_start || entry.end <= entry.start {
-                return Err(AtsError::Corrupt(format!(
-                    "shard {i} range {}..{} is not contiguous from row {next_start}",
-                    entry.start, entry.end
-                )));
-            }
-            next_start = entry.end;
-            delta_sum = delta_sum
-                .checked_add(entry.deltas)
-                .ok_or_else(|| AtsError::Corrupt("shard delta counts overflow usize".into()))?;
-            shards.push(entry);
-        }
-        if next_start != rows {
-            return Err(AtsError::Corrupt(format!(
-                "shard ranges cover 0..{next_start} but manifest declares {rows} rows"
-            )));
-        }
-        if delta_sum != deltas {
-            return Err(AtsError::Corrupt(format!(
-                "shard delta counts sum to {delta_sum} but manifest declares {deltas}"
-            )));
-        }
-        Ok(ShardedManifest {
-            method: method.ok_or_else(|| AtsError::Corrupt("manifest missing method".into()))?,
-            rows,
-            cols: require("cols", cols)?,
-            k: require("k", k)?,
-            deltas,
-            bloom: bloom.ok_or_else(|| AtsError::Corrupt("manifest missing bloom flag".into()))?,
-            crc_v: crc_v.ok_or_else(|| AtsError::Corrupt("manifest missing crc.v.atsm".into()))?,
-            crc_lambda: crc_lambda
-                .ok_or_else(|| AtsError::Corrupt("manifest missing crc.lambda.atsm".into()))?,
             shards,
-            source_version: SHARDED_STORE_VERSION,
+            source_version,
         })
     }
 
@@ -568,177 +468,68 @@ impl ShardedManifest {
     ///
     /// A missing directory surfaces as the underlying I/O error ("clean
     /// absence"); a directory that exists but has no manifest is a
-    /// corrupt or pre-v2 store.
+    /// corrupt store.
     pub fn read(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref();
-        let path = dir.join(MANIFEST_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.is_dir() => {
-                return Err(AtsError::Corrupt(format!(
-                    "store at {} has no {MANIFEST_FILE} (not an ats store)",
+        Self::parse(&read_manifest_text(dir.as_ref())?)
+    }
+
+    /// Cross-check the shared `V/Λ` CRCs plus every shard's `U`, delta,
+    /// and synopsis CRCs against the bytes under `dir`.
+    fn check_components(&self, dir: &Path) -> Result<()> {
+        let check = |path: PathBuf, expected: u64, what: String| -> Result<()> {
+            let got = component_crc(&path, || {
+                AtsError::Corrupt(format!(
+                    "store component {what} is missing from {}",
                     dir.display()
+                ))
+            })?;
+            if got != expected {
+                return Err(AtsError::Corrupt(format!(
+                    "store component {what} checksum mismatch: manifest {expected:#x}, file {got:#x}"
                 )));
             }
-            Err(e) => return Err(e.into()),
+            Ok(())
         };
-        Self::parse(&text)
-    }
-}
-
-/// Pre-checksum-validated manifest body (everything before the
-/// `manifest-crc` line), shared by the v2 and v3 parsers.
-fn checked_manifest_head(text: &str) -> Result<&str> {
-    let crc_line_start = text
-        .rfind("manifest-crc=")
-        .ok_or_else(|| AtsError::Corrupt("manifest missing self-checksum".into()))?;
-    let head = text
-        .get(..crc_line_start)
-        .ok_or_else(|| AtsError::internal("manifest-crc offset off a char boundary"))?;
-    let tail = text
-        .get(crc_line_start..)
-        .ok_or_else(|| AtsError::internal("manifest-crc offset off a char boundary"))?;
-    let tail = tail.strip_suffix('\n').unwrap_or(tail);
-    let stored_crc = parse_hex_u64(
-        tail.strip_prefix("manifest-crc=")
-            .ok_or_else(|| AtsError::Corrupt("malformed manifest-crc line".into()))?,
-    )?;
-    let computed = hash_bytes(head.as_bytes());
-    if stored_crc != computed {
-        return Err(AtsError::Corrupt(format!(
-            "manifest self-checksum mismatch: stored {stored_crc:#x}, computed {computed:#x}"
-        )));
-    }
-    Ok(head)
-}
-
-/// Version tag of a manifest, read without validating anything else —
-/// used to dispatch between the v2 and v3 parsers (each of which then
-/// re-validates the version strictly).
-fn sniff_version(text: &str) -> Result<usize> {
-    for line in text.lines() {
-        if let Some(value) = line.trim().strip_prefix("ats-store-version=") {
-            return parse_usize("ats-store-version", value);
+        check(dir.join("v.atsm"), self.crc_v, "v.atsm".into())?;
+        check(
+            dir.join("lambda.atsm"),
+            self.crc_lambda,
+            "lambda.atsm".into(),
+        )?;
+        for (i, s) in self.shards.iter().enumerate() {
+            let shard_dir = self.shard_dir(dir, i);
+            check(
+                shard_dir.join("u.atsm"),
+                s.crc_u,
+                format!("shard {i} u.atsm"),
+            )?;
+            check(
+                shard_dir.join("deltas.bin"),
+                s.crc_deltas,
+                format!("shard {i} deltas.bin"),
+            )?;
+            if let Some(crc) = s.crc_synopsis {
+                check(
+                    shard_dir.join(crate::synopsis::SYNOPSIS_FILE),
+                    crc,
+                    format!("shard {i} synopsis.bin"),
+                )?;
+            }
         }
-    }
-    Err(AtsError::Corrupt("manifest missing version".into()))
-}
-
-/// Partially-parsed fields of one `shard.N.*` key group.
-#[derive(Default)]
-struct ShardSlot {
-    range: Option<(usize, usize)>,
-    deltas: Option<usize>,
-    crc_u: Option<u64>,
-    crc_deltas: Option<u64>,
-    crc_synopsis: Option<u64>,
-    append_sse: Option<f64>,
-}
-
-impl ShardSlot {
-    fn finish(self, index: usize) -> Result<ShardEntry> {
-        let missing =
-            |what: &str| AtsError::Corrupt(format!("manifest missing shard.{index}.{what}"));
-        let (start, end) = self.range.ok_or_else(|| missing("rows"))?;
-        Ok(ShardEntry {
-            start,
-            end,
-            deltas: self.deltas.ok_or_else(|| missing("deltas"))?,
-            crc_u: self.crc_u.ok_or_else(|| missing("crc.u"))?,
-            crc_deltas: self.crc_deltas.ok_or_else(|| missing("crc.deltas"))?,
-            crc_synopsis: self.crc_synopsis,
-            append_sse: self.append_sse,
-        })
+        Ok(())
     }
 }
 
-/// Parse one `shard.<index>.<field>=<value>` manifest line into `slots`.
-fn parse_shard_key(
-    key: &str,
-    value: &str,
-    slots: &mut std::collections::BTreeMap<usize, ShardSlot>,
-) -> Result<()> {
-    let unknown = || AtsError::Corrupt(format!("unknown manifest key {key:?}"));
-    let rest = key.strip_prefix("shard.").ok_or_else(unknown)?;
-    let (index, field) = rest.split_once('.').ok_or_else(unknown)?;
-    let index: usize = index.parse().map_err(|_| unknown())?;
-    let slot = slots.entry(index).or_default();
-    match field {
-        "rows" => {
-            let (a, b) = value.split_once("..").ok_or_else(|| {
-                AtsError::Corrupt(format!("shard range {value:?} is not START..END"))
-            })?;
-            let range = (parse_usize(key, a)?, parse_usize(key, b)?);
-            set_once(key, &mut slot.range, range)
-        }
-        "deltas" => set_once(key, &mut slot.deltas, parse_usize(key, value)?),
-        "crc.u" => set_once(key, &mut slot.crc_u, parse_hex_u64(value)?),
-        "crc.deltas" => set_once(key, &mut slot.crc_deltas, parse_hex_u64(value)?),
-        "crc.synopsis" => set_once(key, &mut slot.crc_synopsis, parse_hex_u64(value)?),
-        "append-sse" => set_once(
-            key,
-            &mut slot.append_sse,
-            f64::from_bits(parse_hex_u64(value)?),
-        ),
-        _ => Err(unknown()),
-    }
-}
-
-/// Validate a store directory of either format: parse the manifest
-/// (normalizing v2 into a single-shard view) and cross-check the shared
-/// `V/Λ` CRCs plus every shard's `U` and delta CRCs against the bytes
-/// on disk.
+/// Validate a v2 or v3 store directory: parse the manifest (normalizing
+/// v2 into a single-shard view) and cross-check the shared `V/Λ` CRCs
+/// plus every shard's component CRCs against the bytes on disk.
 ///
 /// Returns the normalized manifest on success. A missing directory
 /// propagates as an I/O error; anything else is [`AtsError::Corrupt`].
 pub fn validate_sharded_store_dir(dir: impl AsRef<Path>) -> Result<ShardedManifest> {
     let dir = dir.as_ref();
     let manifest = ShardedManifest::read(dir)?;
-    let mut checks: Vec<(PathBuf, u64, String)> = vec![
-        (dir.join("v.atsm"), manifest.crc_v, "v.atsm".to_string()),
-        (
-            dir.join("lambda.atsm"),
-            manifest.crc_lambda,
-            "lambda.atsm".to_string(),
-        ),
-    ];
-    for (i, s) in manifest.shards.iter().enumerate() {
-        let shard_dir = manifest.shard_dir(dir, i);
-        checks.push((
-            shard_dir.join("u.atsm"),
-            s.crc_u,
-            format!("shard {i} u.atsm"),
-        ));
-        checks.push((
-            shard_dir.join("deltas.bin"),
-            s.crc_deltas,
-            format!("shard {i} deltas.bin"),
-        ));
-        if let Some(crc) = s.crc_synopsis {
-            checks.push((
-                shard_dir.join(crate::synopsis::SYNOPSIS_FILE),
-                crc,
-                format!("shard {i} synopsis.bin"),
-            ));
-        }
-    }
-    for (path, expected, what) in checks {
-        let got = match file_crc(&path) {
-            Ok(c) => c,
-            Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(AtsError::Corrupt(format!(
-                    "store component {what} is missing from {}",
-                    dir.display()
-                )));
-            }
-            Err(e) => return Err(e),
-        };
-        if got != expected {
-            return Err(AtsError::Corrupt(format!(
-                "store component {what} checksum mismatch: manifest {expected:#x}, file {got:#x}"
-            )));
-        }
-    }
+    manifest.check_components(dir)?;
     Ok(manifest)
 }
 
@@ -788,7 +579,7 @@ impl TimeBlockEntry {
 ///   manifest.txt                 # this document (block table + CRCs)
 ///   tblock-0000/                 # a full v3 store over cols 0..W
 ///     manifest.txt  v.atsm  lambda.atsm
-///     shard-0000/ u.atsm deltas.bin
+///     shard-0000/ u.atsm deltas.bin synopsis.bin
 ///     ...
 ///   tblock-0001/                 # cols W..2W
 ///   ...
@@ -853,9 +644,7 @@ impl TimeBlockedManifest {
                 b.crc_manifest
             ));
         }
-        let csum = hash_bytes(text.as_bytes());
-        text.push_str(&format!("manifest-crc={csum:016x}\n"));
-        text
+        seal(text)
     }
 
     /// Parse manifest text of any store format: v4 natively, v2/v3
@@ -863,146 +652,70 @@ impl TimeBlockedManifest {
     /// the hash of the given text itself (the block directory *is* the
     /// store directory, so its manifest is this one).
     pub fn parse(text: &str) -> Result<Self> {
-        match sniff_version(text)? {
-            4 => Self::parse_v4(text),
-            2 | 3 => Ok(Self::from_sharded(
-                ShardedManifest::parse(text)?,
-                hash_bytes(text.as_bytes()),
-            )),
-            v => Err(AtsError::Corrupt(format!(
-                "unsupported store format version {v} (expected 2, 3, or {TIMEBLOCKED_STORE_VERSION})"
-            ))),
-        }
-    }
-
-    /// Normalize a v2/v3 manifest into the single-block view.
-    pub fn from_sharded(m: ShardedManifest, crc_manifest: u64) -> Self {
-        TimeBlockedManifest {
-            method: m.method.clone(),
-            rows: m.rows,
-            cols: m.cols,
-            bloom: m.bloom,
-            blocks: vec![TimeBlockEntry {
-                start: 0,
-                end: m.cols,
-                sse: None,
-                crc_manifest,
-            }],
-            source_version: m.source_version,
-        }
-    }
-
-    fn parse_v4(text: &str) -> Result<Self> {
-        let head = checked_manifest_head(text)?;
-
-        let mut version = None;
-        let mut method = None;
-        let mut rows = None;
-        let mut cols = None;
-        let mut bloom = None;
-        let mut block_count = None;
-        let mut slots: std::collections::BTreeMap<usize, TimeBlockSlot> =
-            std::collections::BTreeMap::new();
-        for line in head.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| AtsError::Corrupt(format!("malformed manifest line {line:?}")))?;
-            match key {
-                "ats-store-version" => {
-                    set_once("ats-store-version", &mut version, parse_usize(key, value)?)?
+        let mut f = Fields::parse(text)?;
+        let manifest = match f.number("ats-store-version")? {
+            4 => {
+                let method = f.text("method")?.to_string();
+                let (rows, cols) = (f.number("rows")?, f.number("cols")?);
+                let bloom = f.flag("bloom")?;
+                let count = f.number("tblocks")?;
+                if count == 0 {
+                    return Err(AtsError::Corrupt(
+                        "manifest declares zero time blocks".into(),
+                    ));
                 }
-                "method" => set_once("method", &mut method, value.to_string())?,
-                "rows" => set_once("rows", &mut rows, parse_usize(key, value)?)?,
-                "cols" => set_once("cols", &mut cols, parse_usize(key, value)?)?,
-                "bloom" => {
-                    let b = match value {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(AtsError::Corrupt(format!(
-                                "manifest bloom flag must be true|false, got {other:?}"
-                            )))
-                        }
-                    };
-                    set_once("bloom", &mut bloom, b)?;
+                let mut blocks = Vec::new();
+                let mut next_start = 0usize;
+                for i in 0..count {
+                    let key = |field: &str| format!("tblock.{i}.{field}");
+                    let (start, end) = f.range(&key("cols"), &mut next_start)?;
+                    blocks.push(TimeBlockEntry {
+                        start,
+                        end,
+                        sse: f.opt_hex(&key("sse"))?.map(f64::from_bits),
+                        crc_manifest: f.hex(&key("crc.manifest"))?,
+                    });
                 }
-                "tblocks" => set_once("tblocks", &mut block_count, parse_usize(key, value)?)?,
-                tblock_key => parse_tblock_key(tblock_key, value, &mut slots)?,
+                if next_start != cols {
+                    return Err(AtsError::Corrupt(format!(
+                        "time block ranges cover 0..{next_start} but manifest declares {cols} columns"
+                    )));
+                }
+                TimeBlockedManifest {
+                    method,
+                    rows,
+                    cols,
+                    bloom,
+                    blocks,
+                    source_version: TIMEBLOCKED_STORE_VERSION,
+                }
             }
-        }
-
-        let version =
-            version.ok_or_else(|| AtsError::Corrupt("manifest missing version".into()))?;
-        if u64_from_usize(version) != u64::from(TIMEBLOCKED_STORE_VERSION) {
-            return Err(AtsError::Corrupt(format!(
-                "unsupported store format version {version} (expected {TIMEBLOCKED_STORE_VERSION})"
-            )));
-        }
-        let require = |what: &str, v: Option<usize>| {
-            v.ok_or_else(|| AtsError::Corrupt(format!("manifest missing {what}")))
+            v @ (2 | 3) => {
+                let m = ShardedManifest::from_fields(v, &mut f)?;
+                TimeBlockedManifest {
+                    method: m.method,
+                    rows: m.rows,
+                    cols: m.cols,
+                    bloom: m.bloom,
+                    blocks: vec![TimeBlockEntry {
+                        start: 0,
+                        end: m.cols,
+                        sse: None,
+                        crc_manifest: hash_bytes(text.as_bytes()),
+                    }],
+                    source_version: m.source_version,
+                }
+            }
+            v => return Err(unsupported_version(v, "2, 3, or 4")),
         };
-        let rows = require("rows", rows)?;
-        let cols = require("cols", cols)?;
-        let block_count = require("tblocks", block_count)?;
-        if block_count == 0 {
-            return Err(AtsError::Corrupt(
-                "manifest declares zero time blocks".into(),
-            ));
-        }
-        if slots.len() != block_count || slots.keys().enumerate().any(|(want, &got)| want != got) {
-            return Err(AtsError::Corrupt(format!(
-                "manifest declares {block_count} time blocks but defines indices {:?}",
-                slots.keys().collect::<Vec<_>>()
-            )));
-        }
-        let mut blocks = Vec::new();
-        let mut next_start = 0usize;
-        for (i, slot) in slots {
-            let entry = slot.finish(i)?;
-            if entry.start != next_start || entry.end <= entry.start {
-                return Err(AtsError::Corrupt(format!(
-                    "time block {i} range {}..{} is not contiguous from column {next_start}",
-                    entry.start, entry.end
-                )));
-            }
-            next_start = entry.end;
-            blocks.push(entry);
-        }
-        if next_start != cols {
-            return Err(AtsError::Corrupt(format!(
-                "time block ranges cover 0..{next_start} but manifest declares {cols} columns"
-            )));
-        }
-        Ok(TimeBlockedManifest {
-            method: method.ok_or_else(|| AtsError::Corrupt("manifest missing method".into()))?,
-            rows,
-            cols,
-            bloom: bloom.ok_or_else(|| AtsError::Corrupt("manifest missing bloom flag".into()))?,
-            blocks,
-            source_version: TIMEBLOCKED_STORE_VERSION,
-        })
+        f.finish()?;
+        Ok(manifest)
     }
 
     /// Read `dir/manifest.txt` and parse it as any store format,
     /// normalizing v2/v3 into the single-block view.
     pub fn read(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref();
-        let path = dir.join(MANIFEST_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.is_dir() => {
-                return Err(AtsError::Corrupt(format!(
-                    "store at {} has no {MANIFEST_FILE} (not an ats store)",
-                    dir.display()
-                )));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        Self::parse(&text)
+        Self::parse(&read_manifest_text(dir.as_ref())?)
     }
 
     /// Read every block's nested manifest, cross-checking each file's
@@ -1014,8 +727,7 @@ impl TimeBlockedManifest {
         let base = base.as_ref();
         let mut out = Vec::new();
         for (i, b) in self.blocks.iter().enumerate() {
-            let dir = self.block_dir(base, i);
-            let path = dir.join(MANIFEST_FILE);
+            let path = self.block_dir(base, i).join(MANIFEST_FILE);
             let bytes = match fs::read(&path) {
                 Ok(t) => t,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -1060,57 +772,10 @@ impl TimeBlockedManifest {
     }
 }
 
-/// Partially-parsed fields of one `tblock.N.*` key group.
-#[derive(Default)]
-struct TimeBlockSlot {
-    range: Option<(usize, usize)>,
-    sse: Option<f64>,
-    crc_manifest: Option<u64>,
-}
-
-impl TimeBlockSlot {
-    fn finish(self, index: usize) -> Result<TimeBlockEntry> {
-        let missing =
-            |what: &str| AtsError::Corrupt(format!("manifest missing tblock.{index}.{what}"));
-        let (start, end) = self.range.ok_or_else(|| missing("cols"))?;
-        Ok(TimeBlockEntry {
-            start,
-            end,
-            sse: self.sse,
-            crc_manifest: self.crc_manifest.ok_or_else(|| missing("crc.manifest"))?,
-        })
-    }
-}
-
-/// Parse one `tblock.<index>.<field>=<value>` manifest line into `slots`.
-fn parse_tblock_key(
-    key: &str,
-    value: &str,
-    slots: &mut std::collections::BTreeMap<usize, TimeBlockSlot>,
-) -> Result<()> {
-    let unknown = || AtsError::Corrupt(format!("unknown manifest key {key:?}"));
-    let rest = key.strip_prefix("tblock.").ok_or_else(unknown)?;
-    let (index, field) = rest.split_once('.').ok_or_else(unknown)?;
-    let index: usize = index.parse().map_err(|_| unknown())?;
-    let slot = slots.entry(index).or_default();
-    match field {
-        "cols" => {
-            let (a, b) = value.split_once("..").ok_or_else(|| {
-                AtsError::Corrupt(format!("time block range {value:?} is not START..END"))
-            })?;
-            let range = (parse_usize(key, a)?, parse_usize(key, b)?);
-            set_once(key, &mut slot.range, range)
-        }
-        "sse" => set_once(key, &mut slot.sse, f64::from_bits(parse_hex_u64(value)?)),
-        "crc.manifest" => set_once(key, &mut slot.crc_manifest, parse_hex_u64(value)?),
-        _ => Err(unknown()),
-    }
-}
-
 /// Validate a store directory of any format: parse the top manifest
 /// (normalizing v2/v3 into a single-block view), CRC-check every block's
-/// nested manifest against it, and then run the full per-component
-/// validation of every block's nested store.
+/// nested manifest against it, and then cross-check every component
+/// file of every block against its nested manifest.
 ///
 /// Returns the normalized manifest and the per-block nested manifests.
 /// A missing directory propagates as an I/O error; anything else is
@@ -1121,8 +786,8 @@ pub fn validate_timeblocked_store_dir(
     let dir = dir.as_ref();
     let manifest = TimeBlockedManifest::read(dir)?;
     let blocks = manifest.read_blocks(dir)?;
-    for i in 0..manifest.blocks.len() {
-        validate_sharded_store_dir(manifest.block_dir(dir, i))?;
+    for (i, nested) in blocks.iter().enumerate() {
+        nested.check_components(&manifest.block_dir(dir, i))?;
     }
     Ok((manifest, blocks))
 }
@@ -1136,15 +801,6 @@ pub fn write_sharded_manifest_into(
     dir: &Path,
     mut manifest: ShardedManifest,
 ) -> Result<ShardedManifest> {
-    let staged_crc = |path: &Path, what: &str| -> Result<u64> {
-        match file_crc(path) {
-            Ok(c) => Ok(c),
-            Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Err(
-                AtsError::InvalidArgument(format!("commit without staged component {what}")),
-            ),
-            Err(e) => Err(e),
-        }
-    };
     manifest.crc_v = staged_crc(&dir.join("v.atsm"), "v.atsm")?;
     manifest.crc_lambda = staged_crc(&dir.join("lambda.atsm"), "lambda.atsm")?;
     for (i, s) in manifest.shards.iter_mut().enumerate() {
@@ -1165,13 +821,25 @@ pub fn write_sharded_manifest_into(
     Ok(manifest)
 }
 
+/// Atomically replace `dir/manifest.txt` with `text`: write a hidden
+/// temp file, fsync it, rename it over the manifest, fsync the
+/// directory. The publish step of both in-place append paths — until the
+/// rename lands the store opens exactly as before.
+pub fn publish_manifest(dir: &Path, text: &str) -> Result<()> {
+    let tmp = dir.join(format!(".manifest.tmp-{}", std::process::id()));
+    fs::write(&tmp, text)?;
+    File::open(&tmp)?.sync_all()?;
+    fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
+    sync_dir(dir)
+}
+
 /// Crash-safe store-directory writer: stage every component in a hidden
 /// sibling temp directory, then swap it into place atomically.
 ///
 /// ```text
 /// begin(dir)   -> create  <parent>/.<name>.tmp-<pid>
 /// (write components into writer.path())
-/// commit(m)    -> CRC components, write manifest, fsync everything,
+/// commit_*(m)  -> CRC components, write manifest, fsync everything,
 ///                 rename old dir aside, rename temp -> dir, fsync parent
 /// drop w/o commit -> temp directory removed, target untouched
 /// ```
@@ -1225,34 +893,14 @@ impl StoreWriter {
         &self.tmp
     }
 
-    /// Finish the save: fill the manifest's component CRCs from the files
-    /// staged in [`StoreWriter::path`], write it, fsync every file and the
-    /// directory, and atomically swap the staged directory into place.
-    pub fn commit(mut self, mut manifest: StoreManifest) -> Result<()> {
-        for (crc, name) in manifest.crcs.iter_mut().zip(COMPONENT_FILES) {
-            let path = self.tmp.join(name);
-            *crc = match file_crc(&path) {
-                Ok(c) => c,
-                Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                    return Err(AtsError::InvalidArgument(format!(
-                        "commit without staged component {name}"
-                    )));
-                }
-                Err(e) => return Err(e),
-            };
-        }
-        fs::write(self.tmp.join(MANIFEST_FILE), manifest.encode())?;
-        self.swap_into_place()
-    }
-
     /// Finish a sharded (v3) save: fill the manifest's shared and
     /// per-shard CRCs from the files staged under
     /// [`StoreWriter::path`] (`v.atsm` / `lambda.atsm` at the top,
     /// `shard-NNNN/{u.atsm,deltas.bin}` per shard), write it, fsync the
     /// whole staged tree, and atomically swap it into place.
-    pub fn commit_sharded(mut self, manifest: ShardedManifest) -> Result<()> {
+    pub fn commit_sharded(self, manifest: ShardedManifest) -> Result<()> {
         write_sharded_manifest_into(&self.tmp, manifest)?;
-        self.swap_into_place()
+        self.commit_dir()
     }
 
     /// Finish a time-blocked (v4) save. The staged tree must hold one
@@ -1262,28 +910,22 @@ impl StoreWriter {
     /// nested-manifest CRC, writes the top-level manifest, fsyncs the
     /// whole staged tree, and atomically swaps it into place — so a
     /// torn multi-block commit never exposes a half-written store.
-    pub fn commit_timeblocked(mut self, mut manifest: TimeBlockedManifest) -> Result<()> {
+    pub fn commit_timeblocked(self, mut manifest: TimeBlockedManifest) -> Result<()> {
         for (i, b) in manifest.blocks.iter_mut().enumerate() {
             let path = self.tmp.join(tblock_dir_name(i)).join(MANIFEST_FILE);
-            b.crc_manifest = match file_crc(&path) {
-                Ok(c) => c,
-                Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                    return Err(AtsError::InvalidArgument(format!(
-                        "commit without staged time block {i} manifest"
-                    )));
-                }
-                Err(e) => return Err(e),
-            };
+            b.crc_manifest = staged_crc(&path, &format!("time block {i} manifest"))?;
         }
         manifest.source_version = TIMEBLOCKED_STORE_VERSION;
         fs::write(self.tmp.join(MANIFEST_FILE), manifest.encode())?;
-        self.swap_into_place()
+        self.commit_dir()
     }
 
-    /// Shared commit tail: fsync every staged byte (recursing into
-    /// shard subdirectories), then rename the staged directory into
-    /// place, retiring any previous store.
-    fn swap_into_place(&mut self) -> Result<()> {
+    /// Finish staging a directory that carries no manifest of its own —
+    /// a shard directory the parent store's manifest will pin — and the
+    /// tail of every other commit: fsync every staged byte (recursing
+    /// into subdirectories), then rename the staged directory into
+    /// place, retiring whatever sat at the target.
+    pub fn commit_dir(mut self) -> Result<()> {
         // Durability point: every staged byte reaches disk before the
         // rename can expose the new directory.
         fsync_tree(&self.tmp)?;
@@ -1345,14 +987,13 @@ fn parent_of(path: &Path) -> PathBuf {
 }
 
 /// A target we may replace: an empty directory, or something that looks
-/// like a store (has a manifest or a `U` file). Anything else is user
-/// data we refuse to clobber.
+/// like a store or one of its shards (has a manifest or a `U` file).
+/// Anything else is user data we refuse to clobber.
 fn is_replaceable(dir: &Path) -> bool {
     if !dir.is_dir() {
         return false;
     }
-    // ats-lint: allow(slice-index) — literal index 0 into the fixed-size COMPONENT_FILES const
-    if dir.join(MANIFEST_FILE).exists() || dir.join(COMPONENT_FILES[0]).exists() {
+    if dir.join(MANIFEST_FILE).exists() || dir.join("u.atsm").exists() {
         return true;
     }
     fs::read_dir(dir)
@@ -1376,33 +1017,21 @@ fn sync_dir(dir: &Path) -> Result<()> {
 mod tests {
     use super::*;
 
-    fn manifest() -> StoreManifest {
-        StoreManifest {
-            method: "svdd".into(),
-            rows: 200,
-            cols: 21,
-            k: 5,
-            deltas: 37,
-            bloom: true,
-            crcs: [1, 2, 3, 4],
-        }
-    }
-
-    fn stage_components(dir: &Path) {
-        for (i, name) in COMPONENT_FILES.iter().enumerate() {
-            std::fs::write(dir.join(name), format!("component {i} payload")).unwrap();
-        }
+    /// A legacy v2 manifest, byte for byte as the retired v2 writer laid
+    /// it out (the committed fixture under `tests/fixtures/v2-store/`
+    /// holds a real one).
+    fn v2_text() -> String {
+        seal(
+            "ats-store-version=2\nmethod=svdd\nrows=200\ncols=21\nk=5\ndeltas=37\nbloom=true\n\
+             crc.u.atsm=0000000000000001\ncrc.v.atsm=0000000000000002\n\
+             crc.lambda.atsm=0000000000000003\ncrc.deltas.bin=0000000000000004\n"
+                .to_string(),
+        )
     }
 
     #[test]
-    fn manifest_roundtrip() {
-        let m = manifest();
-        assert_eq!(StoreManifest::parse(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
-    fn manifest_bitflip_detected_everywhere() {
-        let text = manifest().encode();
+    fn v2_manifest_bitflip_detected_everywhere() {
+        let text = v2_text();
         for i in 0..text.len() {
             let mut bytes = text.clone().into_bytes();
             bytes[i] ^= 0x01;
@@ -1410,16 +1039,15 @@ mod tests {
                 continue; // non-UTF8 flips fail at read_to_string instead
             };
             assert!(
-                StoreManifest::parse(&s).is_err(),
+                ShardedManifest::parse(&s).is_err(),
                 "flip at byte {i} accepted: {s:?}"
             );
         }
     }
 
     #[test]
-    fn manifest_missing_or_duplicate_keys_rejected() {
-        let m = manifest();
-        let text = m.encode();
+    fn v2_manifest_missing_or_duplicate_keys_rejected() {
+        let text = v2_text();
         // Drop each line in turn (re-checksum so only the schema check fires).
         let lines: Vec<&str> = text.trim_end().lines().collect();
         for skip in 0..lines.len() - 1 {
@@ -1430,10 +1058,8 @@ mod tests {
                     body.push('\n');
                 }
             }
-            let csum = ats_common::hash::hash_bytes(body.as_bytes());
-            body.push_str(&format!("manifest-crc={csum:016x}\n"));
             assert!(
-                StoreManifest::parse(&body).is_err(),
+                ShardedManifest::parse(&seal(body)).is_err(),
                 "missing line {:?} accepted",
                 lines[skip]
             );
@@ -1443,52 +1069,22 @@ mod tests {
         body.push('\n');
         body.push_str(lines[1]);
         body.push('\n');
-        let csum = ats_common::hash::hash_bytes(body.as_bytes());
-        body.push_str(&format!("manifest-crc={csum:016x}\n"));
-        assert!(StoreManifest::parse(&body).is_err(), "duplicate accepted");
+        assert!(
+            ShardedManifest::parse(&seal(body)).is_err(),
+            "duplicate accepted"
+        );
     }
 
     #[test]
     fn manifest_wrong_version_rejected() {
-        let text = manifest().encode().replace(
-            &format!("ats-store-version={STORE_VERSION}"),
-            "ats-store-version=1",
-        );
+        let text = v2_text().replace("ats-store-version=2", "ats-store-version=1");
         let body = &text[..text.rfind("manifest-crc=").unwrap()];
-        let csum = ats_common::hash::hash_bytes(body.as_bytes());
-        let text = format!("{body}manifest-crc={csum:016x}\n");
-        let err = StoreManifest::parse(&text).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn commit_swaps_atomically_and_validates() {
-        let t = ats_common::TestDir::new("ats-storedir");
-        let target = t.file("store");
-
-        let w = StoreWriter::begin(&target).unwrap();
-        stage_components(w.path());
-        w.commit(manifest()).unwrap();
-        let m = validate_store_dir(&target).unwrap();
-        assert_eq!(m.method, "svdd");
-        assert_ne!(m.crcs, [1, 2, 3, 4], "commit recomputes real CRCs");
-
-        // Replace with new contents: old store fully retired.
-        let w = StoreWriter::begin(&target).unwrap();
-        for name in COMPONENT_FILES {
-            std::fs::write(w.path().join(name), b"second generation").unwrap();
+        for err in [
+            ShardedManifest::parse(&seal(body.to_string())).unwrap_err(),
+            TimeBlockedManifest::parse(&seal(body.to_string())).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("version"), "{err}");
         }
-        let mut m2 = manifest();
-        m2.deltas = 99;
-        w.commit(m2).unwrap();
-        let got = validate_store_dir(&target).unwrap();
-        assert_eq!(got.deltas, 99);
-        // No temp/retired litter left next to the store.
-        let names: Vec<String> = std::fs::read_dir(t.path())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["store".to_string()], "{names:?}");
     }
 
     #[test]
@@ -1497,20 +1093,11 @@ mod tests {
         let target = t.file("store");
         {
             let w = StoreWriter::begin(&target).unwrap();
-            stage_components(w.path());
+            stage_sharded_components(w.path(), 2);
             // dropped without commit
         }
         assert!(!target.exists());
         assert_eq!(std::fs::read_dir(t.path()).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn commit_without_all_components_refused() {
-        let t = ats_common::TestDir::new("ats-storedir");
-        let w = StoreWriter::begin(t.file("store")).unwrap();
-        std::fs::write(w.path().join("u.atsm"), b"only one").unwrap();
-        assert!(w.commit(manifest()).is_err());
-        assert!(!t.file("store").exists());
     }
 
     #[test]
@@ -1524,43 +1111,44 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_missing_and_corrupt_components() {
+    fn missing_dir_is_io_not_corrupt() {
         let t = ats_common::TestDir::new("ats-storedir");
-        let target = t.file("store");
-        let w = StoreWriter::begin(&target).unwrap();
-        stage_components(w.path());
-        w.commit(manifest()).unwrap();
-
-        for name in COMPONENT_FILES {
-            // Bit-flip.
-            let path = target.join(name);
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[0] ^= 0x80;
-            std::fs::write(&path, &bytes).unwrap();
-            let err = validate_store_dir(&target).unwrap_err();
-            assert!(matches!(err, AtsError::Corrupt(_)), "{name}: {err}");
-            bytes[0] ^= 0x80;
-            std::fs::write(&path, &bytes).unwrap();
-
-            // Truncation.
-            std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-            assert!(validate_store_dir(&target).is_err(), "{name} truncated");
-            std::fs::write(&path, &bytes).unwrap();
-
-            // Deletion.
-            std::fs::remove_file(&path).unwrap();
-            let err = validate_store_dir(&target).unwrap_err();
-            assert!(matches!(err, AtsError::Corrupt(_)), "{name} deleted: {err}");
-            std::fs::write(&path, &bytes).unwrap();
-        }
-        validate_store_dir(&target).unwrap();
+        let err = validate_sharded_store_dir(t.file("never-saved")).unwrap_err();
+        assert!(matches!(err, AtsError::Io(_)), "{err}");
+        let err = validate_timeblocked_store_dir(t.file("never-saved")).unwrap_err();
+        assert!(matches!(err, AtsError::Io(_)), "{err}");
     }
 
     #[test]
-    fn missing_dir_is_io_not_corrupt() {
+    fn file_crc_streams_to_the_one_shot_checksum() {
+        // Sizes straddling the streaming buffer: empty, one byte short,
+        // exact, one over, and several buffers plus a tail.
         let t = ats_common::TestDir::new("ats-storedir");
-        let err = validate_store_dir(t.file("never-saved")).unwrap_err();
-        assert!(matches!(err, AtsError::Io(_)), "{err}");
+        for len in [
+            0,
+            1,
+            CRC_BUF_BYTES - 1,
+            CRC_BUF_BYTES,
+            CRC_BUF_BYTES + 1,
+            3 * CRC_BUF_BYTES + 17,
+        ] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let path = t.file(format!("blob-{len}"));
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(file_crc(&path).unwrap(), hash_bytes(&bytes), "len {len}");
+        }
+    }
+
+    #[test]
+    fn publish_manifest_replaces_atomically_and_leaves_no_temp() {
+        let t = ats_common::TestDir::new("ats-storedir");
+        std::fs::write(t.file(MANIFEST_FILE), "old").unwrap();
+        publish_manifest(t.path(), "new").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(t.file(MANIFEST_FILE)).unwrap(),
+            "new"
+        );
+        assert_eq!(std::fs::read_dir(t.path()).unwrap().count(), 1);
     }
 
     fn sharded_manifest() -> ShardedManifest {
@@ -1598,7 +1186,7 @@ mod tests {
     }
 
     fn stage_sharded_components(dir: &Path, shards: usize) {
-        for (i, name) in SHARED_FILES.iter().enumerate() {
+        for (i, name) in ["v.atsm", "lambda.atsm"].iter().enumerate() {
             std::fs::write(dir.join(name), format!("shared {i} payload")).unwrap();
         }
         for s in 0..shards {
@@ -1636,25 +1224,26 @@ mod tests {
 
     #[test]
     fn v2_manifest_parses_as_single_shard_view() {
-        let m = manifest();
-        let sharded = ShardedManifest::parse(&m.encode()).unwrap();
-        assert_eq!(sharded.source_version, STORE_VERSION);
+        let sharded = ShardedManifest::parse(&v2_text()).unwrap();
+        assert_eq!(sharded.source_version, LEGACY_STORE_VERSION);
+        assert_eq!((sharded.rows, sharded.cols, sharded.k), (200, 21, 5));
         assert_eq!(sharded.shards.len(), 1);
-        assert_eq!(sharded.shards[0].start, 0);
-        assert_eq!(sharded.shards[0].end, m.rows);
-        assert_eq!(sharded.shards[0].deltas, m.deltas);
-        assert_eq!(sharded.shards[0].crc_u, m.crcs[0]);
-        assert_eq!(sharded.crc_v, m.crcs[1]);
-        assert_eq!(sharded.crc_lambda, m.crcs[2]);
-        assert_eq!(sharded.shards[0].crc_deltas, m.crcs[3]);
+        let only = &sharded.shards[0];
+        assert_eq!((only.start, only.end, only.deltas), (0, 200, 37));
+        assert_eq!((only.crc_u, sharded.crc_v), (1, 2));
+        assert_eq!((sharded.crc_lambda, only.crc_deltas), (3, 4));
+        assert_eq!((only.crc_synopsis, only.append_sse), (None, None));
         // A v2 store's components live at the top level.
         let base = Path::new("store");
         assert_eq!(sharded.shard_dir(base, 0), base);
+        // ...and it is a one-block store whose block directory is itself.
+        let top = TimeBlockedManifest::parse(&v2_text()).unwrap();
+        assert_eq!(top.source_version, LEGACY_STORE_VERSION);
+        assert_eq!(top.block_dir(base, 0), base);
     }
 
     fn reencode(body: &str) -> String {
-        let csum = ats_common::hash::hash_bytes(body.as_bytes());
-        format!("{body}manifest-crc={csum:016x}\n")
+        seal(body.to_string())
     }
 
     #[test]
@@ -1814,15 +1403,17 @@ mod tests {
     }
 
     #[test]
-    fn validate_sharded_accepts_v2_directory() {
-        let t = ats_common::TestDir::new("ats-storedir");
-        let target = t.file("store");
-        let w = StoreWriter::begin(&target).unwrap();
-        stage_components(w.path());
-        w.commit(manifest()).unwrap();
-        let m = validate_sharded_store_dir(&target).unwrap();
-        assert_eq!(m.source_version, STORE_VERSION);
+    fn validate_accepts_the_v2_fixture_directory() {
+        // Real bytes from the retired v2 writer (DESIGN.md §5c): every
+        // CRC still checks out.
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-store");
+        let m = validate_sharded_store_dir(&fixture).unwrap();
+        assert_eq!(m.source_version, LEGACY_STORE_VERSION);
+        assert_eq!((m.rows, m.cols, m.k, m.deltas), (40, 24, 2, 55));
         assert_eq!(m.shards.len(), 1);
+        let (top, nested) = validate_timeblocked_store_dir(&fixture).unwrap();
+        assert_eq!(top.blocks.len(), 1);
+        assert_eq!(nested, vec![m]);
     }
 
     fn timeblocked_manifest() -> TimeBlockedManifest {

@@ -2,23 +2,24 @@
 //! corrupted and half-written files, and the cache must stay correct
 //! under churn and odd geometries.
 //!
-//! The store-directory suite at the bottom drives the format-v2
-//! crash-safety contract: a save interrupted at *any* kill point leaves
-//! either the previous valid store or a clean absence, and any
+//! The store-directory suites at the bottom drive the crash-safety
+//! contract: a save interrupted at *any* kill point leaves either the
+//! previous valid store or a clean absence, and any
 //! truncated/deleted/bit-flipped component surfaces as
 //! `AtsError::Corrupt` — never a panic, an OOM, or a store that opens
-//! and serves wrong data.
+//! and serves wrong data. Legacy v2 directories are read-only, so their
+//! suite corrupts a copy of the committed golden fixture.
 
 use ats_common::AtsError;
 use ats_linalg::Matrix;
 use ats_storage::file::{read_matrix, write_matrix, MatrixFileWriter};
 use ats_storage::store_dir::{
-    shard_dir_name, tblock_dir_name, validate_sharded_store_dir, validate_store_dir,
-    validate_timeblocked_store_dir, write_sharded_manifest_into, ShardEntry, ShardedManifest,
-    TimeBlockEntry, TimeBlockedManifest, COMPONENT_FILES, MANIFEST_FILE, SHARD_FILES,
+    shard_dir_name, tblock_dir_name, validate_sharded_store_dir, validate_timeblocked_store_dir,
+    write_sharded_manifest_into, ShardEntry, ShardedManifest, TimeBlockEntry, TimeBlockedManifest,
+    MANIFEST_FILE, SHARD_FILES,
 };
 use ats_storage::synopsis::{SynopsisBuilder, SYNOPSIS_FILE};
-use ats_storage::{CachedFile, MatrixFile, StoreManifest, StoreWriter};
+use ats_storage::{CachedFile, MatrixFile, StoreWriter};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -190,111 +191,39 @@ fn directory_instead_of_file_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Store-directory (format v2) kill-point and corruption suite.
+// Legacy store-directory (format v2) corruption suite, over a scratch
+// copy of the golden fixture the retired v2 writer produced. (Staging,
+// fsync, and rename kill points are format-independent `StoreWriter`
+// behaviour: the v3 and v4 suites below drive them.)
 // ---------------------------------------------------------------------
 
-fn demo_manifest() -> StoreManifest {
-    StoreManifest {
-        method: "svdd".into(),
-        rows: 6,
-        cols: 3,
-        k: 2,
-        deltas: 0,
-        bloom: false,
-        crcs: [0; 4],
-    }
-}
+/// The four top-level component files of a v2 directory.
+const V2_FILES: [&str; 4] = ["u.atsm", "v.atsm", "lambda.atsm", "deltas.bin"];
 
-/// Write a committed store directory whose components are real `.atsm`
-/// matrices (plus an opaque deltas blob), returning a probe value.
-fn commit_demo_store(target: &Path, tag: f64) -> Vec<u8> {
-    let w = StoreWriter::begin(target).unwrap();
-    let m = Matrix::from_fn(6, 2, |i, j| tag + (i * 2 + j) as f64);
-    write_matrix(w.path().join("u.atsm"), &m).unwrap();
-    write_matrix(
-        w.path().join("v.atsm"),
-        &Matrix::from_fn(3, 2, |i, j| (i + j) as f64),
+fn v2_fixture_copy(dir: &ats_common::TestDir) -> std::path::PathBuf {
+    dir.copy_of(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-store"),
+        "store",
     )
-    .unwrap();
-    write_matrix(
-        w.path().join("lambda.atsm"),
-        &Matrix::from_fn(1, 2, |_, j| (j + 1) as f64),
-    )
-    .unwrap();
-    std::fs::write(w.path().join("deltas.bin"), [tag as u8; 16]).unwrap();
-    w.commit(demo_manifest()).unwrap();
-    std::fs::read(target.join("u.atsm")).unwrap()
 }
 
 #[test]
-fn kill_point_at_every_save_stage_preserves_old_store() {
+fn v2_every_component_truncation_deletion_bitflip_is_corrupt() {
     let dir = dir();
-    let target = dir.file("store");
-    let old_u = commit_demo_store(&target, 100.0);
+    let target = v2_fixture_copy(&dir);
+    assert_eq!(
+        validate_sharded_store_dir(&target).unwrap().source_version,
+        2
+    );
 
-    // Simulate a crash after each component write of a *new* save: the
-    // staged temp dir holds a prefix of the components (no manifest, no
-    // commit). The committed store must remain byte-identical and valid.
-    for stage in 0..=COMPONENT_FILES.len() {
-        let staged = dir.file(format!(".store.tmp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&staged);
-        std::fs::create_dir_all(&staged).unwrap();
-        for name in &COMPONENT_FILES[..stage] {
-            std::fs::write(staged.join(name), b"partial new generation").unwrap();
-        }
-        validate_store_dir(&target).unwrap_or_else(|e| panic!("stage {stage}: {e}"));
-        assert_eq!(
-            std::fs::read(target.join("u.atsm")).unwrap(),
-            old_u,
-            "stage {stage}: old store must be untouched"
-        );
-        std::fs::remove_dir_all(&staged).unwrap();
-    }
-
-    // A crash *inside* the swap window (old renamed aside, new not yet
-    // in place) leaves a clean absence — an I/O error, not corruption
-    // and not a silently-served half store.
-    let aside = dir.file(".store.old-sim");
-    std::fs::rename(&target, &aside).unwrap();
-    assert!(matches!(validate_store_dir(&target), Err(AtsError::Io(_))));
-    std::fs::rename(&aside, &target).unwrap();
-    validate_store_dir(&target).unwrap();
-}
-
-#[test]
-fn interrupted_save_never_exposes_new_data_early() {
-    // Even with every component staged and the manifest written, the
-    // store at `target` is the old one until the rename lands.
-    let dir = dir();
-    let target = dir.file("store");
-    let old_u = commit_demo_store(&target, 1.0);
-    {
-        let w = StoreWriter::begin(&target).unwrap();
-        let m = Matrix::from_fn(6, 2, |i, j| 999.0 + (i + j) as f64);
-        write_matrix(w.path().join("u.atsm"), &m).unwrap();
-        for name in &COMPONENT_FILES[1..] {
-            std::fs::write(w.path().join(name), b"new gen").unwrap();
-        }
-        // Writer dropped without commit: the crash-before-rename case.
-    }
-    validate_store_dir(&target).unwrap();
-    assert_eq!(std::fs::read(target.join("u.atsm")).unwrap(), old_u);
-}
-
-#[test]
-fn every_component_truncation_deletion_bitflip_is_corrupt() {
-    let dir = dir();
-    let target = dir.file("store");
-    commit_demo_store(&target, 7.0);
-
-    for name in COMPONENT_FILES {
+    for name in V2_FILES {
         let path = target.join(name);
         let pristine = std::fs::read(&path).unwrap();
 
         // Truncation at several depths, including to zero bytes.
         for cut in [0usize, 1, pristine.len() / 2, pristine.len() - 1] {
             std::fs::write(&path, &pristine[..cut]).unwrap();
-            match validate_store_dir(&target) {
+            match validate_timeblocked_store_dir(&target) {
                 Err(AtsError::Corrupt(_)) => {}
                 other => panic!("{name} cut at {cut}: {other:?}"),
             }
@@ -305,7 +234,7 @@ fn every_component_truncation_deletion_bitflip_is_corrupt() {
             let mut bytes = pristine.clone();
             bytes[off] ^= 0x40;
             std::fs::write(&path, &bytes).unwrap();
-            match validate_store_dir(&target) {
+            match validate_timeblocked_store_dir(&target) {
                 Err(AtsError::Corrupt(_)) => {}
                 other => panic!("{name} flip at {off}: {other:?}"),
             }
@@ -313,21 +242,20 @@ fn every_component_truncation_deletion_bitflip_is_corrupt() {
 
         // Deletion.
         std::fs::remove_file(&path).unwrap();
-        match validate_store_dir(&target) {
+        match validate_timeblocked_store_dir(&target) {
             Err(AtsError::Corrupt(_)) => {}
             other => panic!("{name} deleted: {other:?}"),
         }
 
         std::fs::write(&path, &pristine).unwrap();
-        validate_store_dir(&target).unwrap();
+        validate_timeblocked_store_dir(&target).unwrap();
     }
 }
 
 #[test]
-fn manifest_tampering_is_corrupt() {
+fn v2_manifest_tampering_is_corrupt() {
     let dir = dir();
-    let target = dir.file("store");
-    commit_demo_store(&target, 3.0);
+    let target = v2_fixture_copy(&dir);
     let path = target.join(MANIFEST_FILE);
     let pristine = std::fs::read(&path).unwrap();
 
@@ -337,7 +265,7 @@ fn manifest_tampering_is_corrupt() {
         bytes[off] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            validate_store_dir(&target).is_err(),
+            validate_timeblocked_store_dir(&target).is_err(),
             "manifest flip at {off} accepted"
         );
     }
@@ -346,7 +274,7 @@ fn manifest_tampering_is_corrupt() {
     // mystery I/O failure.
     std::fs::remove_file(&path).unwrap();
     assert!(matches!(
-        validate_store_dir(&target),
+        validate_timeblocked_store_dir(&target),
         Err(AtsError::Corrupt(_))
     ));
 }
@@ -940,8 +868,8 @@ fn crashed_save_litter_is_cleared_by_next_save() {
     std::fs::create_dir_all(&staged).unwrap();
     std::fs::write(staged.join("u.atsm"), b"stale crash litter").unwrap();
 
-    commit_demo_store(&target, 5.0);
-    validate_store_dir(&target).unwrap();
+    commit_demo_sharded_store(&target, 5.0);
+    validate_sharded_store_dir(&target).unwrap();
     assert!(!staged.exists(), "stale temp dir must be consumed/cleared");
     let survivors: Vec<String> = std::fs::read_dir(dir.path())
         .unwrap()

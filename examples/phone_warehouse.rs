@@ -12,13 +12,15 @@
 //! 1. stream the raw dataset to a row-major `.atsm` file (the "tape");
 //! 2. build an SVDD store from the *file* in exactly three sequential
 //!    passes (Fig. 5), never holding the matrix in memory;
-//! 3. persist `U`/`Λ`/`V`/deltas; reopen as a [`DiskStore`] with `V`, `Λ`
-//!    and the delta hash table pinned in memory and `U` paged from disk;
+//! 3. persist `U`/`Λ`/`V`/deltas; reopen as a [`TimeBlockedStore`] with
+//!    `V`, `Λ` and the delta hash table pinned in memory and `U` paged
+//!    from disk;
 //! 4. run decision-support queries and print the measured disk-access
 //!    counts next to the paper's claim.
 
-use adhoc_ts::compress::{CompressedMatrix, SpaceBudget, SvddCompressed, SvddOptions};
-use adhoc_ts::core::disk::{save_svdd, DiskStore};
+use adhoc_ts::compress::{CompressedMatrix, SpaceBudget};
+use adhoc_ts::core::store::SequenceStore;
+use adhoc_ts::core::timeblock::TimeBlockedStore;
 use adhoc_ts::data::{generate_phone, PhoneConfig};
 use adhoc_ts::query::engine::{AggregateFn, QueryEngine};
 use adhoc_ts::query::selection::{Axis, Selection};
@@ -44,26 +46,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. three-pass SVDD build straight from the file
     let raw = MatrixFile::open(&raw_path)?;
-    let mut opts = SvddOptions::new(SpaceBudget::from_percent(10.0));
-    opts.threads = 4;
     let t0 = std::time::Instant::now();
-    let svdd = SvddCompressed::compress(&raw, &opts)?;
+    let built = SequenceStore::builder()
+        .budget(SpaceBudget::from_percent(10.0))
+        .threads(4)
+        .time_blocks(1)
+        .build(&raw)?;
     println!(
-        "SVDD build: k_opt = {}, {} deltas, {:.2}% space, {:?} ({} row reads = 3 passes x N)",
-        svdd.k_opt(),
-        svdd.num_deltas(),
-        svdd.space_ratio() * 100.0,
+        "SVDD build: {:.2}% space, {:?} ({} row reads = 3 passes x N)",
+        built.space_ratio() * 100.0,
         t0.elapsed(),
         raw.stats().logical_reads(),
     );
 
     // 3. persist + reopen as the serving store
     let store_dir = dir.join("store");
-    save_svdd(&store_dir, &svdd)?;
-    let store = DiskStore::open(&store_dir, 512)?;
+    built.save(&store_dir)?;
+    let store = TimeBlockedStore::open(&store_dir, 512)?;
     println!(
         "disk store: k = {}, {} deltas, U paged from disk, V+lambda pinned\n",
-        store.k(),
+        store.blocks()[0].k(),
         store.num_deltas()
     );
 
@@ -71,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = QueryEngine::new(&store);
 
     // (a) spot checks on individual customer-days
-    store.io_stats().reset();
     println!("cell queries (customer, day) -> value  [one disk access each]:");
     for &(i, j) in &[(17usize, 3usize), (1234, 90), (4999, 179), (42, 0)] {
         let v = engine.cell(i, j)?;
@@ -80,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "  -> physical disk reads: {} for 4 cold queries (paper: 'a single disk access')\n",
-        store.io_stats().physical_reads()
+        store.io_snapshot().physical_reads
     );
 
     // (b) an aggregate: total weekday spend of a customer segment
@@ -107,11 +108,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         best.0, best.1
     );
 
+    let io = store.io_snapshot();
     println!(
         "\ncache behaviour: {} logical reads, {} physical, {:.1}% hit rate",
-        store.io_stats().logical_reads(),
-        store.io_stats().physical_reads(),
-        store.io_stats().hit_ratio() * 100.0
+        io.logical_reads,
+        io.physical_reads,
+        io.cache_hits as f64 / io.logical_reads.max(1) as f64 * 100.0
     );
     Ok(())
 }

@@ -5,8 +5,8 @@
 //! ats generate stocks --out stocks.atsm
 //! ats info data.atsm                  # matrix file header
 //! ats info store/                     # validated store manifest
-//! ats compress data.atsm --out store/ --percent 10 [--method svdd] [--threads 4]
-//! ats save data.atsm --out store/ --shards 4
+//! ats save data.atsm --out store/ --percent 10 [--method svdd] [--threads 4]
+//! ats save data.atsm --out store/ --shards 4 --time-blocks 8
 //! ats append store/ more-rows.atsm    # new rows land in a fresh shard
 //! ats query store/ "cell 42 17"
 //! ats query store/ "avg rows 0..100 cols all"
@@ -16,9 +16,11 @@
 //! ```
 //!
 //! The store directory is the paper's §4.1 layout scaled out to
-//! row-range shards (format v3): `v.atsm`/`lambda.atsm` pinned at open,
-//! each shard's `u.atsm` paged from disk on first touch. Legacy v2
-//! directories open as a single shard.
+//! row-range shards (format v3, one time block) and time blocks (format
+//! v4, a block table over nested v3 stores): each block's
+//! `v.atsm`/`lambda.atsm` pinned at open, each shard's `u.atsm` paged
+//! from disk on first touch. Legacy v2 directories are never written,
+//! and open as a single block with a single shard.
 //!
 //! Exit codes: 0 on success, 1 on a runtime failure (I/O, corrupt store,
 //! failed compression), 2 on a usage error (unknown subcommand or flag,
@@ -26,8 +28,7 @@
 
 use adhoc_ts::compress::delta::DELTA_BYTES;
 use adhoc_ts::compress::method::BYTES_PER_NUMBER;
-use adhoc_ts::compress::{SpaceBudget, SvddCompressed, SvddOptions};
-use adhoc_ts::core::disk::{save_svd, save_svdd};
+use adhoc_ts::compress::SpaceBudget;
 use adhoc_ts::core::shard::append_rows;
 use adhoc_ts::core::store::{method_by_name, SequenceStore};
 use adhoc_ts::core::timeblock::{
@@ -72,10 +73,11 @@ USAGE:
                                  summarized (tiles, bytes, avg bound
                                  width vs the store's value spread —
                                  `synopsis none` on legacy stores)
-  ats compress FILE --out DIR [--percent P] [--method svd|svdd] [--threads T]
   ats save FILE --out DIR [--percent P] [--method svd|svdd] [--threads T]
                                  build a SequenceStore and persist it
-                                 crash-safely (sharded format v3);
+                                 crash-safely (sharded format v3; `ats
+                                 compress` is the old name of this
+                                 command);
                                  --shards R splits the build and the
                                  store into R row-range shards (results
                                  are bit-identical for any R);
@@ -507,52 +509,9 @@ fn run() -> Result<(), CliError> {
             }
             Ok(())
         }
-        Some("compress") => {
-            check_flags("compress", &flags, &["out", "percent", "method", "threads"])?;
-            let input = pos.get(1).ok_or_else(|| usage("compress needs FILE"))?;
-            let out = flags
-                .get("out")
-                .ok_or_else(|| usage("compress needs --out DIR"))?;
-            let pct = flag_f64(&flags, "percent", 10.0)?;
-            let threads = flag_usize(&flags, "threads", 1)?;
-            let method = flags.get("method").map(String::as_str).unwrap_or("svdd");
-            let source = MatrixFile::open(input).map_err(rt)?;
-            let budget = SpaceBudget::from_percent(pct);
-            let t0 = std::time::Instant::now();
-            match method {
-                "svdd" => {
-                    let mut opts = SvddOptions::new(budget);
-                    opts.threads = threads;
-                    let c = SvddCompressed::compress(&source, &opts).map_err(rt)?;
-                    save_svdd(out, &c).map_err(rt)?;
-                    println!(
-                        "svdd: k_opt={}, {} deltas, {:.2}% space, {:.1}s -> {out}",
-                        c.k_opt(),
-                        c.num_deltas(),
-                        100.0 * adhoc_ts::compress::CompressedMatrix::space_ratio(&c),
-                        t0.elapsed().as_secs_f64()
-                    );
-                }
-                "svd" => {
-                    let c = adhoc_ts::compress::SvdCompressed::compress_budget(
-                        &source, budget, threads,
-                    )
-                    .map_err(rt)?;
-                    save_svd(out, &c).map_err(rt)?;
-                    println!(
-                        "svd: k={}, {:.2}% space, {:.1}s -> {out}",
-                        c.k(),
-                        100.0 * adhoc_ts::compress::CompressedMatrix::space_ratio(&c),
-                        t0.elapsed().as_secs_f64()
-                    );
-                }
-                other => return Err(usage(format!("unknown method {other:?} (svd|svdd)"))),
-            }
-            Ok(())
-        }
-        Some("save") => {
+        Some(cmd @ ("save" | "compress")) => {
             check_flags(
-                "save",
+                cmd,
                 &flags,
                 &[
                     "out",
@@ -570,7 +529,7 @@ fn run() -> Result<(), CliError> {
             )?;
             let out = flags
                 .get("out")
-                .ok_or_else(|| usage("save needs --out DIR"))?;
+                .ok_or_else(|| usage(format!("{cmd} needs --out DIR")))?;
             let pct = flag_f64(&flags, "percent", 10.0)?;
             let threads = flag_usize(&flags, "threads", 1)?;
             let method = flags.get("method").map(String::as_str).unwrap_or("svdd");
@@ -580,9 +539,15 @@ fn run() -> Result<(), CliError> {
             // trip (closes the PR 6 leftover).
             let source: Box<dyn RowSource> = match (flags.get("generate"), pos.get(1)) {
                 (Some(_), Some(_)) => {
-                    return Err(usage("save takes either FILE or --generate, not both"))
+                    return Err(usage(format!(
+                        "{cmd} takes either FILE or --generate, not both"
+                    )))
                 }
-                (None, None) => return Err(usage("save needs FILE or --generate phone|stocks")),
+                (None, None) => {
+                    return Err(usage(format!(
+                        "{cmd} needs FILE or --generate phone|stocks"
+                    )))
+                }
                 (None, Some(input)) => {
                     for k in ["rows", "cols", "seed"] {
                         if flags.contains_key(k) {
@@ -669,11 +634,7 @@ fn run() -> Result<(), CliError> {
             let pool = flag_usize(&flags, "pool-pages", 1024)?;
             let store = TimeBlockedStore::open(dir, pool).map_err(rt)?;
             let m = store.manifest();
-            let shards: usize = store
-                .nested_manifests()
-                .iter()
-                .map(|n| n.shards.len())
-                .sum();
+            let shards: usize = store.blocks().iter().map(|b| b.shard_count()).sum();
             println!(
                 "{dir}: {} store, {} x {}, {} deltas, bloom={}, {} time blocks, {} shards, {:.2} MB compressed",
                 m.method,
@@ -681,7 +642,7 @@ fn run() -> Result<(), CliError> {
                 m.cols,
                 store.num_deltas(),
                 m.bloom,
-                store.block_count(),
+                store.blocks().len(),
                 shards,
                 adhoc_ts::compress::CompressedMatrix::storage_bytes(&store) as f64 / 1e6
             );

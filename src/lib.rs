@@ -6,8 +6,9 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! - [`core`] (`ats-core`) — [`core::SequenceStore`] (build/query) and
-//!   [`core::DiskStore`] (the §4.1 one-disk-access serving architecture);
+//! - [`core`] (`ats-core`) — [`core::SequenceStore`] (build/save/query)
+//!   and [`core::TimeBlockedStore`] (what a saved store opens as: the
+//!   §4.1 one-disk-access serving architecture, per shard and time block);
 //! - [`compress`] (`ats-compress`) — SVD, SVDD, DCT, clustering, LZ,
 //!   sampling, all behind [`compress::CompressedMatrix`];
 //! - [`query`] (`ats-query`) — cell/aggregate queries and the paper's

@@ -1,6 +1,7 @@
 //! Integration tests for the `ats` command-line tool: the full
-//! generate → info → compress → query → verify flow, plus the
-//! crash-safe save → open lifecycle, driven through the actual binary.
+//! generate → info → save (under its old name, `compress`) → query →
+//! verify flow, plus the crash-safe save → open lifecycle, driven
+//! through the actual binary.
 
 use ats_common::TestDir;
 use std::process::Command;
@@ -50,7 +51,7 @@ fn full_cli_flow() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("300 rows x 60 cols"), "{text}");
 
-    // compress
+    // compress: the old spelling of `save`, same layout on disk
     let out = ats()
         .args([
             "compress",
@@ -67,9 +68,10 @@ fn full_cli_flow() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("svdd"));
-    assert!(store.join("u.atsm").exists());
-    assert!(store.join("deltas.bin").exists());
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("svdd: 300 x 60, 1 shards"));
+    assert!(store.join("shard-0000/u.atsm").exists());
+    assert!(store.join("shard-0000/deltas.bin").exists());
+    assert!(!store.join("u.atsm").exists(), "v2 is never written");
 
     // query: a cell and an aggregate both parse to numbers
     for q in [
@@ -761,4 +763,64 @@ fn cli_timeblocked_save_info_query_append_flow() {
         err.contains("checksum") || err.contains("manifest") || err.contains("block"),
         "{err}"
     );
+}
+
+#[test]
+fn cli_legacy_v2_store_info_open_query() {
+    // Real bytes from the retired v2 writer: `info`, `open` and `query`
+    // serve the golden directory through the one store family.
+    let dir = TestDir::new("ats-cli");
+    let store = dir.copy_of(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/crates/storage/tests/fixtures/v2-store"
+        ),
+        "v2",
+    );
+    let run = |args: &[&str]| {
+        let out = ats().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let store = store.to_str().unwrap();
+    let info = run(&["info", store]);
+    for want in [
+        "format v2",
+        "40 x 24",
+        "k=2",
+        "55 deltas",
+        "1 shards",
+        "synopsis none",
+    ] {
+        assert!(info.contains(want), "missing {want:?} in {info}");
+    }
+    let opened = run(&["open", store]);
+    assert!(
+        opened.contains("1 time blocks, 1 shards"),
+        "open summary: {opened}"
+    );
+    let cell: f64 = run(&["query", store, "cell 3 5"]).trim().parse().unwrap();
+    assert!(cell.is_finite());
+    // A legacy directory is read-only at the edge: appends are refused.
+    let batch = dir.file("batch.atsm");
+    run(&[
+        "generate",
+        "phone",
+        "--rows",
+        "4",
+        "--cols",
+        "24",
+        "--out",
+        batch.to_str().unwrap(),
+    ]);
+    let out = ats()
+        .args(["append", store, batch.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("v2"));
 }

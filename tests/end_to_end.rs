@@ -1,10 +1,12 @@
 //! End-to-end integration: the full paper pipeline across every crate.
 //!
 //! raw data → `.atsm` file → 3-pass out-of-core SVDD → persisted store →
-//! `DiskStore` serving cell + aggregate queries with one disk access.
+//! `TimeBlockedStore` serving cell + aggregate queries with one disk
+//! access.
 
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget, SvddCompressed, SvddOptions};
-use adhoc_ts::core::disk::{save_svdd, DiskStore};
+use adhoc_ts::core::store::SequenceStore;
+use adhoc_ts::core::timeblock::TimeBlockedStore;
 use adhoc_ts::data::{generate_phone, PhoneConfig};
 use adhoc_ts::query::engine::{aggregate_exact, AggregateFn, QueryEngine};
 use adhoc_ts::query::metrics::error_report;
@@ -29,44 +31,51 @@ fn full_pipeline_from_disk_to_disk() {
     let raw_path = dir.join("raw.atsm");
     dataset.save(&raw_path).unwrap();
 
-    // Out-of-core 3-pass SVDD build.
+    // Out-of-core 3-pass SVDD build (one time block: a blocked build
+    // makes its passes once per block, plus one to record each SSE).
     let raw = MatrixFile::open(&raw_path).unwrap();
     let budget = SpaceBudget::from_percent(10.0);
-    let svdd = SvddCompressed::compress(&raw, &SvddOptions::new(budget)).unwrap();
+    let built = SequenceStore::builder()
+        .budget(budget)
+        .time_blocks(1)
+        .build(&raw)
+        .unwrap();
     assert_eq!(
         raw.stats().logical_reads(),
         3 * 800,
         "exactly three sequential passes (Fig. 5)"
     );
-    assert!(svdd.storage_bytes() <= budget.bytes(800, 84));
+    assert!(built.storage_bytes() <= budget.bytes(800, 84));
 
     // Persist, reopen, serve.
     let store_dir = dir.join("store");
-    save_svdd(&store_dir, &svdd).unwrap();
-    let store = DiskStore::open(&store_dir, 256).unwrap();
+    built.save(&store_dir).unwrap();
+    let store = TimeBlockedStore::open(&store_dir, 256).unwrap();
 
     // Disk store answers identically to the in-memory compressed form.
     for i in (0..800).step_by(97) {
         for j in (0..84).step_by(13) {
             let a = store.cell(i, j).unwrap();
-            let b = svdd.cell(i, j).unwrap();
-            assert!((a - b).abs() < 1e-9, "({i},{j})");
+            let b = built.cell(i, j).unwrap();
+            assert_eq!(a.to_bits(), b.to_bits(), "({i},{j})");
         }
     }
 
-    // At most one disk access per cell query (§4.1), measured. (Rows 0
-    // and 97 were cached by the earlier spot checks, so they hit.)
-    store.io_stats().reset();
+    // At most one disk access per cell query (§4.1), measured. (Row 0
+    // was cached by the earlier spot checks, so it hits.)
+    let before = store.io_snapshot();
     for i in 0..100 {
         store.cell(i, i % 84).unwrap();
     }
-    assert_eq!(store.io_stats().logical_reads(), 100);
+    let after = store.io_snapshot();
+    let physical = after.physical_reads - before.physical_reads;
+    assert_eq!(after.logical_reads - before.logical_reads, 100);
     assert_eq!(
-        store.io_stats().physical_reads() + store.io_stats().cache_hits(),
+        physical + (after.cache_hits - before.cache_hits),
         100,
         "every query served by exactly one page (fetched or resident)"
     );
-    assert!(store.io_stats().physical_reads() >= 98);
+    assert!(physical >= 98);
 
     // Accuracy: RMSPE under 15% at 10% space on phone-like data.
     let report = error_report(dataset.matrix(), &store).unwrap();

@@ -144,8 +144,7 @@ fn appended_shards_emit_synopses_and_keep_pruning() {
     append_rows(&dir, &batch, 1, None).unwrap();
 
     let store = TimeBlockedStore::open(&dir, 128).unwrap();
-    let manifests = store.nested_manifests();
-    let shards = &manifests.first().unwrap().shards;
+    let shards = &store.blocks().first().unwrap().manifest().shards;
     assert_eq!(shards.len(), 3);
     assert!(
         shards.iter().all(|s| s.crc_synopsis.is_some()),

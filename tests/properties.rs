@@ -114,21 +114,27 @@ proptest! {
         if budget.max_svd_k(n, m) == 0 {
             return Ok(());
         }
-        let svdd = SvddCompressed::compress(&x, &SvddOptions::new(budget)).unwrap();
+        let built = adhoc_ts::core::store::SequenceStore::builder()
+            .budget(budget)
+            .build(&x)
+            .unwrap();
         let dir = std::env::temp_dir().join(format!(
             "adhoc-ts-prop-{}-{n}x{m}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        adhoc_ts::core::disk::save_svdd(&dir, &svdd).unwrap();
-        let store = adhoc_ts::core::disk::DiskStore::open(&dir, 8).unwrap();
+        built.save(&dir).unwrap();
+        let store = adhoc_ts::core::timeblock::TimeBlockedStore::open(&dir, 8).unwrap();
         for i in (0..n).step_by(3) {
             for j in (0..m).step_by(2) {
                 let a = store.cell(i, j).unwrap();
-                let b = svdd.cell(i, j).unwrap();
-                prop_assert!((a - b).abs() < 1e-9);
+                let b = built.cell(i, j).unwrap();
+                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+        // One page per distinct cold row, summed over blocks and shards.
+        let touched = n.div_ceil(3) as u64 * store.manifest().blocks.len() as u64;
+        prop_assert!(store.io_snapshot().physical_reads <= touched);
     }
 
     #[test]

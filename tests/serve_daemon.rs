@@ -377,7 +377,7 @@ fn coalesced_range_aggregates_share_one_block_scan() {
         .save(dir.file("store"))
         .unwrap();
     let store = Arc::new(TimeBlockedStore::open(dir.file("store"), 256).unwrap());
-    assert_eq!(store.block_count(), 4);
+    assert_eq!(store.blocks().len(), 4);
 
     // A long window with batch_max = 5: the five concurrent requests
     // below land in one admission window and fire it by count.

@@ -34,16 +34,18 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("bench-report") => run_bench_report(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo xtask <lint [--format text|json|github] [--json-out PATH] \
-                 | rules | bench-report [--quick] [--out PATH]>"
+                "usage: cargo xtask <lint [--format text|json|github] [--json-out PATH] | rules>"
             );
             ExitCode::from(2)
         }
     }
 }
+
+/// Whole-workspace lint must stay interactive-fast: a linter slow enough
+/// to annoy is a linter people stop running, so `lint` fails past this.
+const LINT_WALL_BUDGET_MS: u128 = 2000;
 
 fn workspace_root() -> PathBuf {
     // xtask lives at <root>/xtask, so the workspace root is our parent.
@@ -159,6 +161,12 @@ fn run_lint(flags: &[String]) -> ExitCode {
                 graph.edges.len()
             );
         }
+        if wall_ms > LINT_WALL_BUDGET_MS {
+            eprintln!(
+                "xtask lint: wall time {wall_ms} ms exceeds the {LINT_WALL_BUDGET_MS} ms budget"
+            );
+            return ExitCode::FAILURE;
+        }
         ExitCode::SUCCESS
     } else {
         if format == "text" {
@@ -169,157 +177,6 @@ fn run_lint(flags: &[String]) -> ExitCode {
         }
         ExitCode::FAILURE
     }
-}
-
-/// Fields every perf-trajectory report must carry; `bench-report` fails
-/// the run if any is missing, so CI catches a silently degraded suite.
-const BENCH_REQUIRED_FIELDS: &[&str] = &[
-    "\"schema\"",
-    "\"machine\"",
-    "\"build_phone2000\"",
-    "\"batch_cells\"",
-    "\"aggregate_scan\"",
-    "\"kernels\"",
-    "\"ladder_build\"",
-    "\"peak_rss_bytes\"",
-    "\"serve_throughput\"",
-    "\"range_query\"",
-    "\"predicate_scan\"",
-    "\"lint_wall_ms\"",
-    "\"notes\"",
-];
-
-/// Whole-workspace lint must stay interactive-fast; CI fails past this.
-const LINT_WALL_BUDGET_MS: u128 = 2000;
-
-/// Run the pinned perf suite (`crates/bench/src/bin/bench_report.rs`),
-/// time the in-process whole-workspace lint pass, inject the result as
-/// `lint_wall_ms`, and validate the emitted JSON. Flags are forwarded:
-/// `--quick` for the CI smoke sizes, `--out PATH` to redirect the report.
-fn run_bench_report(flags: &[String]) -> ExitCode {
-    let root = workspace_root();
-    let out_path = flags
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| flags.get(i + 1))
-        .map(|p| {
-            // The suite runs with the workspace root as CWD, so resolve
-            // a relative --out the same way before reading it back.
-            let p = PathBuf::from(p);
-            if p.is_absolute() {
-                p
-            } else {
-                root.join(p)
-            }
-        })
-        .unwrap_or_else(|| root.join("BENCH_010.json"));
-
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let mut cmd = std::process::Command::new(cargo);
-    cmd.current_dir(&root)
-        .args([
-            "run",
-            "--offline",
-            "--release",
-            "-p",
-            "ats-bench",
-            "--bin",
-            "bench_report",
-            "--",
-        ])
-        .args(flags);
-    if !flags.iter().any(|a| a == "--out") {
-        cmd.arg("--out").arg(&out_path);
-    }
-    match cmd.status() {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("xtask: bench_report exited with {s}");
-            return ExitCode::from(1);
-        }
-        Err(e) => {
-            eprintln!("xtask: cannot run bench_report: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    // Time the lint pass in-process and pin it into the report: a linter
-    // slow enough to annoy (`> 2 s`) is a linter people stop running.
-    let t0 = Instant::now();
-    let lint_ok = lint_workspace(&root);
-    let lint_wall_ms = t0.elapsed().as_millis();
-    if let Err(e) = lint_ok {
-        eprintln!("xtask: lint pass failed during bench-report: {e}");
-        return ExitCode::from(1);
-    }
-    if lint_wall_ms > LINT_WALL_BUDGET_MS {
-        eprintln!(
-            "bench-report: lint wall time {lint_wall_ms} ms exceeds the \
-             {LINT_WALL_BUDGET_MS} ms budget"
-        );
-        return ExitCode::from(1);
-    }
-
-    let text = match std::fs::read_to_string(&out_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask: cannot read {}: {e}", out_path.display());
-            return ExitCode::from(1);
-        }
-    };
-    // Inject lint_wall_ms before the final closing brace.
-    let text = match inject_lint_wall_ms(&text, lint_wall_ms) {
-        Some(t) => t,
-        None => {
-            eprintln!(
-                "bench-report: {} is not a JSON object; cannot inject lint_wall_ms",
-                out_path.display()
-            );
-            return ExitCode::from(1);
-        }
-    };
-    if let Err(e) = std::fs::write(&out_path, &text) {
-        eprintln!("xtask: cannot write {}: {e}", out_path.display());
-        return ExitCode::from(1);
-    }
-
-    let missing: Vec<&str> = BENCH_REQUIRED_FIELDS
-        .iter()
-        .filter(|f| !text.contains(*f))
-        .copied()
-        .collect();
-    if missing.is_empty() {
-        println!(
-            "bench-report: {} valid ({} bytes, all {} required fields present, \
-             lint_wall_ms={lint_wall_ms})",
-            out_path.display(),
-            text.len(),
-            BENCH_REQUIRED_FIELDS.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench-report: {} is missing required fields: {}",
-            out_path.display(),
-            missing.join(", ")
-        );
-        ExitCode::from(1)
-    }
-}
-
-/// Splice `"lint_wall_ms": N` into a JSON object's top level, before the
-/// final `}`. Returns `None` when the text does not end with one.
-fn inject_lint_wall_ms(text: &str, ms: u128) -> Option<String> {
-    if text.contains("\"lint_wall_ms\"") {
-        return Some(text.to_string());
-    }
-    let end = text.rfind('}')?;
-    let head = text[..end].trim_end();
-    let sep = if head.ends_with('{') { "" } else { "," };
-    Some(format!(
-        "{head}{sep}\n  \"lint_wall_ms\": {ms}\n{}",
-        &text[end..]
-    ))
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

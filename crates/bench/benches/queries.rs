@@ -203,12 +203,31 @@ fn bench_blocked_aggregate(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fold is what a scanned cell pays beyond its reconstruction, and
+/// every aggregate pays the same one (`OnlineStats::push`): `sum` and
+/// `avg` over the same disk store must read alike. `atsbench` draws its
+/// scan queries from five aggregates on that assumption.
+fn bench_aggregate_fold(c: &mut Criterion) {
+    let store = sharded_store(&dataset(), 4, "fold");
+    let engine = QueryEngine::new(&store);
+    let sel = Selection::all();
+    let mut group = c.benchmark_group("aggregate_fold");
+    group.sample_size(10);
+    for f in [AggregateFn::Sum, AggregateFn::Avg] {
+        group.bench_with_input(BenchmarkId::from_parameter(f.name()), &sel, |b, sel| {
+            b.iter(|| black_box(engine.aggregate(sel, f).expect("agg")))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_aggregate_selectivity,
     bench_disk_store_cell,
     bench_in_memory_vs_disk_row,
     bench_batch_cells,
-    bench_blocked_aggregate
+    bench_blocked_aggregate,
+    bench_aggregate_fold
 );
 criterion_main!(benches);

@@ -43,22 +43,27 @@ impl BloomFilter {
         let m = (-n * p.ln() / (ln2 * ln2)).ceil().max(64.0);
         let nbits = (m as usize).next_power_of_two();
         let k = ((nbits as f64 / n) * ln2).round().clamp(1.0, 16.0) as usize;
-        BloomFilter {
-            bits: vec![0u64; nbits / 64],
-            nbits,
-            k,
-            inserted: 0,
-        }
+        Self::sized(nbits, k)
     }
 
     /// Create a filter with an explicit number of bits (rounded up to a
     /// power of two, minimum 64) and hash functions.
     pub fn with_bits(nbits: usize, k: usize) -> Self {
-        let nbits = nbits.max(64).next_power_of_two();
+        Self::sized(nbits.max(64).next_power_of_two(), k.clamp(1, 16))
+    }
+
+    /// The one place a filter comes into being: `nbits` is a power of
+    /// two of at least one word, which is what lets
+    /// [`double_hash_positions`] mask instead of divide.
+    fn sized(nbits: usize, k: usize) -> Self {
+        assert!(
+            nbits.is_power_of_two() && nbits >= 64,
+            "bloom filter of {nbits} bits: the size must be a power of two >= 64"
+        );
         BloomFilter {
             bits: vec![0u64; nbits / 64],
             nbits,
-            k: k.clamp(1, 16),
+            k,
             inserted: 0,
         }
     }

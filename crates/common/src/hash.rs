@@ -77,11 +77,17 @@ impl Default for ByteHasher {
 
 /// Derive `n` bloom-filter bit positions for `key` using double hashing
 /// (Kirsch–Mitzenmacher): `h1 + i*h2 mod m`.
+///
+/// `m` must be a power of two (every [`crate::BloomFilter`] constructor
+/// rounds its bit count up to one and asserts it), so the modulus is a
+/// mask — no 64-bit division on the delta-probe path.
 #[inline]
 pub fn double_hash_positions(key: u64, n: usize, m: usize) -> impl Iterator<Item = usize> {
+    debug_assert!(m.is_power_of_two(), "bloom bit count {m} is not 2^x");
     let h1 = hash_u64(key, 0x5151_5151);
     let h2 = hash_u64(key, 0xA3A3_A3A3) | 1; // odd => full period for power-of-two m
-    (0..n as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as usize)
+    let mask = (m as u64).wrapping_sub(1);
+    (0..n as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) & mask) as usize)
 }
 
 #[cfg(test)]
@@ -152,6 +158,26 @@ mod tests {
         for key in [0u64, 1, 999, u64::MAX] {
             for p in double_hash_positions(key, 7, 1024) {
                 assert!(p < 1024);
+            }
+        }
+    }
+
+    #[test]
+    fn mask_equals_modulus_for_power_of_two_sizes() {
+        // The positions existing filters were built with: `% m`. Masking
+        // must reproduce them exactly, or a filter saved in memory by one
+        // build would answer differently under the next.
+        for shift in [6u32, 7, 10, 17, 20, 31] {
+            let m = 1usize << shift;
+            for t in 0..2_000u64 {
+                let key = mix64(t).wrapping_mul(t | 1) ^ (t << 40);
+                let h1 = hash_u64(key, 0x5151_5151);
+                let h2 = hash_u64(key, 0xA3A3_A3A3) | 1;
+                let by_modulus: Vec<usize> = (0..16u64)
+                    .map(|i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as usize)
+                    .collect();
+                let by_mask: Vec<usize> = double_hash_positions(key, 16, m).collect();
+                assert_eq!(by_mask, by_modulus, "key {key:#x} m 2^{shift}");
             }
         }
     }

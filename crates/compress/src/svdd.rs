@@ -660,30 +660,21 @@ impl CompressedMatrix for SvddCompressed {
 
     fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
         self.svd.row_into(i, out)?;
-        // patch any outliers in this row
-        for (j, o) in out.iter_mut().enumerate() {
-            if let Some(delta) = self.deltas.probe(i, j) {
-                *o += delta;
-            }
-        }
+        self.deltas.patch_row(i, out);
         Ok(())
     }
 
-    /// SVD multi-cell kernel plus one delta probe per requested cell,
-    /// probed in request order after the kernel pass.
+    /// SVD multi-cell kernel, then the row's deltas looked up once and
+    /// matched to the requested cells — nothing more than one offset
+    /// compare when the row has none.
     fn cells_in_row(&self, i: usize, cols: &[usize], out: &mut [f64]) -> Result<()> {
         self.svd.cells_in_row(i, cols, out)?;
-        for (&j, o) in cols.iter().zip(out.iter_mut()) {
-            if let Some(delta) = self.deltas.probe(i, j) {
-                *o += delta;
-            }
-        }
+        self.deltas.patch_cells(i, cols, out);
         Ok(())
     }
 
-    /// SVD blocked multi-row kernel, then outlier patches row by row in
-    /// ascending column order — the same probe order as
-    /// [`CompressedMatrix::row_into`] per row.
+    /// SVD blocked multi-row kernel, then each row's delta run patched
+    /// in — the same additions as [`CompressedMatrix::row_into`] per row.
     fn rows_into(&self, rows: &[usize], out: &mut [f64]) -> Result<()> {
         self.svd.rows_into(rows, out)?;
         let m = self.cols();
@@ -691,11 +682,7 @@ impl CompressedMatrix for SvddCompressed {
             return Ok(());
         }
         for (&i, orow) in rows.iter().zip(out.chunks_mut(m)) {
-            for (j, o) in orow.iter_mut().enumerate() {
-                if let Some(delta) = self.deltas.probe(i, j) {
-                    *o += delta;
-                }
-            }
+            self.deltas.patch_row(i, orow);
         }
         Ok(())
     }

@@ -85,8 +85,16 @@ pub fn decode_deltas(buf: &[u8]) -> Result<(u64, Vec<DeltaTriplet>)> {
     Ok((cols, triplets))
 }
 
+/// Load one shard's `deltas.bin` into its serving store.
+///
+/// `shard_rows × expected_cols` is the geometry the caller trusts (the
+/// validated manifest, cross-checked against `u.atsm`'s own header): a
+/// triplet outside it is [`AtsError::Corrupt`], and it is rejected here,
+/// on the decoded numbers, *before* [`DeltaStore::build`] sizes its row
+/// offsets by them — a crafted row of 2⁴⁰ must not become an allocation.
 pub(crate) fn read_deltas(
     path: &Path,
+    shard_rows: usize,
     expected_cols: usize,
     with_bloom: bool,
 ) -> Result<DeltaStore> {
@@ -100,13 +108,20 @@ pub(crate) fn read_deltas(
     }
     let mut triplets = Vec::with_capacity(raw.len());
     for (r, c, d) in raw {
-        triplets.push((
-            usize_from_u64(r, "delta row")?,
-            usize_from_u64(c, "delta column")?,
-            d,
-        ));
+        let row = usize_from_u64(r, "delta row")?;
+        let col = usize_from_u64(c, "delta column")?;
+        if row >= shard_rows || col >= cols {
+            return Err(AtsError::Corrupt(format!(
+                "delta ({row}, {col}) lies outside the shard's {shard_rows}x{cols} cells"
+            )));
+        }
+        triplets.push((row, col, d));
     }
-    DeltaStore::build(cols, triplets, with_bloom)
+    // What is left for the build to refuse is a duplicated cell.
+    DeltaStore::build(cols, triplets, with_bloom).map_err(|e| match e {
+        AtsError::InvalidArgument(msg) => AtsError::Corrupt(format!("delta file: {msg}")),
+        other => other,
+    })
 }
 
 #[cfg(test)]
@@ -127,7 +142,7 @@ mod tests {
         put_u64(&mut buf, u64::MAX / 2); // absurd count
         buf.extend_from_slice(&[0u8; 30]); // a few payload bytes
         std::fs::write(&path, &buf).unwrap();
-        let err = read_deltas(&path, 10, true).unwrap_err();
+        let err = read_deltas(&path, 100, 10, true).unwrap_err();
         assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("triplets"), "{err}");
     }
@@ -138,12 +153,48 @@ mod tests {
         let path = tmp.file("deltas.bin");
         let mut bytes = encode_deltas(10, &[(1, 2, 3.0)]);
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_deltas(&path, 10, false).unwrap().len(), 1);
+        assert_eq!(read_deltas(&path, 100, 10, false).unwrap().len(), 1);
         bytes.extend_from_slice(b"junk");
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            read_deltas(&path, 10, false),
+            read_deltas(&path, 100, 10, false),
             Err(AtsError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_delta_row_is_corrupt_before_anything_is_sized_by_it() {
+        // A well-formed image (valid varints, exact length) whose one row
+        // index is 2^40: indexing rows by it would ask for terabytes. The
+        // loader must refuse on the decoded number; what it may allocate
+        // is bounded by the 30-odd bytes of input.
+        let tmp = TestDir::new("ats-disk");
+        let path = tmp.file("deltas.bin");
+        let hostile = encode_deltas(10, &[(0, 3, 1.0), (1 << 40, 2, -1.0)]);
+        assert!(hostile.len() < 64);
+        std::fs::write(&path, &hostile).unwrap();
+        let err = read_deltas(&path, 8, 10, true).unwrap_err();
+        assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("outside the shard"), "{err}");
+        // The boundary itself: the last row is fine, one past is not; a
+        // column past the width and a repeated cell are corrupt as well.
+        let image = |t: &[DeltaTriplet]| std::fs::write(&path, encode_deltas(10, t)).unwrap();
+        image(&[(7, 9, 1.0)]);
+        assert_eq!(read_deltas(&path, 8, 10, false).unwrap().len(), 1);
+        for bad in [
+            vec![(8, 9, 1.0)],
+            vec![(7, 10, 1.0)],
+            vec![(2, 2, 1.0), (2, 2, 3.0)],
+        ] {
+            image(&bad);
+            let err = read_deltas(&path, 8, 10, false).unwrap_err();
+            assert!(matches!(err, AtsError::Corrupt(_)), "{bad:?}: {err}");
+        }
+        // Unsorted but otherwise valid triplets still load (older
+        // writers made no order promise) and serve the same cells.
+        image(&[(5, 1, 2.0), (0, 4, 3.0), (5, 0, 4.0)]);
+        let store = read_deltas(&path, 8, 10, true).unwrap();
+        assert_eq!(store.row(5), (&[0u32, 1][..], &[4.0, 2.0][..]));
+        assert_eq!(store.probe(0, 4), Some(3.0));
     }
 }

@@ -73,7 +73,8 @@ pub(crate) fn write_sharded_components(
     check_ranges(ranges, rows)?;
 
     // Partition the delta triplets by owning shard, rebased to
-    // shard-local rows.
+    // shard-local rows. `DeltaStore::iter` walks in `(row, col)` order,
+    // so each bucket fills in the order its file is written in.
     let mut buckets: Vec<Vec<DeltaTriplet>> = vec![Vec::new(); ranges.len()];
     if let Some(d) = deltas {
         for (r, c, v) in d.iter() {
@@ -86,10 +87,6 @@ pub(crate) fn write_sharded_components(
             }
         }
     }
-    for bucket in &mut buckets {
-        bucket.sort_unstable_by_key(|&(r, c, _)| (r, c));
-    }
-
     write_matrix(dir.join("v.atsm"), svd.v())?;
     let lambda_m = Matrix::from_vec(1, svd.lambda().len(), svd.lambda().to_vec())?;
     write_matrix(dir.join("lambda.atsm"), &lambda_m)?;
@@ -380,6 +377,17 @@ impl ShardedStore {
         total
     }
 
+    /// Positioned-read system calls all shards' `U` readers have issued:
+    /// the figure a run read lowers while the page counts of
+    /// [`ShardedStore::io_snapshot`] stay put.
+    pub fn read_calls(&self) -> u64 {
+        self.shards
+            .iter()
+            .filter_map(|h| h.state.get())
+            .map(|s| s.u.stats().read_calls())
+            .sum()
+    }
+
     /// The shard's serving state, instantiating it on first touch.
     /// Errors are returned (not cached), so a transient failure does not
     /// poison the shard.
@@ -410,8 +418,12 @@ impl ShardedStore {
                 u_file.cols()
             )));
         }
+        // Delta rows are shard-local; the loader refuses one beyond the
+        // shard (the file belongs to a different geometry) before it
+        // indexes anything by row.
         let deltas = read_deltas(
             &h.dir.join("deltas.bin"),
+            h.entry.rows(),
             self.manifest.cols,
             self.manifest.bloom,
         )?;
@@ -420,14 +432,6 @@ impl ShardedStore {
                 "shard {index}: manifest says {} deltas, file holds {}",
                 h.entry.deltas,
                 deltas.len()
-            )));
-        }
-        // Delta rows are shard-local; one out of range means the file
-        // belongs to a different geometry.
-        let local_rows = h.entry.rows();
-        if deltas.iter().any(|(r, _, _)| r >= local_rows) {
-            return Err(AtsError::Corrupt(format!(
-                "shard {index}: delta row beyond the shard's {local_rows} rows"
             )));
         }
         Ok(ShardState {
@@ -502,19 +506,16 @@ impl CompressedMatrix for ShardedStore {
         // Panel kernel: k sequential axpy sweeps over Vᵀ component slices,
         // bitwise identical to the scalar per-column dot it replaced.
         kernels::reconstruct_row(&u_row, &self.lambda, &self.vt, out);
-        for (j, o) in out.iter_mut().enumerate() {
-            if let Some(d) = st.deltas.probe(local, j) {
-                *o += d;
-            }
-        }
+        st.deltas.patch_row(local, out);
         Ok(())
     }
 
     /// Many cells of one row for one `U`-row fetch: the whole group routes
     /// to the owning shard once, reads that shard's `U` row through the
     /// pool once (one logical read; one cold page on the row-aligned
-    /// layout), and reconstructs every requested column with the fused
-    /// multi-cell kernel before probing deltas in request order.
+    /// layout), reconstructs every requested column with the fused
+    /// multi-cell kernel, and looks the row's deltas up once for all of
+    /// them.
     fn cells_in_row(&self, i: usize, cols: &[usize], out: &mut [f64]) -> Result<()> {
         if out.len() != cols.len() {
             return Err(AtsError::dims(
@@ -537,20 +538,24 @@ impl CompressedMatrix for ShardedStore {
         let mut coef = vec![0.0f64; k];
         kernels::fuse_coefficients(&self.lambda, &u_row, &mut coef);
         kernels::reconstruct_cells(&coef, &self.v, cols, out)?;
-        for (&j, o) in cols.iter().zip(out.iter_mut()) {
-            if let Some(d) = st.deltas.probe(local, j) {
-                *o += d;
-            }
-        }
+        st.deltas.patch_cells(local, cols, out);
         Ok(())
     }
 
     /// Blocked multi-row reconstruction across shards: every row is routed
     /// (and thereby validated) before any I/O, then each block of
-    /// [`kernels::BLOCK_ROWS`] rows fetches its `U` vectors through the
-    /// owning shards' pools — one logical read per row — and reconstructs
-    /// through the shared `Vᵀ` panel, with delta patches applied per row
-    /// in ascending column order.
+    /// [`kernels::BLOCK_ROWS`] rows fetches its `U` vectors from the
+    /// owning shards — one logical read per row — reconstructs through
+    /// the shared `Vᵀ` panel, and patches each row's delta run in.
+    ///
+    /// **The run-read rule.** Inside a kernel block, a maximal run of
+    /// two or more *consecutive rows of one shard* is fetched with one
+    /// positioned read past the pool ([`CachedFile::read_run_into`]): a
+    /// scan visits each `U` row once, so the LRU has nothing to offer it
+    /// and should not be churned by it. A row with no such neighbour —
+    /// any non-consecutive request — goes through the pool like a cell
+    /// query. The rule reads only the request's own shape, and either
+    /// way a row costs one logical and (cold) one physical page.
     fn rows_into(&self, rows: &[usize], out: &mut [f64]) -> Result<()> {
         let m = self.manifest.cols;
         if out.len() != rows.len() * m {
@@ -572,6 +577,7 @@ impl CompressedMatrix for ShardedStore {
             out.fill(0.0);
         }
         let mut ublock = vec![0.0f64; kernels::BLOCK_ROWS * k];
+        let mut raw = Vec::new();
         for (rchunk, ochunk) in routed
             .chunks(kernels::BLOCK_ROWS)
             .zip(out.chunks_mut(kernels::BLOCK_ROWS * m))
@@ -580,18 +586,30 @@ impl CompressedMatrix for ShardedStore {
                 let ub = ublock
                     .get_mut(..rchunk.len() * k)
                     .ok_or_else(|| AtsError::internal("rows_into U scratch undersized"))?;
-                for (&(idx, local), udst) in rchunk.iter().zip(ub.chunks_mut(k)) {
-                    self.state(idx)?.u.read_row_into(local, udst)?;
+                let mut at = 0usize;
+                while let Some(&(idx, first)) = rchunk.get(at) {
+                    let run = rchunk
+                        .get(at..)
+                        .unwrap_or_default()
+                        .iter()
+                        .zip(first..)
+                        .take_while(|&(&(i, l), next)| i == idx && l == next)
+                        .count();
+                    let dst = ub
+                        .get_mut(at * k..(at + run) * k)
+                        .ok_or_else(|| AtsError::internal("rows_into U run out of range"))?;
+                    let u = &self.state(idx)?.u;
+                    if run > 1 {
+                        u.read_run_into(first, dst, &mut raw)?;
+                    } else {
+                        u.read_row_into(first, dst)?;
+                    }
+                    at += run;
                 }
                 kernels::reconstruct_rows(ub, &self.lambda, &self.vt, ochunk)?;
             }
             for (&(idx, local), orow) in rchunk.iter().zip(ochunk.chunks_mut(m)) {
-                let st = self.state(idx)?;
-                for (j, o) in orow.iter_mut().enumerate() {
-                    if let Some(d) = st.deltas.probe(local, j) {
-                        *o += d;
-                    }
-                }
+                self.state(idx)?.deltas.patch_row(local, orow);
             }
         }
         Ok(())

@@ -512,6 +512,12 @@ impl TimeBlockedStore {
         }
         total
     }
+
+    /// Positioned-read system calls issued across all blocks (see
+    /// [`ShardedStore::read_calls`]).
+    pub fn read_calls(&self) -> u64 {
+        self.blocks.iter().map(ShardedStore::read_calls).sum()
+    }
 }
 
 /// Default multiple of the store-wide mean per-cell squared error past

@@ -9,7 +9,12 @@
 //!   every reconstructed cell of a [`Selection`].
 //!
 //! The engine reconstructs whole rows where it can (one `U`-row fetch
-//! amortized over all selected columns) rather than per-cell.
+//! amortized over all selected columns) rather than per-cell, and per
+//! scanned cell it pays the reconstruction kernel plus one
+//! [`OnlineStats::push`] — the same fold for every aggregate, so a scan
+//! costs the same whichever function is asked for. Everything else —
+//! routing, `U` fetches, delta lookups, tile classification — is paid per
+//! row, per block of rows or per tile band.
 
 use crate::predicate::{Predicate, TileTruth};
 use crate::selection::Selection;
@@ -88,6 +93,37 @@ fn ensure_nonempty(stats: &OnlineStats) -> Result<()> {
     Ok(())
 }
 
+/// `Some(a..b)` when `cols` is the unbroken ascending run
+/// `a, a+1, …, b−1` — as `cols all` and every time range are — so a
+/// scan can read a reconstructed row's selected cells as the slice
+/// `row[a..b]` instead of gathering them through the list.
+fn col_run(cols: &[usize]) -> Option<std::ops::Range<usize>> {
+    let (&a, &z) = (cols.first()?, cols.last()?);
+    (cols.iter().zip(a..).all(|(&j, want)| j == want)).then_some(a..z + 1)
+}
+
+/// Fold the cells of the reconstructed row `row` under the selected
+/// `cols` (`run` is their [`col_run`]) that pass `keep`, in ascending
+/// selected-column order.
+#[inline]
+fn fold_row(
+    stats: &mut OnlineStats,
+    row: &[f64],
+    cols: &[usize],
+    run: &Option<std::ops::Range<usize>>,
+    keep: impl Fn(f64) -> bool,
+) {
+    let mut push = |v: f64| {
+        if keep(v) {
+            stats.push(v);
+        }
+    };
+    match run {
+        Some(run) => row[run.clone()].iter().copied().for_each(&mut push),
+        None => cols.iter().map(|&j| row[j]).for_each(&mut push),
+    }
+}
+
 /// How a [`QueryEngine`] holds its matrix: borrowed for the classic
 /// one-shot CLI/experiment path, or behind an `Arc` so the engine itself
 /// is `'static`, `Clone`, and shareable across server threads.
@@ -126,9 +162,9 @@ fn synopsis_default() -> bool {
 }
 
 /// Rows fetched per [`CompressedMatrix::rows_into`] call by the dense
-/// aggregate scan — two kernel blocks ([`ats_linalg::kernels::BLOCK_ROWS`])
-/// per fetch so sharded stores amortize routing without growing the scratch
-/// buffer past a few KiB.
+/// scans — one kernel block ([`ats_linalg::kernels::BLOCK_ROWS`]) per
+/// fetch, so a disk store reads a block's consecutive `U` rows with one
+/// positioned read and the scratch buffer stays a few KiB.
 pub(crate) const AGG_BLOCK_ROWS: usize = 8;
 
 impl<'a> QueryEngine<'a> {
@@ -350,9 +386,11 @@ impl<'a> QueryEngine<'a> {
     /// The dense path fetches [`AGG_BLOCK_ROWS`] rows per
     /// [`CompressedMatrix::rows_into`] call, so implementations with a
     /// blocked multi-row kernel reconstruct several rows per sweep over
-    /// `V`. Values are still pushed row by row in ascending selected-column
-    /// order — the same accumulation sequence as the one-row-at-a-time
-    /// scan, so results are bitwise unchanged.
+    /// `V`; the sparse path asks for the selected cells of one row at a
+    /// time through [`CompressedMatrix::cells_in_row`] — one `U` fetch
+    /// per row, not per cell. Either way values are pushed row by row in
+    /// ascending selected-column order — the accumulation sequence of
+    /// the cell-at-a-time scan, so results are bitwise unchanged.
     fn stats_over_rows(
         &self,
         rows: &[usize],
@@ -361,22 +399,24 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<OnlineStats> {
         let mut stats = OnlineStats::new();
         let m = self.matrix().cols();
-        if dense_cols && m > 0 {
+        if cols.is_empty() || m == 0 {
+            return Ok(stats);
+        }
+        if dense_cols {
+            let run = col_run(cols);
             let mut block = vec![0.0f64; AGG_BLOCK_ROWS * m];
             for rchunk in rows.chunks(AGG_BLOCK_ROWS) {
                 let out = &mut block[..rchunk.len() * m];
                 self.matrix().rows_into(rchunk, out)?;
                 for row_buf in out.chunks(m) {
-                    for &j in cols {
-                        stats.push(row_buf[j]);
-                    }
+                    fold_row(&mut stats, row_buf, cols, &run, |_| true);
                 }
             }
         } else {
+            let mut vals = vec![0.0f64; cols.len()];
             for &i in rows {
-                for &j in cols {
-                    stats.push(self.matrix().cell(i, j)?);
-                }
+                self.matrix().cells_in_row(i, cols, &mut vals)?;
+                stats.push_slice(&vals);
             }
         }
         Ok(stats)
@@ -465,20 +505,33 @@ impl<'a> QueryEngine<'a> {
     /// Serial `where` kernel: scan the selected columns of `rows`,
     /// pushing values that satisfy `pred` into one accumulator.
     ///
-    /// With a synopsis, each row's tile band (`local row / ROW_BLOCK`)
-    /// is classified once and reused for the band's rows: selected
-    /// columns in `False` tiles are dropped before reconstruction — a
-    /// row left with nothing to fetch does **zero** I/O — and, when
-    /// `count_only`, columns in `True` tiles are tallied without
-    /// reconstruction. Fetched values are always tested through
-    /// [`Predicate::eval`] (for a `True` tile the bounds guarantee the
-    /// test passes), so the pushed value sequence is identical to the
-    /// no-synopsis scan and results stay bitwise equal.
+    /// With a synopsis, each tile band (`local row / ROW_BLOCK`) is
+    /// planned once ([`BandPlan`]: the tile of every selected column is
+    /// classified) and the plan reused for the band's rows: selected
+    /// columns in `False` tiles are dropped before
+    /// reconstruction — rows left with nothing to fetch do **zero** I/O
+    /// — and, for `count`, columns in `True` tiles are tallied without
+    /// reconstruction. Without one, a single plan fetches every
+    /// selected column of every row.
+    ///
+    /// Rows are taken in groups of up to [`AGG_BLOCK_ROWS`] consecutive
+    /// selected rows that share a band, hence a plan. When the plan's
+    /// fetch list is dense in the block's width (the `len · 3 ≥ M_b`
+    /// rule of the plain scan) the group is reconstructed through
+    /// [`CompressedMatrix::rows_into`] — the blocked kernel and, on
+    /// disk, one run read of `U` — and the planned columns are read out
+    /// of each row; a sparse list asks for just its cells, row by row,
+    /// through [`CompressedMatrix::cells_in_row`]. Both are chosen from
+    /// what the scan observes (band membership, fetch density), and
+    /// both push the same values in the same order: fetched values are
+    /// always tested through [`Predicate::eval`] (for a `True` tile the
+    /// bounds guarantee the test passes), so the pushed sequence is
+    /// that of the no-synopsis scan and results stay bitwise equal.
     ///
     /// Defensive: rows outside the synopsis grid (a hand-rolled
     /// [`CompressedMatrix`] lying about its geometry — disk stores
-    /// cross-check at open) classify `Maybe`, degrading to the exact
-    /// scan, never to a wrong answer.
+    /// cross-check at open) are planned unpruned, degrading to the
+    /// exact scan, never to a wrong answer.
     fn where_over_rows(
         &self,
         rows: &[usize],
@@ -488,62 +541,131 @@ impl<'a> QueryEngine<'a> {
         syn: Option<(&ShardSynopsis, usize)>,
     ) -> Result<WhereStats> {
         let mut ws = WhereStats::new();
-        let mut fetch: Vec<usize> = Vec::with_capacity(cols.len());
-        let mut vals = vec![0.0f64; cols.len()];
-        // The classification of the current row band, reused while
-        // consecutive rows stay in the same band.
-        let mut band: Option<(usize, Vec<TileTruth>)> = None;
-        for &i in rows {
-            fetch.clear();
-            let mut proved = 0u64;
-            match syn {
-                Some((s, start)) => {
-                    let tr = i.checked_sub(start).map(|lr| lr / s.row_block());
-                    let classes: Option<&[TileTruth]> = match tr {
-                        Some(tr) if tr < s.tile_rows() => {
-                            if band.as_ref().is_none_or(|&(b, _)| b != tr) {
-                                let row_classes = (0..s.tile_cols())
-                                    .map(|tc| {
-                                        s.tile(tr, tc).map_or(TileTruth::Maybe, |t| {
-                                            pred.classify(t.min, t.max)
-                                        })
-                                    })
-                                    .collect();
-                                band = Some((tr, row_classes));
-                            }
-                            band.as_ref().map(|(_, c)| c.as_slice())
-                        }
-                        _ => None,
-                    };
-                    for &j in cols {
-                        let truth = classes
-                            .and_then(|c| c.get(j / s.col_block()))
-                            .copied()
-                            .unwrap_or(TileTruth::Maybe);
-                        match truth {
-                            TileTruth::False => {}
-                            TileTruth::True if count_only => proved += 1,
-                            _ => fetch.push(j),
-                        }
-                    }
+        let m = self.matrix().cols();
+        if cols.is_empty() || m == 0 {
+            return Ok(ws);
+        }
+        // The tile band of row `i` and the rows that share it. Rows with
+        // no band (no synopsis, or outside its grid) are planned
+        // unpruned: all alike without a synopsis, one by one outside one.
+        let band_of = |i: usize| -> (Option<usize>, std::ops::RangeInclusive<usize>) {
+            let Some((s, start)) = syn else {
+                return (None, 0..=usize::MAX);
+            };
+            let rb = s.row_block();
+            match i.checked_sub(start).map(|local| local / rb) {
+                Some(tr) if tr < s.tile_rows() => {
+                    (Some(tr), start + tr * rb..=start + tr * rb + (rb - 1))
                 }
-                None => fetch.extend_from_slice(cols),
+                _ => (None, i..=i),
             }
-            ws.proved += proved;
-            if fetch.is_empty() {
-                continue; // every selected tile proved: zero I/O for this row
+        };
+        let mut plan = BandPlan::unpruned(cols, m);
+        let mut block: Vec<f64> = Vec::new();
+        let mut vals = vec![0.0f64; cols.len()];
+        let mut rest = rows;
+        while let Some(&first) = rest.first() {
+            let (band, band_rows) = band_of(first);
+            if band != plan.band {
+                plan.replan(syn.map(|(s, _)| s).zip(band), cols, m, pred, count_only);
             }
-            let out = vals
-                .get_mut(..fetch.len())
-                .ok_or_else(|| AtsError::internal("where scan scratch undersized"))?;
-            self.matrix().cells_in_row(i, &fetch, out)?;
-            for &v in out.iter() {
-                if pred.eval(v) {
-                    ws.stats.push(v);
+            let len = rest
+                .iter()
+                .take(AGG_BLOCK_ROWS)
+                .take_while(|&i| band_rows.contains(i))
+                .count();
+            let (group, tail) = rest.split_at(len);
+            rest = tail;
+            ws.proved += plan.proved * group.len() as u64;
+            if plan.fetch.is_empty() {
+                continue; // every selected tile proved: zero I/O for these rows
+            }
+            if plan.dense {
+                block.resize(AGG_BLOCK_ROWS * m, 0.0);
+                let out = &mut block[..group.len() * m];
+                self.matrix().rows_into(group, out)?;
+                for row_buf in out.chunks(m) {
+                    fold_row(&mut ws.stats, row_buf, &plan.fetch, &plan.run, |v| {
+                        pred.eval(v)
+                    });
+                }
+            } else {
+                let out = vals
+                    .get_mut(..plan.fetch.len())
+                    .ok_or_else(|| AtsError::internal("where scan scratch undersized"))?;
+                for &i in group {
+                    self.matrix().cells_in_row(i, &plan.fetch, out)?;
+                    for &v in out.iter().filter(|&&v| pred.eval(v)) {
+                        ws.stats.push(v);
+                    }
                 }
             }
         }
         Ok(ws)
+    }
+}
+
+/// What a `where` scan does with the rows of one tile band, decided
+/// once per band — not per row — by classifying the tile of every
+/// selected column.
+struct BandPlan {
+    /// The planned band: a tile row of the shard's synopsis, or `None`
+    /// for rows planned unpruned (no synopsis, or outside its grid).
+    band: Option<usize>,
+    /// Selected columns to reconstruct and test, ascending as selected.
+    fetch: Vec<usize>,
+    /// The [`col_run`] of `fetch`.
+    run: Option<std::ops::Range<usize>>,
+    /// Selected cells per row proved matching by all-`True` tiles that
+    /// a `count` never reconstructs.
+    proved: u64,
+    /// Whether `fetch` covers enough of the block's width that whole
+    /// rows through the blocked kernel beat cell-by-cell fetches.
+    dense: bool,
+}
+
+impl BandPlan {
+    /// The plan of a scan that cannot prune: fetch every selected
+    /// column.
+    fn unpruned(cols: &[usize], m: usize) -> Self {
+        BandPlan {
+            band: None,
+            fetch: cols.to_vec(),
+            run: col_run(cols),
+            proved: 0,
+            dense: cols.len() * 3 >= m,
+        }
+    }
+
+    /// Plan band `tile.1` of synopsis `tile.0` (`None`: unpruned) for
+    /// the selected `cols` of an `m`-column block, in place.
+    fn replan(
+        &mut self,
+        tile: Option<(&ShardSynopsis, usize)>,
+        cols: &[usize],
+        m: usize,
+        pred: &Predicate,
+        count_only: bool,
+    ) {
+        self.band = tile.map(|(_, tr)| tr);
+        let Some((s, tr)) = tile else {
+            *self = BandPlan::unpruned(cols, m);
+            return;
+        };
+        self.fetch.clear();
+        self.proved = 0;
+        for &j in cols {
+            let truth = s
+                .tile(tr, j / s.col_block())
+                .map_or(TileTruth::Maybe, |t| pred.classify(t.min, t.max));
+            match truth {
+                TileTruth::False => {}
+                TileTruth::True if count_only => self.proved += 1,
+                _ => self.fetch.push(j),
+            }
+        }
+        self.run = col_run(&self.fetch);
+        self.dense = self.fetch.len() * 3 >= m;
     }
 }
 
@@ -1105,6 +1227,8 @@ mod tests {
     struct CountingBlock {
         data: Matrix,
         calls: std::sync::atomic::AtomicU64,
+        /// Row-range shard starts the block advertises (empty: one shard).
+        shards: Vec<usize>,
     }
 
     impl CountingBlock {
@@ -1146,6 +1270,9 @@ mod tests {
         fn method_name(&self) -> &'static str {
             "counting-block"
         }
+        fn shard_starts(&self) -> Vec<usize> {
+            self.shards.clone()
+        }
     }
 
     /// The exact adapter wearing a time-block layout: same cells as the
@@ -1159,6 +1286,11 @@ mod tests {
 
     impl TimeBlockedExact {
         fn split(m: &Matrix, starts: Vec<usize>) -> Self {
+            Self::split_sharded(m, starts, Vec::new())
+        }
+
+        /// `split`, with every block advertising the row shards `shards`.
+        fn split_sharded(m: &Matrix, starts: Vec<usize>, shards: Vec<usize>) -> Self {
             let cols = m.cols();
             let blocks = starts
                 .iter()
@@ -1168,6 +1300,7 @@ mod tests {
                     CountingBlock {
                         data: Matrix::from_fn(m.rows(), e - s, |i, j| m[(i, s + j)]),
                         calls: std::sync::atomic::AtomicU64::new(0),
+                        shards: shards.clone(),
                     }
                 })
                 .collect();
@@ -1206,6 +1339,9 @@ mod tests {
         }
         fn method_name(&self) -> &'static str {
             "timeblocked-exact"
+        }
+        fn shard_starts(&self) -> Vec<usize> {
+            self.blocks[0].shard_starts()
         }
         fn time_block_starts(&self) -> Vec<usize> {
             self.starts.clone()
@@ -1276,6 +1412,65 @@ mod tests {
             assert_eq!(got3.max, expect.max());
             let tol = 1e-9 * expect.sum().abs().max(1.0);
             assert!((got3.sum - expect.sum()).abs() <= tol, "threads=3 sum");
+        }
+    }
+
+    #[test]
+    fn each_aggregate_is_bitwise_its_field_of_aggregate_all() {
+        // `aggregate(sel, f)` and `aggregate_all` take the same scan and
+        // the same fold. Over every layout of the partition walk the two
+        // must agree to the bit — and so must an always-true `where`,
+        // whose leaf pushes the same cells.
+        let everything = Predicate::new(CmpOp::Gt, -1e9).unwrap();
+        for nan in [false, true] {
+            let mut m = bumpy(61, 24);
+            if nan {
+                m[(33, 9)] = f64::NAN;
+            }
+            for shards in [vec![], vec![0usize, 20, 45]] {
+                for blocks in [vec![0usize], vec![0, 5, 11, 20]] {
+                    let e = TimeBlockedExact::split_sharded(&m, blocks.clone(), shards.clone());
+                    for threads in [1, 3] {
+                        let q = QueryEngine::new(&e).with_threads(threads);
+                        for sel in [
+                            Selection::all(),
+                            Selection::time_range(Axis::Range(3, 58), 4, 21),
+                            Selection {
+                                rows: Axis::set(vec![0, 1, 2, 19, 20, 44, 60]),
+                                cols: Axis::set(vec![1, 9, 12, 23]), // sparse path
+                            },
+                        ] {
+                            let all = q.aggregate_all(&sel).unwrap();
+                            let fields = [
+                                all.sum,
+                                all.avg,
+                                all.count as f64,
+                                all.min,
+                                all.max,
+                                all.stddev,
+                            ];
+                            let ctx = format!(
+                                "nan={nan} shards={} blocks={} threads={threads} {sel:?}",
+                                shards.len().max(1),
+                                blocks.len()
+                            );
+                            for (f, want) in AggregateFn::ALL.into_iter().zip(fields) {
+                                let got = q.aggregate(&sel, f).unwrap();
+                                assert_eq!(got.to_bits(), want.to_bits(), "{} {ctx}", f.name());
+                                if !nan {
+                                    let w = q.aggregate_where(&sel, f, &everything).unwrap();
+                                    assert_eq!(
+                                        w.to_bits(),
+                                        want.to_bits(),
+                                        "where {} {ctx}",
+                                        f.name()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1365,8 +1560,10 @@ mod tests {
     }
 
     /// The exact adapter wearing a zone-map synopsis: same cells, plus
-    /// a [`ShardSynopsis`] built from the data and a counter of
-    /// `cells_in_row` fetches (the unit of `U` I/O the pruning saves).
+    /// a [`ShardSynopsis`] built from the data and a counter of rows
+    /// fetched — through `cells_in_row` or, a row at a time under the
+    /// default `rows_into`, through `row_into` (a row is the unit of `U`
+    /// I/O the pruning saves, whichever entry point reads it).
     struct SynopticExact {
         data: Matrix,
         syn: ShardSynopsis,
@@ -1408,6 +1605,12 @@ mod tests {
             for (&j, o) in cols.iter().zip(out.iter_mut()) {
                 *o = self.data.get(i, j)?;
             }
+            Ok(())
+        }
+        fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
+            self.fetches
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            out.copy_from_slice(self.data.row(i));
             Ok(())
         }
         fn storage_bytes(&self) -> usize {

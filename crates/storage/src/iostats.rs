@@ -11,15 +11,20 @@ use std::sync::Arc;
 
 /// Shared, thread-safe I/O counters.
 ///
-/// "Physical" reads are actual `pread` syscalls (or page fetches that
-/// missed the buffer pool); "logical" reads are row/page requests
-/// regardless of cache outcome.
+/// "Logical" reads are row/page requests regardless of cache outcome;
+/// "physical" reads are the *pages* of those requests that had to come
+/// from the file (pool misses, or every page of a run read, which
+/// bypasses the pool). Pages are the unit of the paper's cost model, so
+/// they are what the four [`IoSnapshot`] fields count. How many
+/// positioned-read system calls fetched those pages is a separate
+/// figure, [`IoStats::read_calls`]: one per pool miss, one per run.
 #[derive(Debug, Default)]
 pub struct IoStats {
     physical_reads: AtomicU64,
     logical_reads: AtomicU64,
     bytes_read: AtomicU64,
     cache_hits: AtomicU64,
+    read_calls: AtomicU64,
 }
 
 impl IoStats {
@@ -28,10 +33,22 @@ impl IoStats {
         Arc::new(IoStats::default())
     }
 
-    /// Record a physical read of `bytes` bytes.
+    /// Record a physical read of `bytes` bytes: one page, one call.
     pub fn record_physical(&self, bytes: u64) {
         self.physical_reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.read_calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one positioned read that fetched `pages` requested pages
+    /// (`bytes` bytes in all) past the pool: `pages` logical and
+    /// physical reads — the page accounting of `pages` single misses —
+    /// for one call.
+    pub fn record_run(&self, pages: u64, bytes: u64) {
+        self.logical_reads.fetch_add(pages, Ordering::Relaxed);
+        self.physical_reads.fetch_add(pages, Ordering::Relaxed);
+        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.read_calls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a logical read request.
@@ -64,12 +81,20 @@ impl IoStats {
         self.cache_hits.load(Ordering::Relaxed)
     }
 
+    /// Positioned-read system calls behind the physical reads. Equal to
+    /// [`IoStats::physical_reads`] until a run read fetches several
+    /// pages with one call.
+    pub fn read_calls(&self) -> u64 {
+        self.read_calls.load(Ordering::Relaxed)
+    }
+
     /// Reset all counters to zero.
     pub fn reset(&self) {
         self.physical_reads.store(0, Ordering::Relaxed);
         self.logical_reads.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
+        self.read_calls.store(0, Ordering::Relaxed);
     }
 
     /// Hit ratio over logical reads (0 when no logical reads yet).
@@ -82,8 +107,8 @@ impl IoStats {
         }
     }
 
-    /// A point-in-time copy of all four counters — the mergeable value
-    /// a sharded store rolls its per-shard counters up into.
+    /// A point-in-time copy of the four page counters — the mergeable
+    /// value a sharded store rolls its per-shard counters up into.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             physical_reads: self.physical_reads(),
@@ -137,7 +162,26 @@ mod tests {
         assert_eq!(s.physical_reads(), 1);
         assert_eq!(s.bytes_read(), 4096);
         assert_eq!(s.cache_hits(), 1);
+        assert_eq!(s.read_calls(), 1);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_run_counts_its_pages_and_one_call() {
+        let s = IoStats::new();
+        s.record_run(8, 8 * 16);
+        assert_eq!(
+            s.snapshot(),
+            IoSnapshot {
+                physical_reads: 8,
+                logical_reads: 8,
+                bytes_read: 128,
+                cache_hits: 0,
+            }
+        );
+        assert_eq!(s.read_calls(), 1);
+        s.reset();
+        assert_eq!(s.read_calls(), 0);
     }
 
     #[test]

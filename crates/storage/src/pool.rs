@@ -344,6 +344,47 @@ impl CachedFile {
         Ok(())
     }
 
+    /// Read the `out.len() / cols` consecutive rows starting at `first`
+    /// with **one positioned read that bypasses the pool**: the
+    /// sequential-scan read path. A scan visits each row once, so it
+    /// neither profits from the LRU nor should evict what point queries
+    /// keep hot there; `BufferPool::resident` is unchanged by this call.
+    ///
+    /// Accounting keeps the page as its unit: `n` rows add `n` logical
+    /// and `n` physical reads and `n · row_bytes` bytes — what `n`
+    /// single-row misses add — and **one** [`IoStats::read_calls`].
+    /// The run is validated against the file's row count before anything
+    /// is read, so a run past EOF leaves `out` untouched. `bytes` is the
+    /// caller's reusable raw-byte scratch.
+    pub fn read_run_into(&self, first: usize, out: &mut [f64], bytes: &mut Vec<u8>) -> Result<()> {
+        let header = *self.file.header();
+        if header.cols == 0 || !out.len().is_multiple_of(header.cols) {
+            return Err(AtsError::dims(
+                "CachedFile::read_run_into",
+                (out.len() / header.cols.max(1), header.cols),
+                (1, header.cols),
+            ));
+        }
+        let rows = out.len() / header.cols;
+        let end = first
+            .checked_add(rows)
+            .filter(|&end| end <= header.rows)
+            .ok_or_else(|| AtsError::oob("row run end", first.saturating_add(rows), header.rows))?;
+        if end == first {
+            return Ok(());
+        }
+        // `rows ≤ header.rows`, and the file was checked at open to hold
+        // exactly `header.rows · row_bytes` data bytes: the scratch is
+        // bounded by bytes that exist on disk.
+        bytes.clear();
+        bytes.resize(rows * header.row_bytes(), 0);
+        self.file.raw_read_at(header.row_offset(first), bytes)?;
+        self.stats
+            .record_run(u64_from_usize(rows), u64_from_usize(bytes.len()));
+        crate::file::decode_cells(bytes, header.is_f32(), out);
+        Ok(())
+    }
+
     /// Worst-case number of page fetches a single cold row read can incur
     /// under the current layout (1 when row-aligned).
     pub fn max_pages_per_row(&self) -> usize {
@@ -559,6 +600,46 @@ mod tests {
         assert!(out2.iter().all(|&x| x == 0.0), "no partial work");
         let mut wrong = vec![0.0; 3];
         assert!(cf.read_rows_into(&[0], &mut wrong).is_err());
+    }
+
+    #[test]
+    fn run_read_is_n_row_reads_in_one_call_past_the_pool() {
+        let (mat, file, _dir) = setup(24, 5, "run.atsm");
+        let cf = CachedFile::row_aligned(Arc::clone(&file), 4);
+        cf.read_row(2).unwrap(); // one resident page the run must not disturb
+        let resident = cf.pool.resident();
+        let before = cf.stats().snapshot();
+        let calls = cf.stats().read_calls();
+
+        let (first, n) = (7usize, 9usize);
+        let mut run = vec![0.0; n * 5];
+        let mut bytes = Vec::new();
+        cf.read_run_into(first, &mut run, &mut bytes).unwrap();
+        // The bytes of n single-row reads, taken through a second handle
+        // so this one's counters see only the run.
+        let single = CachedFile::row_aligned(file, 4);
+        for (r, got) in run.chunks(5).enumerate() {
+            assert_eq!(got, single.read_row(first + r).unwrap());
+            assert_eq!(got, mat.row(first + r));
+        }
+        let after = cf.stats().snapshot();
+        let n64 = n as u64;
+        assert_eq!(after.logical_reads - before.logical_reads, n64);
+        assert_eq!(after.physical_reads - before.physical_reads, n64);
+        assert_eq!(after.bytes_read - before.bytes_read, n64 * 5 * 8);
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert_eq!(cf.stats().read_calls() - calls, 1, "one system call");
+        assert_eq!(cf.pool.resident(), resident, "the pool is bypassed");
+
+        // A run past EOF is refused before anything is read or written.
+        let mut past = vec![-1.0; 3 * 5];
+        let err = cf.read_run_into(22, &mut past, &mut bytes).unwrap_err();
+        assert!(matches!(err, AtsError::IndexOutOfBounds { .. }), "{err}");
+        assert!(past.iter().all(|&x| x == -1.0), "no partial output");
+        assert!(cf.read_run_into(usize::MAX, &mut past, &mut bytes).is_err());
+        assert_eq!(cf.stats().snapshot(), after, "a refused run costs no I/O");
+        // A buffer that is not a whole number of rows is a shape error.
+        assert!(cf.read_run_into(0, &mut [0.0; 7], &mut bytes).is_err());
     }
 
     #[test]

@@ -97,6 +97,7 @@ pub const UNTRUSTED_SURFACES: &[&str] = &[
     "crates/storage/src/file.rs",
     "crates/storage/src/pool.rs",
     "crates/storage/src/synopsis.rs",
+    "crates/compress/src/delta.rs",
     "crates/core/src/disk.rs",
     "crates/core/src/shard.rs",
     "crates/core/src/timeblock.rs",

@@ -4,6 +4,11 @@
 //! chooses `k_opt` and the delta set globally), so any latency difference
 //! is pure serving overhead: per-shard pagers, routing, and the
 //! shard-order merge of aggregate partials.
+//!
+//! The `open_oneshot` group times what a one-shot `ats query` pays on a
+//! 4-shard × 4-block store, layer by layer: the eager validator (every
+//! component checksummed), `open` (manifests only), and `open` plus one
+//! cold `cell` (manifests, then the one unit's files).
 
 // ats-lint: allow(lint-table) — criterion_group! generates undocumented glue fns; scoped to this bench target
 #![allow(missing_docs)]
@@ -13,6 +18,7 @@ use ats_core::store::{Method, SequenceStore};
 use ats_linalg::Matrix;
 use ats_query::engine::AggregateFn;
 use ats_query::selection::{Axis, Selection};
+use ats_storage::store_dir::validate_timeblocked_store_dir;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
@@ -92,6 +98,35 @@ fn bench_sharded_cell_churning_pool(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_open_oneshot(c: &mut Criterion) {
+    let dir = tempdir::Keep::new("ats-bench-open-oneshot");
+    SequenceStore::builder()
+        .method(Method::Svdd)
+        .budget(SpaceBudget::from_percent(10.0))
+        .shards(4)
+        .time_blocks(4)
+        .build(&dataset())
+        .expect("build")
+        .save(dir.path())
+        .expect("save");
+    let mut group = c.benchmark_group("open_oneshot");
+    group.bench_function("validate_everything", |b| {
+        b.iter(|| black_box(validate_timeblocked_store_dir(dir.path()).expect("validate")))
+    });
+    group.bench_function("open", |b| {
+        b.iter(|| black_box(SequenceStore::open(dir.path(), 1_024).expect("open")))
+    });
+    group.bench_function("open_plus_cold_cell", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 997) % 2_000;
+            let store = SequenceStore::open(dir.path(), 1_024).expect("open");
+            black_box(store.cell(i, i % 128).expect("cell"))
+        })
+    });
+    group.finish();
+}
+
 /// Minimal self-cleaning temp-dir holder (no external crates).
 mod tempdir {
     pub struct Keep(std::path::PathBuf);
@@ -119,6 +154,7 @@ criterion_group!(
     benches,
     bench_sharded_cell,
     bench_sharded_aggregate,
-    bench_sharded_cell_churning_pool
+    bench_sharded_cell_churning_pool,
+    bench_open_oneshot
 );
 criterion_main!(benches);

@@ -155,13 +155,16 @@ pub trait CompressedMatrix: Send + Sync {
     /// follow [`CompressedMatrix::shard_starts`]; a monolithic store is
     /// shard 0). The tiles bound the *served* values — reconstruction
     /// plus deltas — so a query engine may prune any tile whose bounds
-    /// prove a predicate false without touching `U`. `None` — the
+    /// prove a predicate false without touching `U`. `Ok(None)` — the
     /// default — means "no synopsis here": legacy stores, out-of-range
     /// indices, and implementations that never emit synopses all fall
-    /// back to the exact scan.
-    fn shard_synopsis(&self, shard: usize) -> Option<&ats_storage::ShardSynopsis> {
+    /// back to the exact scan. `Err` means there *is* one and it could
+    /// not be trusted (a disk store loads and checksums it on first
+    /// use): the query fails — an engine must not turn that into an
+    /// unpruned scan.
+    fn shard_synopsis(&self, shard: usize) -> Result<Option<&ats_storage::ShardSynopsis>> {
         let _ = shard;
-        None
+        Ok(None)
     }
 }
 

@@ -16,7 +16,6 @@ use ats_common::codec::{
 };
 use ats_common::{AtsError, Result};
 use ats_compress::delta::DeltaStore;
-use std::path::Path;
 
 const DELTA_MAGIC: &[u8; 8] = b"ATSDELT1";
 
@@ -85,7 +84,8 @@ pub fn decode_deltas(buf: &[u8]) -> Result<(u64, Vec<DeltaTriplet>)> {
     Ok((cols, triplets))
 }
 
-/// Load one shard's `deltas.bin` into its serving store.
+/// Decode one shard's `deltas.bin` image — the bytes the caller has
+/// just checked against the manifest's CRC — into its serving store.
 ///
 /// `shard_rows × expected_cols` is the geometry the caller trusts (the
 /// validated manifest, cross-checked against `u.atsm`'s own header): a
@@ -93,13 +93,12 @@ pub fn decode_deltas(buf: &[u8]) -> Result<(u64, Vec<DeltaTriplet>)> {
 /// on the decoded numbers, *before* [`DeltaStore::build`] sizes its row
 /// offsets by them — a crafted row of 2⁴⁰ must not become an allocation.
 pub(crate) fn read_deltas(
-    path: &Path,
+    buf: &[u8],
     shard_rows: usize,
     expected_cols: usize,
     with_bloom: bool,
 ) -> Result<DeltaStore> {
-    let buf = std::fs::read(path)?;
-    let (cols_raw, raw) = decode_deltas(&buf)?;
+    let (cols_raw, raw) = decode_deltas(buf)?;
     let cols = usize_from_u64(cols_raw, "delta column count")?;
     if cols != expected_cols {
         return Err(AtsError::Corrupt(format!(
@@ -127,37 +126,29 @@ pub(crate) fn read_deltas(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_common::TestDir;
 
     #[test]
     fn corrupt_delta_count_rejected_without_allocation() {
         // A truncated/corrupt deltas.bin claiming billions of triplets
         // must be rejected by the length check, not by a multi-GB
         // `Vec::with_capacity` attempt.
-        let tmp = TestDir::new("ats-disk");
-        let path = tmp.file("deltas.bin");
         let mut buf = Vec::new();
         buf.extend_from_slice(DELTA_MAGIC);
         put_u64(&mut buf, 10); // cols
         put_u64(&mut buf, u64::MAX / 2); // absurd count
         buf.extend_from_slice(&[0u8; 30]); // a few payload bytes
-        std::fs::write(&path, &buf).unwrap();
-        let err = read_deltas(&path, 100, 10, true).unwrap_err();
+        let err = read_deltas(&buf, 100, 10, true).unwrap_err();
         assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("triplets"), "{err}");
     }
 
     #[test]
     fn delta_trailing_garbage_rejected() {
-        let tmp = TestDir::new("ats-disk");
-        let path = tmp.file("deltas.bin");
         let mut bytes = encode_deltas(10, &[(1, 2, 3.0)]);
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_deltas(&path, 100, 10, false).unwrap().len(), 1);
+        assert_eq!(read_deltas(&bytes, 100, 10, false).unwrap().len(), 1);
         bytes.extend_from_slice(b"junk");
-        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            read_deltas(&path, 100, 10, false),
+            read_deltas(&bytes, 100, 10, false),
             Err(AtsError::Corrupt(_))
         ));
     }
@@ -168,32 +159,32 @@ mod tests {
         // index is 2^40: indexing rows by it would ask for terabytes. The
         // loader must refuse on the decoded number; what it may allocate
         // is bounded by the 30-odd bytes of input.
-        let tmp = TestDir::new("ats-disk");
-        let path = tmp.file("deltas.bin");
         let hostile = encode_deltas(10, &[(0, 3, 1.0), (1 << 40, 2, -1.0)]);
         assert!(hostile.len() < 64);
-        std::fs::write(&path, &hostile).unwrap();
-        let err = read_deltas(&path, 8, 10, true).unwrap_err();
+        let err = read_deltas(&hostile, 8, 10, true).unwrap_err();
         assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("outside the shard"), "{err}");
         // The boundary itself: the last row is fine, one past is not; a
         // column past the width and a repeated cell are corrupt as well.
-        let image = |t: &[DeltaTriplet]| std::fs::write(&path, encode_deltas(10, t)).unwrap();
-        image(&[(7, 9, 1.0)]);
-        assert_eq!(read_deltas(&path, 8, 10, false).unwrap().len(), 1);
+        let image = |t: &[DeltaTriplet]| encode_deltas(10, t);
+        assert_eq!(
+            read_deltas(&image(&[(7, 9, 1.0)]), 8, 10, false)
+                .unwrap()
+                .len(),
+            1
+        );
         for bad in [
             vec![(8, 9, 1.0)],
             vec![(7, 10, 1.0)],
             vec![(2, 2, 1.0), (2, 2, 3.0)],
         ] {
-            image(&bad);
-            let err = read_deltas(&path, 8, 10, false).unwrap_err();
+            let err = read_deltas(&image(&bad), 8, 10, false).unwrap_err();
             assert!(matches!(err, AtsError::Corrupt(_)), "{bad:?}: {err}");
         }
         // Unsorted but otherwise valid triplets still load (older
         // writers made no order promise) and serve the same cells.
-        image(&[(5, 1, 2.0), (0, 4, 3.0), (5, 0, 4.0)]);
-        let store = read_deltas(&path, 8, 10, true).unwrap();
+        let unsorted = image(&[(5, 1, 2.0), (0, 4, 3.0), (5, 0, 4.0)]);
+        let store = read_deltas(&unsorted, 8, 10, true).unwrap();
         assert_eq!(store.row(5), (&[0u32, 1][..], &[4.0, 2.0][..]));
         assert_eq!(store.probe(0, 4), Some(3.0));
     }

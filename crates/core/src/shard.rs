@@ -2,8 +2,8 @@
 //! row-range shards (store format v3).
 //!
 //! The factors are global — every shard reconstructs against the same
-//! `V`/`Λ`, pinned in memory at open — while `U` rows and delta
-//! triplets partition by row range into per-shard subdirectories:
+//! `V`/`Λ`, pinned in memory from the first read on — while `U` rows and
+//! delta triplets partition by row range into per-shard subdirectories:
 //!
 //! ```text
 //! store/
@@ -13,10 +13,23 @@
 //!   shard-0001/ u.atsm deltas.bin
 //! ```
 //!
-//! Opening is eager about *validation* (the manifest and every
-//! component CRC are checked up front) but lazy about *instantiation*:
-//! a shard's `U` pager and delta table are built on first touch, with
-//! the buffer-pool page budget split evenly across shards. A v2
+//! Opening reads the manifest and nothing else; every component file is
+//! checked against the CRC the manifest pins the first time a query
+//! reads it — *before* any value derived from it is served — and the
+//! bytes that are checksummed are the bytes that get decoded:
+//!
+//! | component | first touched by | checked how |
+//! |---|---|---|
+//! | `v.atsm`, `lambda.atsm` | any cell/row read of the store | read whole → CRC → decode |
+//! | `shard-NNNN/u.atsm` | a read of a row the shard owns | streamed through the CRC, then paged |
+//! | `shard-NNNN/deltas.bin` | the same | read whole → CRC → decode |
+//! | `shard-NNNN/synopsis.bin` | a `where` scan planning the shard | read whole → CRC → decode |
+//!
+//! A failed check is [`AtsError::Corrupt`] and is not cached: the next
+//! touch checks again. A caller that wants everything checked *now* runs
+//! [`ats_storage::store_dir::validate_sharded_store_dir`], which loops
+//! the same per-component check over the whole directory. The
+//! buffer-pool page budget is split evenly across shards. A v2
 //! directory is exactly a one-shard v3 store (delta rows are stored
 //! relative to the shard start, and a v2 store starts at row 0), so
 //! legacy stores open here unchanged.
@@ -38,16 +51,20 @@ use ats_compress::method::BYTES_PER_NUMBER;
 use ats_compress::{project_frozen, CompressedMatrix, DeltaStore, GramCache, SvdCompressed};
 use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::Matrix;
-use ats_storage::file::{read_matrix, write_matrix, MatrixFile, MatrixFileWriter};
-use ats_storage::store_dir::{
-    file_crc, publish_manifest, shard_dir_name, validate_sharded_store_dir, SHARDED_STORE_VERSION,
+use ats_storage::file::{
+    matrix_from_bytes, read_matrix, write_matrix, MatrixFile, MatrixFileWriter,
 };
-use ats_storage::synopsis::{ShardSynopsis, SynopsisBuilder, SYNOPSIS_FILE};
+use ats_storage::store_dir::{
+    file_crc, publish_manifest, shard_dir_name, validate_sharded_store_dir, Component,
+    SHARDED_STORE_VERSION,
+};
+use ats_storage::synopsis::{ShardSynopsis, SynopsisBuilder, TileStat, SYNOPSIS_FILE};
 use ats_storage::{
     CachedFile, IoSnapshot, IoStats, RowSource, ShardEntry, ShardedManifest, StoreWriter,
 };
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Write one decomposition's component files (shared factors plus
 /// per-shard `U` slices, delta partitions, and synopses) into `dir` in
@@ -189,64 +206,115 @@ fn check_ranges(ranges: &[(usize, usize)], rows: usize) -> Result<()> {
     Ok(())
 }
 
+/// The first-touch rule of every lazily loaded component: the value in
+/// `slot`, loading it when the slot is empty. A failed `load` is
+/// returned and *not* cached — the next touch loads (and checks) again —
+/// and when several threads race a first touch, one load is kept.
+fn first_touch<T>(slot: &OnceLock<T>, load: impl FnOnce() -> Result<T>) -> Result<&T> {
+    if let Some(loaded) = slot.get() {
+        return Ok(loaded);
+    }
+    let loaded = load()?;
+    Ok(slot.get_or_init(|| loaded))
+}
+
 /// A shard's disk-backed serving state, instantiated on first touch.
 struct ShardState {
     /// The shard's `U` partition behind its own LRU buffer pool.
     u: CachedFile,
     /// The shard's delta table, keyed by *shard-local* rows.
     deltas: DeltaStore,
+    /// Memory for loading the shard's synopsis, claimed with the rest of
+    /// the shard's long-lived memory — capacity only: nothing is read
+    /// and no page is touched until a `where` plan loads the synopsis.
+    synopsis_buffers: Mutex<SynopsisBuffers>,
 }
 
-/// One row-range shard: its manifest entry, its directory, and its
-/// lazily-created serving state.
+/// Where a shard's `synopsis.bin` is read to and decoded to.
+///
+/// Allocating these at load time instead — two 24 KB blocks per shard,
+/// in the middle of whatever else the process allocates by then — is
+/// measurable: in `atsbench`'s `where_*` set-up (a 23 MB transient
+/// buffer is freed between first touch and first plan) they carved up
+/// the freed region, glibc could not reuse it for the next such buffer,
+/// and 15 of 62 runs peaked 22 MiB higher (0 of 140 with both buffers
+/// claimed at first touch, 12 of 110 with only the tiles).
+#[derive(Default)]
+struct SynopsisBuffers {
+    file: Vec<u8>,
+    tiles: Vec<TileStat>,
+}
+
+impl SynopsisBuffers {
+    /// Buffers for the synopsis of a `rows × cols` shard. Best effort:
+    /// a reservation the allocator refuses is made by the load instead.
+    fn reserve(rows: usize, cols: usize) -> Self {
+        let mut buffers = SynopsisBuffers::default();
+        let _ = (buffers.file).try_reserve_exact(ShardSynopsis::encoded_len(rows, cols));
+        let _ = (buffers.tiles).try_reserve_exact(ShardSynopsis::tile_count(rows, cols));
+        buffers
+    }
+}
+
+/// One row-range shard: its manifest entry and what has been loaded of
+/// it so far.
 struct ShardHandle {
     entry: ShardEntry,
-    dir: PathBuf,
     state: OnceLock<ShardState>,
+    /// The shard's zone-map synopsis, filled by the first `where` plan
+    /// that asks for it. Stays empty for shards whose manifest entry
+    /// pins none (legacy stores): queries over those take the exact scan.
+    synopsis: OnceLock<ShardSynopsis>,
 }
 
-/// An opened sharded store: shared `V`/`Λ` and every delta CRC verified
-/// up front, per-shard `U` pagers and delta tables instantiated lazily.
+/// The shared factors, loaded by the first read of any cell.
+struct Factors {
+    v: Matrix,
+    /// `Vᵀ` as a `k × M` component panel (derived from `v` at load),
+    /// feeding the blocked reconstruction kernels on the row and batch
+    /// paths. Not part of the on-disk format.
+    vt: VPanel,
+    lambda: Vec<f64>,
+}
+
+/// An opened sharded store: the manifest verified at open, everything
+/// else — shared `V`/`Λ`, per-shard `U` pagers, delta tables and
+/// synopses — checked against its pinned CRC and instantiated on first
+/// touch.
 ///
 /// Serving preserves the §4.1 invariant *per shard*: a cold cell query
 /// touches exactly one page of the owning shard's `U` file — other
 /// shards are not opened, let alone read.
 pub struct ShardedStore {
+    dir: PathBuf,
     manifest: ShardedManifest,
-    v: Matrix,
-    /// `Vᵀ` as a `k × M` component panel (derived from `v` at open),
-    /// feeding the blocked reconstruction kernels on the row and batch
-    /// paths. Not part of the on-disk format.
-    vt: VPanel,
-    lambda: Vec<f64>,
+    factors: OnceLock<Factors>,
     shards: Vec<ShardHandle>,
-    /// Per-shard zone-map synopses, in shard order, loaded eagerly at
-    /// open (they are small — 32 bytes per tile). `None` for shards
-    /// whose manifest entry pins no synopsis (legacy stores): queries
-    /// over those fall back to the exact scan.
-    synopses: Vec<Option<ShardSynopsis>>,
     /// Buffer-pool page budget per shard (the open-time budget split
     /// evenly, minimum one page).
     pool_pages: usize,
+    /// Component bytes this handle has checksummed so far.
+    checked: AtomicU64,
 }
 
 impl ShardedStore {
     /// Open a sharded (v3) store directory — or a legacy v2 directory,
     /// which is served as a single shard with identical semantics.
     ///
-    /// The manifest is parsed and every component file verified against
-    /// its recorded CRC before anything is served; the shared factors
-    /// are loaded and cross-checked against the manifest's dimensions.
+    /// Only the manifest is read (self-checksum, schema, geometry); no
+    /// component file is. Each component is verified against its
+    /// recorded CRC when a query first reads it (see the module docs).
     /// `pool_pages` bounds the *total* `U` buffer-pool budget; each of
     /// `R` shards gets `max(pool_pages / R, 1)` pages.
     pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<Self> {
         let dir = dir.as_ref();
-        Self::from_validated(dir, validate_sharded_store_dir(dir)?, pool_pages)
+        Self::from_manifest(dir, ShardedManifest::read(dir)?, pool_pages)
     }
 
-    /// Serve `dir` under a manifest whose component CRCs the caller has
-    /// already verified (one block of a validated time-blocked store).
-    pub(crate) fn from_validated(
+    /// Serve `dir` under its parsed manifest (the store directory's own,
+    /// or one block's nested manifest of a time-blocked store, whose CRC
+    /// the block table pins).
+    pub(crate) fn from_manifest(
         dir: &Path,
         manifest: ShardedManifest,
         pool_pages: usize,
@@ -257,8 +325,46 @@ impl ShardedStore {
                 manifest.method
             )));
         }
-        let v = read_matrix(dir.join("v.atsm"))?;
-        let lambda_m = read_matrix(dir.join("lambda.atsm"))?;
+        let shards: Vec<ShardHandle> = manifest
+            .shards
+            .iter()
+            .map(|entry| ShardHandle {
+                entry: entry.clone(),
+                state: OnceLock::new(),
+                synopsis: OnceLock::new(),
+            })
+            .collect();
+        let pool_pages = (pool_pages / shards.len().max(1)).max(1);
+        Ok(ShardedStore {
+            dir: dir.to_path_buf(),
+            manifest,
+            factors: OnceLock::new(),
+            shards,
+            pool_pages,
+            checked: AtomicU64::new(0),
+        })
+    }
+
+    /// Read component `c` whole, checked against its pinned CRC.
+    fn read_checked(&self, c: Component) -> Result<Vec<u8>> {
+        let bytes = self.manifest.read_component(&self.dir, c)?;
+        self.checked
+            .fetch_add(u64_from_usize(bytes.len()), Ordering::Relaxed);
+        Ok(bytes)
+    }
+
+    /// The shared factors, loaded on first touch: `v.atsm` and
+    /// `lambda.atsm` read once each, checksummed, decoded from the
+    /// checked bytes and cross-checked against the manifest's
+    /// dimensions.
+    fn factors(&self) -> Result<&Factors> {
+        first_touch(&self.factors, || self.load_factors())
+    }
+
+    fn load_factors(&self) -> Result<Factors> {
+        let manifest = &self.manifest;
+        let v = matrix_from_bytes(&self.read_checked(Component::V)?)?;
+        let lambda_m = matrix_from_bytes(&self.read_checked(Component::Lambda)?)?;
         if lambda_m.rows() != 1 {
             return Err(AtsError::Corrupt(format!(
                 "lambda.atsm must be a single row, has {}",
@@ -282,56 +388,13 @@ impl ShardedStore {
                 v.rows()
             )));
         }
-        let shards: Vec<ShardHandle> = manifest
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, entry)| ShardHandle {
-                entry: entry.clone(),
-                dir: manifest.shard_dir(dir, i),
-                state: OnceLock::new(),
-            })
-            .collect();
-        // Synopses are tiny and gate query planning, so unlike the `U`
-        // pagers they load eagerly: decode every manifest-pinned
-        // synopsis now (bytes already CRC-verified above) and
-        // cross-check its geometry against the shard it claims to
-        // describe.
-        let mut synopses = Vec::with_capacity(shards.len());
-        for (i, h) in shards.iter().enumerate() {
-            synopses.push(match h.entry.crc_synopsis {
-                Some(_) => {
-                    let syn = ShardSynopsis::decode(&std::fs::read(h.dir.join(SYNOPSIS_FILE))?)?;
-                    if syn.rows() != h.entry.rows() || syn.cols() != manifest.cols {
-                        return Err(AtsError::Corrupt(format!(
-                            "shard {i}: synopsis covers {}x{}, shard holds {} rows of {} columns",
-                            syn.rows(),
-                            syn.cols(),
-                            h.entry.rows(),
-                            manifest.cols
-                        )));
-                    }
-                    Some(syn)
-                }
-                None => None,
-            });
-        }
-        let pool_pages = (pool_pages / shards.len().max(1)).max(1);
         let vt = VPanel::from_v(&v);
-        Ok(ShardedStore {
-            manifest,
-            v,
-            vt,
-            lambda,
-            shards,
-            synopses,
-            pool_pages,
-        })
+        Ok(Factors { v, vt, lambda })
     }
 
     /// Number of retained principal components.
     pub fn k(&self) -> usize {
-        self.lambda.len()
+        self.manifest.k
     }
 
     /// Total number of stored deltas across all shards.
@@ -349,7 +412,7 @@ impl ShardedStore {
         self.shards.len()
     }
 
-    /// The validated manifest this store was opened from.
+    /// The manifest this store was opened from.
     pub fn manifest(&self) -> &ShardedManifest {
         &self.manifest
     }
@@ -388,25 +451,32 @@ impl ShardedStore {
             .sum()
     }
 
+    /// Component bytes this handle has checksummed so far: 0 after
+    /// `open`, then the sizes of exactly the files its queries made it
+    /// read — the cost model of lazy validation, as a counter.
+    pub fn checked_bytes(&self) -> u64 {
+        self.checked.load(Ordering::Relaxed)
+    }
+
     /// The shard's serving state, instantiating it on first touch.
-    /// Errors are returned (not cached), so a transient failure does not
-    /// poison the shard.
     fn state(&self, index: usize) -> Result<&ShardState> {
         let h = self
             .shards
             .get(index)
             .ok_or_else(|| AtsError::oob("shard", index, self.shards.len()))?;
-        if let Some(s) = h.state.get() {
-            return Ok(s);
-        }
-        let loaded = self.load_shard(h, index)?;
-        Ok(h.state.get_or_init(|| loaded))
+        first_touch(&h.state, || self.load_shard(h, index))
     }
 
     fn load_shard(&self, h: &ShardHandle, index: usize) -> Result<ShardState> {
+        // `u.atsm` is paged, never held whole: stream it through the
+        // checksum before a pager over it exists.
+        let u_bytes = self
+            .manifest
+            .check_component(&self.dir, Component::U(index))?;
+        self.checked.fetch_add(u_bytes, Ordering::Relaxed);
         let stats = IoStats::new();
         let u_file = Arc::new(MatrixFile::open_with_stats(
-            h.dir.join("u.atsm"),
+            self.manifest.component_path(&self.dir, Component::U(index)),
             Arc::clone(&stats),
         )?);
         if u_file.rows() != h.entry.rows() || u_file.cols() != self.k() {
@@ -422,7 +492,7 @@ impl ShardedStore {
         // shard (the file belongs to a different geometry) before it
         // indexes anything by row.
         let deltas = read_deltas(
-            &h.dir.join("deltas.bin"),
+            &self.read_checked(Component::Deltas(index))?,
             h.entry.rows(),
             self.manifest.cols,
             self.manifest.bloom,
@@ -434,10 +504,46 @@ impl ShardedStore {
                 deltas.len()
             )));
         }
+        let synopsis_buffers = match h.entry.crc_synopsis {
+            Some(_) => SynopsisBuffers::reserve(h.entry.rows(), self.manifest.cols),
+            None => SynopsisBuffers::default(),
+        };
         Ok(ShardState {
             u: CachedFile::row_aligned(u_file, self.pool_pages),
             deltas,
+            synopsis_buffers: Mutex::new(synopsis_buffers),
         })
+    }
+
+    /// Shard `index`'s synopsis, loaded on first touch: `synopsis.bin`
+    /// read once, checksummed, decoded from the checked bytes and its
+    /// geometry cross-checked against the shard it claims to describe.
+    fn load_synopsis(&self, h: &ShardHandle, index: usize) -> Result<ShardSynopsis> {
+        // The buffers first touch claimed, if the shard has been touched
+        // (and no earlier load took them).
+        let SynopsisBuffers { file, tiles } = (h.state.get())
+            .and_then(|st| {
+                st.synopsis_buffers
+                    .lock()
+                    .ok()
+                    .map(|mut b| std::mem::take(&mut *b))
+            })
+            .unwrap_or_default();
+        let c = Component::Synopsis(index);
+        let bytes = self.manifest.read_component_into(&self.dir, c, file)?;
+        self.checked
+            .fetch_add(u64_from_usize(bytes.len()), Ordering::Relaxed);
+        let syn = ShardSynopsis::decode_into(&bytes, tiles)?;
+        if syn.rows() != h.entry.rows() || syn.cols() != self.manifest.cols {
+            return Err(AtsError::Corrupt(format!(
+                "shard {index}: synopsis covers {}x{}, shard holds {} rows of {} columns",
+                syn.rows(),
+                syn.cols(),
+                h.entry.rows(),
+                self.manifest.cols
+            )));
+        }
+        Ok(syn)
     }
 
     /// Locate the shard owning absolute row `i` and its local row index.
@@ -475,14 +581,15 @@ impl CompressedMatrix for ShardedStore {
             return Err(AtsError::oob("column", j, self.manifest.cols));
         }
         let (idx, local) = self.route(i)?;
+        let f = self.factors()?;
         let st = self.state(idx)?;
         let mut u_row = vec![0.0f64; self.k()];
         st.u.read_row_into(local, &mut u_row)?; // ≤ 1 disk access, owning shard only
-        let base: f64 = self
+        let base: f64 = f
             .lambda
             .iter()
             .zip(&u_row)
-            .zip(self.v.row(j))
+            .zip(f.v.row(j))
             .map(|((&lam, &uv), &vv)| lam * uv * vv)
             .sum();
         Ok(match st.deltas.probe(local, j) {
@@ -500,12 +607,13 @@ impl CompressedMatrix for ShardedStore {
             ));
         }
         let (idx, local) = self.route(i)?;
+        let f = self.factors()?;
         let st = self.state(idx)?;
         let mut u_row = vec![0.0f64; self.k()];
         st.u.read_row_into(local, &mut u_row)?;
         // Panel kernel: k sequential axpy sweeps over Vᵀ component slices,
         // bitwise identical to the scalar per-column dot it replaced.
-        kernels::reconstruct_row(&u_row, &self.lambda, &self.vt, out);
+        kernels::reconstruct_row(&u_row, &f.lambda, &f.vt, out);
         st.deltas.patch_row(local, out);
         Ok(())
     }
@@ -531,13 +639,14 @@ impl CompressedMatrix for ShardedStore {
             }
         }
         let (idx, local) = self.route(i)?;
+        let f = self.factors()?;
         let st = self.state(idx)?;
         let k = self.k();
         let mut u_row = vec![0.0f64; k];
         st.u.read_row_into(local, &mut u_row)?; // the one fetch for the whole group
         let mut coef = vec![0.0f64; k];
-        kernels::fuse_coefficients(&self.lambda, &u_row, &mut coef);
-        kernels::reconstruct_cells(&coef, &self.v, cols, out)?;
+        kernels::fuse_coefficients(&f.lambda, &u_row, &mut coef);
+        kernels::reconstruct_cells(&coef, &f.v, cols, out)?;
         st.deltas.patch_cells(local, cols, out);
         Ok(())
     }
@@ -569,9 +678,10 @@ impl CompressedMatrix for ShardedStore {
         for &i in rows {
             routed.push(self.route(i)?);
         }
-        if m == 0 {
+        if m == 0 || rows.is_empty() {
             return Ok(());
         }
+        let f = self.factors()?;
         let k = self.k();
         if k == 0 {
             out.fill(0.0);
@@ -606,7 +716,7 @@ impl CompressedMatrix for ShardedStore {
                     }
                     at += run;
                 }
-                kernels::reconstruct_rows(ub, &self.lambda, &self.vt, ochunk)?;
+                kernels::reconstruct_rows(ub, &f.lambda, &f.vt, ochunk)?;
             }
             for (&(idx, local), orow) in rchunk.iter().zip(ochunk.chunks_mut(m)) {
                 self.state(idx)?.deltas.patch_row(local, orow);
@@ -633,8 +743,17 @@ impl CompressedMatrix for ShardedStore {
         self.shards.iter().map(|h| h.entry.start).collect()
     }
 
-    fn shard_synopsis(&self, shard: usize) -> Option<&ShardSynopsis> {
-        self.synopses.get(shard).and_then(Option::as_ref)
+    /// Loaded on first touch and, like every component, not before its
+    /// bytes matched the manifest's CRC — a damaged `synopsis.bin` is an
+    /// error, never a silently unpruned scan.
+    fn shard_synopsis(&self, shard: usize) -> Result<Option<&ShardSynopsis>> {
+        let Some(h) = self.shards.get(shard) else {
+            return Ok(None);
+        };
+        if h.entry.crc_synopsis.is_none() {
+            return Ok(None);
+        }
+        first_touch(&h.synopsis, || self.load_synopsis(h, shard)).map(Some)
     }
 }
 
@@ -928,7 +1047,10 @@ pub(crate) mod tests {
         save_sharded(&dir, &svdd, &ranges).unwrap();
         let store = ShardedStore::open(&dir, 64).unwrap();
         for (s, &(start, end)) in ranges.iter().enumerate() {
-            let syn = store.shard_synopsis(s).expect("fresh store has synopses");
+            let syn = store
+                .shard_synopsis(s)
+                .unwrap()
+                .expect("fresh store has synopses");
             assert_eq!((syn.rows(), syn.cols()), (end - start, 21));
             let mut row = vec![0.0; 21];
             let mut sums = vec![0.0f64; syn.tile_rows() * syn.tile_cols()];
@@ -956,8 +1078,8 @@ pub(crate) mod tests {
         // A v2 store opens with no synopses and serves unchanged.
         let (v2, _) = v2_fixture(&tmp);
         let legacy = ShardedStore::open(&v2, 16).unwrap();
-        assert!(legacy.shard_synopsis(0).is_none());
-        assert!(legacy.shard_synopsis(7).is_none());
+        assert!(legacy.shard_synopsis(0).unwrap().is_none());
+        assert!(legacy.shard_synopsis(7).unwrap().is_none());
     }
 
     #[test]
@@ -972,6 +1094,7 @@ pub(crate) mod tests {
         let store = ShardedStore::open(&dir, 32).unwrap();
         let syn = store
             .shard_synopsis(2)
+            .unwrap()
             .expect("appended shard has a synopsis");
         assert_eq!((syn.rows(), syn.cols()), (10, 12));
         assert!(store.manifest().shards[2].crc_synopsis.is_some());
@@ -1114,11 +1237,13 @@ pub(crate) mod tests {
         save_sharded(&d2, &svdd_sharded(&spiky(60, 7), 25.0, 1), &[(0, 60)]).unwrap();
         let u1 = d1.join(shard_dir_name(0)).join("u.atsm");
         std::fs::copy(d2.join(shard_dir_name(0)).join("u.atsm"), &u1).unwrap();
-        // The stale CRC catches the graft immediately…
-        assert!(matches!(
-            ShardedStore::open(&d1, 4),
-            Err(AtsError::Corrupt(_))
-        ));
+        // The stale CRC catches the graft the first time the shard is
+        // touched — the open reads the manifest only — and again on the
+        // next touch: a failed check is not cached…
+        let store = ShardedStore::open(&d1, 4).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(store.cell(0, 0), Err(AtsError::Corrupt(_))));
+        }
         // …and with the CRC recomputed (rows still 40) the header
         // cross-check refuses the shard the first time it is touched.
         let mut manifest = ShardedManifest::read(&d1).unwrap();

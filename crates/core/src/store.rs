@@ -5,7 +5,10 @@
 //! a store directory (one block → format v3, several → v4; see
 //! [`crate::timeblock`]), and [`SequenceStore::open`] serves the saved
 //! store back with `U` paged from disk — without callers reaching into
-//! the storage internals.
+//! the storage internals. An open reads the manifests; each component
+//! file is checksummed when a query first reads it (see
+//! [`crate::shard`]), so opening costs the same whatever the store
+//! holds and a query pays for the blocks and shards it touches.
 
 use crate::shard::ShardedStore;
 use crate::timeblock::{
@@ -294,10 +297,15 @@ impl SequenceStore {
     /// directory; the latter two are served as a single time block with
     /// identical semantics.
     ///
-    /// Every manifest is validated and every component checksummed
-    /// before anything is served; `pool_pages` bounds the total `U`
-    /// buffer-pool budget, split across blocks and then shards. The
-    /// returned store answers the same cell/sequence/aggregate queries
+    /// Every manifest is validated here; every component file is
+    /// checked against the CRC its manifest pins when a query first
+    /// reads it, before any value derived from it is returned — a
+    /// damaged file fails the queries that touch it with
+    /// [`AtsError::Corrupt`] and no others
+    /// ([`ats_storage::store_dir::validate_timeblocked_store_dir`]
+    /// checks the whole directory up front). `pool_pages` bounds the
+    /// total `U` buffer-pool budget, split across blocks and then
+    /// shards. The returned store answers the same cell/sequence/aggregate queries
     /// as the in-memory one — `U` rows are paged in from the owning
     /// block's owning shard on demand, and range queries touch only the
     /// time blocks overlapping the range.

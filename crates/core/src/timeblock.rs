@@ -40,7 +40,12 @@
 //!
 //! A v2/v3 directory is exactly a one-block v4 store whose block
 //! directory is the store directory itself; [`TimeBlockedStore::open`]
-//! serves it through the same code with zero behavioral change.
+//! serves it through the same code with zero behavioral change. An open
+//! reads and cross-checks the manifests — the block table pins each
+//! nested manifest's CRC, each nested manifest pins its component files
+//! — and each block then checksums a component the first time a query
+//! reads it ([`crate::shard`]): a query pays, in integrity bytes as in
+//! `U` pages, only for the blocks its range overlaps.
 //!
 //! One routing type serves both lives of a store: [`TimeGrid`] over
 //! in-memory decompositions is what [`crate::store::StoreBuilder`]
@@ -56,8 +61,8 @@ use ats_compress::{
     SvddOptions,
 };
 use ats_storage::store_dir::{
-    file_crc, publish_manifest, tblock_dir_name, validate_timeblocked_store_dir,
-    write_sharded_manifest_into, MANIFEST_FILE, TIMEBLOCKED_STORE_VERSION,
+    file_crc, publish_manifest, tblock_dir_name, write_sharded_manifest_into, MANIFEST_FILE,
+    TIMEBLOCKED_STORE_VERSION,
 };
 use ats_storage::{
     IoSnapshot, RowSource, ShardSynopsis, StoreWriter, TimeBlockEntry, TimeBlockedManifest,
@@ -256,8 +261,8 @@ pub struct TimeGrid<B> {
     blocks: Vec<B>,
 }
 
-/// An opened store directory of any format: one lazily-paged
-/// [`ShardedStore`] per time block behind the routing grid. Opening a
+/// An opened store directory of any format: one lazily-validated,
+/// lazily-paged [`ShardedStore`] per time block behind the routing grid. Opening a
 /// v2/v3 directory yields a single-block grid that delegates straight
 /// through — legacy stores serve unchanged.
 pub type TimeBlockedStore = TimeGrid<ShardedStore>;
@@ -445,27 +450,34 @@ impl<B: AsRef<dyn CompressedMatrix> + Send + Sync> CompressedMatrix for TimeGrid
     /// synopses. A multi-block grid exposes none at the top level: each
     /// block's synopses describe *block-local* columns, so pruning
     /// happens per block via [`CompressedMatrix::time_block`].
-    fn shard_synopsis(&self, shard: usize) -> Option<&ShardSynopsis> {
+    fn shard_synopsis(&self, shard: usize) -> Result<Option<&ShardSynopsis>> {
         match self.blocks.as_slice() {
             [only] => only.as_ref().shard_synopsis(shard),
-            _ => None,
+            _ => Ok(None),
         }
     }
 }
 
 impl TimeBlockedStore {
-    /// Open a store directory of any format (v2, v3, or v4). The top
-    /// manifest and every block's nested manifest are CRC cross-checked,
-    /// and every block's component files are validated, before anything
-    /// is served. `pool_pages` bounds the total `U` buffer-pool budget,
-    /// split evenly across blocks (then across each block's shards).
+    /// Open a store directory of any format (v2, v3, or v4): the top
+    /// manifest and every block's nested manifest are read, self-checked
+    /// and cross-checked (nested CRC pinned by the block table, geometry,
+    /// method) — and no component file is. Each component is verified
+    /// against the CRC its manifest pins the first time a query reads it
+    /// (see [`crate::shard`]), so an open costs the manifests and a query
+    /// pays for the blocks and shards it touches; run
+    /// [`ats_storage::store_dir::validate_timeblocked_store_dir`] to check
+    /// everything now.
+    /// `pool_pages` bounds the total `U` buffer-pool budget, split evenly
+    /// across blocks (then across each block's shards).
     pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<Self> {
         let dir = dir.as_ref();
-        let (manifest, nested) = validate_timeblocked_store_dir(dir)?;
+        let manifest = TimeBlockedManifest::read(dir)?;
+        let nested = manifest.read_blocks(dir)?;
         let per_block = (pool_pages / nested.len().max(1)).max(1);
         let mut blocks = Vec::new();
         for (i, block_manifest) in nested.into_iter().enumerate() {
-            blocks.push(ShardedStore::from_validated(
+            blocks.push(ShardedStore::from_manifest(
                 &manifest.block_dir(dir, i),
                 block_manifest,
                 per_block,
@@ -474,7 +486,7 @@ impl TimeBlockedStore {
         TimeGrid::new(manifest, blocks)
     }
 
-    /// The validated top-level manifest (normalized for v2/v3 stores).
+    /// The top-level manifest (normalized for v2/v3 stores).
     pub fn manifest(&self) -> &TimeBlockedManifest {
         &self.table
     }
@@ -517,6 +529,12 @@ impl TimeBlockedStore {
     /// [`ShardedStore::read_calls`]).
     pub fn read_calls(&self) -> u64 {
         self.blocks.iter().map(ShardedStore::read_calls).sum()
+    }
+
+    /// Component bytes checksummed so far across all blocks (see
+    /// [`ShardedStore::checked_bytes`]).
+    pub fn checked_bytes(&self) -> u64 {
+        self.blocks.iter().map(ShardedStore::checked_bytes).sum()
     }
 }
 

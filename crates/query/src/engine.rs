@@ -302,7 +302,8 @@ impl<'a> QueryEngine<'a> {
     /// 2. **Units.** Inside a block the selected *rows* are grouped by
     ///    owning shard when the block is sharded
     ///    ([`CompressedMatrix::shard_starts`] returns more than one
-    ///    entry), otherwise split into `self.threads` contiguous chunks
+    ///    entry; a shard owning none of them is no unit, so nothing of
+    ///    it — not even its synopsis — is read), otherwise split into `self.threads` contiguous chunks
     ///    when there are enough of them to be worth it.
     /// 3. **Run.** Units run through `leaf` in waves of `self.threads`.
     /// 4. **Merge.** Unit partials merge in unit (shard or chunk) order
@@ -354,6 +355,7 @@ impl<'a> QueryEngine<'a> {
             };
             let units: Vec<Unit<'_>> = if sharded {
                 (by_shard.iter().zip(&starts).enumerate())
+                    .filter(|(_, (rows, _))| !rows.is_empty())
                     .map(|(shard, (rows, &start))| Unit { shard, start, rows })
                     .collect()
             } else {
@@ -467,7 +469,7 @@ impl<'a> QueryEngine<'a> {
         // Each unit classifies against its own shard's synopsis (tile
         // columns are block-local, tile rows shard-local).
         let ws = self.walk(&rows, &cols, "where scan", |block, local, unit| {
-            let syn = block.pruning_synopsis(unit.shard, unit.start);
+            let syn = block.pruning_synopsis(unit.shard, unit.start)?;
             block.where_over_rows(unit.rows, local, pred, count_only, syn)
         })?;
         match f {
@@ -494,12 +496,17 @@ impl<'a> QueryEngine<'a> {
 
     /// The synopsis to prune shard `shard` with (whose rows start at
     /// absolute row `start`), or `None` when pruning is off or the
-    /// store carries none — the exact-scan fallback either way.
-    fn pruning_synopsis(&self, shard: usize, start: usize) -> Option<(&ShardSynopsis, usize)> {
+    /// store carries none — the exact-scan fallback either way. A
+    /// synopsis the store has but cannot vouch for fails the query.
+    fn pruning_synopsis(
+        &self,
+        shard: usize,
+        start: usize,
+    ) -> Result<Option<(&ShardSynopsis, usize)>> {
         if !self.synopsis {
-            return None;
+            return Ok(None);
         }
-        self.matrix().shard_synopsis(shard).map(|s| (s, start))
+        Ok(self.matrix().shard_synopsis(shard)?.map(|s| (s, start)))
     }
 
     /// Serial `where` kernel: scan the selected columns of `rows`,
@@ -530,7 +537,7 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Defensive: rows outside the synopsis grid (a hand-rolled
     /// [`CompressedMatrix`] lying about its geometry — disk stores
-    /// cross-check at open) are planned unpruned, degrading to the
+    /// cross-check when they load a synopsis) are planned unpruned, degrading to the
     /// exact scan, never to a wrong answer.
     fn where_over_rows(
         &self,
@@ -1619,8 +1626,8 @@ mod tests {
         fn method_name(&self) -> &'static str {
             "synoptic-exact"
         }
-        fn shard_synopsis(&self, shard: usize) -> Option<&ShardSynopsis> {
-            (shard == 0).then_some(&self.syn)
+        fn shard_synopsis(&self, shard: usize) -> Result<Option<&ShardSynopsis>> {
+            Ok((shard == 0).then_some(&self.syn))
         }
     }
 

@@ -423,6 +423,26 @@ pub fn read_matrix(path: impl AsRef<Path>) -> Result<ats_linalg::Matrix> {
     Ok(m)
 }
 
+/// Decode a whole `.atsm` byte image into an in-memory matrix — the
+/// header's checks plus an exact-length check, so a caller that has
+/// already checksummed `bytes` decodes exactly what it checked.
+pub fn matrix_from_bytes(bytes: &[u8]) -> Result<ats_linalg::Matrix> {
+    let header = Header::decode(bytes)?;
+    let data = bytes.get(HEADER_LEN..).unwrap_or_default();
+    let expected = header.checked_file_len()?;
+    if u64_from_usize(bytes.len()) != expected {
+        return Err(AtsError::Corrupt(format!(
+            "matrix image is {} bytes, its header implies {expected}",
+            bytes.len()
+        )));
+    }
+    // The length check bounds the allocation by the input: one cell per
+    // `cell_bytes` of `data`.
+    let mut cells = vec![0.0f64; data.len() / header.cell_bytes()];
+    decode_cells(data, header.is_f32(), &mut cells);
+    ats_linalg::Matrix::from_vec(header.rows, header.cols, cells)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

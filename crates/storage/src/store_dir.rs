@@ -17,12 +17,16 @@
 //!   the previous store or no store — never a torn one. In-place growth
 //!   (the append paths) lands a new directory the same way and then
 //!   replaces the manifest atomically ([`publish_manifest`]).
-//! - **Validated opens** ([`validate_timeblocked_store_dir`]):
-//!   `manifest.txt` is a parsed, versioned document carrying the method,
-//!   dimensions, and a CRC per component file; it is itself covered by a
-//!   trailing self-checksum. Opening cross-checks every CRC against the
-//!   bytes on disk, so truncation, deletion, or corruption of any
-//!   component surfaces as [`AtsError::Corrupt`].
+//! - **Validation** ([`validate_timeblocked_store_dir`],
+//!   [`ShardedManifest::check_component`]): `manifest.txt` is a parsed,
+//!   versioned document carrying the method, dimensions, and a CRC per
+//!   component file; it is itself covered by a trailing self-checksum.
+//!   Each component is checked against its CRC by one function, so
+//!   truncation, deletion, or corruption surfaces as
+//!   [`AtsError::Corrupt`] the same way whoever asks: the validators
+//!   loop it over every component now ("touch everything"), an opened
+//!   store calls it for each component the first time a query reads it
+//!   (an open itself reads only the manifests).
 //!
 //! Manifests are line-oriented `key=value` text so they stay greppable:
 //!
@@ -45,6 +49,7 @@
 //! manifest-crc=...          # hash of every preceding byte
 //! ```
 
+use ats_common::codec::u64_from_usize;
 use ats_common::hash::{hash_bytes, ByteHasher};
 use ats_common::{AtsError, Result};
 use std::collections::BTreeMap;
@@ -72,16 +77,16 @@ pub const SHARD_FILES: [&str; 2] = ["u.atsm", "deltas.bin"];
 /// Bytes checksummed per read by [`file_crc`].
 const CRC_BUF_BYTES: usize = 64 * 1024;
 
-/// Checksum of a whole file's contents (the per-component CRC recorded
-/// in the manifest), streamed through a fixed buffer so validating a
-/// store never holds a `U` file in memory.
-pub fn file_crc(path: impl AsRef<Path>) -> Result<u64> {
+/// Checksum and length of a whole file's contents, streamed through a
+/// fixed buffer so checking a component never holds a `U` file in memory.
+fn stream_crc(path: &Path) -> Result<(u64, u64)> {
     let mut file = File::open(path)?;
     let mut hasher = ByteHasher::new();
     let mut buf = vec![0u8; CRC_BUF_BYTES];
+    let mut len = 0u64;
     loop {
         let n = match file.read(&mut buf) {
-            Ok(0) => return Ok(hasher.finish()),
+            Ok(0) => return Ok((hasher.finish(), len)),
             Ok(n) => n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
@@ -90,14 +95,21 @@ pub fn file_crc(path: impl AsRef<Path>) -> Result<u64> {
             buf.get(..n)
                 .ok_or_else(|| AtsError::internal("read returned more than the buffer holds"))?,
         );
+        len += u64_from_usize(n);
     }
 }
 
-/// CRC of the component file at `path`, with a missing file reported as
-/// the caller's `missing` error: corruption when validating a committed
-/// store, a caller bug when committing a staged one.
-fn component_crc(path: &Path, missing: impl FnOnce() -> AtsError) -> Result<u64> {
-    match file_crc(path) {
+/// Checksum of a whole file's contents (the per-component CRC recorded
+/// in the manifest), streamed through a fixed buffer.
+pub fn file_crc(path: impl AsRef<Path>) -> Result<u64> {
+    Ok(stream_crc(path.as_ref())?.0)
+}
+
+/// The outcome of reading a component file, with a file that does not
+/// exist reported as the caller's `missing` error: corruption when
+/// checking a committed store, a caller bug when committing a staged one.
+fn or_missing<T>(read: Result<T>, missing: impl FnOnce() -> AtsError) -> Result<T> {
+    match read {
         Err(AtsError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Err(missing()),
         other => other,
     }
@@ -105,7 +117,7 @@ fn component_crc(path: &Path, missing: impl FnOnce() -> AtsError) -> Result<u64>
 
 /// CRC of a component staged for commit; staging it is the caller's job.
 fn staged_crc(path: &Path, what: &str) -> Result<u64> {
-    component_crc(path, || {
+    or_missing(file_crc(path), || {
         AtsError::InvalidArgument(format!("commit without staged component {what}"))
     })
 }
@@ -282,6 +294,35 @@ impl ShardEntry {
     /// Number of rows in the shard.
     pub fn rows(&self) -> usize {
         self.end.saturating_sub(self.start)
+    }
+}
+
+/// One CRC-pinned component file of a v2/v3 store (or of one block of a
+/// v4 store), as its [`ShardedManifest`] names it. Shard components
+/// carry the shard index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Component {
+    /// The shared `v.atsm`.
+    V,
+    /// The shared `lambda.atsm`.
+    Lambda,
+    /// A shard's `u.atsm`.
+    U(usize),
+    /// A shard's `deltas.bin`.
+    Deltas(usize),
+    /// A shard's `synopsis.bin`.
+    Synopsis(usize),
+}
+
+impl std::fmt::Display for Component {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Component::V => f.write_str("v.atsm"),
+            Component::Lambda => f.write_str("lambda.atsm"),
+            Component::U(i) => write!(f, "shard {i} u.atsm"),
+            Component::Deltas(i) => write!(f, "shard {i} deltas.bin"),
+            Component::Synopsis(i) => write!(f, "shard {i} synopsis.bin"),
+        }
     }
 }
 
@@ -473,48 +514,114 @@ impl ShardedManifest {
         Self::parse(&read_manifest_text(dir.as_ref())?)
     }
 
-    /// Cross-check the shared `V/Λ` CRCs plus every shard's `U`, delta,
-    /// and synopsis CRCs against the bytes under `dir`.
-    fn check_components(&self, dir: &Path) -> Result<()> {
-        let check = |path: PathBuf, expected: u64, what: String| -> Result<()> {
-            let got = component_crc(&path, || {
-                AtsError::Corrupt(format!(
-                    "store component {what} is missing from {}",
-                    dir.display()
-                ))
-            })?;
-            if got != expected {
-                return Err(AtsError::Corrupt(format!(
-                    "store component {what} checksum mismatch: manifest {expected:#x}, file {got:#x}"
-                )));
-            }
-            Ok(())
-        };
-        check(dir.join("v.atsm"), self.crc_v, "v.atsm".into())?;
-        check(
-            dir.join("lambda.atsm"),
-            self.crc_lambda,
-            "lambda.atsm".into(),
-        )?;
+    /// Every component file this manifest pins, in the order the eager
+    /// validator visits them: the shared factors, then each shard's `U`,
+    /// deltas and (when it carries one) synopsis.
+    pub fn components(&self) -> Vec<Component> {
+        let mut out = vec![Component::V, Component::Lambda];
         for (i, s) in self.shards.iter().enumerate() {
-            let shard_dir = self.shard_dir(dir, i);
-            check(
-                shard_dir.join("u.atsm"),
-                s.crc_u,
-                format!("shard {i} u.atsm"),
-            )?;
-            check(
-                shard_dir.join("deltas.bin"),
-                s.crc_deltas,
-                format!("shard {i} deltas.bin"),
-            )?;
-            if let Some(crc) = s.crc_synopsis {
-                check(
-                    shard_dir.join(crate::synopsis::SYNOPSIS_FILE),
-                    crc,
-                    format!("shard {i} synopsis.bin"),
-                )?;
+            out.extend([Component::U(i), Component::Deltas(i)]);
+            if s.crc_synopsis.is_some() {
+                out.push(Component::Synopsis(i));
             }
+        }
+        out
+    }
+
+    /// Where component `c` lives under the store (or block) directory
+    /// `dir`.
+    pub fn component_path(&self, dir: impl AsRef<Path>, c: Component) -> PathBuf {
+        let dir = dir.as_ref();
+        match c {
+            Component::V => dir.join("v.atsm"),
+            Component::Lambda => dir.join("lambda.atsm"),
+            Component::U(i) => self.shard_dir(dir, i).join("u.atsm"),
+            Component::Deltas(i) => self.shard_dir(dir, i).join("deltas.bin"),
+            Component::Synopsis(i) => self.shard_dir(dir, i).join(crate::synopsis::SYNOPSIS_FILE),
+        }
+    }
+
+    /// The CRC this manifest pins for component `c`, if it pins one.
+    fn pinned_crc(&self, c: Component) -> Option<u64> {
+        let shard = |i: usize| self.shards.get(i);
+        match c {
+            Component::V => Some(self.crc_v),
+            Component::Lambda => Some(self.crc_lambda),
+            Component::U(i) => shard(i).map(|s| s.crc_u),
+            Component::Deltas(i) => shard(i).map(|s| s.crc_deltas),
+            Component::Synopsis(i) => shard(i).and_then(|s| s.crc_synopsis),
+        }
+    }
+
+    /// The one per-component check: run `load` — which returns the
+    /// checksum of the bytes it read together with whatever it keeps of
+    /// them — on `c`'s file and compare with the pinned CRC. A missing
+    /// file and a mismatch (truncation included) are both `Corrupt`.
+    fn checked<T>(
+        &self,
+        dir: &Path,
+        c: Component,
+        load: impl FnOnce(&Path) -> Result<(u64, T)>,
+    ) -> Result<T> {
+        let expected = self
+            .pinned_crc(c)
+            .ok_or_else(|| AtsError::InvalidArgument(format!("the manifest pins no {c}")))?;
+        let path = self.component_path(dir, c);
+        let (got, kept) = or_missing(load(&path), || {
+            AtsError::Corrupt(format!(
+                "store component {c} is missing from {}",
+                dir.display()
+            ))
+        })?;
+        if got != expected {
+            return Err(AtsError::Corrupt(format!(
+                "store component {c} ({}) checksum mismatch: manifest {expected:#x}, file {got:#x}",
+                path.display()
+            )));
+        }
+        Ok(kept)
+    }
+
+    /// Stream component `c` under `dir` through the checksum and compare
+    /// with the CRC this manifest pins, holding no more than a fixed
+    /// buffer of it. Returns the number of bytes checksummed.
+    ///
+    /// The eager validators are a loop over this; a lazily validating
+    /// store calls it for `u.atsm` — the one component that is paged,
+    /// never decoded whole — the first time the shard is touched.
+    pub fn check_component(&self, dir: impl AsRef<Path>, c: Component) -> Result<u64> {
+        self.checked(dir.as_ref(), c, stream_crc)
+    }
+
+    /// Read component `c` under `dir` whole, checksum *those bytes*
+    /// against the CRC this manifest pins, and hand them back for
+    /// decoding: what gets decoded is what was checked. For the
+    /// whole-file components (`deltas.bin`, `synopsis.bin`, `v.atsm`,
+    /// `lambda.atsm`).
+    pub fn read_component(&self, dir: impl AsRef<Path>, c: Component) -> Result<Vec<u8>> {
+        self.read_component_into(dir, c, Vec::new())
+    }
+
+    /// [`ShardedManifest::read_component`] into a buffer the caller
+    /// already holds (its contents are discarded; it grows if the file
+    /// is larger than its capacity).
+    pub fn read_component_into(
+        &self,
+        dir: impl AsRef<Path>,
+        c: Component,
+        mut buf: Vec<u8>,
+    ) -> Result<Vec<u8>> {
+        self.checked(dir.as_ref(), c, |path| {
+            buf.clear();
+            File::open(path)?.read_to_end(&mut buf)?;
+            Ok((hash_bytes(&buf), buf))
+        })
+    }
+
+    /// Check every pinned component against the bytes under `dir`.
+    fn check_components(&self, dir: &Path) -> Result<()> {
+        for c in self.components() {
+            self.check_component(dir, c)?;
         }
         Ok(())
     }

@@ -152,6 +152,26 @@ impl ShardSynopsis {
     /// own geometry implies *before* any allocation is sized, and the
     /// per-tile cell counts must tile the rectangle exactly.
     pub fn decode(buf: &[u8]) -> Result<ShardSynopsis> {
+        Self::decode_into(buf, Vec::new())
+    }
+
+    /// Tiles in the synopsis of a `rows × cols` shard (saturating).
+    pub fn tile_count(rows: usize, cols: usize) -> usize {
+        let (trows, tcols) = grid(rows, cols, ROW_BLOCK, COL_BLOCK);
+        trows.saturating_mul(tcols)
+    }
+
+    /// Bytes of the `synopsis.bin` image of a `rows × cols` shard
+    /// (saturating).
+    pub fn encoded_len(rows: usize, cols: usize) -> usize {
+        Self::tile_count(rows, cols)
+            .saturating_mul(TILE_BYTES)
+            .saturating_add(HEADER_BYTES)
+    }
+
+    /// [`ShardSynopsis::decode`] into tile storage the caller already
+    /// holds (its contents are discarded; it grows if it is too small).
+    pub fn decode_into(buf: &[u8], mut tiles: Vec<TileStat>) -> Result<ShardSynopsis> {
         if buf.len() < HEADER_BYTES || buf.get(..8) != Some(SYNOPSIS_MAGIC.as_slice()) {
             return Err(AtsError::Corrupt("bad synopsis file header".into()));
         }
@@ -187,7 +207,8 @@ impl ShardSynopsis {
                  {row_block}x{col_block} tiles implies {expected}"
             )));
         }
-        let mut tiles = Vec::with_capacity(count);
+        tiles.clear();
+        tiles.reserve(count);
         let mut p = HEADER_BYTES;
         let mut cells = 0u64;
         for _ in 0..count {

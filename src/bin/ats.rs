@@ -18,8 +18,8 @@
 //! The store directory is the paper's §4.1 layout scaled out to
 //! row-range shards (format v3, one time block) and time blocks (format
 //! v4, a block table over nested v3 stores): each block's
-//! `v.atsm`/`lambda.atsm` pinned at open, each shard's `u.atsm` paged
-//! from disk on first touch. Legacy v2 directories are never written,
+//! `v.atsm`/`lambda.atsm` pinned, and each shard's `u.atsm` paged from
+//! disk, from first touch on. Legacy v2 directories are never written,
 //! and open as a single block with a single shard.
 //!
 //! Exit codes: 0 on success, 1 on a runtime failure (I/O, corrupt store,
@@ -102,9 +102,18 @@ USAGE:
                                  they become a fresh block with its own
                                  decomposition (never a projection under
                                  a frozen V), published atomically
-  ats open DIR [--pool-pages N]  validate and summarize a saved store
+  ats open DIR [--pool-pages N]  validate and summarize a saved store:
+                                 the full integrity check — every
+                                 manifest and every component file is
+                                 checksummed (as `info` and `serve` do at
+                                 start)
   ats query DIR \"<query>\"       e.g. \"cell 42 17\", \"avg rows 0..100 cols all\",
                                  \"sum rows all in time [30..90]\" — a
+                                 query checksums the manifests and then
+                                 only the component files it reads (a
+                                 cell: one block's factors, one shard's
+                                 U and deltas), failing if one of those
+                                 is damaged; a
                                  time-range aggregate reads only the
                                  blocks overlapping [t1..t2); a `where`
                                  clause (\"count rows all where value >
@@ -327,6 +336,16 @@ fn collect_synopses(
         hi = hi.max(s.hi);
     }
     Ok((per_block, hi - lo))
+}
+
+/// Open a store for a command that vouches for the whole directory:
+/// `ats open` exists to validate it, and `ats serve` should refuse a
+/// damaged store at start rather than at whichever request first reads
+/// the damaged file. Every component is checksummed before the open;
+/// `ats query` and `ats verify` open directly and check what they read.
+fn open_checked(dir: &str, pool_pages: usize) -> Result<TimeBlockedStore, CliError> {
+    validate_timeblocked_store_dir(dir).map_err(rt)?;
+    TimeBlockedStore::open(dir, pool_pages).map_err(rt)
 }
 
 fn run() -> Result<(), CliError> {
@@ -632,7 +651,7 @@ fn run() -> Result<(), CliError> {
             check_flags("open", &flags, &["pool-pages"])?;
             let dir = pos.get(1).ok_or_else(|| usage("open needs DIR"))?;
             let pool = flag_usize(&flags, "pool-pages", 1024)?;
-            let store = TimeBlockedStore::open(dir, pool).map_err(rt)?;
+            let store = open_checked(dir, pool)?;
             let m = store.manifest();
             let shards: usize = store.blocks().iter().map(|b| b.shard_count()).sum();
             println!(
@@ -709,7 +728,7 @@ fn run() -> Result<(), CliError> {
             };
             // One store, one page pool: every connection and every batch
             // shares the same Arc'd store through a 'static engine.
-            let store = Arc::new(TimeBlockedStore::open(dir, pool).map_err(rt)?);
+            let store = Arc::new(open_checked(dir, pool)?);
             let io_store = Arc::clone(&store);
             let engine = QueryEngine::shared(store).with_threads(cfg.threads);
             let handle = serve(

@@ -283,6 +283,77 @@ fn cli_save_open_flow() {
     assert!(err.contains("error"), "{err}");
 }
 
+/// Which commands vouch for the whole directory and which check what
+/// they read: with one byte flipped in one unit's `u.atsm`, `query`
+/// answers cells of every other unit exactly as before and fails — naming
+/// the component — on a cell of that unit; `open`, `info` and `serve`
+/// refuse the store outright.
+#[test]
+fn cli_damaged_unit_fails_its_queries_and_the_eager_commands_only() {
+    let dir = TestDir::new("ats-cli");
+    let store = dir.file("store");
+    let store_arg = store.to_str().unwrap();
+    let out = ats()
+        .args([
+            "save",
+            "--generate",
+            "phone",
+            "--rows",
+            "400",
+            "--cols",
+            "60",
+        ])
+        .args(["--shards", "3", "--time-blocks", "4", "--out", store_arg])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let query = |q: &str| ats().args(["query", store_arg, q]).output().unwrap();
+    // Row 399 lives in the last shard; columns 15..30 are block 1.
+    let elsewhere = ["cell 0 20", "cell 399 50", "cell 200 3"];
+    let before: Vec<Vec<u8>> = elsewhere.iter().map(|q| query(q).stdout).collect();
+    assert!(query("cell 399 20").status.success());
+
+    let u = store.join("tblock-0001/shard-0002/u.atsm");
+    let mut bytes = std::fs::read(&u).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&u, &bytes).unwrap();
+
+    for (q, want) in elsewhere.iter().zip(&before) {
+        let out = query(q);
+        assert!(out.status.success(), "{q} reads no damaged byte");
+        assert_eq!(&out.stdout, want, "{q}");
+    }
+    let out = query("cell 399 20");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no value from a damaged unit");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("shard 2 u.atsm"), "{err}");
+    assert!(err.contains("tblock-0001"), "{err}");
+    // An aggregate whose selection crosses the unit fails the same way.
+    assert!(!query("sum rows all cols all").status.success());
+
+    for cmd in ["open", "info"] {
+        let out = ats().args([cmd, store_arg]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd} must refuse");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("shard 2 u.atsm"), "{cmd}: {err}");
+    }
+    // The daemon refuses at start, before it binds or serves anything
+    // (were it to start, the closed stdin would stop it with exit 0).
+    let out = ats()
+        .args(["serve", store_arg, "--addr", "127.0.0.1:0"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("listening"));
+}
+
 #[test]
 fn cli_batch_query_flow() {
     let dir = TestDir::new("ats-cli");

@@ -1,6 +1,6 @@
 //! Query-engine latency: cell queries and aggregate queries of varying
-//! selectivity over an SVDD-compressed matrix, plus the disk-backed
-//! store's cached-read path.
+//! selectivity over an SVDD-compressed matrix, the disk-backed store's
+//! cached-read path, and the daemon's round trip over loopback.
 
 // ats-lint: allow(lint-table) — criterion_group! generates undocumented glue fns; scoped to this bench target
 #![allow(missing_docs)]
@@ -13,8 +13,11 @@ use ats_core::timeblock::TimeBlockedStore;
 use ats_linalg::Matrix;
 use ats_query::engine::{AggregateFn, QueryEngine};
 use ats_query::selection::{Axis, Selection};
+use ats_query::serve::{client, serve, ServeConfig};
 use ats_query::BatchRequest;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::net::TcpStream;
+use std::sync::Arc;
 
 fn dataset() -> Matrix {
     Matrix::from_fn(2_000, 128, |i, j| {
@@ -221,6 +224,45 @@ fn bench_aggregate_fold(c: &mut Criterion) {
     group.finish();
 }
 
+/// The daemon over loopback with its default configuration: what one
+/// request costs a waiting client (depth-1 `PING` is the socket and
+/// thread floor, depth-1 `cell` adds the hand-offs through the batcher)
+/// and what a pipelined one costs (32 cells in flight, as `atsbench`'s
+/// `serve_mixed` drives it).
+fn bench_serve_round_trip(c: &mut Criterion) {
+    const DEPTH: usize = 32;
+    let store = Arc::new(sharded_store(&dataset(), 1, "serve"));
+    let handle = serve(QueryEngine::shared(store), ServeConfig::default(), None).expect("serve");
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    s.set_nodelay(true).expect("nodelay");
+    let mut group = c.benchmark_group("serve_round_trip");
+    group.bench_function("ping_depth_1", |b| {
+        b.iter(|| black_box(client::round_trip(&mut s, "PING").expect("ping")))
+    });
+    group.bench_function("cell_depth_1", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 997) % 2000;
+            black_box(client::round_trip(&mut s, &format!("cell {i} {}", i % 128)).expect("cell"))
+        })
+    });
+    group.bench_function("cells_pipelined_32", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            for _ in 0..DEPTH {
+                i = (i + 997) % 2000;
+                client::send(&mut s, &format!("cell {i} {}", i % 128)).expect("send");
+            }
+            for _ in 0..DEPTH {
+                black_box(client::recv(&mut s).expect("recv"));
+            }
+        })
+    });
+    group.finish();
+    drop(s);
+    handle.join().expect("join");
+}
+
 criterion_group!(
     benches,
     bench_aggregate_selectivity,
@@ -228,6 +270,7 @@ criterion_group!(
     bench_in_memory_vs_disk_row,
     bench_batch_cells,
     bench_blocked_aggregate,
-    bench_aggregate_fold
+    bench_aggregate_fold,
+    bench_serve_round_trip
 );
 criterion_main!(benches);

@@ -5,17 +5,33 @@
 //! cold page cache) per question. This module keeps one
 //! [`QueryEngine`] — and therefore one `ShardedStore` page pool — alive
 //! behind a TCP listener, so the batching argument of [`crate::batch`]
-//! extends *across clients*: concurrently arriving cell queries are
-//! collected into a small admission window and executed as one
-//! [`QueryEngine::batch_cells`] run, making N clients asking about the
-//! same row cost one `U`-row fetch per shard instead of N.
+//! extends *across clients*: cell queries that are queued together are
+//! executed as one [`QueryEngine::batch_cells`] run, making N clients
+//! asking about the same row cost one `U`-row fetch per shard instead
+//! of N.
 //!
-//! Aggregate queries ride the same admission window: requests collected
-//! in one window are grouped by identical `(aggregate, selection)` and
-//! each distinct group is scanned **once**, the result fanned out to
-//! every requester — N clients asking for the same time-range average
-//! cost one block scan, not N (the `STATS` counters `coalesced_aggs` /
-//! `agg_scans` expose the sharing factor).
+//! ## Batching by backlog
+//!
+//! One batcher thread executes whatever is queued the moment it is free;
+//! what arrives while a batch executes is the next batch. The batch size
+//! is therefore worked out from the load: an idle daemon answers a lone
+//! request at once (no timer is waited out), a busy one coalesces as
+//! many requests as one execution takes to answer. [`ServeConfig::window`]
+//! — zero by default — is the *extra* time the batcher lingers for
+//! company once it has work, cut short at [`ServeConfig::batch_max`].
+//!
+//! Aggregate queries ride the same queue: requests taken in one batch
+//! are grouped by identical `(aggregate, selection, predicate)` and each
+//! distinct group is scanned **once**, the result fanned out to every
+//! requester — N clients asking for the same time-range average cost one
+//! block scan, not N (the `STATS` counters `coalesced_aggs` / `agg_scans`
+//! expose the sharing factor).
+//!
+//! Each connection moves a *burst* of frames per syscall: its reader
+//! parses frames out of a [`READ_BUF`]-byte buffer filled by one `read`,
+//! and its writer appends resolved replies to one buffer that is written
+//! out whenever the writer is about to block (so no reply ever waits in
+//! user space) or passes [`WRITE_BUF`] bytes.
 //!
 //! ## Wire protocol
 //!
@@ -23,19 +39,20 @@
 //! payload length followed by that many bytes of UTF-8. Request payloads
 //! are query lines in the [`crate::parse`] grammar (`cell 42 17`,
 //! `avg rows 0..100 cols all`) or one of three verbs: `PING` (liveness),
-//! `STATS` (per-connection and server-wide metrics plus I/O counters),
-//! `SHUTDOWN` (graceful drain). Responses are `OK …` or `ERR …`; a
-//! malformed, oversized, or unparseable request earns an `ERR` frame and
-//! the connection stays healthy — the daemon never panics on input.
+//! `STATS` (per-connection and server-wide metrics, latency
+//! distributions, queue depth and I/O counters), `SHUTDOWN` (graceful
+//! drain). Responses are `OK …` or `ERR …`; a malformed, oversized, or
+//! unparseable request earns an `ERR` frame and the connection stays
+//! healthy — the daemon never panics on input.
 //!
 //! ## Shutdown semantics
 //!
 //! Shutdown (the `SHUTDOWN` verb, or [`ServerHandle::begin_shutdown`]
 //! from the hosting process — the CLI wires stdin EOF / `quit` to it)
 //! stops accepting connections, lets every in-flight request finish and
-//! its response be written whole, and drains any cells still queued in
-//! the admission window through one final batch. Responses are never
-//! torn: a connection thread only re-checks the flag *between* frames.
+//! its response be written whole, and drains any requests still queued
+//! through one final batch. Responses are never torn: a connection
+//! thread only re-checks the flag *between* frames.
 
 use crate::batch::BatchRequest;
 use crate::engine::{AggregateFn, QueryEngine};
@@ -44,8 +61,8 @@ use crate::predicate::Predicate;
 use crate::selection::Selection;
 use ats_common::{AtsError, Result};
 use ats_storage::IoSnapshot;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -64,19 +81,20 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads for aggregate scans and batch execution.
     pub threads: usize,
-    /// Admission window: once a cell query arrives, the batcher keeps
-    /// collecting more for at most this long before executing.
+    /// Extra time the batcher lingers for company once it has work.
+    /// Zero (the default) batches by backlog: whatever is queued when
+    /// the batcher is free is the batch.
     pub window: Duration,
-    /// Execute the pending batch as soon as it holds this many cells,
-    /// even if the window has not expired.
+    /// Stop lingering as soon as this many requests are queued, even if
+    /// the window has not expired.
     pub batch_max: usize,
     /// Largest accepted request payload in bytes; longer frames earn an
     /// `ERR` response (the payload is drained so the connection survives).
     pub max_frame: usize,
     /// Most cell queries one connection may have waiting in the batcher
-    /// at once. A client pipelining faster than the admission window
-    /// drains gets `ERR busy` replies beyond this depth instead of
-    /// growing the batcher's queue without bound.
+    /// at once. A client pipelining faster than the batcher drains gets
+    /// `ERR busy` replies beyond this depth instead of growing the
+    /// batcher's queue without bound.
     pub pending_max: usize,
 }
 
@@ -85,7 +103,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 1,
-            window: Duration::from_millis(2),
+            window: Duration::ZERO,
             batch_max: 64,
             max_frame: 1 << 20,
             pending_max: 64,
@@ -100,7 +118,7 @@ pub struct MetricsSnapshot {
     pub connections: u64,
     /// Queries answered with `OK` (cells + aggregates).
     pub queries: u64,
-    /// Cell queries answered (each went through the admission window).
+    /// Cell queries answered (each went through the batcher).
     pub cells: u64,
     /// Aggregate queries answered.
     pub aggregates: u64,
@@ -109,14 +127,14 @@ pub struct MetricsSnapshot {
     /// `ERR busy` responses: cells refused because the connection already
     /// had `pending_max` cells waiting in the batcher.
     pub busy: u64,
-    /// `batch_cells` executions — the number of admission windows fired.
+    /// `batch_cells` executions — the number of cell batches run.
     pub batches: u64,
     /// Cells answered across all batches (`cells / batches` is the
     /// coalescing factor).
     pub coalesced_cells: u64,
     /// Distinct `(aggregate, selection)` scans executed by the batcher.
     pub agg_scans: u64,
-    /// Aggregate requests admitted through windows (`coalesced_aggs /
+    /// Aggregate requests admitted through batches (`coalesced_aggs /
     /// agg_scans` is the aggregate sharing factor).
     pub coalesced_aggs: u64,
     /// Summed request latency in microseconds (admission wait included).
@@ -157,27 +175,210 @@ impl ServerMetrics {
     }
 }
 
-/// One cell query waiting in the admission window. The reply is a value
-/// or a rendered error message — the requesting connection thread blocks
-/// on the channel until the batcher answers.
+/// The kind of query a latency sample belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryClass {
+    /// `cell i j`.
+    Cell,
+    /// An aggregate over a selection, no predicate.
+    Aggregate,
+    /// An aggregate with a `where` predicate.
+    Where,
+}
+
+impl QueryClass {
+    const ALL: [QueryClass; 3] = [QueryClass::Cell, QueryClass::Aggregate, QueryClass::Where];
+
+    /// The name `STATS` prints.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueryClass::Cell => "cell",
+            QueryClass::Aggregate => "aggregate",
+            QueryClass::Where => "where",
+        }
+    }
+}
+
+/// The part of a batched request's life a latency sample covers. What a
+/// request spends beyond the two — the hand-off to the connection's
+/// writer — is in [`MetricsSnapshot::latency_usec`] only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Frame read → taken off the queue by the batcher.
+    AdmissionWait,
+    /// Taken off the queue → answered by the batcher.
+    Execute,
+}
+
+impl Stage {
+    /// The name `STATS` prints.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::AdmissionWait => "wait",
+            Stage::Execute => "execute",
+        }
+    }
+}
+
+/// One `class × stage` latency distribution, in microseconds. The
+/// quantiles come from log₂ buckets: each is the upper edge of the
+/// bucket holding that rank (never above `max_us`), so it overstates the
+/// true quantile by less than 2×.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySummary {
+    /// Which queries.
+    pub class: QueryClass,
+    /// Which part of their life.
+    pub stage: Stage,
+    /// Samples recorded.
+    pub n: u64,
+    /// Median.
+    pub p50_us: u64,
+    /// 99th percentile.
+    pub p99_us: u64,
+    /// Largest sample.
+    pub max_us: u64,
+    /// Sum of all samples.
+    pub sum_us: u64,
+}
+
+const LATENCY_BUCKETS: usize = 32;
+
+/// Log₂-bucketed microsecond histogram. Bucket `b` counts the samples
+/// whose bit length is `b` — 0 µs in bucket 0, `[2^(b-1), 2^b)` µs in
+/// bucket `b` — and the last bucket is open-ended (≥ 2³⁰ µs, 18 minutes).
+#[derive(Debug, Default)]
+struct Histogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS],
+    sum_us: AtomicU64,
+    max_us: AtomicU64,
+}
+
+impl Histogram {
+    fn bucket_of(us: u64) -> usize {
+        let bits = u64::BITS.saturating_sub(us.leading_zeros());
+        usize::try_from(bits)
+            .unwrap_or(usize::MAX)
+            .min(LATENCY_BUCKETS.saturating_sub(1))
+    }
+
+    /// Largest value bucket `b` can hold.
+    fn upper_edge(b: usize) -> u64 {
+        if b.saturating_add(1) >= LATENCY_BUCKETS {
+            u64::MAX
+        } else {
+            (1u64 << b).saturating_sub(1)
+        }
+    }
+
+    fn record(&self, d: Duration) {
+        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        if let Some(slot) = self.buckets.get(Self::bucket_of(us)) {
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.max_us.fetch_max(us, Ordering::Relaxed);
+    }
+
+    fn summary(&self, class: QueryClass, stage: Stage) -> LatencySummary {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let n: u64 = counts.iter().sum();
+        let max_us = self.max_us.load(Ordering::Relaxed);
+        // Smallest bucket edge with at least `num/den` of the samples at
+        // or below it.
+        let quantile = |num: u64, den: u64| {
+            let rank = n.saturating_mul(num).div_ceil(den).max(1);
+            let mut seen = 0u64;
+            for (b, count) in counts.iter().enumerate() {
+                seen = seen.saturating_add(*count);
+                if seen >= rank {
+                    return Self::upper_edge(b).min(max_us);
+                }
+            }
+            max_us
+        };
+        LatencySummary {
+            class,
+            stage,
+            n,
+            p50_us: quantile(1, 2),
+            p99_us: quantile(99, 100),
+            max_us,
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// The two stage histograms of one query class.
+#[derive(Debug, Default)]
+struct StageLatency {
+    wait: Histogram,
+    execute: Histogram,
+}
+
+/// Latency distributions of every batched request, per class and stage.
+#[derive(Debug, Default)]
+struct Latency {
+    cell: StageLatency,
+    aggregate: StageLatency,
+    filtered: StageLatency,
+}
+
+impl Latency {
+    fn of(&self, class: QueryClass) -> &StageLatency {
+        match class {
+            QueryClass::Cell => &self.cell,
+            QueryClass::Aggregate => &self.aggregate,
+            QueryClass::Where => &self.filtered,
+        }
+    }
+
+    fn summaries(&self) -> Vec<LatencySummary> {
+        QueryClass::ALL
+            .iter()
+            .flat_map(|&class| {
+                let stages = self.of(class);
+                [
+                    stages.wait.summary(class, Stage::AdmissionWait),
+                    stages.execute.summary(class, Stage::Execute),
+                ]
+            })
+            .collect()
+    }
+}
+
+/// What the batcher sends back for one request: the value or a rendered
+/// error message, and the two instants that split the request's latency
+/// into [`Stage`]s. The connection's writer blocks on the channel until
+/// the batcher answers.
+struct BatchReply {
+    result: std::result::Result<f64, String>,
+    taken: Instant,
+    answered: Instant,
+}
+
+/// One cell query waiting in the batcher's queue.
 struct Pending {
     row: usize,
     col: usize,
-    tx: mpsc::Sender<std::result::Result<f64, String>>,
+    tx: mpsc::Sender<BatchReply>,
 }
 
-/// One aggregate query waiting in the admission window. Identical
-/// `(f, sel, pred)` triples collected in the same window share one scan
+/// One aggregate query waiting in the batcher's queue. Identical
+/// `(f, sel, pred)` triples taken in the same batch share one scan
 /// (`pred` is `None` for plain aggregates, `Some` for `where` forms).
 struct PendingAgg {
     f: AggregateFn,
     sel: Selection,
     pred: Option<Predicate>,
-    tx: mpsc::Sender<std::result::Result<f64, String>>,
+    tx: mpsc::Sender<BatchReply>,
 }
 
-/// The admission queue: cells and aggregates waiting for the current
-/// window to fire.
+/// The batcher's queue: cells and aggregates waiting for the next batch.
 #[derive(Default)]
 struct BatchQueue {
     items: Vec<Pending>,
@@ -201,9 +402,15 @@ struct Shared {
     max_frame: usize,
     pending_max: usize,
     shutdown: AtomicBool,
+    /// Where a loopback connection reaches our own listener — what wakes
+    /// the acceptor out of `accept` at shutdown.
+    wake_addr: SocketAddr,
+    /// Whether the acceptor may still be blocked in `accept`.
+    accepting: AtomicBool,
     queue: Mutex<BatchQueue>,
     queue_cv: Condvar,
     metrics: ServerMetrics,
+    latency: Latency,
     io_snapshots: Option<IoSnapshotFn>,
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -222,6 +429,17 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
+        // No signal machinery exists in safe std (and `unsafe` is denied
+        // workspace-wide), so the acceptor is woken by a connection: it
+        // re-checks the flag after every `accept`. Repeated calls retry
+        // until the acceptor has gone.
+        if self.accepting.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
+    }
+
+    fn queue_depth(&self) -> usize {
+        lock(&self.queue).len()
     }
 }
 
@@ -244,7 +462,7 @@ impl ServerHandle {
     }
 
     /// Ask the server to shut down: stop accepting, finish in-flight
-    /// requests, drain the admission queue. Returns immediately;
+    /// requests, drain the batcher's queue. Returns promptly;
     /// [`ServerHandle::join`] waits for the drain.
     pub fn begin_shutdown(&self) {
         self.shared.begin_shutdown();
@@ -259,6 +477,17 @@ impl ServerHandle {
     /// Current server-wide counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
+    }
+
+    /// Latency distributions of the batched requests answered so far,
+    /// one entry per query class and stage — the numbers `STATS` prints.
+    pub fn latency(&self) -> Vec<LatencySummary> {
+        self.shared.latency.summaries()
+    }
+
+    /// Requests waiting in the batcher's queue right now.
+    pub fn queue_depth(&self) -> usize {
+        self.shared.queue_depth()
     }
 
     /// Shut down (if not already requested) and wait for the acceptor,
@@ -318,10 +547,11 @@ pub fn serve(
 ) -> Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr).map_err(AtsError::Io)?;
     let addr = listener.local_addr().map_err(AtsError::Io)?;
-    // Non-blocking accept lets the acceptor poll the shutdown flag; no
-    // signal machinery exists in safe std (and `unsafe` is denied
-    // workspace-wide), so shutdown is always a flag, never a signal.
-    listener.set_nonblocking(true).map_err(AtsError::Io)?;
+    let wake_ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
     let shared = Arc::new(Shared {
         engine: engine.with_threads(cfg.threads.max(1)),
         window: cfg.window,
@@ -329,9 +559,12 @@ pub fn serve(
         max_frame: cfg.max_frame.max(16),
         pending_max: cfg.pending_max.max(1),
         shutdown: AtomicBool::new(false),
+        wake_addr: SocketAddr::new(wake_ip, addr.port()),
+        accepting: AtomicBool::new(true),
         queue: Mutex::new(BatchQueue::default()),
         queue_cv: Condvar::new(),
         metrics: ServerMetrics::default(),
+        latency: Latency::default(),
         io_snapshots,
         conns: Mutex::new(Vec::new()),
     });
@@ -351,38 +584,34 @@ pub fn serve(
     })
 }
 
-/// Accept loop: poll for connections until shutdown, handing each stream
-/// to its own thread (registered for join-on-shutdown).
+/// Accept loop: block in `accept` until shutdown, handing each stream to
+/// its own thread (registered for join-on-shutdown). The connection that
+/// arrives after the flag is raised — [`Shared::begin_shutdown`]'s wake-up
+/// call, or a client too late to be served — is dropped unanswered.
 fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.is_shutdown() {
         match listener.accept() {
+            Ok(_) if shared.is_shutdown() => break,
             Ok((stream, _peer)) => {
-                // The listener is non-blocking; the per-connection
-                // stream must not inherit that (reads use timeouts).
-                let _ = stream.set_nonblocking(false);
                 shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || handle_connection(&conn_shared, stream));
                 lock(&shared.conns).push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
             }
             // Transient accept errors (EMFILE, resets): keep serving the
             // connections we have.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
+    shared.accepting.store(false, Ordering::SeqCst);
 }
 
-/// The admission/coalescing executor: wait for the first pending cell,
-/// keep collecting until the window expires or `batch_max` is reached,
-/// then run the whole window as one [`QueryEngine::batch_cells`] call
-/// and scatter the replies. On shutdown the remaining queue is drained
-/// through the same path before the thread exits.
+/// The coalescing executor: take everything that is queued, run the
+/// cells as one [`QueryEngine::batch_cells`] call and each distinct
+/// aggregate as one scan, scatter the replies, repeat — whatever arrived
+/// meanwhile is the next batch. With a non-zero `window` it first lingers
+/// for company, up to `batch_max` requests. On shutdown the remaining
+/// queue is drained through the same path before the thread exits.
 fn run_batcher(shared: &Shared) {
     loop {
         let (pending, aggs) = {
@@ -399,33 +628,36 @@ fn run_batcher(shared: &Shared) {
                 q.closed = true;
                 return;
             }
-            // Phase 2: the admission window — collect more requests
+            // Phase 2, only when asked to linger: collect more requests
             // until the deadline, the size cap, or shutdown (which
             // executes immediately so the drain finishes promptly).
-            let deadline = Instant::now() + shared.window;
-            while q.len() < shared.batch_max && !shared.is_shutdown() {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
+            if !shared.window.is_zero() {
+                let deadline = Instant::now() + shared.window;
+                while q.len() < shared.batch_max && !shared.is_shutdown() {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break;
+                    }
+                    let (guard, _timed_out) = shared
+                        .queue_cv
+                        .wait_timeout(q, deadline - now)
+                        .unwrap_or_else(|p| p.into_inner());
+                    q = guard;
                 }
-                let (guard, _timed_out) = shared
-                    .queue_cv
-                    .wait_timeout(q, deadline - now)
-                    .unwrap_or_else(|p| p.into_inner());
-                q = guard;
             }
             (std::mem::take(&mut q.items), std::mem::take(&mut q.aggs))
         };
-        execute_batch(shared, pending);
-        execute_aggs(shared, aggs);
+        let taken = Instant::now();
+        execute_batch(shared, pending, taken);
+        execute_aggs(shared, aggs, taken);
     }
 }
 
-/// Run one admission window's cells as a single batch and reply to every
-/// waiting connection. Cells were bounds-checked at admission, so a
-/// batch error here is environmental (I/O, corrupt page) and is fanned
-/// out to every requester rather than failing silently.
-fn execute_batch(shared: &Shared, pending: Vec<Pending>) {
+/// Run one batch's cells as a single [`QueryEngine::batch_cells`] call
+/// and reply to every waiting connection. Cells were bounds-checked at
+/// admission, so a batch error here is environmental (I/O, corrupt page)
+/// and is fanned out to every requester rather than failing silently.
+fn execute_batch(shared: &Shared, pending: Vec<Pending>, taken: Instant) {
     if pending.is_empty() {
         return;
     }
@@ -436,26 +668,33 @@ fn execute_batch(shared: &Shared, pending: Vec<Pending>) {
         .coalesced_cells
         .fetch_add(count, Ordering::Relaxed);
     let req = BatchRequest::new(pending.iter().map(|p| (p.row, p.col)).collect());
-    match shared.engine.batch_cells(&req) {
+    let res = shared.engine.batch_cells(&req);
+    let answered = Instant::now();
+    let reply = |result| BatchReply {
+        result,
+        taken,
+        answered,
+    };
+    match res {
         Ok(res) => {
             for (p, v) in pending.iter().zip(res.values()) {
-                let _ = p.tx.send(Ok(*v));
+                let _ = p.tx.send(reply(Ok(*v)));
             }
         }
         Err(e) => {
             let msg = e.to_string();
             for p in &pending {
-                let _ = p.tx.send(Err(msg.clone()));
+                let _ = p.tx.send(reply(Err(msg.clone())));
             }
         }
     }
 }
 
-/// Run one admission window's aggregates: group identical
-/// `(f, sel, pred)` requests, scan each distinct group exactly once, and
-/// fan the result out to every waiting requester. A failed scan errs
-/// only its own group — the other groups in the window still answer.
-fn execute_aggs(shared: &Shared, pending: Vec<PendingAgg>) {
+/// Run one batch's aggregates: group identical `(f, sel, pred)`
+/// requests, scan each distinct group exactly once, and fan the result
+/// out to every waiting requester. A failed scan errs only its own
+/// group — the other groups in the batch still answer.
+fn execute_aggs(shared: &Shared, pending: Vec<PendingAgg>, taken: Instant) {
     if pending.is_empty() {
         return;
     }
@@ -485,18 +724,14 @@ fn execute_aggs(shared: &Shared, pending: Vec<PendingAgg>) {
             Some(pred) => shared.engine.aggregate_where(&sel, f, pred),
             None => shared.engine.aggregate(&sel, f),
         };
-        match res {
-            Ok(v) => {
-                for tx in txs {
-                    let _ = tx.send(Ok(v));
-                }
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                for tx in txs {
-                    let _ = tx.send(Err(msg.clone()));
-                }
-            }
+        let result = res.map_err(|e| e.to_string());
+        let answered = Instant::now();
+        for tx in txs {
+            let _ = tx.send(BatchReply {
+                result: result.clone(),
+                taken,
+                answered,
+            });
         }
     }
 }
@@ -519,7 +754,7 @@ enum FrameRead {
 /// I/O error, or shutdown-while-waiting (the caller closes either way —
 /// except that `started` frames ride out shutdown so an already-sent
 /// request is still answered, never torn).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared, started: bool) -> bool {
+fn read_full(stream: &mut impl Read, buf: &mut [u8], shared: &Shared, started: bool) -> bool {
     let mut filled = 0usize;
     while filled < buf.len() {
         let Some(rest) = buf.get_mut(filled..) else {
@@ -547,7 +782,7 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared, started: b
 }
 
 /// Read one length-prefixed frame.
-fn read_frame(stream: &mut TcpStream, shared: &Shared) -> FrameRead {
+fn read_frame(stream: &mut impl Read, shared: &Shared) -> FrameRead {
     let mut header = [0u8; 4];
     if !read_full(stream, &mut header, shared, false) {
         return if shared.is_shutdown() {
@@ -584,17 +819,29 @@ fn read_frame(stream: &mut TcpStream, shared: &Shared) -> FrameRead {
     FrameRead::Payload(payload)
 }
 
-/// Write one length-prefixed response frame. A response is a single
-/// `write_all` of header + payload, so it is never interleaved with
-/// another response on the same connection.
-fn write_frame(stream: &mut TcpStream, payload: &str) -> std::io::Result<()> {
+/// Bytes one connection reads from its socket at a time: a burst of
+/// pipelined request frames costs one `read`, not two per frame.
+const READ_BUF: usize = 16 << 10;
+
+/// A connection's reply buffer is written out once it holds this much
+/// (and, whatever it holds, before its writer blocks).
+const WRITE_BUF: usize = 32 << 10;
+
+/// Append one whole length-prefixed frame to `out`.
+fn push_frame(out: &mut Vec<u8>, payload: &str) -> std::io::Result<()> {
     let bytes = payload.as_bytes();
-    let len = u32::try_from(bytes.len()).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "response frame too long")
-    })?;
-    let mut frame = Vec::with_capacity(bytes.len().saturating_add(4));
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(bytes);
+    let len = u32::try_from(bytes.len())
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too long"))?;
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// Write one length-prefixed frame: a single `write_all` of header +
+/// payload.
+fn write_frame(stream: &mut TcpStream, payload: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(payload.len().saturating_add(4));
+    push_frame(&mut frame, payload)?;
     stream.write_all(&frame)?;
     stream.flush()
 }
@@ -619,11 +866,10 @@ enum WriterItem {
     /// A cell or aggregate admitted to the batcher: wait for its
     /// result, count it, then write.
     Batched {
-        rx: mpsc::Receiver<std::result::Result<f64, String>>,
+        rx: mpsc::Receiver<BatchReply>,
         started: Instant,
-        /// Whether this was an aggregate (counts into `aggregates`)
-        /// rather than a cell (counts into `cells`).
-        agg: bool,
+        /// Cells count into `cells`, the other two into `aggregates`.
+        class: QueryClass,
     },
     /// The `SHUTDOWN` ack: write it, then raise the flag — the requester
     /// always hears the acknowledgment before the drain begins.
@@ -635,10 +881,11 @@ enum WriterItem {
 /// order, so a client may have up to `pending_max` cell queries in the
 /// batcher at once — beyond that depth new cells earn `ERR busy` instead
 /// of growing the batcher's queue. If the peer also stops *reading*
-/// (so even `ERR busy` lines would pile up), the reader stops pulling
-/// frames once the reply queue is twice `pending_max` deep and lets TCP
+/// (so even `ERR busy` lines would pile up), the reader stops dispatching
+/// frames once the reply queue is twice `pending_max` deep — at most one
+/// [`READ_BUF`] of undispatched bytes sits in user space — and lets TCP
 /// backpressure stall the flood.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // Short read timeouts make the loop poll the shutdown flag; they are
     // retried inside `read_full`, invisible to the protocol.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -662,9 +909,11 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         })
     };
     let backpressure = u64::try_from(shared.pending_max.saturating_mul(2)).unwrap_or(u64::MAX);
+    // One `read` fetches every frame the peer has sent so far.
+    let mut stream = BufReader::with_capacity(READ_BUF, stream);
     loop {
         // Hard backpressure: a peer that writes but never reads fills the
-        // reply queue; stop reading frames and let the kernel's TCP
+        // reply queue; stop taking frames and let the kernel's TCP
         // window push back instead of buffering `ERR busy` lines forever.
         while queued.load(Ordering::Acquire) >= backpressure && !shared.is_shutdown() {
             std::thread::sleep(Duration::from_millis(1));
@@ -708,60 +957,107 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = writer.join();
 }
 
+/// The write side of one connection: whole reply frames gathered in one
+/// reused buffer and written out together, so a frame is never torn and a
+/// burst of replies costs one `write`. After a socket error it discards
+/// instead, so the writer keeps resolving in-flight receivers.
+struct ReplyBuf {
+    stream: TcpStream,
+    out: Vec<u8>,
+    broken: bool,
+}
+
+impl ReplyBuf {
+    fn push(&mut self, line: &str) {
+        if push_frame(&mut self.out, line).is_err() {
+            self.broken = true;
+        }
+        if self.out.len() >= WRITE_BUF {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.broken && !self.out.is_empty() && self.stream.write_all(&self.out).is_err() {
+            self.broken = true;
+        }
+        self.out.clear();
+    }
+}
+
+/// Receive from `rx`; if that means blocking, write `replies` out first —
+/// no resolved reply sits in user space while its writer sleeps.
+fn recv_flushing<T>(
+    rx: &mpsc::Receiver<T>,
+    replies: &mut ReplyBuf,
+) -> std::result::Result<T, mpsc::RecvError> {
+    rx.try_recv().or_else(|_| {
+        replies.flush();
+        rx.recv()
+    })
+}
+
 /// The writer half of one connection: resolve queued replies in FIFO
-/// order and write each as one frame. Keeps draining (without writing)
-/// after a socket error so in-flight cell receivers still resolve.
+/// order and write them a burst at a time. Keeps draining (without
+/// writing) after a socket error so in-flight cell receivers still
+/// resolve.
 fn run_writer(
     shared: &Shared,
     conn: &ConnMetrics,
-    mut stream: TcpStream,
+    stream: TcpStream,
     wrx: &mpsc::Receiver<WriterItem>,
     cells_in_flight: &AtomicU64,
     queued: &AtomicU64,
 ) {
-    let mut broken = false;
-    while let Ok(item) = wrx.recv() {
+    let mut replies = ReplyBuf {
+        stream,
+        out: Vec::new(),
+        broken: false,
+    };
+    while let Ok(item) = recv_flushing(wrx, &mut replies) {
         let (line, done) = match item {
             WriterItem::Line(s) => (s, false),
-            WriterItem::Batched { rx, started, agg } => {
-                let line = match rx.recv() {
-                    Ok(Ok(v)) => {
+            WriterItem::Batched { rx, started, class } => {
+                let reply = recv_flushing(&rx, &mut replies);
+                if let Ok(reply) = &reply {
+                    let stages = shared.latency.of(class);
+                    stages
+                        .wait
+                        .record(reply.taken.saturating_duration_since(started));
+                    stages
+                        .execute
+                        .record(reply.answered.saturating_duration_since(reply.taken));
+                }
+                let line = match reply.map_or_else(
+                    |_| Err("batch executor dropped the request".to_string()),
+                    |reply| reply.result,
+                ) {
+                    Ok(v) => {
                         conn.queries.fetch_add(1, Ordering::Relaxed);
                         shared.metrics.queries.fetch_add(1, Ordering::Relaxed);
-                        if agg {
-                            shared.metrics.aggregates.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            shared.metrics.cells.fetch_add(1, Ordering::Relaxed);
-                        }
+                        let counter = match class {
+                            QueryClass::Cell => &shared.metrics.cells,
+                            QueryClass::Aggregate | QueryClass::Where => &shared.metrics.aggregates,
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
                         format!("OK {v}")
                     }
-                    Ok(Err(msg)) => {
+                    Err(msg) => {
                         conn.errors.fetch_add(1, Ordering::Relaxed);
                         shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
                         format!("ERR {msg}")
                     }
-                    Err(_) => {
-                        conn.errors.fetch_add(1, Ordering::Relaxed);
-                        shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        "ERR batch executor dropped the request".to_string()
-                    }
                 };
                 cells_in_flight.fetch_sub(1, Ordering::Release);
-                let elapsed = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                conn.latency_usec.fetch_add(elapsed, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .latency_usec
-                    .fetch_add(elapsed, Ordering::Relaxed);
+                count_latency(shared, conn, started);
                 (line, false)
             }
             WriterItem::Shutdown(s) => (s, true),
         };
         queued.fetch_sub(1, Ordering::Release);
-        if !broken && write_frame(&mut stream, &line).is_err() {
-            broken = true;
-        }
+        replies.push(&line);
         if done {
+            replies.flush();
             shared.begin_shutdown();
             return;
         }
@@ -785,8 +1081,8 @@ fn count_latency(shared: &Shared, conn: &ConnMetrics, started: Instant) {
         .fetch_add(elapsed, Ordering::Relaxed);
 }
 
-/// Execute one request line (reader side): a protocol verb, an aggregate
-/// (answered synchronously), or a cell (admitted to the batcher, reply
+/// Execute one request line (reader side): a protocol verb (answered on
+/// the spot), or a cell or aggregate (admitted to the batcher, reply
 /// resolved later by the writer).
 fn dispatch(
     shared: &Shared,
@@ -820,7 +1116,7 @@ fn dispatch(
     }
 }
 
-/// Admit one cell query into the coalescing window; the writer thread
+/// Admit one cell query into the batcher's queue; the writer thread
 /// waits for the batch that answers it. Bounds are checked *here*, per
 /// request — a bad cell earns its own `ERR` without poisoning the batch
 /// the other clients' queries land in ([`QueryEngine::batch_cells`]
@@ -881,13 +1177,13 @@ fn cell_via_batcher(
     WriterItem::Batched {
         rx,
         started,
-        agg: false,
+        class: QueryClass::Cell,
     }
 }
 
-/// Admit one aggregate query into the coalescing window; identical
-/// `(aggregate, selection, predicate)` requests collected in the same
-/// window share one scan. The selection is bounds-checked at admission
+/// Admit one aggregate query into the batcher's queue; identical
+/// `(aggregate, selection, predicate)` requests taken in the same batch
+/// share one scan. The selection is bounds-checked at admission
 /// so a bad request earns its own immediate `ERR`; in-flight aggregates
 /// count against the same per-connection `pending_max` cap as cells.
 fn agg_via_batcher(
@@ -912,6 +1208,11 @@ fn agg_via_batcher(
             started,
         );
     }
+    let class = if pred.is_some() {
+        QueryClass::Where
+    } else {
+        QueryClass::Aggregate
+    };
     let (tx, rx) = mpsc::channel();
     let admitted = {
         let mut q = lock(&shared.queue);
@@ -927,16 +1228,13 @@ fn agg_via_batcher(
     }
     cells_in_flight.fetch_add(1, Ordering::Release);
     shared.queue_cv.notify_all();
-    WriterItem::Batched {
-        rx,
-        started,
-        agg: true,
-    }
+    WriterItem::Batched { rx, started, class }
 }
 
 /// Render the `STATS` response: one `stats` marker line, then
 /// `key value` lines for the server-wide counters, this connection's
-/// counters, and (when wired) the per-shard and total I/O snapshots.
+/// counters, the queue depth, one latency distribution per query class
+/// and stage, and (when wired) the per-shard and total I/O snapshots.
 fn render_stats(shared: &Shared, conn: &ConnMetrics) -> String {
     let m = shared.metrics.snapshot();
     let mut out = String::from("stats\n");
@@ -961,6 +1259,19 @@ fn render_stats(shared: &Shared, conn: &ConnMetrics) -> String {
         conn.errors.load(Ordering::Relaxed),
         conn.latency_usec.load(Ordering::Relaxed)
     ));
+    out.push_str(&format!("queue depth={}\n", shared.queue_depth()));
+    for l in shared.latency.summaries() {
+        out.push_str(&format!(
+            "latency class={} stage={} n={} p50_us={} p99_us={} max_us={} sum_us={}\n",
+            l.class.name(),
+            l.stage.name(),
+            l.n,
+            l.p50_us,
+            l.p99_us,
+            l.max_us,
+            l.sum_us
+        ));
+    }
     if let Some(io) = &shared.io_snapshots {
         let mut total = IoSnapshot::default();
         for (idx, s) in io().iter().enumerate() {
@@ -1022,6 +1333,7 @@ pub mod client {
 mod tests {
     use super::*;
     use crate::engine::ExactMatrix;
+    use ats_compress::CompressedMatrix;
     use ats_linalg::Matrix;
 
     fn start(window_ms: u64, batch_max: usize) -> (ServerHandle, QueryEngine<'static>) {
@@ -1234,5 +1546,192 @@ mod tests {
         let m = handle.join().unwrap();
         assert_eq!(m.batches, 1, "three cells must share one batch");
         assert_eq!(m.coalesced_cells, 3);
+    }
+
+    #[test]
+    fn histogram_buckets_quantiles_and_stage_sums() {
+        // Bucket edges: 0 | 1 | 2–3 | 4–7 | 8–15 …, the last open-ended.
+        for (us, bucket) in [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4)] {
+            assert_eq!(Histogram::bucket_of(us), bucket, "{us} µs");
+            assert!(us <= Histogram::upper_edge(bucket));
+        }
+        assert_eq!(Histogram::bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
+        assert_eq!(Histogram::upper_edge(4), 15);
+        assert_eq!(Histogram::upper_edge(LATENCY_BUCKETS - 1), u64::MAX);
+
+        // 90 samples of 10 µs and 10 of 1 000 µs: the median is the edge
+        // of 10's bucket, p99 lands among the slow ones, capped by max.
+        let h = Histogram::default();
+        for _ in 0..90 {
+            h.record(Duration::from_micros(10));
+        }
+        for _ in 0..10 {
+            h.record(Duration::from_micros(1_000));
+        }
+        let s = h.summary(QueryClass::Cell, Stage::Execute);
+        assert_eq!((s.n, s.p50_us, s.p99_us, s.max_us), (100, 15, 1_000, 1_000));
+        assert_eq!(s.sum_us, 90 * 10 + 10 * 1_000);
+        let empty = Histogram::default().summary(QueryClass::Where, Stage::AdmissionWait);
+        assert_eq!((empty.n, empty.p50_us, empty.max_us), (0, 0, 0));
+
+        // Through a daemon: every batched request lands in its class,
+        // once per stage, and the two stages never exceed the total.
+        let (handle, _engine) = start(0, 8);
+        let mut c = connect(&handle);
+        for q in ["cell 1 2", "cell 3 4", "sum rows all cols all"] {
+            assert!(client::round_trip(&mut c, q).unwrap().starts_with("OK "));
+        }
+        let r = client::round_trip(&mut c, "count rows all where value > 3").unwrap();
+        assert!(r.starts_with("OK "), "{r}");
+        assert_eq!(handle.queue_depth(), 0);
+        let stats = client::round_trip(&mut c, "STATS").unwrap();
+        assert!(stats.contains("\nqueue depth=0\n"), "{stats}");
+        assert!(
+            stats.contains("\nlatency class=cell stage=wait n=2 p50_us="),
+            "{stats}"
+        );
+        assert!(
+            stats.contains("\nlatency class=where stage=execute n=1 p50_us="),
+            "{stats}"
+        );
+        let latency = handle.latency();
+        let n: Vec<u64> = latency.iter().map(|l| l.n).collect();
+        assert_eq!(n, [2, 2, 1, 1, 1, 1], "{latency:?}");
+        let staged: u64 = latency.iter().map(|l| l.sum_us).sum();
+        handle.begin_shutdown();
+        let m = handle.join().unwrap();
+        assert!(staged <= m.latency_usec, "{staged} > {}", m.latency_usec);
+    }
+
+    /// An exact matrix whose cells cannot be read until the gate opens;
+    /// `entered` hears of every attempt.
+    struct Gated {
+        inner: ExactMatrix,
+        open: Mutex<bool>,
+        opened: Condvar,
+        entered: Mutex<mpsc::Sender<()>>,
+    }
+
+    impl CompressedMatrix for Gated {
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn cell(&self, i: usize, j: usize) -> Result<f64> {
+            let _ = lock(&self.entered).send(());
+            let mut open = lock(&self.open);
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+            drop(open);
+            self.inner.cell(i, j)
+        }
+        fn storage_bytes(&self) -> usize {
+            self.inner.storage_bytes()
+        }
+        fn method_name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    #[test]
+    fn backlog_of_one_execution_is_the_next_batch() {
+        // No window and no size trigger: while the first batch is held
+        // inside the engine, K cells of one row queue up behind it, and
+        // the batcher must take them as ONE batch when it comes back.
+        const K: usize = 6;
+        let (entered_tx, entered) = mpsc::channel();
+        let gated = Arc::new(Gated {
+            inner: ExactMatrix(Matrix::from_fn(12, 9, |i, j| {
+                (i * 9 + j) as f64 * 0.37 - 11.0
+            })),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            entered: Mutex::new(entered_tx),
+        });
+        let handle = serve(
+            QueryEngine::shared(gated.clone()),
+            ServeConfig::default(),
+            None,
+        )
+        .unwrap();
+
+        let mut first = connect(&handle);
+        client::send(&mut first, "cell 0 0").unwrap();
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the batcher never took the first cell");
+        let mut clients: Vec<TcpStream> = (0..K).map(|_| connect(&handle)).collect();
+        for (col, c) in clients.iter_mut().enumerate() {
+            client::send(c, &format!("cell 7 {col}")).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.queue_depth() < K {
+            assert!(
+                Instant::now() < deadline,
+                "only {} queued",
+                handle.queue_depth()
+            );
+            std::thread::yield_now();
+        }
+        *lock(&gated.open) = true;
+        gated.opened.notify_all();
+
+        let want = |i, j| format!("OK {}", gated.inner.cell(i, j).unwrap());
+        assert_eq!(client::recv(&mut first).unwrap(), want(0, 0));
+        for (col, c) in clients.iter_mut().enumerate() {
+            assert_eq!(client::recv(c).unwrap(), want(7, col));
+        }
+        handle.begin_shutdown();
+        let m = handle.join().unwrap();
+        assert_eq!(m.batches, 2, "{m:?}");
+        assert_eq!(m.coalesced_cells, K as u64 + 1, "{m:?}");
+    }
+
+    #[test]
+    fn idle_daemon_shuts_down_promptly() {
+        // The acceptor blocks in `accept`; shutdown has to wake it. One
+        // served connection first: the acceptor is past its start-up
+        // check of the flag and back in `accept` when the flag is raised.
+        let (handle, _engine) = start(0, 8);
+        let mut c = connect(&handle);
+        assert_eq!(client::round_trip(&mut c, "PING").unwrap(), "OK pong");
+        drop(c);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            handle.begin_shutdown();
+            let _ = tx.send(handle.join());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("join did not return within 1 s")
+            .unwrap();
+    }
+
+    #[test]
+    fn fresh_connection_is_noticed_at_once() {
+        // Connect, then ask: a polling acceptor adds its sleep (2.5 ms on
+        // average at 5 ms) before the first frame is read. Three tries
+        // ride out a noisy machine; a poll loop fails all of them.
+        let (handle, _engine) = start(0, 8);
+        let median = || {
+            let mut rtts: Vec<Duration> = (0..32)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let mut c = connect(&handle);
+                    c.set_nodelay(true).unwrap();
+                    assert_eq!(client::round_trip(&mut c, "PING").unwrap(), "OK pong");
+                    t0.elapsed()
+                })
+                .collect();
+            rtts.sort();
+            rtts[rtts.len() / 2]
+        };
+        let best = (0..3).map(|_| median()).min().unwrap();
+        assert!(best < Duration::from_millis(1), "median {best:?}");
+        handle.begin_shutdown();
+        let m = handle.join().unwrap();
+        assert_eq!(m.connections, 96, "the wake-up call is not a client");
     }
 }

@@ -133,10 +133,14 @@ USAGE:
                                  long-lived TCP query daemon over one
                                  shared store/page pool: length-prefixed
                                  frames carrying query lines (plus PING,
-                                 STATS, SHUTDOWN verbs); concurrently
-                                 arriving cell queries coalesce into one
-                                 batched run per admission window (W ms
-                                 or B cells). Each connection may keep P
+                                 STATS, SHUTDOWN verbs); cell queries
+                                 that are queued together coalesce into
+                                 one batched run: the batch is whatever
+                                 arrived while the previous one executed.
+                                 --window-ms W: extra time to wait for
+                                 company, default 0: batch what is
+                                 queued; cut short at B queued requests
+                                 (default 64). Each connection may keep P
                                  cell queries waiting in the batcher
                                  (default 64); past that depth it gets
                                  `ERR busy` replies. --addr defaults to
@@ -715,16 +719,22 @@ fn run() -> Result<(), CliError> {
             )?;
             let dir = pos.get(1).ok_or_else(|| usage("serve needs DIR"))?;
             let pool = flag_usize(&flags, "pool-pages", 1024)?;
+            // The library's defaults are the CLI's: only the listen
+            // address differs (a fixed port to find the daemon at).
+            let defaults = ServeConfig::default();
             let cfg = ServeConfig {
                 addr: flags
                     .get("addr")
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-                threads: flag_usize(&flags, "threads", 1)?,
-                window: Duration::from_millis(flag_u64(&flags, "window-ms", 2)?),
-                batch_max: flag_usize(&flags, "batch-max", 64)?,
-                max_frame: flag_usize(&flags, "max-frame", 1 << 20)?,
-                pending_max: flag_usize(&flags, "pending-max", 64)?,
+                threads: flag_usize(&flags, "threads", defaults.threads)?,
+                window: match flags.get("window-ms") {
+                    Some(_) => Duration::from_millis(flag_u64(&flags, "window-ms", 0)?),
+                    None => defaults.window,
+                },
+                batch_max: flag_usize(&flags, "batch-max", defaults.batch_max)?,
+                max_frame: flag_usize(&flags, "max-frame", defaults.max_frame)?,
+                pending_max: flag_usize(&flags, "pending-max", defaults.pending_max)?,
             };
             // One store, one page pool: every connection and every batch
             // shares the same Arc'd store through a 'static engine.

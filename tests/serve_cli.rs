@@ -8,7 +8,7 @@ use ats_common::TestDir;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn ats() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ats"))
@@ -102,6 +102,78 @@ fn serve_daemon_answers_over_a_socket_and_shuts_down_cleanly() {
     let mut rest = String::new();
     stdout.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("served "), "{rest}");
+}
+
+#[test]
+fn serve_defaults_answer_a_lone_cell_without_a_timer() {
+    let dir = TestDir::new("ats-serve-cli");
+    let store = dir.file("store");
+    run_ok(&[
+        "save",
+        "--generate",
+        "phone",
+        "--rows",
+        "80",
+        "--cols",
+        "24",
+        "--out",
+        store.to_str().unwrap(),
+        "--shards",
+        "2",
+    ]);
+    // No --window-ms: the CLI runs the library's default policy.
+    let mut child = ats()
+        .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ats serve");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .to_string();
+
+    let mut s = TcpStream::connect(&addr).expect("connect to daemon");
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // 51 depth-1 round trips: ~0.1 ms each when the batcher takes what is
+    // queued, at least 2 ms each under the old 2 ms window. Three tries
+    // ride out a noisy machine; a timer fails all of them.
+    let mut replies = Vec::new();
+    let mut median = || {
+        let mut rtts: Vec<Duration> = (0..51)
+            .map(|t| {
+                let t0 = Instant::now();
+                let reply = client::round_trip(&mut s, &format!("cell {} 17", t % 80)).unwrap();
+                let rtt = t0.elapsed();
+                replies.push((t % 80, reply));
+                rtt
+            })
+            .collect();
+        rtts.sort();
+        rtts[rtts.len() / 2]
+    };
+    let best = (0..3).map(|_| median()).min().unwrap();
+    assert!(best < Duration::from_millis(1), "median {best:?}");
+    assert_eq!(
+        client::round_trip(&mut s, "SHUTDOWN").unwrap(),
+        "OK shutting down"
+    );
+    drop(s);
+    assert!(child.wait().expect("daemon exit").success());
+
+    // Same answers as single-shot `ats query`, bit for bit.
+    for row in [0usize, 42, 79] {
+        let single = run_ok(&["query", store.to_str().unwrap(), &format!("cell {row} 17")]);
+        for (_, reply) in replies.iter().filter(|(r, _)| *r == row) {
+            assert_eq!(reply, &format!("OK {}", single.trim()));
+        }
+    }
 }
 
 #[test]

@@ -436,3 +436,162 @@ fn coalesced_range_aggregates_share_one_block_scan() {
     assert_eq!(want.to_bits(), replies[0].to_bits());
     assert_eq!(fresh.block_io_snapshots()[1].physical_reads, scan_reads);
 }
+
+/// One raw frame: 4-byte big-endian length + payload bytes.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = u32::try_from(payload.len()).unwrap().to_be_bytes().to_vec();
+    out.extend_from_slice(payload);
+    out
+}
+
+#[test]
+fn pipelined_burst_is_answered_in_order_and_whole() {
+    use std::io::Write as _;
+    const FRAMES: usize = 2_000;
+    const MAX_FRAME: usize = 64;
+    let dir = TestDir::new("ats-serve");
+    let x = phone(60, 20, 5);
+    let store = saved_store(&dir, &x, 2);
+    // Deep enough that nothing bounces as `ERR busy`: every reply below
+    // is the query's own answer.
+    let handle = start(
+        &store,
+        1,
+        ServeConfig {
+            max_frame: MAX_FRAME,
+            pending_max: 2 * FRAMES,
+            ..ServeConfig::default()
+        },
+    );
+    let engine = baseline(&store);
+
+    // The request stream, with what each frame must be answered by.
+    let mut wire = Vec::new();
+    let mut expect: Vec<String> = Vec::new();
+    let ask = |wire: &mut Vec<u8>, expect: &mut Vec<String>, q: &str| {
+        wire.extend(frame(q.as_bytes()));
+        expect.push(format!("OK {}", run_query(&engine, q).unwrap()));
+    };
+    for t in 0..FRAMES {
+        match t % 97 {
+            13 => {
+                wire.extend(frame(b"PING"));
+                expect.push("OK pong".to_string());
+            }
+            29 => ask(&mut wire, &mut expect, "sum rows 5..25 cols 2..9"),
+            41 => ask(&mut wire, &mut expect, "count rows all where value > 1"),
+            53 => {
+                wire.extend(frame(format!("cell 60 {}", t % 20).as_bytes()));
+                expect.push("ERR row index 60 out of bounds".to_string());
+            }
+            67 => {
+                wire.extend(frame(&[0xff, 0xfe, b'x']));
+                expect.push("ERR request payload is not valid UTF-8".to_string());
+            }
+            83 => {
+                wire.extend(frame(&[b'y'; MAX_FRAME + 9]));
+                expect.push(format!("ERR frame of {} bytes exceeds", MAX_FRAME + 9));
+            }
+            _ => ask(
+                &mut wire,
+                &mut expect,
+                &format!("cell {} {}", (t * 7) % 60, (t * 3) % 20),
+            ),
+        }
+    }
+
+    // A handful of writes, cut at arbitrary byte offsets — inside headers
+    // and payloads alike — then every reply, in request order.
+    let mut s = connect(&handle);
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    for chunk in wire.chunks(wire.len() / 5 + 1) {
+        s.write_all(chunk).unwrap();
+    }
+    for (t, want) in expect.iter().enumerate() {
+        let got = client::recv(&mut s).unwrap();
+        if want.starts_with("ERR ") {
+            assert!(
+                got.starts_with(want.as_str()),
+                "frame {t}: {got:?} vs {want:?}"
+            );
+        } else {
+            assert_eq!(&got, want, "frame {t}");
+        }
+    }
+    assert_eq!(client::round_trip(&mut s, "PING").unwrap(), "OK pong");
+    drop(s);
+    let m = handle.join().unwrap();
+    assert_eq!(m.busy, 0, "{m:?}");
+}
+
+#[test]
+fn depth_one_client_never_waits_for_a_buffered_reply() {
+    // One request in flight, cells (resolved by the batcher) alternating
+    // with PINGs (resolved by the reader): a writer that kept a resolved
+    // reply in its buffer while it slept on the next one would leave
+    // this client waiting for ever — the read timeout turns that red.
+    let dir = TestDir::new("ats-serve");
+    let x = phone(40, 16, 19);
+    let store = saved_store(&dir, &x, 1);
+    let handle = start(&store, 1, ServeConfig::default());
+    let engine = baseline(&store);
+    let mut s = connect(&handle);
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    for t in 0..200usize {
+        let (i, j) = (t % 40, t % 16);
+        let got = ok_value(&client::round_trip(&mut s, &format!("cell {i} {j}")).unwrap());
+        assert_eq!(got.to_bits(), engine.cell(i, j).unwrap().to_bits());
+        assert_eq!(client::round_trip(&mut s, "PING").unwrap(), "OK pong");
+    }
+    drop(s);
+    handle.join().unwrap();
+}
+
+#[test]
+fn peer_that_never_reads_stalls_alone() {
+    use std::io::Write as _;
+    let dir = TestDir::new("ats-serve");
+    let x = phone(120, 24, 43);
+    let store = saved_store(&dir, &x, 2);
+    let handle = start(&store, 1, ServeConfig::default());
+    let hwm_before = peak_rss_bytes();
+
+    // Write cell frames until the socket takes no more: the daemon's
+    // writer is blocked on our full receive buffer, its reader has
+    // stopped dispatching, and the kernel's window has pushed back.
+    let mut stalled = connect(&handle);
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let burst: Vec<u8> = (0..512).flat_map(|_| frame(b"cell 1 1")).collect();
+    let mut sent = 0usize;
+    while stalled.write_all(&burst).is_ok() {
+        sent += burst.len();
+        assert!(sent < 1 << 30, "the daemon never pushed back");
+    }
+
+    // Everyone else is served as if the stalled peer were not there.
+    let engine = baseline(&store);
+    let mut healthy = connect(&handle);
+    healthy
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for t in 0..50usize {
+        let (i, j) = (t % 120, t % 24);
+        let got = ok_value(&client::round_trip(&mut healthy, &format!("cell {i} {j}")).unwrap());
+        assert_eq!(got.to_bits(), engine.cell(i, j).unwrap().to_bits());
+    }
+    if let (Some(before), Some(after)) = (hwm_before, peak_rss_bytes()) {
+        assert!(
+            after - before < 32 * 1024 * 1024,
+            "a stalled peer grew peak RSS by {} bytes",
+            after - before
+        );
+    }
+
+    // The peer goes away (a socket error for its writer, which keeps
+    // draining) and the daemon still shuts down.
+    drop(stalled);
+    drop(healthy);
+    handle.join().unwrap();
+}

@@ -18,7 +18,7 @@ use ats_bench::{fmt, phone2000, stocks, timed, ResultTable};
 use ats_common::BloomFilter;
 use ats_compress::dct::DctCompressed;
 use ats_compress::dwt::DwtCompressed;
-use ats_compress::gram::compute_gram;
+use ats_compress::gram::compute_gram_parallel;
 use ats_compress::quantized::QuantizedSvd;
 use ats_compress::{SpaceBudget, SvdCompressed};
 use ats_linalg::{lanczos_top_k, sym_eigen, LanczosOptions};
@@ -109,7 +109,7 @@ fn bloom_probe_savings() {
 
 fn lanczos_vs_dense() {
     let dataset = phone2000();
-    let c = compute_gram(dataset.matrix()).expect("gram");
+    let c = compute_gram_parallel(dataset.matrix(), 1).expect("gram");
     let mut table = ResultTable::new(
         "A4 — top-k eigensolver: dense QL vs Lanczos (M = 366)",
         &["k", "dense_s", "lanczos_s", "max_rel_diff"],

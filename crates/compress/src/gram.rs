@@ -1,15 +1,18 @@
 //! Pass 1: streaming accumulation of the Gram matrix `C = XᵀX`.
 //!
-//! This is Fig. 2 of the paper verbatim — read one row at a time, add the
-//! outer product of the row with itself into an `M × M` accumulator held
-//! in memory — plus a row-partitioned parallel variant: `C` is a sum over
-//! rows, so each worker accumulates a private partial `C` over a disjoint
-//! row range and the partials are added at the end (the same reduction
-//! trick as the paper's single-pass claim, just spread over cores).
+//! This is Fig. 2 of the paper — read one row at a time, add the outer
+//! product of the row with itself into an `M × M` accumulator held in
+//! memory — restructured as a blocked fold: `C` is a sum over rows, so
+//! each fixed [`GRAM_BLOCK_ROWS`]-row block accumulates its own partial
+//! and the partials are added in ascending block order. The blocks of a
+//! wave are computed concurrently (through [`crate::par::fork_join`]),
+//! the fold stays sequential, so `C` is bitwise the same for any
+//! block-aligned row partition and any thread count.
 //!
 //! Only the upper triangle is accumulated (C is symmetric), halving the
 //! inner-loop work relative to the paper's pseudocode.
 
+use crate::par::fork_join;
 use ats_common::{AtsError, Result};
 use ats_linalg::{vecops, Matrix};
 use ats_storage::RowSource;
@@ -39,79 +42,6 @@ fn symmetrize(c: &mut Matrix) {
             c[(l, j)] = c[(j, l)];
         }
     }
-}
-
-/// Single-threaded pass 1 (Fig. 2): one sequential scan, `O(N·M²)` work,
-/// `O(M²)` memory.
-pub fn compute_gram(source: &dyn RowSource) -> Result<Matrix> {
-    let m = source.cols();
-    let mut c = Matrix::zeros(m, m);
-    source.for_each_row(&mut |_, row| {
-        accumulate_row(&mut c, row);
-        Ok(())
-    })?;
-    symmetrize(&mut c);
-    Ok(c)
-}
-
-/// Multi-threaded pass 1: `threads` workers each scan a contiguous row
-/// range into a private partial Gram matrix; partials are summed.
-///
-/// Falls back to the serial path for `threads ≤ 1` or tiny inputs.
-pub fn compute_gram_parallel<S: RowSource + ?Sized>(source: &S, threads: usize) -> Result<Matrix> {
-    let n = source.rows();
-    let m = source.cols();
-    if threads <= 1 || n < 2 * threads {
-        return compute_gram_dyn(source);
-    }
-    let chunk = n.div_ceil(threads);
-    let partials: Vec<Result<Matrix>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| -> Result<Matrix> {
-                let mut c = Matrix::zeros(m, m);
-                source.scan_range(start, end, &mut |_, row| {
-                    accumulate_row(&mut c, row);
-                    Ok(())
-                })?;
-                Ok(c)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(AtsError::internal("gram worker thread panicked")),
-            })
-            .collect()
-    })
-    .map_err(|_| AtsError::internal("gram thread scope panicked"))?;
-
-    let mut total = Matrix::zeros(m, m);
-    for p in partials {
-        let p = p?;
-        for (acc, v) in total.as_mut_slice().iter_mut().zip(p.as_slice()) {
-            *acc += v;
-        }
-    }
-    symmetrize(&mut total);
-    Ok(total)
-}
-
-fn compute_gram_dyn<S: RowSource + ?Sized>(source: &S) -> Result<Matrix> {
-    let m = source.cols();
-    let mut c = Matrix::zeros(m, m);
-    source.scan_range(0, source.rows(), &mut |_, row| {
-        accumulate_row(&mut c, row);
-        Ok(())
-    })?;
-    symmetrize(&mut c);
-    Ok(c)
 }
 
 /// Row-block granule of the sharded pass 1: partial Gram matrices are
@@ -193,44 +123,25 @@ pub fn compute_gram_sharded<S: RowSource + ?Sized>(
         })?;
         Ok(c)
     };
-    let fold = |total: &mut Matrix, partial: &Matrix| {
-        for (acc, v) in total.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-            *acc += v;
-        }
-    };
-
+    // Waves of up to `threads` block partials, each folded in block
+    // order before the next: the fold sequence is exactly the serial one.
     let mut total = Matrix::zeros(m, m);
-    if threads <= 1 || blocks.len() < 2 {
-        for b in &blocks {
-            let p = block_partial(b)?;
-            fold(&mut total, &p);
-        }
-    } else {
-        // Wave parallelism: compute up to `threads` block partials
-        // concurrently, then fold the wave in block order before moving
-        // on — the fold sequence is exactly the serial one.
-        for wave in blocks.chunks(threads) {
-            let partials: Vec<Result<Matrix>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|b| scope.spawn(move |_| block_partial(b)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("gram block worker panicked")),
-                    })
-                    .collect()
-            })
-            .map_err(|_| AtsError::internal("gram thread scope panicked"))?;
-            for p in partials {
-                fold(&mut total, &p?);
+    for wave in blocks.chunks(threads.max(1)) {
+        for partial in fork_join(wave, "gram block", block_partial)? {
+            for (acc, v) in total.as_mut_slice().iter_mut().zip(partial.as_slice()) {
+                *acc += v;
             }
         }
     }
     symmetrize(&mut total);
     Ok(total)
+}
+
+/// Pass 1 over the whole source as one shard: [`compute_gram_sharded`]
+/// with `threads` workers, so the result is bitwise independent of
+/// `threads` — the single pass-1 path every build takes.
+pub fn compute_gram_parallel<S: RowSource + ?Sized>(source: &S, threads: usize) -> Result<Matrix> {
+    compute_gram_sharded(source, &shard_ranges(source.rows(), 1), threads)
 }
 
 #[cfg(test)]
@@ -246,20 +157,22 @@ mod tests {
     #[test]
     fn matches_in_memory_gram() {
         let x = random_matrix(50, 8, 1);
-        let c = compute_gram(&x).unwrap();
+        let c = compute_gram_parallel(&x, 1).unwrap();
         assert!(c.approx_eq(&x.gram(), 1e-9));
     }
 
     #[test]
     fn parallel_matches_serial() {
         let x = random_matrix(203, 11, 2); // odd N to exercise ragged chunks
-        let serial = compute_gram(&x).unwrap();
+        let serial = compute_gram_parallel(&x, 1).unwrap();
+        assert!(serial.approx_eq(&x.gram(), 1e-8));
         for threads in [2, 3, 8] {
             let par = compute_gram_parallel(&x, threads).unwrap();
-            assert!(
-                par.approx_eq(&serial, 1e-8),
-                "threads={threads} diverged by {}",
-                par.sub(&serial).unwrap().max_abs()
+            let bits = |c: &Matrix| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&par),
+                bits(&serial),
+                "threads={threads} not bit-identical"
             );
         }
     }
@@ -274,7 +187,7 @@ mod tests {
     #[test]
     fn gram_of_zero_matrix_is_zero() {
         let x = Matrix::zeros(10, 5);
-        let c = compute_gram(&x).unwrap();
+        let c = compute_gram_parallel(&x, 1).unwrap();
         assert_eq!(c.frobenius_norm(), 0.0);
     }
 
@@ -349,7 +262,7 @@ mod tests {
         let x = random_matrix(100, 5, 5);
         ats_storage::file::write_matrix(&path, &x).unwrap();
         let f = ats_storage::MatrixFile::open(&path).unwrap();
-        compute_gram(&f).unwrap();
+        compute_gram_parallel(&f, 1).unwrap();
         assert_eq!(f.stats().logical_reads(), 100, "each row read exactly once");
     }
 }

@@ -22,7 +22,9 @@
 //!
 //! Supporting pieces: [`append`] (the batched-update path of §1: a
 //! persistent Gram cache turning rebuilds into a single pass), [`gram`] (the streaming pass-1 Gram accumulation of
-//! Fig. 2, serial and multi-threaded), [`delta`] (the open-addressing
+//! Fig. 2, as a blocked fold that is bitwise the same at any thread
+//! count), [`par`] (the one fork-join every threaded pass runs
+//! through), [`delta`] (the open-addressing
 //! outlier store with optional Bloom filter of §4.2), and
 //! [`method::SpaceBudget`] (the `s%` space accounting of Eq. 9 that all
 //! experiments share), and [`zeroflag`] (§6.2's Bloom-fronted all-zero
@@ -36,6 +38,7 @@ pub mod dwt;
 pub mod gram;
 pub mod lz;
 pub mod method;
+pub mod par;
 pub mod quantized;
 pub mod sampling;
 pub mod svd;

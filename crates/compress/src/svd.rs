@@ -10,8 +10,9 @@
 //! The compressed form keeps `U` (`N × k`), the `k` singular values, and
 //! `V` (`M × k`) — Eq. 9's `N·k + k + k·M` numbers.
 
-use crate::gram::{compute_gram_parallel, compute_gram_sharded};
+use crate::gram::{compute_gram_sharded, shard_ranges};
 use crate::method::{svd_bytes, CompressedMatrix, SpaceBudget};
+use crate::par::fork_join;
 use ats_common::{AtsError, Result};
 use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::vecops;
@@ -46,11 +47,13 @@ pub struct SvdCompressed {
 }
 
 impl SvdCompressed {
-    /// Two-pass compression keeping `k` principal components.
+    /// Two-pass compression keeping `k` principal components:
+    /// [`SvdCompressed::compress_sharded`] over one shard.
     ///
-    /// `threads` parallelizes both passes: pass 1 sums per-worker partial
-    /// Gram matrices, pass 2 splits the rows of `U` into disjoint bands
-    /// written concurrently. `k` is clamped to the numerical rank
+    /// `threads` parallelizes both passes: pass 1 computes the partials
+    /// of `threads` Gram blocks at a time, pass 2 splits the rows of `U`
+    /// into disjoint bands written concurrently — bitwise the same
+    /// result at any thread count. `k` is clamped to the numerical rank
     /// discovered in pass 1.
     pub fn compress<S: RowSource + ?Sized>(source: &S, k: usize, threads: usize) -> Result<Self> {
         Self::compress_with_engine(source, k, threads, EigenEngine::Dense)
@@ -63,41 +66,31 @@ impl SvdCompressed {
         threads: usize,
         engine: EigenEngine,
     ) -> Result<Self> {
-        let (_, m) = (source.rows(), source.cols());
-        if k == 0 {
-            return Err(AtsError::Budget(
-                "SVD with k = 0 components stores nothing".into(),
-            ));
-        }
-        // Pass 1: Gram + eigendecomposition.
-        let c = compute_gram_parallel(source, threads)?;
-        let eig = match engine {
-            EigenEngine::Dense => sym_eigen(&c)?,
-            EigenEngine::Lanczos => lanczos_top_k(&c, k.min(m), LanczosOptions::default())?,
-        };
-        Self::from_eigen(source, k, threads, eig)
+        Self::build(source, k, threads, &shard_ranges(source.rows(), 1), engine)
     }
 
-    /// Sharded two-pass build: identical to [`SvdCompressed::compress`]
-    /// except pass 1 accumulates one mergeable Gram partial per fixed
-    /// 32-row block of each shard and folds them in global block order
-    /// ([`compute_gram_sharded`]), so the factors — and hence the whole
-    /// compressed form — are **bit-identical** across any block-aligned
-    /// shard partition and any thread count.
+    /// Sharded two-pass build: pass 1 accumulates one mergeable Gram
+    /// partial per fixed 32-row block of each shard and folds them in
+    /// global block order ([`compute_gram_sharded`]), so the factors —
+    /// and hence the whole compressed form — are **bit-identical**
+    /// across any block-aligned shard partition and any thread count.
     pub fn compress_sharded<S: RowSource + ?Sized>(
         source: &S,
         k: usize,
         threads: usize,
         ranges: &[(usize, usize)],
     ) -> Result<Self> {
-        if k == 0 {
-            return Err(AtsError::Budget(
-                "SVD with k = 0 components stores nothing".into(),
-            ));
-        }
-        let c = compute_gram_sharded(source, ranges, threads)?;
-        let eig = sym_eigen(&c)?;
-        Self::from_eigen(source, k, threads, eig)
+        Self::build(source, k, threads, ranges, EigenEngine::Dense)
+    }
+
+    /// Compress to fit a space budget: picks the largest `k` allowed by
+    /// Eq. 9 for this budget.
+    pub fn compress_budget<S: RowSource + ?Sized>(
+        source: &S,
+        budget: SpaceBudget,
+        threads: usize,
+    ) -> Result<Self> {
+        Self::compress_budget_sharded(source, budget, threads, &shard_ranges(source.rows(), 1))
     }
 
     /// Sharded variant of [`SvdCompressed::compress_budget`].
@@ -107,7 +100,8 @@ impl SvdCompressed {
         threads: usize,
         ranges: &[(usize, usize)],
     ) -> Result<Self> {
-        let k = budget.max_svd_k(source.rows(), source.cols());
+        let (n, m) = check_nonempty(source)?;
+        let k = budget.max_svd_k(n, m);
         if k == 0 {
             return Err(AtsError::Budget(format!(
                 "budget {:.3}% cannot hold even one principal component",
@@ -117,15 +111,27 @@ impl SvdCompressed {
         Self::compress_sharded(source, k, threads, ranges)
     }
 
-    /// Shared epilogue of every build: rank-clamp `k`, truncate the
-    /// factors, and run pass 2 (`U = X V Λ⁻¹`, Fig. 3).
-    fn from_eigen<S: RowSource + ?Sized>(
+    /// The one two-pass build behind every entry point: pass 1 (Gram +
+    /// eigendecomposition), rank-clamp `k`, truncate the factors, and
+    /// pass 2 (`U = X V Λ⁻¹`, Fig. 3).
+    fn build<S: RowSource + ?Sized>(
         source: &S,
         k: usize,
         threads: usize,
-        eig: ats_linalg::EigenDecomposition,
+        ranges: &[(usize, usize)],
+        engine: EigenEngine,
     ) -> Result<Self> {
-        let (n, m) = (source.rows(), source.cols());
+        let (n, m) = check_nonempty(source)?;
+        if k == 0 {
+            return Err(AtsError::Budget(
+                "SVD with k = 0 components stores nothing".into(),
+            ));
+        }
+        let c = compute_gram_sharded(source, ranges, threads)?;
+        let eig = match engine {
+            EigenEngine::Dense => sym_eigen(&c)?,
+            EigenEngine::Lanczos => lanczos_top_k(&c, k.min(m), LanczosOptions::default())?,
+        };
         let lambda_all: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
         let lmax = lambda_all.first().copied().unwrap_or(0.0);
         // Eigenvalues of XᵀX carry squared error, so the numerical-rank
@@ -150,23 +156,6 @@ impl SvdCompressed {
 
         let vt = VPanel::from_v(&v);
         Ok(SvdCompressed { u, lambda, v, vt })
-    }
-
-    /// Compress to fit a space budget: picks the largest `k` allowed by
-    /// Eq. 9 for this budget.
-    pub fn compress_budget<S: RowSource + ?Sized>(
-        source: &S,
-        budget: SpaceBudget,
-        threads: usize,
-    ) -> Result<Self> {
-        let k = budget.max_svd_k(source.rows(), source.cols());
-        if k == 0 {
-            return Err(AtsError::Budget(format!(
-                "budget {:.3}% cannot hold even one principal component",
-                budget.fraction * 100.0
-            )));
-        }
-        Self::compress(source, k, threads)
     }
 
     /// Assemble from already-computed parts (used by the SVDD builder,
@@ -247,6 +236,17 @@ pub(crate) fn project_row(x: &[f64], v: &Matrix, lambda: &[f64], u_row: &mut [f6
     }
 }
 
+/// Reject an empty source before any pass reads it: the one dimension
+/// guard every SVD and SVDD build entry point goes through. Returns
+/// `(rows, cols)`.
+pub(crate) fn check_nonempty<S: RowSource + ?Sized>(source: &S) -> Result<(usize, usize)> {
+    let (n, m) = (source.rows(), source.cols());
+    if n == 0 || m == 0 {
+        return Err(AtsError::InvalidArgument("empty matrix".into()));
+    }
+    Ok((n, m))
+}
+
 /// Emit `U = X V Λ⁻¹` (Eq. 11) for every row of `source` into `u`,
 /// splitting the rows into disjoint contiguous bands written by `threads`
 /// workers. Each worker owns a `&mut` band of `U`'s storage (via
@@ -255,7 +255,7 @@ pub(crate) fn project_row(x: &[f64], v: &Matrix, lambda: &[f64], u_row: &mut [f6
 /// identical to the serial emission. Shared by plain-SVD pass 2 and SVDD
 /// pass 3.
 ///
-/// Falls back to one sequential scan for `threads ≤ 1` or tiny inputs.
+/// One band (a single inline scan) for `threads ≤ 1` or tiny inputs.
 pub(crate) fn emit_u<S: RowSource + ?Sized>(
     source: &S,
     v: &Matrix,
@@ -267,39 +267,24 @@ pub(crate) fn emit_u<S: RowSource + ?Sized>(
     let k = lambda.len();
     debug_assert_eq!(u.rows(), n);
     debug_assert_eq!(u.cols(), k);
-    if k == 0 {
+    if k == 0 || n == 0 {
         return Ok(());
     }
-    if threads <= 1 || n < 2 * threads {
-        return source.for_each_row(&mut |i, row| {
-            project_row(row, v, lambda, u.row_mut(i));
+    let chunk = if threads <= 1 || n < 2 * threads {
+        n
+    } else {
+        n.div_ceil(threads)
+    };
+    let bands = u.row_chunks_mut(chunk);
+    fork_join(bands, "svd projection", |(start, band)| {
+        let mut off = 0;
+        source.scan_range(start, start + band.len() / k, &mut |_, row| {
+            project_row(row, v, lambda, &mut band[off..off + k]);
+            off += k;
             Ok(())
-        });
-    }
-    let chunk = n.div_ceil(threads);
-    let results: Vec<Result<()>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (start, band) in u.row_chunks_mut(chunk) {
-            let end = start + band.len() / k;
-            handles.push(scope.spawn(move |_| -> Result<()> {
-                let mut off = 0;
-                source.scan_range(start, end, &mut |_, row| {
-                    project_row(row, v, lambda, &mut band[off..off + k]);
-                    off += k;
-                    Ok(())
-                })
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(AtsError::internal("svd projection worker panicked")),
-            })
-            .collect()
-    })
-    .map_err(|_| AtsError::internal("svd projection thread scope panicked"))?;
-    results.into_iter().collect()
+        })
+    })?;
+    Ok(())
 }
 
 /// `out[j] = Σ_m λ_m u_m v[j][m]` — Eq. 12 for a whole row, walking `V`
@@ -569,7 +554,10 @@ mod tests {
         let c4 = SvdCompressed::compress(&x, 4, 4).unwrap();
         for i in (0..150).step_by(13) {
             for j in 0..9 {
-                assert!((c1.cell(i, j).unwrap() - c4.cell(i, j).unwrap()).abs() < 1e-8);
+                assert_eq!(
+                    c1.cell(i, j).unwrap().to_bits(),
+                    c4.cell(i, j).unwrap().to_bits()
+                );
             }
         }
     }
@@ -607,7 +595,10 @@ mod tests {
         let reference = SvdCompressed::compress(&x, 3, 1).unwrap();
         for i in (0..120).step_by(17) {
             for j in 0..8 {
-                assert!((c.cell(i, j).unwrap() - reference.cell(i, j).unwrap()).abs() < 1e-9);
+                assert_eq!(
+                    c.cell(i, j).unwrap().to_bits(),
+                    reference.cell(i, j).unwrap().to_bits()
+                );
             }
         }
     }

@@ -23,23 +23,28 @@
 //! 3. **Pass 3** — emit `U` truncated to `k_opt` (Eq. 11) and freeze the
 //!    winning queue into the [`DeltaStore`] (hash table + Bloom filter).
 //!
-//! All three passes are row-partitioned across `threads` workers: pass 1
-//! sums per-worker partial Gram matrices ([`compute_gram_parallel`]),
-//! pass 2 gives each worker private per-candidate [`TopK`] queues and SSE
-//! accumulators over a disjoint row range (merged with [`TopK::merge`]
-//! and a sum — the retained outlier set is identical to a single scan),
-//! and pass 3 hands each worker a disjoint `&mut` band of `U`. Each pass
-//! still reads every row exactly once, so the Fig. 5 I/O bound (three
-//! sequential passes) is preserved at any thread count.
+//! There is one build, [`SvddCompressed::compress_sharded`], and
+//! [`SvddCompressed::compress`] is that build over a single shard. All
+//! three passes are row-partitioned and run their workers through
+//! [`fork_join`]: pass 1 folds fixed-block partial Gram matrices in
+//! block order ([`compute_gram_sharded`]), pass 2 gives each job private
+//! per-candidate [`TopK`] queues and per-block SSE partials over a
+//! disjoint row range (merged in row order with [`TopK::merge`] — the
+//! retained outlier set is identical to a single scan), and pass 3 hands
+//! each worker a disjoint `&mut` band of `U`. The result is bitwise the
+//! same for every block-aligned shard count and every thread count, and
+//! each pass still reads every row exactly once, so the Fig. 5 I/O bound
+//! (three sequential passes) is preserved.
 //!
 //! The naive alternative (Fig. 4) — recompute an SVD per candidate `k` —
 //! is provided as [`SvddCompressed::compress_naive`] for tests and the
 //! ablation benchmark.
 
 use crate::delta::{DeltaStore, DELTA_BYTES};
-use crate::gram::{compute_gram_parallel, compute_gram_sharded, GRAM_BLOCK_ROWS};
+use crate::gram::{compute_gram_sharded, shard_ranges, GRAM_BLOCK_ROWS};
 use crate::method::{svd_bytes, CompressedMatrix, SpaceBudget};
-use crate::svd::{emit_u, SvdCompressed};
+use crate::par::fork_join;
+use crate::svd::{check_nonempty, emit_u, SvdCompressed};
 use ats_common::{AtsError, Result, TopK};
 use ats_linalg::{sym_eigen, vecops, Matrix};
 use ats_storage::RowSource;
@@ -117,8 +122,8 @@ type Pass2Shard = (Vec<TopK<Outlier>>, Vec<Vec<f64>>);
 
 /// Pass-2 kernel over rows `[start, end)`: offer every cell's squared
 /// reconstruction error to private per-candidate queues and accumulate
-/// per-candidate SSE. Each worker of the parallel pass runs this over its
-/// own disjoint range; the serial path runs it once over `[0, n)`.
+/// per-candidate SSE. Each pass-2 job runs this over its own disjoint
+/// range.
 ///
 /// Per-cell errors depend only on the row, so shards produce exactly the
 /// values a single scan would. SSE is accumulated per fixed 32-row block
@@ -204,8 +209,8 @@ fn fold_sse(sse: &mut [f64], blocks: Vec<Vec<f64>>) {
     }
 }
 
-/// Pass-1 epilogue shared by the monolithic and sharded builds: truncate
-/// the eigendecomposition of `c` to `(Λ, V)` with `k_max` components.
+/// Pass-1 epilogue: truncate the eigendecomposition of `c` to `(Λ, V)`
+/// with `k_max` components.
 fn factorize(c: &Matrix, m: usize, k_max: usize) -> Result<(Vec<f64>, Matrix)> {
     let eig = sym_eigen(c)?;
     let lambda_all: Vec<f64> = eig
@@ -223,10 +228,9 @@ fn factorize(c: &Matrix, m: usize, k_max: usize) -> Result<(Vec<f64>, Matrix)> {
     Ok((lambda_all, v_full))
 }
 
-/// Candidate sizing and thinning, shared by both builds. Depends only on
-/// dimensions, budget, and `max_queue_entries` — never on the row
-/// partition or thread count, so `k_opt`'s candidate set is identical
-/// for any sharding.
+/// Candidate sizing and thinning. Depends only on dimensions, budget,
+/// and `max_queue_entries` — never on the row partition or thread
+/// count, so `k_opt`'s candidate set is identical for any sharding.
 fn size_candidates(
     n: usize,
     m: usize,
@@ -285,12 +289,9 @@ fn size_candidates(
 }
 
 impl SvddCompressed {
-    /// Shared guard + `k_max` sizing for both builds.
+    /// Shared guard + `k_max` sizing for every build.
     fn check_dims(source: &(impl RowSource + ?Sized), opts: &SvddOptions) -> Result<usize> {
-        let (n, m) = (source.rows(), source.cols());
-        if n == 0 || m == 0 {
-            return Err(AtsError::InvalidArgument("empty matrix".into()));
-        }
+        let (n, m) = check_nonempty(source)?;
         let budget_k_max = opts.budget.max_svd_k(n, m);
         let k_max = opts.k_max.unwrap_or(budget_k_max).min(m);
         if k_max == 0 {
@@ -302,82 +303,14 @@ impl SvddCompressed {
         Ok(k_max)
     }
 
-    /// The paper's three-pass build (Fig. 5).
+    /// The paper's three-pass build (Fig. 5):
+    /// [`SvddCompressed::compress_sharded`] over one shard.
     pub fn compress<S: RowSource + ?Sized>(source: &S, opts: &SvddOptions) -> Result<Self> {
-        let (n, m) = (source.rows(), source.cols());
-        let k_max = Self::check_dims(source, opts)?;
-
-        // ---- Pass 1: Gram, eigendecomposition, candidate sizing ----
-        let c = compute_gram_parallel(source, opts.threads.max(1))?;
-        let (lambda_all, v_full) = factorize(&c, m, k_max)?;
-        let candidate_ks = size_candidates(n, m, opts, k_max)?;
-
-        // ---- Pass 2: per-cell errors for every candidate k ----
-        // Row-partitioned across workers: each scans a disjoint range
-        // with private queues and SSE, merged afterwards in worker order.
-        // Worker boundaries are rounded up to block multiples so the
-        // blocked SSE fold (and hence k_opt) is thread-count invariant.
-        let threads = opts.threads.max(1);
-        let (queues, sse) = if threads <= 1 || n < 2 * threads {
-            let (qs, blocks) = pass2_range(source, &v_full, &candidate_ks, 0, n)?;
-            let mut sse = vec![0.0f64; candidate_ks.len()];
-            fold_sse(&mut sse, blocks);
-            (qs, sse)
-        } else {
-            let chunk = n.div_ceil(threads).next_multiple_of(GRAM_BLOCK_ROWS);
-            let shards: Vec<Result<Pass2Shard>> = crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let start = t * chunk;
-                    let end = ((t + 1) * chunk).min(n);
-                    if start >= end {
-                        continue;
-                    }
-                    let v_full = &v_full;
-                    let candidate_ks = &candidate_ks;
-                    handles.push(
-                        scope.spawn(move |_| pass2_range(source, v_full, candidate_ks, start, end)),
-                    );
-                }
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("svdd pass-2 worker panicked")),
-                    })
-                    .collect()
-            })
-            .map_err(|_| AtsError::internal("svdd pass-2 thread scope panicked"))?;
-            let mut queues: Vec<TopK<Outlier>> = candidate_ks
-                .iter()
-                .map(|&(_, gamma)| TopK::new(gamma))
-                .collect();
-            let mut sse = vec![0.0f64; candidate_ks.len()];
-            for shard in shards {
-                let (qs, blocks) = shard?;
-                for (acc, q) in queues.iter_mut().zip(qs) {
-                    acc.merge(q);
-                }
-                fold_sse(&mut sse, blocks);
-            }
-            (queues, sse)
-        };
-
-        Self::finish(
-            source,
-            &v_full,
-            &lambda_all,
-            &candidate_ks,
-            queues,
-            &sse,
-            opts,
-            threads,
-        )
+        Self::compress_sharded(source, opts, &shard_ranges(source.rows(), 1))
     }
 
-    /// Sharded three-pass build: same algorithm as [`Self::compress`],
-    /// restructured along the row-range `ranges` so the store layer can
-    /// partition `U` and the delta set per shard.
+    /// The three-pass build along the row ranges `ranges`, so the store
+    /// layer can partition `U` and the delta set per shard.
     ///
     /// - **Pass 1** accumulates one mergeable Gram partial per fixed
     ///   32-row block and folds in global block order
@@ -390,8 +323,7 @@ impl SvddCompressed {
     ///   factors, cells are ranked by their global ordinal so boundary
     ///   ties resolve the same way under any partitioning, and the SSE
     ///   folds in fixed block order — so `k_opt` and the delta set are
-    ///   chosen globally and **bit-identically** to the monolithic
-    ///   (`shards(1)`) build.
+    ///   chosen globally and **bit-identically** to the one-shard build.
     /// - **Pass 3** emits `U` over disjoint row bands (bitwise
     ///   independent of both partitioning and threads); the caller
     ///   slices it per shard.
@@ -435,72 +367,18 @@ impl SvddCompressed {
             .map(|&(_, gamma)| TopK::new(gamma))
             .collect();
         let mut sse = vec![0.0f64; candidate_ks.len()];
-        let run_jobs = |wave: &[(usize, usize)]| -> Vec<Result<Pass2Shard>> {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|&(start, end)| {
-                        let v_full = &v_full;
-                        let candidate_ks = &candidate_ks;
-                        scope.spawn(move |_| pass2_range(source, v_full, candidate_ks, start, end))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("svdd pass-2 worker panicked")),
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|_| vec![Err(AtsError::internal("svdd pass-2 thread scope panicked"))])
-        };
-        if threads <= 1 {
-            for &(start, end) in &jobs {
-                let (qs, blocks) = pass2_range(source, &v_full, &candidate_ks, start, end)?;
+        for wave in jobs.chunks(threads) {
+            let shards = fork_join(wave, "svdd pass-2", |&(start, end)| {
+                pass2_range(source, &v_full, &candidate_ks, start, end)
+            })?;
+            for (qs, blocks) in shards {
                 for (acc, q) in queues.iter_mut().zip(qs) {
                     acc.merge(q);
                 }
                 fold_sse(&mut sse, blocks);
             }
-        } else {
-            for wave in jobs.chunks(threads) {
-                for shard in run_jobs(wave) {
-                    let (qs, blocks) = shard?;
-                    for (acc, q) in queues.iter_mut().zip(qs) {
-                        acc.merge(q);
-                    }
-                    fold_sse(&mut sse, blocks);
-                }
-            }
         }
 
-        Self::finish(
-            source,
-            &v_full,
-            &lambda_all,
-            &candidate_ks,
-            queues,
-            &sse,
-            opts,
-            threads,
-        )
-    }
-
-    /// Shared tail of both builds: pick `k_opt`, emit `U` (pass 3), and
-    /// freeze the winning queue into the delta store.
-    #[allow(clippy::too_many_arguments)]
-    fn finish<S: RowSource + ?Sized>(
-        source: &S,
-        v_full: &Matrix,
-        lambda_all: &[f64],
-        candidate_ks: &[(usize, usize)],
-        mut queues: Vec<TopK<Outlier>>,
-        sse: &[f64],
-        opts: &SvddOptions,
-        threads: usize,
-    ) -> Result<Self> {
-        let (n, m) = (source.rows(), source.cols());
         // Pick k_opt: smallest residual after the kept outliers go exact.
         let mut candidates = Vec::with_capacity(candidate_ks.len());
         let mut best = 0usize;
@@ -554,10 +432,7 @@ impl SvddCompressed {
     /// and to measure its speedup; picks the same `k_opt` up to ties.
     pub fn compress_naive<S: RowSource + ?Sized>(source: &S, opts: &SvddOptions) -> Result<Self> {
         let (n, m) = (source.rows(), source.cols());
-        let k_max = opts.k_max.unwrap_or(opts.budget.max_svd_k(n, m)).min(m);
-        if k_max == 0 {
-            return Err(AtsError::Budget("budget too small".into()));
-        }
+        let k_max = Self::check_dims(source, opts)?;
         let mut best: Option<(f64, SvdCompressed, TopK<Outlier>, Vec<KCandidate>)> = None;
         let mut all_candidates = Vec::new();
         for k in 1..=k_max {
@@ -903,30 +778,38 @@ mod tests {
         );
     }
 
+    #[test]
+    fn every_build_entry_point_rejects_empty_input() {
+        use crate::svd::EigenEngine::Lanczos;
+        let b = SpaceBudget::from_percent(40.0);
+        for x in [Matrix::zeros(0, 5), Matrix::zeros(5, 0)] {
+            let (opts, one) = (SvddOptions::new(b), shard_ranges(x.rows(), 1));
+            let errors = [
+                SvddCompressed::compress(&x, &opts).err(),
+                SvddCompressed::compress_sharded(&x, &opts, &one).err(),
+                SvddCompressed::compress_naive(&x, &opts).err(),
+                SvdCompressed::compress(&x, 2, 1).err(),
+                SvdCompressed::compress_with_engine(&x, 2, 1, Lanczos).err(),
+                SvdCompressed::compress_sharded(&x, 2, 1, &one).err(),
+                SvdCompressed::compress_budget(&x, b, 1).err(),
+                SvdCompressed::compress_budget_sharded(&x, b, 1, &one).err(),
+            ];
+            for (entry, e) in errors.into_iter().enumerate() {
+                assert!(
+                    matches!(e, Some(AtsError::InvalidArgument(_))),
+                    "entry point {entry} on {}×{}: {e:?}",
+                    x.rows(),
+                    x.cols()
+                );
+            }
+        }
+    }
+
     /// Delta set as a sorted, comparable list of (row, col, delta).
     fn sorted_deltas(c: &SvddCompressed) -> Vec<(usize, usize, f64)> {
         let mut d: Vec<_> = c.deltas().iter().collect();
         d.sort_by_key(|a| (a.0, a.1));
         d
-    }
-
-    /// Both builds kept the *same cells*, with corrections equal up to
-    /// the tiny pass-1 jitter (parallel Gram summation reassociates
-    /// floating-point adds, perturbing the eigenvectors in the last ULPs).
-    fn assert_same_delta_set(a: &SvddCompressed, b: &SvddCompressed, ctx: &str) {
-        let (da, db) = (sorted_deltas(a), sorted_deltas(b));
-        let pos = |d: &[(usize, usize, f64)]| d.iter().map(|&(i, j, _)| (i, j)).collect::<Vec<_>>();
-        assert_eq!(pos(&da), pos(&db), "{ctx}: different cells kept");
-        for (x, y) in da.iter().zip(&db) {
-            assert!(
-                (x.2 - y.2).abs() <= 1e-8 * y.2.abs().max(1.0),
-                "{ctx}: delta at ({}, {}) diverged: {} vs {}",
-                x.0,
-                x.1,
-                x.2,
-                y.2
-            );
-        }
     }
 
     #[test]
@@ -939,22 +822,24 @@ mod tests {
             let mut par_opts = opts.clone();
             par_opts.threads = threads;
             let par = SvddCompressed::compress(&x, &par_opts).unwrap();
-            // Same cutoff and the *identical* delta set: per-cell errors
-            // don't depend on the partitioning, so the merged queues
-            // retain exactly the cells one queue would.
+            // Same cutoff, the identical delta set and the identical SSE:
+            // the blocked folds of passes 1 and 2 do not depend on the
+            // thread count.
             assert_eq!(par.k_opt(), serial.k_opt(), "threads={threads}");
-            assert_same_delta_set(&par, &serial, &format!("threads={threads}"));
-            // SSE only differs by summation order at the merge points.
+            assert_eq!(
+                sorted_deltas(&par),
+                sorted_deltas(&serial),
+                "threads={threads}"
+            );
             assert_eq!(par.candidates().len(), serial.candidates().len());
             for (a, b) in par.candidates().iter().zip(serial.candidates()) {
                 assert_eq!(a.k, b.k);
                 assert_eq!(a.gamma, b.gamma);
-                assert!(
-                    (a.sse_raw - b.sse_raw).abs() <= 1e-8 * b.sse_raw.max(1.0),
-                    "threads={threads} k={}: {} vs {}",
-                    a.k,
-                    a.sse_raw,
-                    b.sse_raw
+                assert_eq!(
+                    a.sse_raw.to_bits(),
+                    b.sse_raw.to_bits(),
+                    "threads={threads} k={}",
+                    a.k
                 );
             }
         }
@@ -969,8 +854,8 @@ mod tests {
         opts.threads = 64;
         let par = SvddCompressed::compress(&x, &opts).unwrap();
         assert_eq!(par.k_opt(), serial.k_opt());
-        // n < 2·threads: every pass falls back to the serial path, so the
-        // result is bitwise identical.
+        // Fewer rows than one Gram block: every wave holds one job, which
+        // runs inline, and the result is bitwise identical.
         assert_eq!(sorted_deltas(&par), sorted_deltas(&serial));
     }
 
@@ -1006,7 +891,26 @@ mod tests {
             SvddCompressed::compress(&x, &SvddOptions::new(SpaceBudget::from_percent(20.0)))
                 .unwrap();
         assert_eq!(par.k_opt(), serial.k_opt());
-        assert_same_delta_set(&par, &serial, "disk vs memory");
+        assert_eq!(
+            sorted_deltas(&par),
+            sorted_deltas(&serial),
+            "disk vs memory"
+        );
+    }
+
+    /// The builds the partition-invariance tests compare bitwise against
+    /// the one-shard, one-thread build: `compress_sharded` over
+    /// `shard_ranges(n, r)` (`Some(r)`) or `compress` (`None`), each at
+    /// one and three threads.
+    fn builds() -> Vec<(Option<usize>, usize)> {
+        let mut out = Vec::new();
+        for threads in [1, 3] {
+            out.push((None, threads));
+            for r in [1, 2, 4, 5, 6] {
+                out.push((Some(r), threads));
+            }
+        }
+        out
     }
 
     #[test]
@@ -1018,25 +922,25 @@ mod tests {
         // and everything downstream is deterministic given the factors.
         let x = spiky_matrix(203, 12, 14);
         let opts = SvddOptions::new(SpaceBudget::from_percent(20.0));
-        let mono = SvddCompressed::compress_sharded(&x, &opts, &crate::gram::shard_ranges(203, 1))
-            .unwrap();
-        for r in [2, 4, 6] {
-            for threads in [1, 3] {
-                let mut o = opts.clone();
-                o.threads = threads;
-                let ranges = crate::gram::shard_ranges(203, r);
-                let s = SvddCompressed::compress_sharded(&x, &o, &ranges).unwrap();
-                let ctx = format!("shards={r} threads={threads}");
-                assert_eq!(s.k_opt(), mono.k_opt(), "{ctx}");
-                assert_eq!(sorted_deltas(&s), sorted_deltas(&mono), "{ctx}");
-                assert_eq!(
-                    s.svd().u().as_slice(),
-                    mono.svd().u().as_slice(),
-                    "{ctx}: U not bit-identical"
-                );
-                assert_eq!(s.svd().lambda(), mono.svd().lambda(), "{ctx}");
-                assert_eq!(s.svd().v().as_slice(), mono.svd().v().as_slice(), "{ctx}");
+        let mono = SvddCompressed::compress_sharded(&x, &opts, &shard_ranges(203, 1)).unwrap();
+        for (r, threads) in builds() {
+            let mut o = opts.clone();
+            o.threads = threads;
+            let s = match r {
+                Some(r) => SvddCompressed::compress_sharded(&x, &o, &shard_ranges(203, r)),
+                None => SvddCompressed::compress(&x, &o),
             }
+            .unwrap();
+            let ctx = format!("shards={r:?} threads={threads}");
+            assert_eq!(s.k_opt(), mono.k_opt(), "{ctx}");
+            assert_eq!(sorted_deltas(&s), sorted_deltas(&mono), "{ctx}");
+            assert_eq!(
+                s.svd().u().as_slice(),
+                mono.svd().u().as_slice(),
+                "{ctx}: U not bit-identical"
+            );
+            assert_eq!(s.svd().lambda(), mono.svd().lambda(), "{ctx}");
+            assert_eq!(s.svd().v().as_slice(), mono.svd().v().as_slice(), "{ctx}");
         }
     }
 
@@ -1051,26 +955,26 @@ mod tests {
             ((i % 5) + 1) as f64 * if j % 7 < 5 { 2.0 } else { 0.2 }
         });
         let opts = SvddOptions::new(SpaceBudget::from_percent(15.0));
-        let mono = SvddCompressed::compress_sharded(&x, &opts, &crate::gram::shard_ranges(300, 1))
+        let mono = SvddCompressed::compress_sharded(&x, &opts, &shard_ranges(300, 1)).unwrap();
+        for (r, threads) in builds() {
+            let mut o = opts.clone();
+            o.threads = threads;
+            let s = match r {
+                Some(r) => SvddCompressed::compress_sharded(&x, &o, &shard_ranges(300, r)),
+                None => SvddCompressed::compress(&x, &o),
+            }
             .unwrap();
-        for r in [2, 4, 5] {
-            for threads in [1, 3] {
-                let mut o = opts.clone();
-                o.threads = threads;
-                let ranges = crate::gram::shard_ranges(300, r);
-                let s = SvddCompressed::compress_sharded(&x, &o, &ranges).unwrap();
-                let ctx = format!("shards={r} threads={threads}");
-                assert_eq!(s.k_opt(), mono.k_opt(), "{ctx}");
-                assert_eq!(sorted_deltas(&s), sorted_deltas(&mono), "{ctx}");
-                for (a, b) in s.candidates().iter().zip(mono.candidates()) {
-                    assert_eq!(a.sse_raw.to_bits(), b.sse_raw.to_bits(), "{ctx} k={}", a.k);
-                    assert_eq!(
-                        a.sse_after_deltas.to_bits(),
-                        b.sse_after_deltas.to_bits(),
-                        "{ctx} k={}",
-                        a.k
-                    );
-                }
+            let ctx = format!("shards={r:?} threads={threads}");
+            assert_eq!(s.k_opt(), mono.k_opt(), "{ctx}");
+            assert_eq!(sorted_deltas(&s), sorted_deltas(&mono), "{ctx}");
+            for (a, b) in s.candidates().iter().zip(mono.candidates()) {
+                assert_eq!(a.sse_raw.to_bits(), b.sse_raw.to_bits(), "{ctx} k={}", a.k);
+                assert_eq!(
+                    a.sse_after_deltas.to_bits(),
+                    b.sse_after_deltas.to_bits(),
+                    "{ctx} k={}",
+                    a.k
+                );
             }
         }
     }

@@ -168,7 +168,7 @@ impl Matrix {
     pub fn row_chunks_mut(
         &mut self,
         rows_per_chunk: usize,
-    ) -> impl Iterator<Item = (usize, &mut [f64])> {
+    ) -> impl ExactSizeIterator<Item = (usize, &mut [f64])> {
         assert!(rows_per_chunk > 0, "row_chunks_mut: zero chunk size");
         let cols = self.cols;
         // `.max(1)` keeps chunks_mut legal for 0-column matrices, whose

@@ -12,8 +12,9 @@
 //! scattered back in request order and are bitwise identical to the
 //! per-cell loop, whatever the request order, duplication, or thread count.
 
-use crate::engine::{fork_join, QueryEngine};
+use crate::engine::QueryEngine;
 use ats_common::{AtsError, Result};
+use ats_compress::par::fork_join;
 use ats_compress::CompressedMatrix;
 
 /// An ordered list of cell queries. Duplicates and any ordering are fine;
@@ -130,8 +131,7 @@ impl QueryEngine<'_> {
             }
         } else {
             let chunk = groups.len().div_ceil(self.threads);
-            let chunks: Vec<&[RowGroup]> = groups.chunks(chunk).collect();
-            let parts = fork_join(&chunks, "batch cell", |gs| {
+            let parts = fork_join(groups.chunks(chunk), "batch cell", |gs| {
                 let mut out = Vec::new();
                 let mut scatter = Vec::new();
                 for g in gs.iter() {

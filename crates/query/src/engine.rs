@@ -19,6 +19,7 @@
 use crate::predicate::{Predicate, TileTruth};
 use crate::selection::Selection;
 use ats_common::{AtsError, OnlineStats, Result};
+use ats_compress::par::fork_join;
 use ats_compress::CompressedMatrix;
 use ats_linalg::Matrix;
 use ats_storage::ShardSynopsis;
@@ -753,36 +754,6 @@ fn group_by_start(items: &[usize], starts: &[usize], rebase: bool) -> Vec<Vec<us
         }
     }
     groups
-}
-
-/// Run `f` over every item on its own scoped thread and return the
-/// results in item order; a panicking worker surfaces as an internal
-/// error naming `what`. A lone item runs inline.
-pub(crate) fn fork_join<T: Sync, R: Send>(
-    items: &[T],
-    what: &str,
-    f: impl Fn(&T) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    if let [only] = items {
-        return Ok(vec![f(only)?]);
-    }
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|item| {
-                let f = &f;
-                scope.spawn(move |_| f(item))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(AtsError::internal(format!("{what} worker panicked"))),
-            })
-            .collect()
-    })
-    .map_err(|_| AtsError::internal(format!("{what} thread scope panicked")))?
 }
 
 /// All aggregates of one selection, computed in a single scan.

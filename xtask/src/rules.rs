@@ -57,6 +57,11 @@ pub const RULES: &[(&str, &str)] = &[
         "on untrusted surfaces, Vec::with_capacity/vec![_; n]/.reserve(n) sized by a \
          decoded/parsed value needs an intervening bound check (min/comparison guard)",
     ),
+    (
+        "one-fork-join",
+        "`crossbeam::` appears only in the one fork-join (crates/compress/src/par.rs); \
+         threaded passes call ats_compress::par::fork_join",
+    ),
 ];
 
 /// One lint violation.
@@ -130,6 +135,11 @@ pub const FLOAT_HOT_FILES: &[&str] = &[
     "crates/core/src/disk.rs",
     "crates/core/src/shard.rs",
 ];
+
+/// The one file allowed to name the scoped-thread crate: every threaded
+/// pass goes through its `fork_join`, so swapping the thread primitive
+/// is a change to one function.
+pub const FORK_JOIN_FILE: &str = "crates/compress/src/par.rs";
 
 /// Files whose named `Mutex`/`RwLock` fields form the nodes of the
 /// cross-file lock-acquisition-order graph (the long-lived daemon and
@@ -291,6 +301,9 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
     }
     if FLOAT_HOT_FILES.contains(&file) {
         rule_float_determinism(file, &toks, &mut raw);
+    }
+    if file != FORK_JOIN_FILE {
+        rule_one_fork_join(file, &toks, &mut raw);
     }
     rule_lock_discipline(file, &toks, &ast, &mut raw);
     rule_error_type(file, &toks, &mut raw);
@@ -592,6 +605,27 @@ fn check_return_type(file: &str, line: u32, fn_name: &str, ret: &[Token], out: &
                 message: format!(
                     "pub fn {fn_name} returns Result<_, {err_ty}>; public fallible APIs \
                      return ats_common::Result<_> (error type AtsError)"
+                ),
+            });
+        }
+    }
+}
+
+/// `crossbeam::` outside [`FORK_JOIN_FILE`]: a second hand-rolled thread
+/// scope, which the next change of thread primitive would miss.
+fn rule_one_fork_join(file: &str, toks: &[Token], out: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        if ident(&toks[i]) == Some("crossbeam")
+            && punct_at(toks, i + 1, ':')
+            && punct_at(toks, i + 2, ':')
+        {
+            out.push(Finding {
+                file: file.to_string(),
+                line: toks[i].line,
+                rule: "one-fork-join",
+                message: format!(
+                    "`crossbeam::` outside {FORK_JOIN_FILE}; run the workers through \
+                     ats_compress::par::fork_join"
                 ),
             });
         }

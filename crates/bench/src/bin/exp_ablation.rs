@@ -5,19 +5,15 @@
 //! cargo run -p ats-bench --release --bin exp_ablation
 //! ```
 //!
-//! 1. **f32-quantized factors** (b=4) vs f64 (b=8) at equal byte budget
-//!    — does halving precision to double `k` pay off?
-//! 2. **Haar DWT** vs DCT as the fixed-basis spectral baseline, on both
-//!    datasets (wavelets vs "spikes or abrupt jumps", §2.3).
-//! 3. **Bloom filter** in front of the delta table: measured fraction of
-//!    non-outlier probes short-circuited (§4.2's "save several probes").
-//! 4. **Lanczos vs dense QL** for pass 1's top-k eigenpairs: time and
-//!    agreement at M = 366.
+//! - **A1 — f32-quantized factors** (b=4) vs f64 (b=8) at equal byte
+//!   budget — does halving precision to double `k` pay off?
+//! - **A3 — Bloom filter** in front of the delta table: measured fraction
+//!   of non-outlier probes short-circuited (§4.2's "save several probes").
+//! - **A4 — Lanczos vs dense QL** for pass 1's top-k eigenpairs: time and
+//!   agreement at M = 366.
 
-use ats_bench::{fmt, phone2000, stocks, timed, ResultTable};
+use ats_bench::{fmt, phone2000, timed, ResultTable};
 use ats_common::BloomFilter;
-use ats_compress::dct::DctCompressed;
-use ats_compress::dwt::DwtCompressed;
 use ats_compress::gram::compute_gram_parallel;
 use ats_compress::quantized::QuantizedSvd;
 use ats_compress::{SpaceBudget, SvdCompressed};
@@ -27,7 +23,6 @@ use ats_query::metrics::error_report;
 fn main() {
     println!("Ablations (extensions beyond the paper's tables)\n");
     quantized_vs_f64();
-    dwt_vs_dct();
     bloom_probe_savings();
     lanczos_vs_dense();
 }
@@ -52,28 +47,6 @@ fn quantized_vs_f64() {
         ]);
     }
     table.emit("ablation_quantized");
-}
-
-fn dwt_vs_dct() {
-    let mut table = ResultTable::new(
-        "A2 — Haar DWT vs DCT (fixed spectral bases), RMSPE%",
-        &["dataset", "s%", "dct", "dwt"],
-    );
-    for d in [phone2000(), stocks()] {
-        let x = d.matrix();
-        for pct in [5.0, 10.0, 25.0] {
-            let budget = SpaceBudget::from_percent(pct);
-            let dct = DctCompressed::compress_budget(x, budget).expect("dct");
-            let dwt = DwtCompressed::compress_budget(x, budget).expect("dwt");
-            table.row(vec![
-                d.name().to_string(),
-                fmt(pct, 0),
-                fmt(error_report(x, &dct).expect("r").rmspe * 100.0, 3),
-                fmt(error_report(x, &dwt).expect("r").rmspe * 100.0, 3),
-            ]);
-        }
-    }
-    table.emit("ablation_dwt_dct");
 }
 
 fn bloom_probe_savings() {

@@ -10,7 +10,7 @@
 //! SVDD ≡ SVD at very small s (k_opt = k_max, no deltas).
 
 use ats_bench::{fmt, phone2000, stocks, ResultTable};
-use ats_compress::cluster::{ClusterAlgo, ClusterCompressed};
+use ats_compress::cluster::ClusterCompressed;
 use ats_compress::dct::DctCompressed;
 use ats_compress::{CompressedMatrix, SpaceBudget, SvdCompressed, SvddCompressed, SvddOptions};
 use ats_data::Dataset;
@@ -37,8 +37,7 @@ fn run(dataset: &Dataset, csv_name: &str) {
     for pct in [1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 25.0] {
         let budget = SpaceBudget::from_percent(pct);
 
-        let hc = ClusterCompressed::compress_budget(x, budget, ClusterAlgo::Hierarchical)
-            .map(|c| rmspe(x, &c));
+        let hc = ClusterCompressed::compress_budget(x, budget).map(|c| rmspe(x, &c));
         let dct = DctCompressed::compress_budget(x, budget).map(|c| rmspe(x, &c));
         let svd = SvdCompressed::compress_budget(x, budget, 1).map(|c| rmspe(x, &c));
         let svdd = SvddCompressed::compress(x, &SvddOptions::new(budget));

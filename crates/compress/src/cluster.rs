@@ -6,24 +6,20 @@
 //! customer, and return its `j`-th entry". Storage is
 //! `k·M + N` numbers.
 //!
-//! Two algorithms are provided:
-//!
-//! - [`hierarchical_complete`] — agglomerative hierarchical clustering
-//!   with **complete linkage** ("the 'element-to-cluster' distance
-//!   function to be the maximum distance between the element and the
-//!   members of the cluster", §2.2), implemented with the
-//!   nearest-neighbour-chain algorithm and the Lance–Williams update, so
-//!   it is `O(N²)` time / `O(N²)` memory — faithful to the paper's
-//!   quadratic 'S'-package method, including its inability to scale
-//!   (§5.3 notes it gave up beyond N = 3000);
-//! - [`kmeans`] — Lloyd iterations with k-means++ seeding: the "faster,
-//!   approximate" alternative the paper discusses, usable at scale.
+//! The clusters come from [`hierarchical_complete`]: agglomerative
+//! hierarchical clustering with **complete linkage** ("the
+//! 'element-to-cluster' distance function to be the maximum distance
+//! between the element and the members of the cluster", §2.2),
+//! implemented with the nearest-neighbour-chain algorithm and the
+//! Lance–Williams update, so it is `O(N²)` time / `O(N²)` memory —
+//! faithful to the paper's quadratic 'S'-package method, including its
+//! inability to scale (§5.3 notes it gave up beyond N = 3000). It is a
+//! baseline for the Fig. 6 comparison (`exp_fig6`), not a store method:
+//! a [`ClusterCompressed`] lives in memory only.
 
 use crate::method::{CompressedMatrix, SpaceBudget, BYTES_PER_NUMBER};
 use ats_common::{AtsError, Result};
 use ats_linalg::{vecops, Matrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Guard rail mirroring the paper's observation that the quadratic
 /// hierarchical method stops being practical: refuse pathological sizes.
@@ -133,7 +129,7 @@ pub fn hierarchical_complete(x: &Matrix, k: usize) -> Result<Vec<u32>> {
     if n > HIERARCHICAL_MAX_N {
         return Err(AtsError::InvalidArgument(format!(
             "hierarchical clustering is O(N²); N={n} exceeds the {HIERARCHICAL_MAX_N} guard \
-             (the paper's §5.3 scale-up failure, reproduced) — use kmeans instead"
+             (the paper's §5.3 scale-up failure, reproduced)"
         )));
     }
     if k == n {
@@ -178,106 +174,6 @@ pub fn hierarchical_complete(x: &Matrix, k: usize) -> Result<Vec<u32>> {
     Ok(assignment)
 }
 
-/// Lloyd's k-means with k-means++ seeding. Returns assignments in `0..k`.
-pub fn kmeans(x: &Matrix, k: usize, max_iters: usize, seed: u64) -> Result<Vec<u32>> {
-    let (n, m) = x.shape();
-    if k == 0 || k > n {
-        return Err(AtsError::InvalidArgument(format!(
-            "cluster count k={k} must be in 1..={n}"
-        )));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // k-means++ seeding.
-    let mut centroids = Matrix::zeros(k, m);
-    let first = rng.gen_range(0..n);
-    centroids.row_mut(0).copy_from_slice(x.row(first));
-    let mut d2: Vec<f64> = (0..n)
-        .map(|i| vecops::dist2_sq(x.row(i), centroids.row(0)))
-        .collect();
-    for c in 1..k {
-        let total: f64 = d2.iter().sum();
-        let pick = if total <= 0.0 {
-            rng.gen_range(0..n)
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut idx = n - 1;
-            for (i, &d) in d2.iter().enumerate() {
-                if target < d {
-                    idx = i;
-                    break;
-                }
-                target -= d;
-            }
-            idx
-        };
-        centroids.row_mut(c).copy_from_slice(x.row(pick));
-        for (i, d) in d2.iter_mut().enumerate() {
-            *d = d.min(vecops::dist2_sq(x.row(i), centroids.row(c)));
-        }
-    }
-
-    let mut assignment = vec![0u32; n];
-    for _ in 0..max_iters.max(1) {
-        // Assign.
-        let mut changed = false;
-        for (i, slot) in assignment.iter_mut().enumerate() {
-            let mut best = 0u32;
-            let mut best_d = f64::INFINITY;
-            for c in 0..k {
-                let d = vecops::dist2_sq(x.row(i), centroids.row(c));
-                if d < best_d {
-                    best_d = d;
-                    best = c as u32;
-                }
-            }
-            if *slot != best {
-                *slot = best;
-                changed = true;
-            }
-        }
-        // Update.
-        let mut counts = vec![0usize; k];
-        let mut sums = Matrix::zeros(k, m);
-        for (i, &a) in assignment.iter().enumerate() {
-            let c = a as usize;
-            counts[c] += 1;
-            vecops::add_assign(sums.row_mut(c), x.row(i));
-        }
-        for (c, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                let inv = 1.0 / count as f64;
-                let (s, d) = (sums.row(c).to_vec(), centroids.row_mut(c));
-                for (dst, v) in d.iter_mut().zip(s) {
-                    *dst = v * inv;
-                }
-            } else {
-                // Re-seed an empty cluster at a random point.
-                let pick = rng.gen_range(0..n);
-                centroids.row_mut(c).copy_from_slice(x.row(pick));
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(assignment)
-}
-
-/// Which clustering algorithm builds the codebook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterAlgo {
-    /// Complete-linkage agglomerative (the paper's §2.2 choice).
-    Hierarchical,
-    /// Lloyd k-means with k-means++ seeding (the scalable alternative).
-    KMeans {
-        /// Maximum Lloyd iterations.
-        max_iters: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-}
-
 /// A matrix compressed by vector quantization: `k` centroids + an
 /// assignment array.
 #[derive(Debug, Clone)]
@@ -288,17 +184,14 @@ pub struct ClusterCompressed {
 }
 
 impl ClusterCompressed {
-    /// Cluster `x` into `k` clusters with the chosen algorithm and store
-    /// centroids as representatives.
+    /// Cluster `x` into `k` complete-linkage clusters and store centroids
+    /// as representatives.
     ///
     /// Clustering needs all pairwise geometry, so this method takes the
     /// matrix in memory — mirroring the paper, where clustering is the
     /// one method that could not stream (§5.3).
-    pub fn compress(x: &Matrix, k: usize, algo: ClusterAlgo) -> Result<Self> {
-        let assignment = match algo {
-            ClusterAlgo::Hierarchical => hierarchical_complete(x, k)?,
-            ClusterAlgo::KMeans { max_iters, seed } => kmeans(x, k, max_iters, seed)?,
-        };
+    pub fn compress(x: &Matrix, k: usize) -> Result<Self> {
+        let assignment = hierarchical_complete(x, k)?;
         let m = x.cols();
         let mut centroids = Matrix::zeros(k, m);
         let mut counts = vec![0usize; k];
@@ -321,7 +214,7 @@ impl ClusterCompressed {
 
     /// Compress at a space budget: the largest `k` with
     /// `(k·M + N)·b ≤ budget`.
-    pub fn compress_budget(x: &Matrix, budget: SpaceBudget, algo: ClusterAlgo) -> Result<Self> {
+    pub fn compress_budget(x: &Matrix, budget: SpaceBudget) -> Result<Self> {
         let k = budget.max_clusters(x.rows(), x.cols());
         if k == 0 {
             return Err(AtsError::Budget(format!(
@@ -329,7 +222,7 @@ impl ClusterCompressed {
                 budget.fraction * 100.0
             )));
         }
-        Self::compress(x, k, algo)
+        Self::compress(x, k)
     }
 
     /// Number of clusters.
@@ -395,6 +288,8 @@ impl CompressedMatrix for ClusterCompressed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Three well-separated blobs of 2-d points.
     fn blobs() -> (Matrix, Vec<usize>) {
@@ -438,13 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn kmeans_recovers_blobs() {
-        let (x, truth) = blobs();
-        let assign = kmeans(&x, 3, 50, 7).unwrap();
-        assert!(clusters_match_truth(&assign, &truth, 3));
-    }
-
-    #[test]
     fn hierarchical_k_equals_n_is_identity() {
         let (x, _) = blobs();
         let assign = hierarchical_complete(&x, x.rows()).unwrap();
@@ -464,7 +352,6 @@ mod tests {
         let (x, _) = blobs();
         assert!(hierarchical_complete(&x, 0).is_err());
         assert!(hierarchical_complete(&x, x.rows() + 1).is_err());
-        assert!(kmeans(&x, 0, 10, 1).is_err());
     }
 
     #[test]
@@ -476,7 +363,7 @@ mod tests {
     #[test]
     fn compressed_cells_are_centroids() {
         let (x, _) = blobs();
-        let c = ClusterCompressed::compress(&x, 3, ClusterAlgo::Hierarchical).unwrap();
+        let c = ClusterCompressed::compress(&x, 3).unwrap();
         // reconstruction error is small because blobs are tight
         let mut row = vec![0.0; 2];
         for i in 0..x.rows() {
@@ -493,7 +380,7 @@ mod tests {
     fn centroid_is_member_mean() {
         let x =
             Matrix::from_rows(vec![vec![0.0, 0.0], vec![2.0, 2.0], vec![100.0, 100.0]]).unwrap();
-        let c = ClusterCompressed::compress(&x, 2, ClusterAlgo::Hierarchical).unwrap();
+        let c = ClusterCompressed::compress(&x, 2).unwrap();
         // the two nearby points share a cluster; its centroid is (1, 1)
         let a0 = c.assignment()[0];
         assert_eq!(a0, c.assignment()[1]);
@@ -505,7 +392,7 @@ mod tests {
     #[test]
     fn storage_formula() {
         let (x, _) = blobs();
-        let c = ClusterCompressed::compress(&x, 3, ClusterAlgo::Hierarchical).unwrap();
+        let c = ClusterCompressed::compress(&x, 3).unwrap();
         assert_eq!(c.storage_bytes(), (3 * 2 + 60) * 8);
     }
 
@@ -513,14 +400,9 @@ mod tests {
     fn budget_constructor() {
         let (x, _) = blobs();
         let b = SpaceBudget::from_percent(60.0);
-        let c = ClusterCompressed::compress_budget(&x, b, ClusterAlgo::Hierarchical).unwrap();
+        let c = ClusterCompressed::compress_budget(&x, b).unwrap();
         assert!(c.storage_bytes() <= b.bytes(60, 2));
-        assert!(ClusterCompressed::compress_budget(
-            &x,
-            SpaceBudget { fraction: 0.01 },
-            ClusterAlgo::Hierarchical
-        )
-        .is_err());
+        assert!(ClusterCompressed::compress_budget(&x, SpaceBudget { fraction: 0.01 }).is_err());
     }
 
     /// Greedy O(N³) complete linkage — an independently-written oracle.
@@ -578,33 +460,5 @@ mod tests {
                 assert_eq!(fast, slow, "seed={seed} n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn kmeans_deterministic_per_seed() {
-        let (x, _) = blobs();
-        let a = kmeans(&x, 3, 30, 11).unwrap();
-        let b = kmeans(&x, 3, 30, 11).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn identical_points_single_cluster_kmeans() {
-        let x = Matrix::from_fn(10, 3, |_, _| 5.0);
-        let assign = kmeans(&x, 2, 10, 1).unwrap();
-        // all points identical: whatever the labels, centroids must equal the point
-        let c = ClusterCompressed::compress(
-            &x,
-            2,
-            ClusterAlgo::KMeans {
-                max_iters: 10,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        for i in 0..10 {
-            assert!((c.cell(i, 0).unwrap() - 5.0).abs() < 1e-12);
-        }
-        assert_eq!(assign.len(), 10);
     }
 }

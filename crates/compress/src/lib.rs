@@ -14,8 +14,7 @@
 //! | [`svd`] | plain SVD, top-`k` PCs | §3–4.1 | 2 |
 //! | [`svdd`] | SVD with Deltas (the contribution) | §4.2 | 3 |
 //! | [`dct`] | row-wise DCT, top-`k` coefficients | §2.3 | 1 |
-//! | [`cluster`] | hierarchical (complete-linkage) + k-means VQ | §2.2 | in-memory |
-//! | [`dwt`] | row-wise Haar wavelets, top-`k` coefficients | §2.3 | 1 |
+//! | [`cluster`] | hierarchical (complete-linkage) VQ | §2.2 | in-memory |
 //! | [`quantized`] | f32-quantized SVD factors (extension) | §5.1's `b` | 2 |
 //! | [`sampling`] | uniform row sampling (aggregates only) | §5.2 | 1 |
 //! | [`lz`] | LZSS + canonical Huffman (lossless reference) | §2.1 | n/a |
@@ -27,14 +26,12 @@
 //! through), [`delta`] (the open-addressing
 //! outlier store with optional Bloom filter of §4.2), and
 //! [`method::SpaceBudget`] (the `s%` space accounting of Eq. 9 that all
-//! experiments share), and [`zeroflag`] (§6.2's Bloom-fronted all-zero
-//! customer index).
+//! experiments share).
 
 pub mod append;
 pub mod cluster;
 pub mod dct;
 pub mod delta;
-pub mod dwt;
 pub mod gram;
 pub mod lz;
 pub mod method;
@@ -43,7 +40,6 @@ pub mod quantized;
 pub mod sampling;
 pub mod svd;
 pub mod svdd;
-pub mod zeroflag;
 
 pub use append::{project_frozen, GramCache};
 pub use delta::DeltaStore;

@@ -2,9 +2,8 @@
 //! the same behavioural contract, checked uniformly through trait
 //! objects (the way `ats-query` actually consumes them).
 
-use ats_compress::cluster::{ClusterAlgo, ClusterCompressed};
+use ats_compress::cluster::ClusterCompressed;
 use ats_compress::dct::DctCompressed;
-use ats_compress::dwt::DwtCompressed;
 use ats_compress::quantized::QuantizedSvd;
 use ats_compress::sampling::SampleCompressed;
 use ats_compress::{CompressedMatrix, SpaceBudget, SvdCompressed, SvddCompressed, SvddOptions};
@@ -22,9 +21,8 @@ fn all_methods(x: &Matrix) -> Vec<Box<dyn CompressedMatrix>> {
         Box::new(SvdCompressed::compress_budget(x, budget, 1).unwrap()),
         Box::new(SvddCompressed::compress(x, &SvddOptions::new(budget)).unwrap()),
         Box::new(DctCompressed::compress_budget(x, budget).unwrap()),
-        Box::new(DwtCompressed::compress_budget(x, budget).unwrap()),
         Box::new(QuantizedSvd::compress_budget(x, budget, 1).unwrap()),
-        Box::new(ClusterCompressed::compress_budget(x, budget, ClusterAlgo::Hierarchical).unwrap()),
+        Box::new(ClusterCompressed::compress_budget(x, budget).unwrap()),
         Box::new(SampleCompressed::compress_budget(x, budget, 1).unwrap()),
     ]
 }

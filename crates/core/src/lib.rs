@@ -4,8 +4,8 @@
 //! large time-sequence datasets, after Korn, Jagadish & Faloutsos
 //! (SIGMOD 1997).
 //!
-//! - [`store`] — [`store::SequenceStore`]: pick a method and a space
-//!   budget, compress a dataset, run cell and aggregate queries;
+//! - [`store`] — [`store::SequenceStore`]: pick SVD or SVDD and a space
+//!   budget, compress a dataset, save it, run cell and aggregate queries;
 //! - [`shard`] — [`shard::ShardedStore`]: the paper's serving architecture
 //!   made literal, one decomposition at a time. `V` and `Λ` are pinned in
 //!   memory, rows of `U` live in row-aligned matrix files (one per

@@ -1,9 +1,9 @@
 //! [`SequenceStore`]: build once, query forever.
 //!
-//! The full lifecycle is first-class: [`StoreBuilder::build`] compresses,
-//! [`SequenceStore::save`] persists the SVD/SVDD methods crash-safely to
-//! a store directory (one block → format v3, several → v4; see
-//! [`crate::timeblock`]), and [`SequenceStore::open`] serves the saved
+//! The full lifecycle is first-class: [`StoreBuilder::build`] compresses
+//! with SVD or SVDD ([`Method`]), [`SequenceStore::save`] persists the
+//! result crash-safely to a store directory (one block → format v3,
+//! several → v4; see [`crate::timeblock`]), and [`SequenceStore::open`] serves the saved
 //! store back with `U` paged from disk — without callers reaching into
 //! the storage internals. An open reads the manifests; each component
 //! file is checksummed when a query first reads it (see
@@ -15,10 +15,7 @@ use crate::timeblock::{
     block_table, save_blocks, time_block_ranges, BuiltBlock, TimeBlockedStore, TimeGrid,
 };
 use ats_common::{AtsError, Result};
-use ats_compress::cluster::{ClusterAlgo, ClusterCompressed};
-use ats_compress::dct::DctCompressed;
 use ats_compress::method::block_budget;
-use ats_compress::sampling::SampleCompressed;
 use ats_compress::{shard_ranges, CompressedMatrix, SpaceBudget};
 use ats_linalg::Matrix;
 use ats_query::engine::{AggregateFn, QueryEngine};
@@ -29,34 +26,24 @@ use ats_storage::RowSource;
 use std::path::Path;
 use std::sync::Arc;
 
-/// The compression method behind a [`SequenceStore`].
+/// The decomposition behind a [`SequenceStore`] — the two methods a
+/// store directory persists. The paper's baselines are library types
+/// measured against these (`DctCompressed`, `ClusterCompressed` and
+/// `SampleCompressed` in [`ats_compress`]), not store methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Plain truncated SVD (§3.4).
     Svd,
     /// SVD with deltas — the paper's proposal (§4.2). Default.
     Svdd,
-    /// Row-wise DCT (§2.3 baseline).
-    Dct,
-    /// Hierarchical complete-linkage clustering (§2.2 baseline;
-    /// `O(N²)`, in-memory only).
-    ClusterHierarchical,
-    /// K-means clustering (the scalable clustering variant).
-    ClusterKMeans,
-    /// Uniform row sampling (§5.2 baseline; aggregates only).
-    Sampling,
 }
 
 impl Method {
-    /// Short method name.
+    /// Short method name, as written in the store manifest.
     pub fn name(&self) -> &'static str {
         match self {
             Method::Svd => "svd",
             Method::Svdd => "svdd",
-            Method::Dct => "dct",
-            Method::ClusterHierarchical => "cluster-hier",
-            Method::ClusterKMeans => "cluster-kmeans",
-            Method::Sampling => "sampling",
         }
     }
 }
@@ -68,7 +55,6 @@ pub struct StoreBuilder {
     budget: SpaceBudget,
     threads: usize,
     with_bloom: bool,
-    seed: u64,
     shards: usize,
     time_blocks: usize,
 }
@@ -99,19 +85,13 @@ impl StoreBuilder {
         self
     }
 
-    /// Seed for randomized methods (k-means, sampling).
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Number of row-range shards for the SVD/SVDD build passes and the
-    /// saved store layout (default 1, or the `ATS_TEST_SHARDS`
+    /// Number of row-range shards for the build passes and the saved
+    /// store layout (default 1, or the `ATS_TEST_SHARDS`
     /// environment variable when set). Sharding never changes results:
     /// pass 1 folds per-block partial Grams in a fixed global order and
     /// pass 2 merges per-shard outlier heaps globally, so `k_opt`, the
     /// delta set, and every reconstructed cell are bit-identical to the
-    /// single-shard build. Non-SVD methods ignore the knob.
+    /// single-shard build.
     pub fn shards(mut self, r: usize) -> Self {
         self.shards = r.max(1);
         self
@@ -119,7 +99,7 @@ impl StoreBuilder {
 
     /// Number of time blocks the column axis is partitioned into
     /// (default 1, or the `ATS_TEST_TBLOCKS` environment variable when
-    /// set). With `B > 1` the SVD/SVDD build runs once per column block
+    /// set). With `B > 1` the build runs once per column block
     /// — each block gets its own `(U_b, Λ_b, V_b)` and delta set under a
     /// per-block budget ([`ats_compress::method::block_budget`]) — and
     /// [`SequenceStore::save`] writes the time-blocked (v4) layout.
@@ -128,14 +108,13 @@ impl StoreBuilder {
     /// time-range queries touch only overlapping blocks). A query
     /// confined to one block answers bitwise what a standalone store
     /// built over that column slice would. `B = 1` is exactly the
-    /// single-decomposition build and the v3 layout. Non-SVD methods
-    /// ignore the knob.
+    /// single-decomposition build and the v3 layout.
     pub fn time_blocks(mut self, b: usize) -> Self {
         self.time_blocks = b.max(1);
         self
     }
 
-    /// One SVD/SVDD decomposition per column block of the source (a
+    /// One decomposition per column block of the source (a
     /// [`ColumnSlice`] pass set each, under the block's share of the
     /// budget), served through a routing [`TimeGrid`] when there are
     /// several. A one-block build is the plain global decomposition.
@@ -179,50 +158,16 @@ impl StoreBuilder {
         Ok((Arc::new(grid), blocks))
     }
 
-    /// Compress from any [`RowSource`] (disk file or in-memory matrix).
-    ///
-    /// Clustering methods need the data in memory and will materialize
-    /// the source (they are the paper's non-streaming baseline).
+    /// Compress from any [`RowSource`] (disk file or in-memory matrix)
+    /// in the method's streaming passes.
     pub fn build<S: RowSource + ?Sized>(self, source: &S) -> Result<SequenceStore> {
-        let mut persist = Vec::new();
-        let compressed: Arc<dyn CompressedMatrix> = match self.method {
-            Method::Svd | Method::Svdd => {
-                let (compressed, blocks) = self.build_blocks(source)?;
-                persist = blocks;
-                compressed
-            }
-            Method::Dct => Arc::new(DctCompressed::compress_budget(source, self.budget)?),
-            Method::ClusterHierarchical => {
-                let x = source.to_matrix()?;
-                Arc::new(ClusterCompressed::compress_budget(
-                    &x,
-                    self.budget,
-                    ClusterAlgo::Hierarchical,
-                )?)
-            }
-            Method::ClusterKMeans => {
-                let x = source.to_matrix()?;
-                Arc::new(ClusterCompressed::compress_budget(
-                    &x,
-                    self.budget,
-                    ClusterAlgo::KMeans {
-                        max_iters: 50,
-                        seed: self.seed,
-                    },
-                )?)
-            }
-            Method::Sampling => Arc::new(SampleCompressed::compress_budget(
-                source,
-                self.budget,
-                self.seed,
-            )?),
-        };
+        let (compressed, persist) = self.build_blocks(source)?;
         Ok(SequenceStore {
             compressed,
             method: self.method,
             threads: self.threads,
             shards: self.shards,
-            time_blocks: persist.len().max(1),
+            time_blocks: persist.len(),
             persist,
         })
     }
@@ -235,9 +180,9 @@ pub struct SequenceStore {
     threads: usize,
     shards: usize,
     time_blocks: usize,
-    /// The freshly built SVD/SVDD decomposition of every time block —
-    /// what [`SequenceStore::save`] writes. Empty for the other methods
-    /// and for an opened store (already on disk).
+    /// The freshly built decomposition of every time block — what
+    /// [`SequenceStore::save`] writes. Empty for an opened store (already
+    /// on disk).
     persist: Vec<BuiltBlock>,
 }
 
@@ -260,7 +205,6 @@ impl SequenceStore {
             budget: SpaceBudget::from_percent(10.0),
             threads: 1,
             with_bloom: true,
-            seed: 0,
             shards: env_knob("ATS_TEST_SHARDS"),
             time_blocks: env_knob("ATS_TEST_TBLOCKS"),
         }
@@ -273,16 +217,13 @@ impl SequenceStore {
     /// on-disk shard ranges are the same block-aligned ranges the build
     /// passes ran over ([`StoreBuilder::shards`]).
     ///
-    /// Only the disk-servable methods persist: [`Method::Svd`] and
-    /// [`Method::Svdd`]. Other methods return
-    /// [`AtsError::InvalidArgument`].
+    /// A store returned by [`SequenceStore::open`] is already on disk and
+    /// returns [`AtsError::InvalidArgument`].
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<()> {
         if self.persist.is_empty() {
-            return Err(AtsError::InvalidArgument(format!(
-                "cannot save a {:?} store: only freshly built svd/svdd stores persist \
-                 (an opened store is already on disk)",
-                self.method
-            )));
+            return Err(AtsError::InvalidArgument(
+                "cannot save an opened store: it is already on disk".into(),
+            ));
         }
         save_blocks(
             dir.as_ref(),
@@ -311,15 +252,8 @@ impl SequenceStore {
     /// time blocks overlapping the range.
     pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<SequenceStore> {
         let store = TimeBlockedStore::open(dir, pool_pages)?;
-        let method = match store.manifest().method.as_str() {
-            "svd" => Method::Svd,
-            "svdd" => Method::Svdd,
-            other => {
-                return Err(AtsError::Corrupt(format!(
-                    "manifest method {other:?} is not openable as a SequenceStore"
-                )))
-            }
-        };
+        let method = method_by_name(&store.manifest().method)
+            .map_err(|e| AtsError::Corrupt(format!("manifest: {e}")))?;
         let shards = store.blocks().first().map_or(1, ShardedStore::shard_count);
         let time_blocks = store.blocks().len();
         Ok(SequenceStore {
@@ -469,22 +403,16 @@ pub fn compress_default(x: &Matrix) -> Result<SequenceStore> {
     SequenceStore::builder().build(x)
 }
 
-/// Convenience: pick a method by name (for CLI-ish examples and the
-/// experiment harness).
+/// The method a name (a `--method` value, a manifest's `method` key)
+/// denotes: the inverse of [`Method::name`].
 pub fn method_by_name(name: &str) -> Result<Method> {
-    Ok(match name {
-        "svd" => Method::Svd,
-        "svdd" => Method::Svdd,
-        "dct" => Method::Dct,
-        "hc" | "cluster" | "cluster-hier" | "hierarchical" => Method::ClusterHierarchical,
-        "kmeans" | "cluster-kmeans" => Method::ClusterKMeans,
-        "sampling" | "sample" => Method::Sampling,
-        other => {
-            return Err(AtsError::InvalidArgument(format!(
-                "unknown method {other:?} (try svd, svdd, dct, hc, kmeans, sampling)"
-            )))
-        }
-    })
+    match name {
+        "svd" => Ok(Method::Svd),
+        "svdd" => Ok(Method::Svdd),
+        other => Err(AtsError::InvalidArgument(format!(
+            "unknown method {other:?} (a store is one of: svd, svdd)"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -501,14 +429,7 @@ mod tests {
     #[test]
     fn builds_every_method() {
         let x = structured(300, 28);
-        for method in [
-            Method::Svd,
-            Method::Svdd,
-            Method::Dct,
-            Method::ClusterHierarchical,
-            Method::ClusterKMeans,
-            Method::Sampling,
-        ] {
+        for method in [Method::Svd, Method::Svdd] {
             let store = SequenceStore::builder()
                 .method(method)
                 .budget(SpaceBudget::from_percent(25.0))
@@ -594,10 +515,12 @@ mod tests {
 
     #[test]
     fn method_names_parse() {
-        assert_eq!(method_by_name("svdd").unwrap(), Method::Svdd);
-        assert_eq!(method_by_name("hc").unwrap(), Method::ClusterHierarchical);
-        assert!(method_by_name("zstd").is_err());
-        assert_eq!(Method::Svdd.name(), "svdd");
+        for method in [Method::Svd, Method::Svdd] {
+            assert_eq!(method_by_name(method.name()).unwrap(), method);
+        }
+        for other in ["zstd", "hc", "dct", "sampling", "SVDD"] {
+            assert!(method_by_name(other).is_err(), "{other}");
+        }
     }
 
     #[test]
@@ -655,20 +578,6 @@ mod tests {
             let b = opened.aggregate(&sel, AggregateFn::Sum).unwrap();
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn save_rejects_non_persistable_methods() {
-        let x = structured(60, 14);
-        let store = SequenceStore::builder()
-            .method(Method::Dct)
-            .budget(SpaceBudget::from_percent(30.0))
-            .build(&x)
-            .unwrap();
-        let tmp = ats_common::TestDir::new("ats-store-lifecycle");
-        let err = store.save(tmp.file("nope")).unwrap_err();
-        assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
-        assert!(!tmp.file("nope").exists());
     }
 
     #[test]
@@ -783,46 +692,5 @@ mod tests {
         assert_eq!(total.to_bits(), sum.sum().to_bits());
         // Already on disk, and not in a layout this build writes.
         assert!(opened.save(tmp.file("resave")).is_err());
-    }
-
-    #[test]
-    fn cluster_methods_have_distinct_names() {
-        assert_eq!(Method::ClusterHierarchical.name(), "cluster-hier");
-        assert_eq!(Method::ClusterKMeans.name(), "cluster-kmeans");
-        // The printed names parse back to the right method.
-        assert_eq!(
-            method_by_name("cluster-hier").unwrap(),
-            Method::ClusterHierarchical
-        );
-        assert_eq!(
-            method_by_name("cluster-kmeans").unwrap(),
-            Method::ClusterKMeans
-        );
-        // Legacy aliases keep working.
-        assert_eq!(
-            method_by_name("cluster").unwrap(),
-            Method::ClusterHierarchical
-        );
-        assert_eq!(method_by_name("kmeans").unwrap(), Method::ClusterKMeans);
-    }
-
-    #[test]
-    fn seeded_methods_deterministic() {
-        let x = structured(120, 14);
-        let a = SequenceStore::builder()
-            .method(Method::Sampling)
-            .budget(SpaceBudget::from_percent(20.0))
-            .seed(5)
-            .build(&x)
-            .unwrap();
-        let b = SequenceStore::builder()
-            .method(Method::Sampling)
-            .budget(SpaceBudget::from_percent(20.0))
-            .seed(5)
-            .build(&x)
-            .unwrap();
-        for i in (0..120).step_by(11) {
-            assert_eq!(a.cell(i, 3).unwrap(), b.cell(i, 3).unwrap());
-        }
     }
 }

@@ -24,12 +24,10 @@ pub mod csv;
 pub mod dataset;
 mod perm;
 pub mod phone;
-pub mod sales;
 pub mod stocks;
 pub mod streaming;
 
 pub use dataset::Dataset;
 pub use phone::{generate_phone, PhoneConfig};
-pub use sales::{generate_sales, SalesConfig, SalesCube};
 pub use stocks::{generate_stocks, StocksConfig};
 pub use streaming::{StreamingPhone, StreamingStocks};

@@ -28,10 +28,10 @@
 //! expose the sharing factor).
 //!
 //! Each connection moves a *burst* of frames per syscall: its reader
-//! parses frames out of a [`READ_BUF`]-byte buffer filled by one `read`,
-//! and its writer appends resolved replies to one buffer that is written
-//! out whenever the writer is about to block (so no reply ever waits in
-//! user space) or passes [`WRITE_BUF`] bytes.
+//! parses frames out of a 16 KiB buffer (`READ_BUF`) filled by one
+//! `read`, and its writer appends resolved replies to one buffer that is
+//! written out whenever the writer is about to block (so no reply ever
+//! waits in user space) or passes 32 KiB (`WRITE_BUF`).
 //!
 //! ## Wire protocol
 //!

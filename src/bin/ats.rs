@@ -556,7 +556,7 @@ fn run() -> Result<(), CliError> {
             let pct = flag_f64(&flags, "percent", 10.0)?;
             let threads = flag_usize(&flags, "threads", 1)?;
             let method = flags.get("method").map(String::as_str).unwrap_or("svdd");
-            let method = method_by_name(method).map_err(rt)?;
+            let method = method_by_name(method).map_err(|e| usage(e.to_string()))?;
             // The build pass reads any RowSource: a matrix file, or the
             // streaming generator itself — no intermediate .atsm round
             // trip (closes the PR 6 leftover).

@@ -9,14 +9,14 @@
 //! - [`core`] (`ats-core`) — [`core::SequenceStore`] (build/save/query)
 //!   and [`core::TimeBlockedStore`] (what a saved store opens as: the
 //!   §4.1 one-disk-access serving architecture, per shard and time block);
-//! - [`compress`] (`ats-compress`) — SVD, SVDD, DCT, clustering, LZ,
-//!   sampling, all behind [`compress::CompressedMatrix`];
+//! - [`compress`] (`ats-compress`) — SVD and SVDD, plus the paper's
+//!   baselines (DCT, clustering, sampling, LZ), all behind
+//!   [`compress::CompressedMatrix`];
 //! - [`query`] (`ats-query`) — cell/aggregate queries and the paper's
 //!   error metrics (RMSPE, worst-case, `Q_err`);
 //! - [`data`] (`ats-data`) — the synthetic `phone*`/`stocks` datasets;
 //! - [`linalg`] (`ats-linalg`) — matrices, eigensolvers, SVD;
 //! - [`storage`] (`ats-storage`) — matrix files, passes, buffer pool;
-//! - [`cube`] (`ats-cube`) — §6.1 DataCube flattening;
 //! - [`common`] (`ats-common`) — Bloom filter, bounded heaps, stats.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and
@@ -25,7 +25,6 @@
 pub use ats_common as common;
 pub use ats_compress as compress;
 pub use ats_core as core;
-pub use ats_cube as cube;
 pub use ats_data as data;
 pub use ats_linalg as linalg;
 pub use ats_query as query;

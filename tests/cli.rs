@@ -195,6 +195,32 @@ fn cli_svd_method() {
 }
 
 #[test]
+fn cli_method_other_than_svd_or_svdd_is_a_usage_error() {
+    // A store is svd or svdd; the paper's baselines are library types.
+    // The name is checked before the input is opened: the input here
+    // does not exist, so reading it first would exit 1, not 2.
+    let dir = TestDir::new("ats-cli");
+    for method in ["hc", "kmeans", "dct", "sampling", "bogus"] {
+        let store = dir.file(format!("store-{method}"));
+        let out = ats()
+            .args([
+                "save",
+                dir.file("absent.atsm").to_str().unwrap(),
+                "--out",
+                store.to_str().unwrap(),
+                "--method",
+                method,
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{method}: {stderr}");
+        assert!(stderr.contains("svd, svdd"), "{method}: {stderr}");
+        assert!(!store.exists(), "{method}");
+    }
+}
+
+#[test]
 fn cli_save_open_flow() {
     let dir = TestDir::new("ats-cli");
     let data = dir.file("data.atsm");

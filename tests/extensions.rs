@@ -1,16 +1,14 @@
 //! Integration tests for the beyond-the-paper extensions, composed the
-//! way a downstream user would: batched appends through the Gram cache,
-//! zero-customer flagging over an SVDD store, and quantized storage.
+//! way a downstream user would: batched appends through the Gram cache
+//! and quantized storage.
 
 use adhoc_ts::compress::append::GramCache;
 use adhoc_ts::compress::quantized::QuantizedSvd;
-use adhoc_ts::compress::zeroflag::{ZeroAwareMatrix, ZeroRowIndex};
-use adhoc_ts::compress::{
-    CompressedMatrix, SpaceBudget, SvdCompressed, SvddCompressed, SvddOptions,
-};
+use adhoc_ts::compress::{CompressedMatrix, SpaceBudget, SvdCompressed};
 use adhoc_ts::data::{generate_phone, PhoneConfig};
 use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::metrics::error_report;
+use ats_common::TestDir;
 
 #[test]
 fn nightly_append_workflow() {
@@ -49,41 +47,11 @@ fn nightly_append_workflow() {
     }
 
     // The cache itself survives a round trip to disk.
-    let dir = std::env::temp_dir().join(format!("ats-ext-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("gram.atsm");
+    let dir = TestDir::new("ats-ext");
+    let path = dir.file("gram.atsm");
     cache.save(&path).unwrap();
     let reloaded = GramCache::load(&path).unwrap();
     assert_eq!(reloaded.rows_seen(), 500);
-}
-
-#[test]
-fn zeroflag_over_svdd_store() {
-    let data = generate_phone(&PhoneConfig {
-        customers: 500,
-        days: 56,
-        zero_fraction: 0.08,
-        ..PhoneConfig::default()
-    });
-    let x = data.matrix();
-    let svdd =
-        SvddCompressed::compress(x, &SvddOptions::new(SpaceBudget::from_percent(10.0))).unwrap();
-    let index = ZeroRowIndex::build(x).unwrap();
-    assert!(index.len() > 10, "generator should produce zero customers");
-    let wrapped = ZeroAwareMatrix::new(svdd, index);
-
-    // Every all-zero customer reconstructs *exactly* zero through the
-    // wrapper, and the overall error can only improve.
-    for i in 0..500 {
-        if x.row(i).iter().all(|&v| v == 0.0) {
-            for j in (0..56).step_by(11) {
-                assert_eq!(wrapped.cell(i, j).unwrap(), 0.0);
-            }
-        }
-    }
-    let wrapped_report = error_report(x, &wrapped).unwrap();
-    let inner_report = error_report(x, wrapped.inner()).unwrap();
-    assert!(wrapped_report.sse <= inner_report.sse + 1e-9);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Cross-method integration tests: the orderings the paper's Fig. 6/7
 //! claims, verified on synthetic data at equal space budgets.
 
-use adhoc_ts::compress::cluster::{ClusterAlgo, ClusterCompressed};
+use adhoc_ts::compress::cluster::ClusterCompressed;
 use adhoc_ts::compress::dct::DctCompressed;
 use adhoc_ts::compress::{
     CompressedMatrix, SpaceBudget, SvdCompressed, SvddCompressed, SvddOptions,
@@ -83,7 +83,7 @@ fn all_methods_respect_equal_budget() {
     let svdd = SvddCompressed::compress(x, &SvddOptions::new(budget)).unwrap();
     let svd = SvdCompressed::compress_budget(x, budget, 1).unwrap();
     let dct = DctCompressed::compress_budget(x, budget).unwrap();
-    let hc = ClusterCompressed::compress_budget(x, budget, ClusterAlgo::Hierarchical).unwrap();
+    let hc = ClusterCompressed::compress_budget(x, budget).unwrap();
 
     for (name, bytes) in [
         ("svdd", svdd.storage_bytes()),

@@ -1436,7 +1436,7 @@ mod tests {
     #[test]
     fn crate_level_lint_attr_flagged() {
         let src = "#![warn(missing_docs)]\npub fn f() {}\n";
-        let findings = lint_source("crates/cube/src/lib.rs", src);
+        let findings = lint_source("crates/data/src/lib.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "lint-table");
     }

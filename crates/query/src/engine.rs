@@ -19,6 +19,7 @@
 use crate::predicate::{Predicate, TileTruth};
 use crate::selection::Selection;
 use ats_common::{AtsError, OnlineStats, Result};
+use ats_compress::method::BYTES_PER_NUMBER;
 use ats_compress::par::fork_join;
 use ats_compress::CompressedMatrix;
 use ats_linalg::Matrix;
@@ -70,7 +71,9 @@ impl AggregateFn {
         // Every aggregate of zero cells is rejected, not defaulted: Min/Max
         // have no identity, and a silent 0.0 from Sum/Avg/StdDev is
         // indistinguishable from real data.
-        ensure_nonempty(stats)?;
+        if stats.count() == 0 {
+            return Err(empty_selection());
+        }
         Ok(match self {
             AggregateFn::Sum => stats.sum(),
             AggregateFn::Avg => stats.mean(),
@@ -82,16 +85,9 @@ impl AggregateFn {
     }
 }
 
-/// Reject aggregates over empty selections: `min()`/`max()` of nothing has
-/// no value, and returning a default `0.0` (the old behavior) silently
-/// fabricated data for every function.
-fn ensure_nonempty(stats: &OnlineStats) -> Result<()> {
-    if stats.count() == 0 {
-        return Err(AtsError::InvalidArgument(
-            "aggregate over an empty selection (0 cells) is undefined".into(),
-        ));
-    }
-    Ok(())
+/// The error of an aggregate over zero cells.
+fn empty_selection() -> AtsError {
+    AtsError::InvalidArgument("aggregate over an empty selection (0 cells) is undefined".into())
 }
 
 /// `Some(a..b)` when `cols` is the unbroken ascending run
@@ -237,23 +233,15 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Reconstructs each selected row once and folds the selected columns
     /// into a single-pass accumulator (or one per worker — see
-    /// [`QueryEngine::with_threads`]).
+    /// [`QueryEngine::with_threads`]). Errors on an empty selection.
     pub fn aggregate(&self, sel: &Selection, f: AggregateFn) -> Result<f64> {
-        let m = self.matrix().cols();
-        sel.validate(self.matrix().rows(), m)?;
-        let cols: Vec<usize> = sel.cols.to_vec(m);
-        // Heuristic: if most of the row is selected, reconstruct the whole
-        // row; otherwise reconstruct only the selected cells.
-        let dense_cols = cols.len() * 3 >= m;
-        let stats = self.selection_stats(sel, dense_cols)?;
-        f.finish(&stats)
+        f.finish(&self.scan(sel, None, false)?.stats)
     }
 
     /// Evaluate every aggregate function at once over one selection scan.
     /// Errors on an empty selection, like [`QueryEngine::aggregate`].
     pub fn aggregate_all(&self, sel: &Selection) -> Result<AggregateRow> {
-        let stats = self.selection_stats(sel, true)?;
-        ensure_nonempty(&stats)?;
+        let stats = self.scan(sel, None, false)?.stats;
         Ok(AggregateRow {
             sum: stats.sum(),
             avg: stats.mean(),
@@ -262,167 +250,6 @@ impl<'a> QueryEngine<'a> {
             max: stats.max(),
             stddev: stats.population_std_dev(),
         })
-    }
-
-    /// Fold the selected cells into one [`OnlineStats`] through the
-    /// partition walk ([`QueryEngine::walk`]), each unit scanned by
-    /// [`QueryEngine::stats_over_rows`].
-    ///
-    /// `dense_cols` decides, for a single-decomposition matrix, whether
-    /// whole rows are reconstructed. Inside a time-blocked matrix the
-    /// heuristic is re-evaluated against each block's own width: a
-    /// range covering most of one block should reconstruct whole block
-    /// rows even when it is a sliver of the full matrix.
-    fn selection_stats(&self, sel: &Selection, dense_cols: bool) -> Result<OnlineStats> {
-        let (n, m) = (self.matrix().rows(), self.matrix().cols());
-        sel.validate(n, m)?;
-        let cols: Vec<usize> = sel.cols.to_vec(m);
-        let rows: Vec<usize> = sel.rows.iter(n).collect();
-        let blocked = self.matrix().time_block_starts().len() > 1;
-        self.walk(&rows, &cols, "selection stats", |block, local, unit| {
-            let dense = if blocked {
-                local.len() * 3 >= block.matrix().cols()
-            } else {
-                dense_cols
-            };
-            block.stats_over_rows(unit.rows, local, dense)
-        })
-    }
-
-    /// The partition walk every aggregate scan takes, generic over the
-    /// partial it folds (`OnlineStats`, `WhereStats`):
-    ///
-    /// 1. **Blocks.** Over a time-blocked matrix
-    ///    ([`CompressedMatrix::time_block_starts`] returns more than one
-    ///    entry) the selected *columns* are grouped by owning block and
-    ///    rebased to block-local indices; each overlapping block is
-    ///    scanned through its own decomposition (`leaf` receives an
-    ///    engine over that block). Blocks the selection never touches
-    ///    see no I/O at all — the pruning the per-block `IoStats`
-    ///    assertions pin down. Any other matrix is its own single block.
-    /// 2. **Units.** Inside a block the selected *rows* are grouped by
-    ///    owning shard when the block is sharded
-    ///    ([`CompressedMatrix::shard_starts`] returns more than one
-    ///    entry; a shard owning none of them is no unit, so nothing of
-    ///    it — not even its synopsis — is read), otherwise split into `self.threads` contiguous chunks
-    ///    when there are enough of them to be worth it.
-    /// 3. **Run.** Units run through `leaf` in waves of `self.threads`.
-    /// 4. **Merge.** Unit partials merge in unit (shard or chunk) order
-    ///    into the block's partial, block partials in ascending block
-    ///    order into the answer — one deterministic value for a given
-    ///    layout, independent of the thread count when sharded.
-    ///
-    /// This is the one place a query trace would hook in: the block
-    /// loop sees which blocks a query touched, the unit list which
-    /// shards, and `leaf` is where rows, tiles and `U` pages are spent.
-    fn walk<P: Partial>(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        what: &str,
-        leaf: impl Fn(&QueryEngine<'_>, &[usize], &Unit<'_>) -> Result<P> + Sync,
-    ) -> Result<P> {
-        let top = self.matrix();
-        let tstarts = top.time_block_starts();
-        let mut blocks: Vec<(&dyn CompressedMatrix, Vec<usize>)> = Vec::new();
-        if tstarts.len() > 1 {
-            let groups = group_by_start(cols, &tstarts, true);
-            for (b, local) in groups.into_iter().enumerate() {
-                if local.is_empty() {
-                    continue;
-                }
-                let block = top.time_block(b).ok_or_else(|| {
-                    AtsError::internal(format!("time block {b} advertised but not served"))
-                })?;
-                blocks.push((block, local));
-            }
-        } else {
-            blocks.push((top, cols.to_vec()));
-        }
-
-        let mut answer = P::empty();
-        for (matrix, local) in &blocks {
-            let block = QueryEngine {
-                handle: MatrixHandle::Borrowed(*matrix),
-                threads: self.threads,
-                synopsis: self.synopsis,
-            };
-            let starts = matrix.shard_starts();
-            let sharded = starts.len() > 1;
-            let by_shard = if sharded {
-                group_by_start(rows, &starts, false)
-            } else {
-                Vec::new()
-            };
-            let units: Vec<Unit<'_>> = if sharded {
-                (by_shard.iter().zip(&starts).enumerate())
-                    .filter(|(_, (rows, _))| !rows.is_empty())
-                    .map(|(shard, (rows, &start))| Unit { shard, start, rows })
-                    .collect()
-            } else {
-                let chunk = if self.threads <= 1 || rows.len() < 2 * self.threads {
-                    rows.len().max(1)
-                } else {
-                    rows.len().div_ceil(self.threads)
-                };
-                (rows.chunks(chunk).map(|rows| Unit {
-                    shard: 0,
-                    start: 0,
-                    rows,
-                }))
-                .collect()
-            };
-            let mut partial = P::empty();
-            for wave in units.chunks(self.threads) {
-                for unit_partial in fork_join(wave, what, |unit| leaf(&block, local, unit))? {
-                    partial.absorb(&unit_partial);
-                }
-            }
-            answer.absorb(&partial);
-        }
-        Ok(answer)
-    }
-
-    /// Serial scan kernel: fold the selected columns of `rows` into one
-    /// accumulator. Each caller (worker) brings its own scratch.
-    ///
-    /// The dense path fetches [`AGG_BLOCK_ROWS`] rows per
-    /// [`CompressedMatrix::rows_into`] call, so implementations with a
-    /// blocked multi-row kernel reconstruct several rows per sweep over
-    /// `V`; the sparse path asks for the selected cells of one row at a
-    /// time through [`CompressedMatrix::cells_in_row`] — one `U` fetch
-    /// per row, not per cell. Either way values are pushed row by row in
-    /// ascending selected-column order — the accumulation sequence of
-    /// the cell-at-a-time scan, so results are bitwise unchanged.
-    fn stats_over_rows(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        dense_cols: bool,
-    ) -> Result<OnlineStats> {
-        let mut stats = OnlineStats::new();
-        let m = self.matrix().cols();
-        if cols.is_empty() || m == 0 {
-            return Ok(stats);
-        }
-        if dense_cols {
-            let run = col_run(cols);
-            let mut block = vec![0.0f64; AGG_BLOCK_ROWS * m];
-            for rchunk in rows.chunks(AGG_BLOCK_ROWS) {
-                let out = &mut block[..rchunk.len() * m];
-                self.matrix().rows_into(rchunk, out)?;
-                for row_buf in out.chunks(m) {
-                    fold_row(&mut stats, row_buf, cols, &run, |_| true);
-                }
-            }
-        } else {
-            let mut vals = vec![0.0f64; cols.len()];
-            for &i in rows {
-                self.matrix().cells_in_row(i, cols, &mut vals)?;
-                stats.push_slice(&vals);
-            }
-        }
-        Ok(stats)
     }
 
     /// Predicate-filtered aggregate: fold `f` over the selected cells
@@ -457,42 +284,153 @@ impl<'a> QueryEngine<'a> {
         f: AggregateFn,
         pred: &Predicate,
     ) -> Result<f64> {
-        let (n, m) = (self.matrix().rows(), self.matrix().cols());
-        sel.validate(n, m)?;
-        let rows: Vec<usize> = sel.rows.iter(n).collect();
-        let cols: Vec<usize> = sel.cols.to_vec(m);
-        if rows.is_empty() || cols.is_empty() {
-            return Err(AtsError::InvalidArgument(
-                "aggregate over an empty selection (0 cells) is undefined".into(),
-            ));
-        }
         let count_only = matches!(f, AggregateFn::Count);
-        // Each unit classifies against its own shard's synopsis (tile
-        // columns are block-local, tile rows shard-local).
-        let ws = self.walk(&rows, &cols, "where scan", |block, local, unit| {
-            let syn = block.pruning_synopsis(unit.shard, unit.start)?;
-            block.where_over_rows(unit.rows, local, pred, count_only, syn)
-        })?;
+        let ss = self.scan(sel, Some(pred), count_only)?;
         match f {
             AggregateFn::Count => {
-                let total = ws
+                let total = ss
                     .stats
                     .count()
-                    .checked_add(ws.proved)
+                    .checked_add(ss.proved)
                     .ok_or_else(|| AtsError::internal("where-count overflows u64"))?;
                 Ok(total as f64)
             }
             _ => {
-                if ws.stats.count() == 0 {
+                if ss.stats.count() == 0 {
                     return Err(AtsError::InvalidArgument(format!(
                         "no selected cell satisfies `{pred}`; {}() over an empty match set \
                          is undefined (count is defined, and 0)",
                         f.name()
                     )));
                 }
-                f.finish(&ws.stats)
+                f.finish(&ss.stats)
             }
         }
+    }
+
+    /// The one aggregate scan: validate `sel`, reject it if empty, and
+    /// fold the selected cells that pass `pred` (all of them without
+    /// one) through the partition walk ([`QueryEngine::walk`]), each
+    /// unit scanned by [`QueryEngine::scan_rows`]. Only a `where` scan
+    /// consults the synopsis, so a plain one never loads it.
+    fn scan(
+        &self,
+        sel: &Selection,
+        pred: Option<&Predicate>,
+        count_only: bool,
+    ) -> Result<ScanStats> {
+        let (n, m) = (self.matrix().rows(), self.matrix().cols());
+        sel.validate(n, m)?;
+        let rows: Vec<usize> = sel.rows.iter(n).collect();
+        let cols: Vec<usize> = sel.cols.to_vec(m);
+        if rows.is_empty() || cols.is_empty() {
+            return Err(empty_selection());
+        }
+        self.walk(&rows, &cols, |block, local, unit| match pred {
+            // Each unit classifies against its own shard's synopsis (tile
+            // columns are block-local, tile rows shard-local).
+            Some(pred) => {
+                let prune = block
+                    .pruning_synopsis(unit.shard, unit.start)?
+                    .map(|(s, start)| (s, start, pred));
+                block.scan_rows(unit.rows, local, prune, count_only, |v| pred.eval(v))
+            }
+            None => block.scan_rows(unit.rows, local, None, false, |_| true),
+        })
+    }
+
+    /// The partition walk every aggregate scan takes:
+    ///
+    /// 1. **Blocks.** Over a time-blocked matrix
+    ///    ([`CompressedMatrix::time_block_starts`] returns more than one
+    ///    entry) the selected *columns* are grouped by owning block and
+    ///    rebased to block-local indices; each overlapping block is
+    ///    scanned through its own decomposition (`leaf` receives an
+    ///    engine over that block). Blocks the selection never touches
+    ///    see no I/O at all — the pruning the per-block `IoStats`
+    ///    assertions pin down. Any other matrix is its own single block.
+    /// 2. **Units.** Inside a block the selected *rows* are grouped by
+    ///    owning shard when the block is sharded
+    ///    ([`CompressedMatrix::shard_starts`] returns more than one
+    ///    entry; a shard owning none of them is no unit, so nothing of
+    ///    it — not even its synopsis — is read), otherwise split into `self.threads` contiguous chunks
+    ///    when there are enough of them to be worth it.
+    /// 3. **Run.** Units run through `leaf` in waves of `self.threads`.
+    /// 4. **Merge.** Unit partials merge in unit (shard or chunk) order
+    ///    into the block's partial, block partials in ascending block
+    ///    order into the answer — one deterministic value for a given
+    ///    layout, independent of the thread count when sharded.
+    ///
+    /// This is the one place a query trace would hook in: the block
+    /// loop sees which blocks a query touched, the unit list which
+    /// shards, and `leaf` is where rows, tiles and `U` pages are spent.
+    fn walk(
+        &self,
+        rows: &[usize],
+        cols: &[usize],
+        leaf: impl Fn(&QueryEngine<'_>, &[usize], &Unit<'_>) -> Result<ScanStats> + Sync,
+    ) -> Result<ScanStats> {
+        let top = self.matrix();
+        let tstarts = top.time_block_starts();
+        let mut blocks: Vec<(&dyn CompressedMatrix, Vec<usize>)> = Vec::new();
+        if tstarts.len() > 1 {
+            let groups = group_by_start(cols, &tstarts, true);
+            for (b, local) in groups.into_iter().enumerate() {
+                if local.is_empty() {
+                    continue;
+                }
+                let block = top.time_block(b).ok_or_else(|| {
+                    AtsError::internal(format!("time block {b} advertised but not served"))
+                })?;
+                blocks.push((block, local));
+            }
+        } else {
+            blocks.push((top, cols.to_vec()));
+        }
+
+        let mut answer = ScanStats::new();
+        for (matrix, local) in &blocks {
+            let block = QueryEngine {
+                handle: MatrixHandle::Borrowed(*matrix),
+                threads: self.threads,
+                synopsis: self.synopsis,
+            };
+            let starts = matrix.shard_starts();
+            let sharded = starts.len() > 1;
+            let by_shard = if sharded {
+                group_by_start(rows, &starts, false)
+            } else {
+                Vec::new()
+            };
+            let units: Vec<Unit<'_>> = if sharded {
+                (by_shard.iter().zip(&starts).enumerate())
+                    .filter(|(_, (rows, _))| !rows.is_empty())
+                    .map(|(shard, (rows, &start))| Unit { shard, start, rows })
+                    .collect()
+            } else {
+                let chunk = if self.threads <= 1 || rows.len() < 2 * self.threads {
+                    rows.len().max(1)
+                } else {
+                    rows.len().div_ceil(self.threads)
+                };
+                (rows.chunks(chunk).map(|rows| Unit {
+                    shard: 0,
+                    start: 0,
+                    rows,
+                }))
+                .collect()
+            };
+            let mut partial = ScanStats::new();
+            for wave in units.chunks(self.threads) {
+                for unit_partial in
+                    fork_join(wave, "aggregate scan", |unit| leaf(&block, local, unit))?
+                {
+                    partial.absorb(&unit_partial);
+                }
+            }
+            answer.absorb(&partial);
+        }
+        Ok(answer)
     }
 
     /// The synopsis to prune shard `shard` with (whose rows start at
@@ -510,54 +448,58 @@ impl<'a> QueryEngine<'a> {
         Ok(self.matrix().shard_synopsis(shard)?.map(|s| (s, start)))
     }
 
-    /// Serial `where` kernel: scan the selected columns of `rows`,
-    /// pushing values that satisfy `pred` into one accumulator.
+    /// Serial scan kernel: fold the selected columns of `rows` that pass
+    /// `keep` into one accumulator. Each caller (worker) brings its own
+    /// scratch.
     ///
-    /// With a synopsis, each tile band (`local row / ROW_BLOCK`) is
-    /// planned once ([`BandPlan`]: the tile of every selected column is
-    /// classified) and the plan reused for the band's rows: selected
-    /// columns in `False` tiles are dropped before
+    /// With `prune` — a synopsis, the absolute row its shard starts at,
+    /// and the `where` predicate — each tile band (`local row /
+    /// ROW_BLOCK`) is planned once ([`BandPlan`]: the tile of every
+    /// selected column is classified) and the plan reused for the band's
+    /// rows: selected columns in `False` tiles are dropped before
     /// reconstruction — rows left with nothing to fetch do **zero** I/O
     /// — and, for `count`, columns in `True` tiles are tallied without
-    /// reconstruction. Without one, a single plan fetches every
-    /// selected column of every row.
+    /// reconstruction. Without one, a single plan fetches every selected
+    /// column of every row.
     ///
     /// Rows are taken in groups of up to [`AGG_BLOCK_ROWS`] consecutive
     /// selected rows that share a band, hence a plan. When the plan's
-    /// fetch list is dense in the block's width (the `len · 3 ≥ M_b`
-    /// rule of the plain scan) the group is reconstructed through
-    /// [`CompressedMatrix::rows_into`] — the blocked kernel and, on
-    /// disk, one run read of `U` — and the planned columns are read out
-    /// of each row; a sparse list asks for just its cells, row by row,
-    /// through [`CompressedMatrix::cells_in_row`]. Both are chosen from
-    /// what the scan observes (band membership, fetch density), and
-    /// both push the same values in the same order: fetched values are
-    /// always tested through [`Predicate::eval`] (for a `True` tile the
-    /// bounds guarantee the test passes), so the pushed sequence is
-    /// that of the no-synopsis scan and results stay bitwise equal.
+    /// fetch list is dense in the block's width (`len · 3 ≥ M_b`) the
+    /// group is reconstructed through [`CompressedMatrix::rows_into`] —
+    /// the blocked kernel and, on disk, one run read of `U` — and the
+    /// planned columns are read out of each row; a sparse list asks for
+    /// just its cells, row by row, through
+    /// [`CompressedMatrix::cells_in_row`] — one `U` fetch per row, not
+    /// per cell. Both are chosen from what the scan observes (band
+    /// membership, fetch density), and both push the same values in the
+    /// same order: rows in selection order, columns ascending, every
+    /// fetched value tested through `keep` (for a `True` tile the bounds
+    /// guarantee the test passes) — the sequence of the cell-at-a-time
+    /// scan, so results stay bitwise equal. A plain scan's `keep` is
+    /// `|_| true`, which compiles away.
     ///
     /// Defensive: rows outside the synopsis grid (a hand-rolled
     /// [`CompressedMatrix`] lying about its geometry — disk stores
-    /// cross-check when they load a synopsis) are planned unpruned, degrading to the
-    /// exact scan, never to a wrong answer.
-    fn where_over_rows(
+    /// cross-check when they load a synopsis) are planned unpruned,
+    /// degrading to the exact scan, never to a wrong answer.
+    fn scan_rows(
         &self,
         rows: &[usize],
         cols: &[usize],
-        pred: &Predicate,
+        prune: Option<(&ShardSynopsis, usize, &Predicate)>,
         count_only: bool,
-        syn: Option<(&ShardSynopsis, usize)>,
-    ) -> Result<WhereStats> {
-        let mut ws = WhereStats::new();
+        keep: impl Fn(f64) -> bool,
+    ) -> Result<ScanStats> {
+        let mut ss = ScanStats::new();
         let m = self.matrix().cols();
         if cols.is_empty() || m == 0 {
-            return Ok(ws);
+            return Ok(ss);
         }
         // The tile band of row `i` and the rows that share it. Rows with
         // no band (no synopsis, or outside its grid) are planned
         // unpruned: all alike without a synopsis, one by one outside one.
         let band_of = |i: usize| -> (Option<usize>, std::ops::RangeInclusive<usize>) {
-            let Some((s, start)) = syn else {
+            let Some((s, start, _)) = prune else {
                 return (None, 0..=usize::MAX);
             };
             let rb = s.row_block();
@@ -575,7 +517,8 @@ impl<'a> QueryEngine<'a> {
         while let Some(&first) = rest.first() {
             let (band, band_rows) = band_of(first);
             if band != plan.band {
-                plan.replan(syn.map(|(s, _)| s).zip(band), cols, m, pred, count_only);
+                let tile = prune.zip(band).map(|((s, _, pred), tr)| (s, tr, pred));
+                plan.replan(tile, cols, m, count_only);
             }
             let len = rest
                 .iter()
@@ -584,7 +527,7 @@ impl<'a> QueryEngine<'a> {
                 .count();
             let (group, tail) = rest.split_at(len);
             rest = tail;
-            ws.proved += plan.proved * group.len() as u64;
+            ss.proved += plan.proved * group.len() as u64;
             if plan.fetch.is_empty() {
                 continue; // every selected tile proved: zero I/O for these rows
             }
@@ -593,23 +536,21 @@ impl<'a> QueryEngine<'a> {
                 let out = &mut block[..group.len() * m];
                 self.matrix().rows_into(group, out)?;
                 for row_buf in out.chunks(m) {
-                    fold_row(&mut ws.stats, row_buf, &plan.fetch, &plan.run, |v| {
-                        pred.eval(v)
-                    });
+                    fold_row(&mut ss.stats, row_buf, &plan.fetch, &plan.run, &keep);
                 }
             } else {
                 let out = vals
                     .get_mut(..plan.fetch.len())
-                    .ok_or_else(|| AtsError::internal("where scan scratch undersized"))?;
+                    .ok_or_else(|| AtsError::internal("scan scratch undersized"))?;
                 for &i in group {
                     self.matrix().cells_in_row(i, &plan.fetch, out)?;
-                    for &v in out.iter().filter(|&&v| pred.eval(v)) {
-                        ws.stats.push(v);
+                    for &v in out.iter().filter(|&&v| keep(v)) {
+                        ss.stats.push(v);
                     }
                 }
             }
         }
-        Ok(ws)
+        Ok(ss)
     }
 }
 
@@ -645,18 +586,18 @@ impl BandPlan {
         }
     }
 
-    /// Plan band `tile.1` of synopsis `tile.0` (`None`: unpruned) for
-    /// the selected `cols` of an `m`-column block, in place.
+    /// Plan band `tile.1` of synopsis `tile.0` against predicate
+    /// `tile.2` (`None`: unpruned) for the selected `cols` of an
+    /// `m`-column block, in place.
     fn replan(
         &mut self,
-        tile: Option<(&ShardSynopsis, usize)>,
+        tile: Option<(&ShardSynopsis, usize, &Predicate)>,
         cols: &[usize],
         m: usize,
-        pred: &Predicate,
         count_only: bool,
     ) {
-        self.band = tile.map(|(_, tr)| tr);
-        let Some((s, tr)) = tile else {
+        self.band = tile.map(|(_, tr, _)| tr);
+        let Some((s, tr, pred)) = tile else {
             *self = BandPlan::unpruned(cols, m);
             return;
         };
@@ -677,46 +618,25 @@ impl BandPlan {
     }
 }
 
-/// Accumulator of a `where` scan: the Welford fold over reconstructed
-/// matching cells, plus the cells *proved* matching by all-`True` tiles
-/// that a `count`-only scan never reconstructed.
+/// Accumulator of an aggregate scan: the Welford fold over reconstructed
+/// kept cells, plus the cells *proved* matching by all-`True` tiles that
+/// a `where … count` scan never reconstructed (0 for any other scan).
 #[derive(Debug, Clone)]
-struct WhereStats {
+struct ScanStats {
     stats: OnlineStats,
     proved: u64,
 }
 
-impl WhereStats {
+impl ScanStats {
     fn new() -> Self {
-        WhereStats {
+        ScanStats {
             stats: OnlineStats::new(),
             proved: 0,
         }
     }
-}
 
-/// A partial aggregate the partition walk can fold: an identity and an
-/// order-sensitive merge (units merge in shard/chunk order, blocks in
-/// block order, so a layout fixes the float association).
-trait Partial: Send {
-    fn empty() -> Self;
-    fn absorb(&mut self, other: &Self);
-}
-
-impl Partial for OnlineStats {
-    fn empty() -> Self {
-        OnlineStats::new()
-    }
-    fn absorb(&mut self, other: &Self) {
-        // Chan et al. combine.
-        self.merge(other);
-    }
-}
-
-impl Partial for WhereStats {
-    fn empty() -> Self {
-        WhereStats::new()
-    }
+    /// Merge `other` after `self` — units merge in shard/chunk order,
+    /// blocks in block order, so a layout fixes the float association.
     fn absorb(&mut self, other: &Self) {
         self.stats.merge(&other.stats);
         self.proved += other.proved;
@@ -821,14 +741,12 @@ impl CompressedMatrix for ExactMatrix {
         Ok(())
     }
     fn storage_bytes(&self) -> usize {
-        self.0.rows() * self.0.cols() * crate::engine::BYTES_PER_NUMBER_LOCAL
+        self.0.rows() * self.0.cols() * BYTES_PER_NUMBER
     }
     fn method_name(&self) -> &'static str {
         "exact"
     }
 }
-
-pub(crate) const BYTES_PER_NUMBER_LOCAL: usize = 8;
 
 #[cfg(test)]
 mod tests {

@@ -15,10 +15,8 @@
 //! One batcher thread executes whatever is queued the moment it is free;
 //! what arrives while a batch executes is the next batch. The batch size
 //! is therefore worked out from the load: an idle daemon answers a lone
-//! request at once (no timer is waited out), a busy one coalesces as
-//! many requests as one execution takes to answer. [`ServeConfig::window`]
-//! — zero by default — is the *extra* time the batcher lingers for
-//! company once it has work, cut short at [`ServeConfig::batch_max`].
+//! request at once (there is no timer to wait out), a busy one coalesces
+//! as many requests as arrive while one execution runs.
 //!
 //! Aggregate queries ride the same queue: requests taken in one batch
 //! are grouped by identical `(aggregate, selection, predicate)` and each
@@ -81,13 +79,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads for aggregate scans and batch execution.
     pub threads: usize,
-    /// Extra time the batcher lingers for company once it has work.
-    /// Zero (the default) batches by backlog: whatever is queued when
-    /// the batcher is free is the batch.
-    pub window: Duration,
-    /// Stop lingering as soon as this many requests are queued, even if
-    /// the window has not expired.
-    pub batch_max: usize,
     /// Largest accepted request payload in bytes; longer frames earn an
     /// `ERR` response (the payload is drained so the connection survives).
     pub max_frame: usize,
@@ -103,8 +94,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 1,
-            window: Duration::ZERO,
-            batch_max: 64,
             max_frame: 1 << 20,
             pending_max: 64,
         }
@@ -397,8 +386,6 @@ impl BatchQueue {
 /// State shared by the acceptor, the batcher, and every connection.
 struct Shared {
     engine: QueryEngine<'static>,
-    window: Duration,
-    batch_max: usize,
     max_frame: usize,
     pending_max: usize,
     shutdown: AtomicBool,
@@ -554,8 +541,6 @@ pub fn serve(
     };
     let shared = Arc::new(Shared {
         engine: engine.with_threads(cfg.threads.max(1)),
-        window: cfg.window,
-        batch_max: cfg.batch_max.max(1),
         max_frame: cfg.max_frame.max(16),
         pending_max: cfg.pending_max.max(1),
         shutdown: AtomicBool::new(false),
@@ -609,14 +594,13 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
 /// The coalescing executor: take everything that is queued, run the
 /// cells as one [`QueryEngine::batch_cells`] call and each distinct
 /// aggregate as one scan, scatter the replies, repeat — whatever arrived
-/// meanwhile is the next batch. With a non-zero `window` it first lingers
-/// for company, up to `batch_max` requests. On shutdown the remaining
-/// queue is drained through the same path before the thread exits.
+/// meanwhile is the next batch. On shutdown the remaining queue is
+/// drained through the same path before the thread exits.
 fn run_batcher(shared: &Shared) {
     loop {
         let (pending, aggs) = {
             let mut q = lock(&shared.queue);
-            // Phase 1: wait for work (or shutdown + empty queue = done).
+            // Wait for work (or shutdown + empty queue = done).
             while q.len() == 0 && !shared.is_shutdown() {
                 let (guard, _timed_out) = shared
                     .queue_cv
@@ -627,23 +611,6 @@ fn run_batcher(shared: &Shared) {
             if q.len() == 0 {
                 q.closed = true;
                 return;
-            }
-            // Phase 2, only when asked to linger: collect more requests
-            // until the deadline, the size cap, or shutdown (which
-            // executes immediately so the drain finishes promptly).
-            if !shared.window.is_zero() {
-                let deadline = Instant::now() + shared.window;
-                while q.len() < shared.batch_max && !shared.is_shutdown() {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _timed_out) = shared
-                        .queue_cv
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(|p| p.into_inner());
-                    q = guard;
-                }
             }
             (std::mem::take(&mut q.items), std::mem::take(&mut q.aggs))
         };
@@ -1336,17 +1303,15 @@ mod tests {
     use ats_compress::CompressedMatrix;
     use ats_linalg::Matrix;
 
-    fn start(window_ms: u64, batch_max: usize) -> (ServerHandle, QueryEngine<'static>) {
-        let m = Arc::new(ExactMatrix(Matrix::from_fn(12, 9, |i, j| {
+    fn matrix() -> ExactMatrix {
+        ExactMatrix(Matrix::from_fn(12, 9, |i, j| {
             ((i * 13 + j * 5) % 17) as f64 - 4.0
-        })));
-        let engine = QueryEngine::shared(m);
-        let cfg = ServeConfig {
-            window: Duration::from_millis(window_ms),
-            batch_max,
-            ..ServeConfig::default()
-        };
-        let handle = serve(engine.clone(), cfg, None).unwrap();
+        }))
+    }
+
+    fn start() -> (ServerHandle, QueryEngine<'static>) {
+        let engine = QueryEngine::shared(Arc::new(matrix()));
+        let handle = serve(engine.clone(), ServeConfig::default(), None).unwrap();
         (handle, engine)
     }
 
@@ -1354,9 +1319,92 @@ mod tests {
         TcpStream::connect(handle.addr()).unwrap()
     }
 
+    /// An exact matrix whose cells cannot be read until the gate opens;
+    /// `entered` hears of every attempt.
+    struct Gated {
+        inner: ExactMatrix,
+        open: Mutex<bool>,
+        opened: Condvar,
+        entered: Mutex<mpsc::Sender<()>>,
+    }
+
+    impl Gated {
+        fn open(&self) {
+            *lock(&self.open) = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl CompressedMatrix for Gated {
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn cell(&self, i: usize, j: usize) -> Result<f64> {
+            let _ = lock(&self.entered).send(());
+            let mut open = lock(&self.open);
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+            drop(open);
+            self.inner.cell(i, j)
+        }
+        fn storage_bytes(&self) -> usize {
+            self.inner.storage_bytes()
+        }
+        fn method_name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    /// A daemon over a [`Gated`] matrix whose batcher is held inside the
+    /// engine by one cell (`cell 0 0`, asked on the returned connection):
+    /// every request sent from now on queues until [`Gated::open`].
+    fn start_held() -> (ServerHandle, Arc<Gated>, TcpStream) {
+        let (entered_tx, entered) = mpsc::channel();
+        let gated = Arc::new(Gated {
+            inner: matrix(),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            entered: Mutex::new(entered_tx),
+        });
+        let handle = serve(
+            QueryEngine::shared(gated.clone()),
+            ServeConfig::default(),
+            None,
+        )
+        .unwrap();
+        let mut holder = connect(&handle);
+        client::send(&mut holder, "cell 0 0").unwrap();
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the batcher never took the first cell");
+        (handle, gated, holder)
+    }
+
+    /// Wait until `k` requests are queued behind the held batch.
+    fn wait_for_backlog(handle: &ServerHandle, k: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.queue_depth() < k {
+            assert!(
+                Instant::now() < deadline,
+                "only {} queued",
+                handle.queue_depth()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// The reply `cell i j` must get from a daemon over `gated`.
+    fn want_cell(gated: &Gated, i: usize, j: usize) -> String {
+        format!("OK {}", gated.inner.cell(i, j).unwrap())
+    }
+
     #[test]
     fn ping_query_stats_shutdown_round_trip() {
-        let (handle, engine) = start(1, 8);
+        let (handle, engine) = start();
         let mut c = connect(&handle);
         assert_eq!(client::round_trip(&mut c, "PING").unwrap(), "OK pong");
         let cell = client::round_trip(&mut c, "cell 3 4").unwrap();
@@ -1377,7 +1425,7 @@ mod tests {
 
     #[test]
     fn parse_and_range_errors_keep_connection_alive() {
-        let (handle, _engine) = start(1, 8);
+        let (handle, _engine) = start();
         let mut c = connect(&handle);
         for bad in ["definitely not a query", "cell 99 0", "cell 0 99", ""] {
             let r = client::round_trip(&mut c, bad).unwrap();
@@ -1392,7 +1440,7 @@ mod tests {
 
     #[test]
     fn oversized_frame_is_refused_but_survivable() {
-        let (handle, _engine) = start(1, 8);
+        let (handle, _engine) = start();
         let mut c = connect(&handle);
         // Frame longer than max_frame: declared len 2 MiB, fully sent.
         let huge = vec![b'x'; 2 << 20];
@@ -1407,28 +1455,28 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_pending_window() {
-        // A huge window with a huge cap: the batch would sit for 30s —
-        // shutdown must flush it instead, and the client still gets the
-        // right answer.
-        let (handle, engine) = start(30_000, 1024);
+    fn shutdown_drains_a_held_backlog() {
+        // A cell queued behind a held batch when shutdown begins must
+        // still be executed and answered right, not dropped.
+        let (handle, gated, mut holder) = start_held();
         let mut c = connect(&handle);
         client::send(&mut c, "cell 2 7").unwrap();
-        std::thread::sleep(Duration::from_millis(150));
+        wait_for_backlog(&handle, 1);
         handle.begin_shutdown();
-        let r = client::recv(&mut c).unwrap();
-        assert_eq!(r, format!("OK {}", engine.cell(2, 7).unwrap()));
+        gated.open();
+        assert_eq!(client::recv(&mut holder).unwrap(), want_cell(&gated, 0, 0));
+        assert_eq!(client::recv(&mut c).unwrap(), want_cell(&gated, 2, 7));
         let m = handle.join().unwrap();
-        assert_eq!(m.cells, 1);
-        assert_eq!(m.batches, 1);
+        assert_eq!(m.cells, 2);
+        assert_eq!(m.batches, 2);
     }
 
     #[test]
     fn identical_aggregates_share_one_scan() {
         // Three clients ask the same range aggregate plus one distinct
-        // one inside a single window: the batcher must run exactly two
-        // scans and fan the shared answer out.
-        let (handle, engine) = start(30_000, 4);
+        // one behind a held batch: the four make one batch, which must
+        // run exactly two scans and fan the shared answer out.
+        let (handle, gated, mut holder) = start_held();
         let mut clients: Vec<TcpStream> = (0..4).map(|_| connect(&handle)).collect();
         let queries = [
             "sum rows all cols 2..6",
@@ -1439,11 +1487,14 @@ mod tests {
         for (c, q) in clients.iter_mut().zip(queries) {
             client::send(c, q).unwrap();
         }
+        wait_for_backlog(&handle, 4);
+        gated.open();
+        assert_eq!(client::recv(&mut holder).unwrap(), want_cell(&gated, 0, 0));
         let mut replies = Vec::new();
         for c in &mut clients {
             replies.push(client::recv(c).unwrap());
         }
-        let want_sum = engine
+        let want_sum = QueryEngine::new(&gated.inner)
             .aggregate(
                 &Selection {
                     rows: crate::selection::Axis::All,
@@ -1461,7 +1512,7 @@ mod tests {
         assert_eq!(m.aggregates, 4);
         assert_eq!(m.coalesced_aggs, 4);
         assert_eq!(m.agg_scans, 2, "three identical + one distinct = two scans");
-        assert_eq!(m.batches, 0, "no cell batches ran");
+        assert_eq!(m.batches, 1, "only the holding cell's batch ran");
     }
 
     #[test]
@@ -1469,7 +1520,7 @@ mod tests {
         // Two identical `where` queries share one scan; the same
         // selection with a different threshold — and the predicate-free
         // form of the same selection — each get their own.
-        let (handle, engine) = start(30_000, 4);
+        let (handle, gated, mut holder) = start_held();
         let mut clients: Vec<TcpStream> = (0..4).map(|_| connect(&handle)).collect();
         let queries = [
             "count rows all where value > 3",
@@ -1480,6 +1531,9 @@ mod tests {
         for (c, q) in clients.iter_mut().zip(queries) {
             client::send(c, q).unwrap();
         }
+        wait_for_backlog(&handle, 4);
+        gated.open();
+        assert_eq!(client::recv(&mut holder).unwrap(), want_cell(&gated, 0, 0));
         let mut replies = Vec::new();
         for c in &mut clients {
             replies.push(client::recv(c).unwrap());
@@ -1488,7 +1542,7 @@ mod tests {
             rows: crate::selection::Axis::All,
             cols: crate::selection::Axis::All,
         };
-        let want = engine
+        let want = QueryEngine::new(&gated.inner)
             .aggregate_where(
                 &sel,
                 AggregateFn::Count,
@@ -1513,13 +1567,16 @@ mod tests {
     #[test]
     fn aggregate_errors_err_only_their_group() {
         // An empty-selection aggregate that passes bounds validation
-        // still fails at scan time; sharing a window with a healthy
+        // still fails at scan time; sharing a batch with a healthy
         // group must not poison the healthy answers.
-        let (handle, _engine) = start(30_000, 2);
+        let (handle, gated, mut holder) = start_held();
         let mut a = connect(&handle);
         let mut b = connect(&handle);
         client::send(&mut a, "avg rows all cols 4..4").unwrap();
         client::send(&mut b, "avg rows all cols all").unwrap();
+        wait_for_backlog(&handle, 2);
+        gated.open();
+        assert_eq!(client::recv(&mut holder).unwrap(), want_cell(&gated, 0, 0));
         let ra = client::recv(&mut a).unwrap();
         let rb = client::recv(&mut b).unwrap();
         assert!(ra.starts_with("ERR "), "{ra}");
@@ -1529,23 +1586,6 @@ mod tests {
         assert_eq!(m.aggregates, 1);
         assert_eq!(m.errors, 1);
         assert_eq!(m.agg_scans, 2);
-    }
-
-    #[test]
-    fn batch_max_fires_without_waiting_for_window() {
-        let (handle, engine) = start(30_000, 3);
-        let mut clients: Vec<TcpStream> = (0..3).map(|_| connect(&handle)).collect();
-        for (t, c) in clients.iter_mut().enumerate() {
-            client::send(c, &format!("cell 5 {t}")).unwrap();
-        }
-        for (t, c) in clients.iter_mut().enumerate() {
-            let r = client::recv(c).unwrap();
-            assert_eq!(r, format!("OK {}", engine.cell(5, t).unwrap()));
-        }
-        handle.begin_shutdown();
-        let m = handle.join().unwrap();
-        assert_eq!(m.batches, 1, "three cells must share one batch");
-        assert_eq!(m.coalesced_cells, 3);
     }
 
     #[test]
@@ -1576,7 +1616,7 @@ mod tests {
 
         // Through a daemon: every batched request lands in its class,
         // once per stage, and the two stages never exceed the total.
-        let (handle, _engine) = start(0, 8);
+        let (handle, _engine) = start();
         let mut c = connect(&handle);
         for q in ["cell 1 2", "cell 3 4", "sum rows all cols all"] {
             assert!(client::round_trip(&mut c, q).unwrap().starts_with("OK "));
@@ -1603,86 +1643,23 @@ mod tests {
         assert!(staged <= m.latency_usec, "{staged} > {}", m.latency_usec);
     }
 
-    /// An exact matrix whose cells cannot be read until the gate opens;
-    /// `entered` hears of every attempt.
-    struct Gated {
-        inner: ExactMatrix,
-        open: Mutex<bool>,
-        opened: Condvar,
-        entered: Mutex<mpsc::Sender<()>>,
-    }
-
-    impl CompressedMatrix for Gated {
-        fn rows(&self) -> usize {
-            self.inner.rows()
-        }
-        fn cols(&self) -> usize {
-            self.inner.cols()
-        }
-        fn cell(&self, i: usize, j: usize) -> Result<f64> {
-            let _ = lock(&self.entered).send(());
-            let mut open = lock(&self.open);
-            while !*open {
-                open = self.opened.wait(open).unwrap();
-            }
-            drop(open);
-            self.inner.cell(i, j)
-        }
-        fn storage_bytes(&self) -> usize {
-            self.inner.storage_bytes()
-        }
-        fn method_name(&self) -> &'static str {
-            "gated"
-        }
-    }
-
     #[test]
     fn backlog_of_one_execution_is_the_next_batch() {
-        // No window and no size trigger: while the first batch is held
+        // No timer and no size trigger: while the first batch is held
         // inside the engine, K cells of one row queue up behind it, and
         // the batcher must take them as ONE batch when it comes back.
         const K: usize = 6;
-        let (entered_tx, entered) = mpsc::channel();
-        let gated = Arc::new(Gated {
-            inner: ExactMatrix(Matrix::from_fn(12, 9, |i, j| {
-                (i * 9 + j) as f64 * 0.37 - 11.0
-            })),
-            open: Mutex::new(false),
-            opened: Condvar::new(),
-            entered: Mutex::new(entered_tx),
-        });
-        let handle = serve(
-            QueryEngine::shared(gated.clone()),
-            ServeConfig::default(),
-            None,
-        )
-        .unwrap();
-
-        let mut first = connect(&handle);
-        client::send(&mut first, "cell 0 0").unwrap();
-        entered
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the batcher never took the first cell");
+        let (handle, gated, mut first) = start_held();
         let mut clients: Vec<TcpStream> = (0..K).map(|_| connect(&handle)).collect();
         for (col, c) in clients.iter_mut().enumerate() {
             client::send(c, &format!("cell 7 {col}")).unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while handle.queue_depth() < K {
-            assert!(
-                Instant::now() < deadline,
-                "only {} queued",
-                handle.queue_depth()
-            );
-            std::thread::yield_now();
-        }
-        *lock(&gated.open) = true;
-        gated.opened.notify_all();
+        wait_for_backlog(&handle, K);
+        gated.open();
 
-        let want = |i, j| format!("OK {}", gated.inner.cell(i, j).unwrap());
-        assert_eq!(client::recv(&mut first).unwrap(), want(0, 0));
+        assert_eq!(client::recv(&mut first).unwrap(), want_cell(&gated, 0, 0));
         for (col, c) in clients.iter_mut().enumerate() {
-            assert_eq!(client::recv(c).unwrap(), want(7, col));
+            assert_eq!(client::recv(c).unwrap(), want_cell(&gated, 7, col));
         }
         handle.begin_shutdown();
         let m = handle.join().unwrap();
@@ -1695,7 +1672,7 @@ mod tests {
         // The acceptor blocks in `accept`; shutdown has to wake it. One
         // served connection first: the acceptor is past its start-up
         // check of the flag and back in `accept` when the flag is raised.
-        let (handle, _engine) = start(0, 8);
+        let (handle, _engine) = start();
         let mut c = connect(&handle);
         assert_eq!(client::round_trip(&mut c, "PING").unwrap(), "OK pong");
         drop(c);
@@ -1714,7 +1691,7 @@ mod tests {
         // Connect, then ask: a polling acceptor adds its sleep (2.5 ms on
         // average at 5 ms) before the first frame is read. Three tries
         // ride out a noisy machine; a poll loop fails all of them.
-        let (handle, _engine) = start(0, 8);
+        let (handle, _engine) = start();
         let median = || {
             let mut rtts: Vec<Duration> = (0..32)
                 .map(|_| {

@@ -17,10 +17,10 @@
 //!   you can make passes over" (disk file or in-memory matrix), so the
 //!   compression algorithms in `ats-compress` are oblivious to where the
 //!   data lives;
-//! - [`pool`] — a fixed-capacity LRU [`pool::BufferPool`] of pages with
-//!   hit/miss accounting, and [`pool::CachedFile`] which serves row reads
-//!   through it — this is what lets tests *prove* the paper's
-//!   one-disk-access-per-cell-query claim instead of asserting it;
+//! - [`pool`] — [`pool::CachedFile`], which serves row reads through a
+//!   fixed-capacity LRU of one-row pages with hit/miss accounting — this
+//!   is what lets tests *prove* the paper's one-disk-access-per-cell-query
+//!   claim instead of asserting it;
 //! - [`store_dir`] — the store-directory format: the versioned,
 //!   checksummed [`store_dir::ShardedManifest`] (one block) and
 //!   [`store_dir::TimeBlockedManifest`] (block table), and the crash-safe
@@ -42,7 +42,7 @@ pub mod synopsis;
 pub use file::{MatrixFile, MatrixFileWriter};
 pub use format::Header;
 pub use iostats::{IoSnapshot, IoStats};
-pub use pool::{BufferPool, CachedFile};
+pub use pool::CachedFile;
 pub use source::{ColumnSlice, MemSource, RowSource};
 pub use store_dir::{
     ShardEntry, ShardedManifest, StoreWriter, TimeBlockEntry, TimeBlockedManifest,

@@ -1,19 +1,20 @@
-//! LRU buffer pool and page-cached file reads.
+//! LRU buffer pool and page-cached `U`-row reads.
 //!
 //! The query path of the paper assumes `V` and `Λ` are pinned in memory
-//! while rows of `U` are fetched from disk on demand (§4.1,
-//! "Reconstruction"). Real systems put a page cache between the two;
-//! [`BufferPool`] is that cache — a fixed-capacity LRU over fixed-size
-//! pages with hit/miss accounting — and [`CachedFile`] serves row reads
-//! of a [`MatrixFile`] through it. The pool uses an index-linked LRU list
-//! (no per-access allocation) guarded by a single `parking_lot` mutex;
-//! page loads happen under the lock, which is the right trade-off for the
+//! while rows of `U` are fetched from disk on demand, a whole row in one
+//! disk block (§4.1, "Reconstruction"). Real systems put a page cache
+//! between the two; here a page *is* one row: [`CachedFile`] serves row
+//! reads of a [`MatrixFile`] through a fixed-capacity LRU of row-sized
+//! pages with hit/miss accounting, and a miss is one positioned read of
+//! the row's bytes. The pool uses an index-linked LRU list (no
+//! per-access allocation) guarded by a single `parking_lot` mutex; page
+//! loads happen under the lock, which is the right trade-off for the
 //! pool sizes exercised here and keeps the eviction logic obviously
 //! correct.
 
 use crate::file::MatrixFile;
 use crate::iostats::IoStats;
-use ats_common::codec::{u64_from_usize, usize_from_u64};
+use ats_common::codec::u64_from_usize;
 use ats_common::{AtsError, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -77,8 +78,9 @@ impl PoolInner {
     }
 }
 
-/// A fixed-capacity LRU cache of fixed-size pages keyed by page number.
-pub struct BufferPool {
+/// A fixed-capacity LRU cache of fixed-size pages keyed by a `u64` (a
+/// row's file offset, for [`CachedFile`]).
+pub(crate) struct BufferPool {
     inner: Mutex<PoolInner>,
     capacity: usize,
     page_size: usize,
@@ -87,7 +89,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Create a pool holding up to `capacity` pages of `page_size` bytes.
-    pub fn new(capacity: usize, page_size: usize, stats: Arc<IoStats>) -> Self {
+    pub(crate) fn new(capacity: usize, page_size: usize, stats: Arc<IoStats>) -> Self {
         BufferPool {
             inner: Mutex::new(PoolInner {
                 frames: Vec::new(),
@@ -97,30 +99,22 @@ impl BufferPool {
                 free: Vec::new(),
             }),
             capacity: capacity.max(1),
-            page_size: page_size.max(1),
+            page_size,
             stats,
         }
     }
 
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Maximum number of resident pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of resident pages.
-    pub fn resident(&self) -> usize {
+    #[cfg(test)]
+    fn resident(&self) -> usize {
         self.inner.lock().map.len()
     }
 
     /// Fetch page `page_no`, loading it via `load` on a miss, and hand a
-    /// borrow of its bytes to `consume`. `load` must fill the provided
-    /// buffer (zero-padded beyond EOF by the caller's loader).
-    pub fn with_page<R>(
+    /// borrow of its bytes to `consume`. `load` must fill the whole
+    /// buffer; if it fails, the frame goes back to the free list and the
+    /// page stays absent.
+    pub(crate) fn with_page<R>(
         &self,
         page_no: u64,
         load: impl FnOnce(&mut [u8]) -> Result<()>,
@@ -157,14 +151,16 @@ impl BufferPool {
             }
             victim
         };
-        {
-            let frame = inner
-                .frames
-                .get_mut(idx)
-                .ok_or_else(|| AtsError::internal("pool allocated an out-of-range frame"))?;
-            frame.page_no = page_no;
-            frame.data.iter_mut().for_each(|b| *b = 0);
-            load(&mut frame.data)?;
+        let frame = inner
+            .frames
+            .get_mut(idx)
+            .ok_or_else(|| AtsError::internal("pool allocated an out-of-range frame"))?;
+        frame.page_no = page_no;
+        if let Err(e) = load(&mut frame.data) {
+            // Neither mapped nor linked: without this the frame would be
+            // lost, and `capacity` failed loads would leave no frame at all.
+            inner.free.push(idx);
+            return Err(e);
         }
         self.stats.record_physical(u64_from_usize(self.page_size));
         inner.map.insert(page_no, idx);
@@ -177,13 +173,14 @@ impl BufferPool {
     }
 }
 
-/// A [`MatrixFile`] whose row reads are served through a [`BufferPool`].
+/// A [`MatrixFile`] whose row reads are served through a pool of
+/// row-sized pages.
 ///
-/// Pages are aligned regions of the *data area* (so page 0 starts at the
-/// first cell, not at the file header); a row maps to
-/// `ceil(row_bytes / page_size)` pages, and with `page_size ≥ row_bytes`
-/// to at most 2 (or exactly 1 when rows pack evenly) — the experimental
-/// backing for the paper's "single disk access" reconstruction claim.
+/// A page is one row, keyed by the row's file offset: a cold row costs
+/// exactly one positioned read of its bytes and a warm one none — the
+/// paper's "an entire row fits in one disk block" assumption, made true
+/// by construction. (A zero-width file has one empty page, which reads
+/// nothing.)
 pub struct CachedFile {
     file: Arc<MatrixFile>,
     pool: BufferPool,
@@ -191,21 +188,9 @@ pub struct CachedFile {
 }
 
 impl CachedFile {
-    /// Wrap `file` with a pool of `capacity` pages of `page_size` bytes.
-    pub fn new(file: Arc<MatrixFile>, capacity: usize, page_size: usize) -> Self {
-        let stats = IoStats::new();
-        CachedFile {
-            pool: BufferPool::new(capacity, page_size, Arc::clone(&stats)),
-            file,
-            stats,
-        }
-    }
-
-    /// Wrap with a page size equal to the row size, so each row occupies
-    /// exactly one page — the paper's "an entire row fits in one disk
-    /// block" assumption, made true by construction.
+    /// Wrap `file` with a pool of `capacity` one-row pages.
     pub fn row_aligned(file: Arc<MatrixFile>, capacity: usize) -> Self {
-        let row_bytes = file.header().row_bytes().max(1);
+        let row_bytes = file.header().row_bytes();
         let stats = IoStats::new();
         CachedFile {
             pool: BufferPool::new(capacity, row_bytes, Arc::clone(&stats)),
@@ -229,16 +214,8 @@ impl CachedFile {
         self.file.cols()
     }
 
-    /// Whether pages are row-aligned (each row within a single page).
-    fn row_aligned_layout(&self) -> bool {
-        self.pool.page_size() >= self.file.header().row_bytes()
-            && self
-                .pool
-                .page_size()
-                .is_multiple_of(self.file.header().row_bytes().max(1))
-    }
-
-    /// Read row `i` through the page cache.
+    /// Read row `i` through the page cache, decoding straight from the
+    /// page — no scratch allocation.
     pub fn read_row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
         let header = *self.file.header();
         if i >= header.rows {
@@ -252,58 +229,12 @@ impl CachedFile {
             ));
         }
         self.stats.record_logical();
-        let row_bytes = header.row_bytes();
-        let page_size = self.pool.page_size();
-        let page_size_u64 = u64_from_usize(page_size);
-        // offset within the data area
-        let start = u64_from_usize(i) * u64_from_usize(row_bytes);
-        let data_len = header.file_len() - u64_from_usize(crate::format::HEADER_LEN);
-        if self.row_aligned_layout() {
-            // Fast path: the whole row sits inside one page, so decode
-            // straight from the page slice — no scratch allocation.
-            let page_no = start / page_size_u64;
-            let in_page = usize_from_u64(start % page_size_u64, "in-page offset")?;
-            let file = Arc::clone(&self.file);
-            return self.pool.with_page(
-                page_no,
-                |buf| load_page(&file, page_no, page_size, data_len, buf),
-                |buf| -> Result<()> {
-                    let row = buf
-                        .get(in_page..in_page + row_bytes)
-                        .ok_or_else(|| AtsError::internal("aligned row span escapes its page"))?;
-                    crate::file::decode_cells(row, header.is_f32(), out);
-                    Ok(())
-                },
-            )?;
-        }
-        // Slow path: the row may straddle pages; assemble it through a
-        // scratch buffer before decoding.
-        let mut row_buf = vec![0u8; row_bytes];
-        let mut copied = 0usize;
-        while copied < row_bytes {
-            let abs = start + u64_from_usize(copied);
-            let page_no = abs / page_size_u64;
-            let in_page = usize_from_u64(abs % page_size_u64, "in-page offset")?;
-            let take = (page_size - in_page).min(row_bytes - copied);
-            let file = Arc::clone(&self.file);
-            let dst = row_buf
-                .get_mut(copied..copied + take)
-                .ok_or_else(|| AtsError::internal("row scratch slice out of range"))?;
-            self.pool.with_page(
-                page_no,
-                |buf| load_page(&file, page_no, page_size, data_len, buf),
-                |buf| -> Result<()> {
-                    let src = buf
-                        .get(in_page..in_page + take)
-                        .ok_or_else(|| AtsError::internal("straddled row span escapes its page"))?;
-                    dst.copy_from_slice(src);
-                    Ok(())
-                },
-            )??;
-            copied += take;
-        }
-        crate::file::decode_cells(&row_buf, header.is_f32(), out);
-        Ok(())
+        let offset = header.row_offset(i);
+        self.pool.with_page(
+            offset,
+            |page| self.file.raw_read_at(offset, page),
+            |row| crate::file::decode_cells(row, header.is_f32(), out),
+        )
     }
 
     /// Read row `i`, allocating.
@@ -313,42 +244,11 @@ impl CachedFile {
         Ok(out)
     }
 
-    /// Read several rows through the page cache: row `rows[r]` lands in
-    /// `out[r·cols .. (r+1)·cols]`.
-    ///
-    /// The batched-query read path: exactly one logical read (and, on a
-    /// row-aligned layout, at most one physical page load) per entry of
-    /// `rows`, whatever the order or duplication. All row indices are
-    /// validated before anything is fetched, so a bad index never leaves
-    /// partial output.
-    pub fn read_rows_into(&self, rows: &[usize], out: &mut [f64]) -> Result<()> {
-        let header = *self.file.header();
-        if out.len() != rows.len() * header.cols {
-            return Err(AtsError::dims(
-                "CachedFile::read_rows_into",
-                (rows.len(), header.cols),
-                (out.len() / header.cols.max(1), header.cols),
-            ));
-        }
-        for &i in rows {
-            if i >= header.rows {
-                return Err(AtsError::oob("row", i, header.rows));
-            }
-        }
-        if header.cols == 0 {
-            return Ok(());
-        }
-        for (&i, orow) in rows.iter().zip(out.chunks_mut(header.cols)) {
-            self.read_row_into(i, orow)?;
-        }
-        Ok(())
-    }
-
     /// Read the `out.len() / cols` consecutive rows starting at `first`
     /// with **one positioned read that bypasses the pool**: the
     /// sequential-scan read path. A scan visits each row once, so it
     /// neither profits from the LRU nor should evict what point queries
-    /// keep hot there; `BufferPool::resident` is unchanged by this call.
+    /// keep hot there; the resident pages are unchanged by this call.
     ///
     /// Accounting keeps the page as its unit: `n` rows add `n` logical
     /// and `n` physical reads and `n · row_bytes` bytes — what `n`
@@ -384,52 +284,6 @@ impl CachedFile {
         crate::file::decode_cells(bytes, header.is_f32(), out);
         Ok(())
     }
-
-    /// Worst-case number of page fetches a single cold row read can incur
-    /// under the current layout (1 when row-aligned).
-    pub fn max_pages_per_row(&self) -> usize {
-        if self.row_aligned_layout() {
-            1
-        } else {
-            // A row of `rb` bytes starting at an arbitrary offset covers
-            // `ceil(rb / ps)` full pages' worth of bytes plus at most one
-            // extra page for the misaligned start.
-            let rb = self.file.header().row_bytes();
-            let ps = self.pool.page_size();
-            rb.div_ceil(ps) + 1
-        }
-    }
-}
-
-/// Load one page of the data area into `buf`; pages extending past EOF
-/// stay zero-padded (the pool hands us a zeroed buffer).
-fn load_page(
-    file: &MatrixFile,
-    page_no: u64,
-    page_size: usize,
-    data_len: u64,
-    buf: &mut [u8],
-) -> Result<()> {
-    let page_off = page_no * u64_from_usize(page_size);
-    let avail = usize_from_u64(
-        data_len
-            .saturating_sub(page_off)
-            .min(u64_from_usize(page_size)),
-        "page fill length",
-    )?;
-    if avail > 0 {
-        let dst = buf
-            .get_mut(..avail)
-            .ok_or_else(|| AtsError::internal("page buffer smaller than fill length"))?;
-        read_data_at(file, page_off, dst)?;
-    }
-    Ok(())
-}
-
-fn read_data_at(file: &MatrixFile, data_offset: u64, buf: &mut [u8]) -> Result<()> {
-    // Positioned read relative to the data area (which starts after the
-    // fixed-size header).
-    file.raw_read_at(data_offset + u64_from_usize(crate::format::HEADER_LEN), buf)
 }
 
 #[cfg(test)]
@@ -459,7 +313,6 @@ mod tests {
     fn row_aligned_one_physical_read_per_cold_row() {
         let (_, file, _dir) = setup(20, 7, "cold.atsm");
         let cf = CachedFile::row_aligned(file, 32);
-        assert_eq!(cf.max_pages_per_row(), 1);
         for i in 0..20 {
             cf.read_row(i).unwrap();
         }
@@ -512,41 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn small_pages_split_rows() {
-        let (mat, file, _dir) = setup(10, 16, "split.atsm"); // 128-byte rows
-        let cf = CachedFile::new(file, 64, 64); // 64-byte pages: 2 per row
-        for i in 0..10 {
-            assert_eq!(cf.read_row(i).unwrap(), mat.row(i));
-        }
-        // Exactly ceil(128/64) + 1 = 3: two full pages of bytes plus one
-        // extra when the row starts mid-page.
-        assert_eq!(cf.max_pages_per_row(), 3);
-    }
-
-    #[test]
-    fn max_pages_per_row_exact_across_geometries() {
-        // (cols, page_size, expected): rows are cols*8 bytes.
-        for (cols, ps, expect) in [
-            (16usize, 64usize, 3usize), // 128B rows, 64B pages: 128/64+1
-            (10, 48, 3),                // 80B rows, 48B pages: ceil(80/48)+1
-            (10, 100, 2),               // 80B rows, 100B pages, misaligned
-            (6, 13, 5),                 // 48B rows, 13B pages: ceil(48/13)+1
-        ] {
-            let (mat, file, _dir) = setup(12, cols, "geom.atsm");
-            let cf = CachedFile::new(file, 32, ps);
-            assert_eq!(cf.max_pages_per_row(), expect, "cols={cols} ps={ps}");
-            // The bound must hold empirically: a cold row read never
-            // fetches more pages than advertised.
-            for i in 0..12 {
-                let before = cf.stats().physical_reads();
-                assert_eq!(cf.read_row(i).unwrap(), mat.row(i));
-                let fetched = (cf.stats().physical_reads() - before) as usize;
-                assert!(fetched <= expect, "row {i} fetched {fetched} > {expect}");
-            }
-        }
-    }
-
-    #[test]
     fn out_of_bounds_row_rejected() {
         let (_, file, _dir) = setup(5, 3, "oob.atsm");
         let cf = CachedFile::row_aligned(file, 4);
@@ -575,31 +393,6 @@ mod tests {
             64,
             "each row requested exactly once"
         );
-    }
-
-    #[test]
-    fn read_rows_into_batches_with_one_logical_read_per_row() {
-        let (mat, file, _dir) = setup(24, 5, "batch.atsm");
-        let cf = CachedFile::row_aligned(file, 32);
-        // Unsorted with a duplicate: 6 requests over 5 distinct rows.
-        let rows = [19usize, 2, 7, 2, 11, 0];
-        let mut out = vec![0.0; rows.len() * 5];
-        cf.read_rows_into(&rows, &mut out).unwrap();
-        for (&i, orow) in rows.iter().zip(out.chunks(5)) {
-            assert_eq!(orow, mat.row(i));
-        }
-        assert_eq!(cf.stats().logical_reads(), 6);
-        // 5 distinct row-aligned pages fetched; the duplicate hits cache.
-        assert_eq!(cf.stats().physical_reads(), 5);
-        assert_eq!(cf.stats().cache_hits(), 1);
-        // Bad index validated before any fetch.
-        let phys = cf.stats().physical_reads();
-        let mut out2 = vec![0.0; 2 * 5];
-        assert!(cf.read_rows_into(&[0, 24], &mut out2).is_err());
-        assert_eq!(cf.stats().physical_reads(), phys);
-        assert!(out2.iter().all(|&x| x == 0.0), "no partial work");
-        let mut wrong = vec![0.0; 3];
-        assert!(cf.read_rows_into(&[0], &mut wrong).is_err());
     }
 
     #[test]
@@ -650,5 +443,49 @@ mod tests {
             cf.read_row(i).unwrap();
         }
         assert!(cf.pool.resident() <= 4);
+    }
+
+    #[test]
+    fn failed_loads_return_their_frames() {
+        // Three times the capacity in failed loads, then a good one: a
+        // frame lost per failure would leave none for the good load.
+        let pool = BufferPool::new(2, 8, IoStats::new());
+        for page in 0..6 {
+            let failed = pool.with_page(page, |_| Err(AtsError::internal("boom")), |_| ());
+            assert!(failed.is_err(), "page {page}");
+        }
+        assert_eq!(pool.resident(), 0, "a failed load maps nothing");
+        let first = pool.with_page(
+            9,
+            |page| {
+                page.fill(7);
+                Ok(())
+            },
+            |page| page[0],
+        );
+        assert_eq!(first.unwrap(), 7);
+        assert_eq!(pool.resident(), 1);
+    }
+
+    #[test]
+    fn truncated_file_fails_past_the_cut_and_still_reads_before_it() {
+        let dir = ats_common::TestDir::new("ats-pool");
+        let path = dir.file("cut.atsm");
+        let mat = Matrix::from_fn(10, 4, |i, j| (i * 100 + j) as f64 * 0.25);
+        write_matrix(&path, &mat).unwrap();
+        let file = Arc::new(MatrixFile::open(&path).unwrap());
+        let cf = CachedFile::row_aligned(Arc::clone(&file), 2);
+        // Cut the file under the open handle, halfway through row 6.
+        let cut = file.header().row_offset(6) + 16;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        assert!(cf.read_row(8).is_err());
+        assert!(cf.read_row(6).is_err());
+        assert_eq!(cf.read_row(5).unwrap(), mat.row(5));
+        assert_eq!(cf.stats().physical_reads(), 1, "only the good load counts");
     }
 }

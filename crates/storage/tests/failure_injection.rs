@@ -147,10 +147,10 @@ fn cached_f32_file_roundtrips() {
 fn tiny_pages_spanning_rows_under_churn() {
     let dir = dir();
     let path = dir.file("tinypages.atsm");
-    let m = sample(40, 10); // 80-byte rows
+    let m = sample(40, 10); // 80-byte rows, one per page
     write_matrix(&path, &m).unwrap();
     let file = Arc::new(MatrixFile::open(&path).unwrap());
-    let cf = CachedFile::new(file, 5, 48); // pages smaller than rows, not aligned
+    let cf = CachedFile::row_aligned(file, 5); // a pool of 5 rows out of 40
     let mut i = 3usize;
     for _ in 0..500 {
         i = (i * 13 + 7) % 40;

@@ -128,19 +128,16 @@ USAGE:
                                  in one batched pass: results print one per
                                  line in input order; each distinct row's
                                  U vector is fetched exactly once per shard
-  ats serve DIR [--addr A] [--threads T] [--window-ms W] [--batch-max B]
-                [--pool-pages N] [--max-frame F] [--pending-max P]
+  ats serve DIR [--addr A] [--threads T] [--pool-pages N]
+                [--max-frame F] [--pending-max P]
                                  long-lived TCP query daemon over one
                                  shared store/page pool: length-prefixed
                                  frames carrying query lines (plus PING,
                                  STATS, SHUTDOWN verbs); cell queries
                                  that are queued together coalesce into
                                  one batched run: the batch is whatever
-                                 arrived while the previous one executed.
-                                 --window-ms W: extra time to wait for
-                                 company, default 0: batch what is
-                                 queued; cut short at B queued requests
-                                 (default 64). Each connection may keep P
+                                 arrived while the previous one executed,
+                                 with no timer. Each connection may keep P
                                  cell queries waiting in the batcher
                                  (default 64); past that depth it gets
                                  `ERR busy` replies. --addr defaults to
@@ -707,15 +704,7 @@ fn run() -> Result<(), CliError> {
             check_flags(
                 "serve",
                 &flags,
-                &[
-                    "addr",
-                    "threads",
-                    "window-ms",
-                    "batch-max",
-                    "pool-pages",
-                    "max-frame",
-                    "pending-max",
-                ],
+                &["addr", "threads", "pool-pages", "max-frame", "pending-max"],
             )?;
             let dir = pos.get(1).ok_or_else(|| usage("serve needs DIR"))?;
             let pool = flag_usize(&flags, "pool-pages", 1024)?;
@@ -728,11 +717,6 @@ fn run() -> Result<(), CliError> {
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
                 threads: flag_usize(&flags, "threads", defaults.threads)?,
-                window: match flags.get("window-ms") {
-                    Some(_) => Duration::from_millis(flag_u64(&flags, "window-ms", 0)?),
-                    None => defaults.window,
-                },
-                batch_max: flag_usize(&flags, "batch-max", defaults.batch_max)?,
                 max_frame: flag_usize(&flags, "max-frame", defaults.max_frame)?,
                 pending_max: flag_usize(&flags, "pending-max", defaults.pending_max)?,
             };

@@ -53,14 +53,7 @@ fn serve_daemon_answers_over_a_socket_and_shuts_down_cleanly() {
     let single_agg = run_ok(&["query", store.to_str().unwrap(), "avg rows 0..80 cols all"]);
 
     let mut child = ats()
-        .args([
-            "serve",
-            store.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--window-ms",
-            "1",
-        ])
+        .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -121,7 +114,7 @@ fn serve_defaults_answer_a_lone_cell_without_a_timer() {
         "--shards",
         "2",
     ]);
-    // No --window-ms: the CLI runs the library's default policy.
+    // The CLI runs the library's default policy.
     let mut child = ats()
         .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
         .stdin(Stdio::piped())
@@ -142,8 +135,8 @@ fn serve_defaults_answer_a_lone_cell_without_a_timer() {
     s.set_nodelay(true).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     // 51 depth-1 round trips: ~0.1 ms each when the batcher takes what is
-    // queued, at least 2 ms each under the old 2 ms window. Three tries
-    // ride out a noisy machine; a timer fails all of them.
+    // queued, at least 2 ms each behind a 2 ms admission timer. Three
+    // tries ride out a noisy machine; a timer fails all of them.
     let mut replies = Vec::new();
     let mut median = || {
         let mut rtts: Vec<Duration> = (0..51)
@@ -173,6 +166,38 @@ fn serve_defaults_answer_a_lone_cell_without_a_timer() {
         for (_, reply) in replies.iter().filter(|(r, _)| *r == row) {
             assert_eq!(reply, &format!("OK {}", single.trim()));
         }
+    }
+}
+
+#[test]
+fn serve_removed_batching_flags_are_usage_errors() {
+    let dir = TestDir::new("ats-serve-cli");
+    let store = dir.file("store");
+    run_ok(&[
+        "save",
+        "--generate",
+        "phone",
+        "--rows",
+        "40",
+        "--cols",
+        "24",
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    // The batcher has no timer and no size cap left to tune: each flag
+    // that used to set one is refused before anything is bound.
+    for (flag, value) in [("--window-ms", "1"), ("--batch-max", "8")] {
+        let out = ats()
+            .args(["serve", store.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+            .args([flag, value])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("listening on"), "{flag}: {stdout}");
     }
 }
 

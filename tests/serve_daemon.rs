@@ -5,7 +5,7 @@
 //! per shard (IoStats-asserted); a client killed mid-conversation must
 //! not disturb the server; and `SHUTDOWN` must drain, not tear.
 
-use adhoc_ts::compress::SpaceBudget;
+use adhoc_ts::compress::{CompressedMatrix, SpaceBudget};
 use adhoc_ts::core::shard::ShardedStore;
 use adhoc_ts::core::store::SequenceStore;
 use adhoc_ts::data::{generate_phone, PhoneConfig};
@@ -13,10 +13,11 @@ use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::QueryEngine;
 use adhoc_ts::query::parse::run_query;
 use adhoc_ts::query::serve::{client, serve, ServeConfig, ServerHandle};
-use ats_common::TestDir;
+use adhoc_ts::storage::ShardSynopsis;
+use ats_common::{Result, TestDir};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn phone(rows: usize, cols: usize, seed: u64) -> Matrix {
     generate_phone(&PhoneConfig {
@@ -47,9 +48,20 @@ fn saved_store(dir: &TestDir, x: &Matrix, shards: usize) -> Arc<ShardedStore> {
 /// Start a daemon over `store` with the given knobs; port 0 picks a free
 /// port so parallel tests never collide.
 fn start(store: &Arc<ShardedStore>, threads: usize, cfg: ServeConfig) -> ServerHandle {
+    start_over(store.clone(), store, threads, cfg)
+}
+
+/// Start a daemon serving `matrix` — `store` itself or a wrapper around
+/// it — with `store`'s per-shard I/O counters behind `STATS`.
+fn start_over(
+    matrix: Arc<dyn CompressedMatrix>,
+    store: &Arc<ShardedStore>,
+    threads: usize,
+    cfg: ServeConfig,
+) -> ServerHandle {
     let io = Arc::clone(store);
     serve(
-        QueryEngine::shared(store.clone()).with_threads(threads),
+        QueryEngine::shared(matrix).with_threads(threads),
         cfg,
         Some(Box::new(move || io.shard_io_snapshots())),
     )
@@ -60,6 +72,114 @@ fn start(store: &Arc<ShardedStore>, threads: usize, cfg: ServeConfig) -> ServerH
 /// directly, one query at a time.
 fn baseline(store: &Arc<ShardedStore>) -> QueryEngine<'static> {
     QueryEngine::shared(store.clone())
+}
+
+/// A store whose `cells_in_row` — the batcher's way to read cells —
+/// first waits for its gate to open and then sleeps `delay`; everything
+/// else passes straight through. A closed gate holds the batcher on one
+/// cell while a backlog queues behind it (see [`hold`]); a delay makes
+/// every cell batch slow.
+struct Held {
+    inner: Arc<dyn CompressedMatrix>,
+    delay: Duration,
+    open: Mutex<bool>,
+    opened: Condvar,
+    entered: Mutex<mpsc::Sender<()>>,
+}
+
+impl Held {
+    /// Wrap `inner`; `entered` hears of every cell read.
+    fn new(
+        inner: Arc<dyn CompressedMatrix>,
+        open: bool,
+        delay: Duration,
+    ) -> (Arc<Self>, mpsc::Receiver<()>) {
+        let (tx, entered) = mpsc::channel();
+        let held = Held {
+            inner,
+            delay,
+            open: Mutex::new(open),
+            opened: Condvar::new(),
+            entered: Mutex::new(tx),
+        };
+        (Arc::new(held), entered)
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl CompressedMatrix for Held {
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+    fn cols(&self) -> usize {
+        self.inner.cols()
+    }
+    fn cell(&self, i: usize, j: usize) -> Result<f64> {
+        self.inner.cell(i, j)
+    }
+    fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
+        self.inner.row_into(i, out)
+    }
+    fn cells_in_row(&self, i: usize, cols: &[usize], out: &mut [f64]) -> Result<()> {
+        let _ = self.entered.lock().unwrap().send(());
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        std::thread::sleep(self.delay);
+        self.inner.cells_in_row(i, cols, out)
+    }
+    fn rows_into(&self, rows: &[usize], out: &mut [f64]) -> Result<()> {
+        self.inner.rows_into(rows, out)
+    }
+    fn storage_bytes(&self) -> usize {
+        self.inner.storage_bytes()
+    }
+    fn method_name(&self) -> &'static str {
+        self.inner.method_name()
+    }
+    fn shard_starts(&self) -> Vec<usize> {
+        self.inner.shard_starts()
+    }
+    fn time_block_starts(&self) -> Vec<usize> {
+        self.inner.time_block_starts()
+    }
+    fn time_block(&self, b: usize) -> Option<&dyn CompressedMatrix> {
+        self.inner.time_block(b)
+    }
+    fn shard_synopsis(&self, shard: usize) -> Result<Option<&ShardSynopsis>> {
+        self.inner.shard_synopsis(shard)
+    }
+}
+
+/// Hold the batcher of a daemon over a closed [`Held`] inside the engine
+/// with `cell {row} 0`, asked on the returned connection: every request
+/// sent from now on queues until [`Held::open`].
+fn hold(handle: &ServerHandle, entered: &mpsc::Receiver<()>, row: usize) -> TcpStream {
+    let mut holder = connect(handle);
+    client::send(&mut holder, &format!("cell {row} 0")).unwrap();
+    entered
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the batcher never took the holding cell");
+    holder
+}
+
+/// Wait until `k` requests are queued behind the held batch.
+fn wait_for_backlog(handle: &ServerHandle, k: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.queue_depth() < k {
+        assert!(
+            Instant::now() < deadline,
+            "only {} queued",
+            handle.queue_depth()
+        );
+        std::thread::yield_now();
+    }
 }
 
 fn connect(handle: &ServerHandle) -> TcpStream {
@@ -134,25 +254,19 @@ fn coalesced_same_row_queries_do_one_u_fetch_per_shard() {
     let dir = TestDir::new("ats-serve");
     let x = phone(120, 24, 7);
     let store = saved_store(&dir, &x, 3);
-    // A huge window with batch_max = K: the batcher must wait for all K
-    // cells and fire exactly once — deterministically, not racily.
-    let handle = start(
-        &store,
-        1,
-        ServeConfig {
-            window: Duration::from_secs(30),
-            batch_max: K,
-            ..ServeConfig::default()
-        },
-    );
+    let (held, entered) = Held::new(store.clone(), false, Duration::ZERO);
+    let handle = start_over(held.clone(), &store, 1, ServeConfig::default());
 
     // The store was never queried, so every I/O counter starts at 0.
     for snap in store.shard_io_snapshots() {
         assert_eq!(snap.logical_reads, 0);
     }
 
-    // K clients ask for K different columns of the SAME row (row 50 →
-    // shard 1 of rows 0..40 | 40..80 | 80..120).
+    // The batcher is held on a row of shard 0 (rows 0..40 | 40..80 |
+    // 80..120) while K clients ask for K different columns of the SAME
+    // row of shard 1: all K must queue and run as the next batch —
+    // deterministically, not racily.
+    let mut holder = hold(&handle, &entered, 3);
     let row = 50usize;
     let workers: Vec<_> = (0..K)
         .map(|col| {
@@ -163,19 +277,23 @@ fn coalesced_same_row_queries_do_one_u_fetch_per_shard() {
             })
         })
         .collect();
+    wait_for_backlog(&handle, K);
+    held.open();
     let answers: Vec<f64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    ok_value(&client::recv(&mut holder).unwrap());
 
     // The acceptance bound: K concurrent clients on one row = one batch,
-    // one U-row fetch, in exactly the owning shard.
+    // one U-row fetch, in exactly the owning shard (shard 0's one fetch
+    // is the holding cell's, in a batch of its own).
     let m = handle.metrics();
-    assert_eq!(m.batches, 1, "{m:?}");
-    assert_eq!(m.coalesced_cells, K as u64, "{m:?}");
+    assert_eq!(m.batches, 2, "{m:?}");
+    assert_eq!(m.coalesced_cells, K as u64 + 1, "{m:?}");
     let per_shard: Vec<u64> = store
         .shard_io_snapshots()
         .iter()
         .map(|s| s.logical_reads)
         .collect();
-    assert_eq!(per_shard, vec![0, 1, 0]);
+    assert_eq!(per_shard, vec![1, 1, 0]);
 
     // And each client's answer equals the serial loop bit for bit.
     let engine = baseline(&store);
@@ -257,18 +375,18 @@ fn flooding_client_gets_err_busy_and_cannot_grow_server_rss() {
     let dir = TestDir::new("ats-serve");
     let x = phone(120, 24, 41);
     let store = saved_store(&dir, &x, 2);
-    // A deliberately slow drain — admitted cells sit in the batcher for
-    // the full 10 ms window — so a flooder saturates its `pending_max`
-    // in-flight slots almost immediately and cells past them come back
-    // `ERR busy` instead of queueing. (Past 2×`pending_max` queued
-    // replies the server stops reading the flooder's frames entirely, so
-    // the steady state is ~half admitted, ~half bounced per window.)
-    let handle = start(
+    // A deliberately slow drain — every cell batch takes 10 ms to read —
+    // so a flooder saturates its `pending_max` in-flight slots almost
+    // immediately and cells past them come back `ERR busy` instead of
+    // queueing. (Past 2×`pending_max` queued replies the server stops
+    // reading the flooder's frames entirely, so the steady state is
+    // ~half admitted, ~half bounced per batch.)
+    let (slow, _entered) = Held::new(store.clone(), true, Duration::from_millis(10));
+    let handle = start_over(
+        slow,
         &store,
         1,
         ServeConfig {
-            window: Duration::from_millis(10),
-            batch_max: 1 << 20,
             pending_max: PENDING_MAX,
             ..ServeConfig::default()
         },
@@ -324,7 +442,7 @@ fn flooding_client_gets_err_busy_and_cannot_grow_server_rss() {
     assert!(ok > 0, "some flooded cells must still be answered");
     assert!(
         busy > FLOOD / 4,
-        "a flood outpacing the window must largely bounce: ok={ok} busy={busy}"
+        "a flood outpacing the batcher must largely bounce: ok={ok} busy={busy}"
     );
 
     // Refusal is bounded memory: FLOOD pipelined frames moved through the
@@ -379,19 +497,17 @@ fn coalesced_range_aggregates_share_one_block_scan() {
     let store = Arc::new(TimeBlockedStore::open(dir.file("store"), 256).unwrap());
     assert_eq!(store.blocks().len(), 4);
 
-    // A long window with batch_max = 5: the five concurrent requests
-    // below land in one admission window and fire it by count.
+    // The batcher is held on a cell of block 0 while the five requests
+    // below queue: they run as the next batch, together.
+    let (held, entered) = Held::new(store.clone(), false, Duration::ZERO);
     let io = Arc::clone(&store);
     let handle = serve(
-        QueryEngine::shared(store.clone()).with_threads(1),
-        ServeConfig {
-            window: Duration::from_millis(5_000),
-            batch_max: 5,
-            ..ServeConfig::default()
-        },
+        QueryEngine::shared(held.clone()).with_threads(1),
+        ServeConfig::default(),
         Some(Box::new(move || io.shard_io_snapshots())),
     )
     .unwrap();
+    let mut holder = hold(&handle, &entered, 0);
 
     // Five clients ask the identical range aggregate confined to block 1
     // (columns 10..14 of blocks [0..8, 8..16, 16..24, 24..32]).
@@ -400,6 +516,9 @@ fn coalesced_range_aggregates_share_one_block_scan() {
     for c in &mut clients {
         client::send(c, q).unwrap();
     }
+    wait_for_backlog(&handle, 5);
+    held.open();
+    ok_value(&client::recv(&mut holder).unwrap());
     let replies: Vec<f64> = clients
         .iter_mut()
         .map(|c| ok_value(&client::recv(c).unwrap()))
@@ -414,9 +533,11 @@ fn coalesced_range_aggregates_share_one_block_scan() {
     assert_eq!(per_block.len(), 4);
     assert!(per_block[1].physical_reads > 0, "block 1 must have served");
     for (b, snap) in per_block.iter().enumerate() {
+        // Block 0's one row is the holding cell's.
+        let cold = u64::from(b == 0);
         if b != 1 {
-            assert_eq!(snap.physical_reads, 0, "block {b} must stay cold");
-            assert_eq!(snap.logical_reads, 0, "block {b} must stay cold");
+            assert_eq!(snap.physical_reads, cold, "block {b} must stay cold");
+            assert_eq!(snap.logical_reads, cold, "block {b} must stay cold");
         }
     }
     let scan_reads = per_block[1].physical_reads;

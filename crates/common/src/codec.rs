@@ -92,26 +92,6 @@ pub fn read_f64_slice_into(buf: &[u8], offset: usize, out: &mut [f64]) -> Result
     Ok(())
 }
 
-/// Encode an `f64` slice to a fresh byte vector.
-pub fn f64s_to_bytes(vs: &[f64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(vs.len() * 8);
-    put_f64_slice(&mut buf, vs);
-    buf
-}
-
-/// Decode a byte buffer (whose length must be a multiple of 8) into doubles.
-pub fn bytes_to_f64s(buf: &[u8]) -> Result<Vec<f64>> {
-    if !buf.len().is_multiple_of(8) {
-        return Err(AtsError::Corrupt(format!(
-            "byte length {} is not a multiple of 8",
-            buf.len()
-        )));
-    }
-    let mut out = vec![0.0f64; buf.len() / 8];
-    read_f64_slice_into(buf, 0, &mut out)?;
-    Ok(out)
-}
-
 /// LEB128-style variable-length encoding of a `u64` (used by the LZ
 /// container and delta files where most rows/cols are small).
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -191,14 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_roundtrip() {
-        let vs: Vec<f64> = (0..100).map(|i| f64::from(i) * 0.25 - 3.0).collect();
-        let bytes = f64s_to_bytes(&vs);
-        assert_eq!(bytes.len(), 800);
-        assert_eq!(bytes_to_f64s(&bytes).unwrap(), vs);
-    }
-
-    #[test]
     fn slice_into_with_offset() {
         let mut buf = vec![0xAA; 3]; // 3 bytes of junk prefix
         put_f64_slice(&mut buf, &[1.0, 2.0]);
@@ -214,7 +186,6 @@ mod tests {
         assert!(get_u32(&buf, 5).is_err());
         let mut out = [0.0; 1];
         assert!(read_f64_slice_into(&buf, 0, &mut out).is_err());
-        assert!(bytes_to_f64s(&buf).is_err());
     }
 
     #[test]

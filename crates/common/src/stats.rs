@@ -122,15 +122,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance `M2/(n−1)` (0 if fewer than two observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -229,7 +220,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]

@@ -10,18 +10,26 @@
 //! 2. eigendecompose the updated `C` (in-memory, `O(M³)`);
 //! 3. one pass over all rows emits the new `U`.
 //!
-//! Net effect: a rebuild costs **one** pass over the full data instead
-//! of two, and the expensive similarity accumulation is incremental.
-//! [`GramCache`] also serializes to the `.atsm` matrix format so the
-//! cache survives restarts.
+//! Steps 2–3 are the plain-SVD build's own epilogue
+//! ([`SvdCompressed`]'s, after its Gram pass), so a rebuild from the
+//! cache costs **one** pass over the full data instead of two and yields
+//! the same factors. [`GramCache`] also serializes to the `.atsm` matrix
+//! format so the cache survives restarts; a loaded cache is checked,
+//! since its file comes from disk.
 
 use crate::gram::compute_gram_parallel;
 use crate::method::SpaceBudget;
-use crate::svd::{project_row, reconstruct_row, SvdCompressed};
+use crate::svd::{emit_u, SvdCompressed};
+use ats_common::codec::usize_from_u64;
 use ats_common::{AtsError, Result};
-use ats_linalg::{sym_eigen, vecops, Matrix};
+use ats_linalg::kernels::{self, VPanel};
+use ats_linalg::{vecops, Matrix};
 use ats_storage::RowSource;
 use std::path::Path;
+
+/// Largest row count a saved cache records exactly: `2⁵³`, past which
+/// an `f64` no longer holds every integer.
+const MAX_SAVED_ROWS: f64 = 9_007_199_254_740_992.0;
 
 /// An incrementally-maintained Gram matrix `C = XᵀX` with a row count.
 #[derive(Debug, Clone)]
@@ -75,29 +83,6 @@ impl GramCache {
         Ok(())
     }
 
-    /// Ingest a single appended row.
-    pub fn ingest_row(&mut self, row: &[f64]) -> Result<()> {
-        if row.len() != self.cols() {
-            return Err(AtsError::dims(
-                "GramCache::ingest_row",
-                (1, row.len()),
-                (1, self.cols()),
-            ));
-        }
-        let m = self.cols();
-        for j in 0..m {
-            let xj = row[j];
-            if xj == 0.0 {
-                continue;
-            }
-            // Same widened update as pass 1's `accumulate_row`, so batch
-            // and row ingestion stay arithmetically identical.
-            vecops::axpy(xj, row, self.c.row_mut(j));
-        }
-        self.rows_seen += 1;
-        Ok(())
-    }
-
     /// Finish: compress `full` (which must contain exactly the ingested
     /// rows) to `k` components using the cached `C` — **one** pass.
     pub fn compress<S: RowSource + ?Sized>(&self, full: &S, k: usize) -> Result<SvdCompressed> {
@@ -113,28 +98,7 @@ impl GramCache {
         if k == 0 {
             return Err(AtsError::Budget("k = 0 stores nothing".into()));
         }
-        let m = self.cols();
-        let eig = sym_eigen(&self.c)?;
-        let lambda_all: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let lmax = lambda_all.first().copied().unwrap_or(0.0);
-        let rank = lambda_all
-            .iter()
-            .take_while(|&&s| s > 1e-6 * lmax.max(1e-300))
-            .count();
-        let k = k.min(rank.max(1)).min(m);
-        let lambda = lambda_all[..k].to_vec();
-        let mut v = Matrix::zeros(m, k);
-        for j in 0..k {
-            for i in 0..m {
-                v[(i, j)] = eig.vectors[(i, j)];
-            }
-        }
-        let mut u = Matrix::zeros(full.rows(), k);
-        full.for_each_row(&mut |i, row| {
-            project_row(row, &v, &lambda, u.row_mut(i));
-            Ok(())
-        })?;
-        Ok(SvdCompressed::from_parts(u, lambda, v))
+        SvdCompressed::from_gram(&self.c, full, k, 1)
     }
 
     /// Budgeted variant of [`GramCache::compress`].
@@ -158,12 +122,16 @@ impl GramCache {
         for i in 0..m {
             with_count.row_mut(i).copy_from_slice(self.c.row(i));
         }
-        with_count[(m, 0)] = self.rows_seen as f64;
+        if let Some(count) = with_count.row_mut(m).first_mut() {
+            *count = self.rows_seen as f64;
+        }
         ats_storage::file::write_matrix(path, &with_count)?;
         Ok(())
     }
 
-    /// Load a cache saved by [`GramCache::save`].
+    /// Load a cache saved by [`GramCache::save`]. A file of the wrong
+    /// shape, or whose row count is not a whole number in `0..=2⁵³`, is
+    /// [`AtsError::Corrupt`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let with_count = ats_storage::file::read_matrix(path)?;
         let m = with_count.cols();
@@ -174,11 +142,16 @@ impl GramCache {
                 with_count.rows()
             )));
         }
-        let rows_seen = with_count[(m, 0)] as usize;
-        let mut c = Matrix::zeros(m, m);
-        for i in 0..m {
-            c.row_mut(i).copy_from_slice(with_count.row(i));
+        let count = with_count.try_row(m)?.first().copied().unwrap_or(f64::NAN);
+        if !(count.is_finite() && count >= 0.0 && count.fract() == 0.0 && count <= MAX_SAVED_ROWS) {
+            return Err(AtsError::Corrupt(format!(
+                "gram cache row count {count} is not a whole number in 0..=2^53"
+            )));
         }
+        // ats-lint: allow(lossy-cast) — checked just above: whole and within 0..=2^53, so exact
+        let rows_seen = usize_from_u64(count as u64, "gram cache row count")?;
+        let mut c = with_count;
+        c.truncate_rows(m);
         Ok(GramCache { c, rows_seen })
     }
 }
@@ -212,11 +185,12 @@ pub fn project_frozen<S: RowSource + ?Sized>(
         return Err(AtsError::InvalidArgument("empty append batch".into()));
     }
     let mut u = Matrix::zeros(n, lambda.len());
+    emit_u(batch, v, lambda, &mut u, 1)?;
+    let vt = VPanel::from_v(v);
     let mut sse = 0.0f64;
     let mut recon = vec![0.0; m];
     batch.for_each_row(&mut |i, row| {
-        project_row(row, v, lambda, u.row_mut(i));
-        reconstruct_row(u.row(i), lambda, v, &mut recon);
+        kernels::reconstruct_row(u.try_row(i)?, lambda, &vt, &mut recon);
         for (&x, &r) in row.iter().zip(&recon) {
             let e = x - r;
             sse = vecops::fmadd(e, e, sse);
@@ -264,19 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_row_equals_batch() {
-        let batch = random(10, 5, 3);
-        let mut a = GramCache::new(5);
-        a.ingest(&batch, 1).unwrap();
-        let mut b = GramCache::new(5);
-        for row in batch.iter_rows() {
-            b.ingest_row(row).unwrap();
-        }
-        assert_eq!(a.rows_seen(), b.rows_seen());
-        assert!(a.c.approx_eq(&b.c, 1e-9));
-    }
-
-    #[test]
     fn single_pass_for_rebuild() {
         let dir = ats_common::TestDir::new("ats-append");
         let full = random(100, 6, 4);
@@ -297,7 +258,6 @@ mod tests {
     fn dimension_and_coverage_checks() {
         let mut cache = GramCache::new(5);
         assert!(cache.ingest(&random(3, 4, 5), 1).is_err());
-        assert!(cache.ingest_row(&[0.0; 4]).is_err());
         cache.ingest(&random(10, 5, 6), 1).unwrap();
         // source with mismatched row count rejected
         assert!(cache.compress(&random(9, 5, 7), 2).is_err());
@@ -319,6 +279,25 @@ mod tests {
         let a = cache.compress(&data, 3).unwrap();
         let b = back.compress(&data, 3).unwrap();
         assert!((a.cell(5, 5).unwrap() - b.cell(5, 5).unwrap()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn load_rejects_a_row_count_that_is_not_a_whole_number_in_range() {
+        let dir = ats_common::TestDir::new("ats-gramcount");
+        let path = dir.file("cache.atsm");
+        GramCache::from_source(&random(12, 3, 14), 1)
+            .unwrap()
+            .save(&path)
+            .unwrap();
+        let saved = ats_storage::file::read_matrix(&path).unwrap();
+        assert_eq!(GramCache::load(&path).unwrap().rows_seen(), 12);
+        for bad in [-1.0, 2.5, f64::NAN, 1e30] {
+            let mut patched = saved.clone();
+            patched[(3, 0)] = bad;
+            ats_storage::file::write_matrix(&path, &patched).unwrap();
+            let got = GramCache::load(&path);
+            assert!(matches!(got, Err(AtsError::Corrupt(_))), "{bad}: {got:?}");
+        }
     }
 
     #[test]

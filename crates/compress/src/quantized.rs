@@ -11,12 +11,15 @@
 //!
 //! `Λ` stays f64 (it is `k` numbers; its magnitude spans the data's full
 //! range and quantizing it would scale whole components).
+//!
+//! The build is the plain two-pass SVD's, whose `U` and `V` are then
+//! cast: the f32 factors are exactly the f64 ones rounded once. Serving
+//! keeps its own f32 Eq. 12 loops, since the shared kernels take f64.
 
-use crate::gram::compute_gram_parallel;
 use crate::method::{CompressedMatrix, SpaceBudget};
-use crate::svd::project_row;
+use crate::svd::SvdCompressed;
 use ats_common::{AtsError, Result};
-use ats_linalg::sym_eigen;
+use ats_linalg::Matrix;
 use ats_storage::RowSource;
 
 /// Bytes per quantized number.
@@ -37,8 +40,10 @@ pub struct QuantizedSvd {
 }
 
 impl QuantizedSvd {
-    /// Two-pass build, like [`crate::svd::SvdCompressed::compress`], but
-    /// quantizing the factors to f32 as they are produced.
+    /// The two-pass [`SvdCompressed::compress`] build, its `U` and `V`
+    /// then cast to f32. `k` is clamped to the numerical rank, as there:
+    /// noise singular values (σ ≈ sqrt(eps)·σ₁ from the Gram route) would
+    /// produce huge `U` coordinates that can overflow f32.
     pub fn compress<S: RowSource + ?Sized>(source: &S, k: usize, threads: usize) -> Result<Self> {
         let (n, m) = (source.rows(), source.cols());
         if k == 0 || k > m {
@@ -46,37 +51,15 @@ impl QuantizedSvd {
                 "component count k={k} must be in 1..={m}"
             )));
         }
-        let c = compute_gram_parallel(source, threads.max(1))?;
-        let eig = sym_eigen(&c)?;
-        let lambda_all: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        // Clamp k to the numerical rank: noise singular values
-        // (σ ≈ sqrt(eps)·σ₁ from the Gram route) would produce huge
-        // U coordinates that can overflow f32.
-        let lmax = lambda_all.first().copied().unwrap_or(0.0);
-        let rank = lambda_all
-            .iter()
-            .take_while(|&&s| s > 1e-6 * lmax.max(1e-300))
-            .count();
-        let k = k.min(rank.max(1)).min(m);
-        let lambda: Vec<f64> = lambda_all[..k].to_vec();
-        let mut v64 = ats_linalg::Matrix::zeros(m, k);
-        for j in 0..k {
-            for i in 0..m {
-                v64[(i, j)] = eig.vectors[(i, j)];
-            }
-        }
-        let v: Vec<f32> = v64.as_slice().iter().map(|&x| x as f32).collect();
-
-        let mut u = vec![0.0f32; n * k];
-        let mut u_row = vec![0.0f64; k];
-        source.for_each_row(&mut |i, row| {
-            project_row(row, &v64, &lambda, &mut u_row);
-            for (dst, &src) in u[i * k..(i + 1) * k].iter_mut().zip(&u_row) {
-                *dst = src as f32;
-            }
-            Ok(())
-        })?;
-        Ok(QuantizedSvd { u, v, lambda, n, m })
+        let svd = SvdCompressed::compress(source, k, threads)?;
+        let f32s = |x: &Matrix| x.as_slice().iter().map(|&x| x as f32).collect();
+        Ok(QuantizedSvd {
+            u: f32s(svd.u()),
+            v: f32s(svd.v()),
+            lambda: svd.lambda().to_vec(),
+            n,
+            m,
+        })
     }
 
     /// Build at a space budget: with 4-byte factors,
@@ -177,8 +160,6 @@ impl CompressedMatrix for QuantizedSvd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::svd::SvdCompressed;
-    use ats_linalg::Matrix;
     use rand::{Rng, SeedableRng};
 
     fn data(n: usize, m: usize, seed: u64) -> Matrix {

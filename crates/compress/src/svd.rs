@@ -9,6 +9,10 @@
 //!
 //! The compressed form keeps `U` (`N × k`), the `k` singular values, and
 //! `V` (`M × k`) — Eq. 9's `N·k + k + k·M` numbers.
+//!
+//! Every builder (SVD, SVDD, the [`crate::append`] paths, [`crate::quantized`])
+//! shares this module's one pass-1 epilogue (`leading_factors`) and one
+//! Eq. 11 loop (`emit_u`); Eq. 12 lives in [`ats_linalg::kernels`].
 
 use crate::gram::{compute_gram_sharded, shard_ranges};
 use crate::method::{svd_bytes, CompressedMatrix, SpaceBudget};
@@ -16,19 +20,8 @@ use crate::par::fork_join;
 use ats_common::{AtsError, Result};
 use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::vecops;
-use ats_linalg::{lanczos_top_k, sym_eigen, LanczosOptions, Matrix};
+use ats_linalg::{sym_eigen, EigenDecomposition, Matrix};
 use ats_storage::RowSource;
-
-/// Which solver handles pass 1's `M × M` eigenproblem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EigenEngine {
-    /// Dense Householder + QL: all `M` pairs, `O(M³)`. Default.
-    #[default]
-    Dense,
-    /// Lanczos with full reorthogonalization: only the top `k` pairs,
-    /// `O(M²·iters)` — wins when `k ≪ M` (see the `eigen` ablation).
-    Lanczos,
-}
 
 /// A matrix compressed by truncated SVD.
 #[derive(Debug, Clone)]
@@ -56,17 +49,7 @@ impl SvdCompressed {
     /// result at any thread count. `k` is clamped to the numerical rank
     /// discovered in pass 1.
     pub fn compress<S: RowSource + ?Sized>(source: &S, k: usize, threads: usize) -> Result<Self> {
-        Self::compress_with_engine(source, k, threads, EigenEngine::Dense)
-    }
-
-    /// [`SvdCompressed::compress`] with an explicit pass-1 eigensolver.
-    pub fn compress_with_engine<S: RowSource + ?Sized>(
-        source: &S,
-        k: usize,
-        threads: usize,
-        engine: EigenEngine,
-    ) -> Result<Self> {
-        Self::build(source, k, threads, &shard_ranges(source.rows(), 1), engine)
+        Self::compress_sharded(source, k, threads, &shard_ranges(source.rows(), 1))
     }
 
     /// Sharded two-pass build: pass 1 accumulates one mergeable Gram
@@ -80,7 +63,14 @@ impl SvdCompressed {
         threads: usize,
         ranges: &[(usize, usize)],
     ) -> Result<Self> {
-        Self::build(source, k, threads, ranges, EigenEngine::Dense)
+        check_nonempty(source)?;
+        if k == 0 {
+            return Err(AtsError::Budget(
+                "SVD with k = 0 components stores nothing".into(),
+            ));
+        }
+        let c = compute_gram_sharded(source, ranges, threads)?;
+        Self::from_gram(&c, source, k, threads)
     }
 
     /// Compress to fit a space budget: picks the largest `k` allowed by
@@ -111,51 +101,22 @@ impl SvdCompressed {
         Self::compress_sharded(source, k, threads, ranges)
     }
 
-    /// The one two-pass build behind every entry point: pass 1 (Gram +
-    /// eigendecomposition), rank-clamp `k`, truncate the factors, and
-    /// pass 2 (`U = X V Λ⁻¹`, Fig. 3).
-    fn build<S: RowSource + ?Sized>(
+    /// Everything after the Gram pass, for every plain-SVD build: the
+    /// eigendecomposition of `c = XᵀX` (Lemma 3.2), `k` clamped to the
+    /// numerical rank, the leading factors, and pass 2 over `source`
+    /// (`U = X V Λ⁻¹`, Fig. 3) on `threads` workers.
+    pub(crate) fn from_gram<S: RowSource + ?Sized>(
+        c: &Matrix,
         source: &S,
         k: usize,
         threads: usize,
-        ranges: &[(usize, usize)],
-        engine: EigenEngine,
     ) -> Result<Self> {
-        let (n, m) = check_nonempty(source)?;
-        if k == 0 {
-            return Err(AtsError::Budget(
-                "SVD with k = 0 components stores nothing".into(),
-            ));
-        }
-        let c = compute_gram_sharded(source, ranges, threads)?;
-        let eig = match engine {
-            EigenEngine::Dense => sym_eigen(&c)?,
-            EigenEngine::Lanczos => lanczos_top_k(&c, k.min(m), LanczosOptions::default())?,
-        };
-        let lambda_all: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let lmax = lambda_all.first().copied().unwrap_or(0.0);
-        // Eigenvalues of XᵀX carry squared error, so the numerical-rank
-        // cutoff on singular values is ~sqrt(machine noise) relative.
-        let rank = lambda_all
-            .iter()
-            .take_while(|&&s| s > 1e-6 * lmax.max(1e-300))
-            .count();
-        let k = k.min(rank.max(1)).min(m);
-        let lambda = lambda_all[..k].to_vec();
-
-        let mut v = Matrix::zeros(m, k);
-        for j in 0..k {
-            for i in 0..m {
-                v[(i, j)] = eig.vectors[(i, j)];
-            }
-        }
-
-        // Pass 2: U = X V Λ⁻¹, one row at a time (Fig. 3).
-        let mut u = Matrix::zeros(n, k);
+        let eig = sym_eigen(c)?;
+        let k = k.min(numerical_rank(&eig).max(1)).min(c.rows());
+        let (lambda, v) = leading_factors(&eig, k)?;
+        let mut u = Matrix::zeros(source.rows(), k);
         emit_u(source, &v, &lambda, &mut u, threads)?;
-
-        let vt = VPanel::from_v(&v);
-        Ok(SvdCompressed { u, lambda, v, vt })
+        Ok(Self::from_parts(u, lambda, v))
     }
 
     /// Assemble from already-computed parts (used by the SVDD builder,
@@ -187,36 +148,46 @@ impl SvdCompressed {
         &self.v
     }
 
-    /// Reconstruct row `i` given an externally supplied row of `U` —
-    /// used by `ats-core` when `U` lives on disk and was just fetched.
-    /// Routed through the `Vᵀ` panel kernel: `k` sequential axpy sweeps,
-    /// no allocation, bitwise identical to the scalar path.
-    pub fn reconstruct_row_from_u(&self, u_row: &[f64], out: &mut [f64]) {
-        kernels::reconstruct_row(u_row, &self.lambda, &self.vt, out);
-    }
-
-    /// Truncate in place to `k` components (used by SVDD's `k_opt`
-    /// search; cheap).
-    pub fn truncate(&mut self, k: usize) {
+    /// Truncate in place to the leading `k` components (no-op for
+    /// `k ≥ self.k()`).
+    pub fn truncate(&mut self, k: usize) -> Result<()> {
         let k = k.min(self.k());
-        self.lambda.truncate(k);
-        let mut u = Matrix::zeros(self.u.rows(), k);
-        for i in 0..self.u.rows() {
-            u.row_mut(i).copy_from_slice(&self.u.row(i)[..k]);
-        }
-        let mut v = Matrix::zeros(self.v.rows(), k);
-        for i in 0..self.v.rows() {
-            v.row_mut(i).copy_from_slice(&self.v.row(i)[..k]);
-        }
-        self.u = u;
-        self.v = v;
-        self.vt = VPanel::from_v(&self.v);
+        let lambda = self.lambda[..k].to_vec();
+        *self = Self::from_parts(self.u.slice_cols(0, k)?, lambda, self.v.slice_cols(0, k)?);
+        Ok(())
     }
+}
+
+/// The numerical rank of `XᵀX`'s eigendecomposition: how many singular
+/// values `√λ` exceed `1e-6·σ₁`. Eigenvalues of `XᵀX` carry squared
+/// error, so the cutoff on singular values is ~sqrt(machine noise)
+/// relative; a noise component kept past it would blow up `U = X V Λ⁻¹`.
+pub(crate) fn numerical_rank(eig: &EigenDecomposition) -> usize {
+    let sigma = |l: f64| l.max(0.0).sqrt();
+    let cutoff = 1e-6 * eig.values.first().map_or(0.0, |&l| sigma(l)).max(1e-300);
+    eig.values
+        .iter()
+        .take_while(|&&l| sigma(l) > cutoff)
+        .count()
+}
+
+/// The pass-1 epilogue: the leading `k` singular values `Λ = √λ` and
+/// right singular vectors `V` (`M × k`) of an eigendecomposition of
+/// `XᵀX` — the only place `(Λ, V)` are cut from one.
+pub(crate) fn leading_factors(eig: &EigenDecomposition, k: usize) -> Result<(Vec<f64>, Matrix)> {
+    let v = eig.vectors.slice_cols(0, k)?;
+    let lambda = eig
+        .values
+        .iter()
+        .take(k)
+        .map(|&l| l.max(0.0).sqrt())
+        .collect();
+    Ok((lambda, v))
 }
 
 /// `u_row[j] = (x · v_j) / λ_j` — Eq. 11 for one row.
 #[inline]
-pub(crate) fn project_row(x: &[f64], v: &Matrix, lambda: &[f64], u_row: &mut [f64]) {
+fn project_row(x: &[f64], v: &Matrix, lambda: &[f64], u_row: &mut [f64]) {
     let k = lambda.len();
     u_row[..k].fill(0.0);
     // Walk V row-wise (cache-friendly): u_j += x_l * v[l][j]. The widened
@@ -252,8 +223,8 @@ pub(crate) fn check_nonempty<S: RowSource + ?Sized>(source: &S) -> Result<(usize
 /// workers. Each worker owns a `&mut` band of `U`'s storage (via
 /// [`Matrix::row_chunks_mut`]) and scans the matching row range of the
 /// source, so no synchronization is needed and the output is bitwise
-/// identical to the serial emission. Shared by plain-SVD pass 2 and SVDD
-/// pass 3.
+/// identical to the serial emission. The one Eq. 11 loop: every builder
+/// and the frozen-factor row projection emit `U` through it.
 ///
 /// One band (a single inline scan) for `threads ≤ 1` or tiny inputs.
 pub(crate) fn emit_u<S: RowSource + ?Sized>(
@@ -287,23 +258,6 @@ pub(crate) fn emit_u<S: RowSource + ?Sized>(
     Ok(())
 }
 
-/// `out[j] = Σ_m λ_m u_m v[j][m]` — Eq. 12 for a whole row, walking `V`
-/// row-wise (each output element is a dot over a contiguous `k`-slice).
-/// Allocation-free; accumulates in ascending `m`, the canonical order every
-/// reconstruction path in the workspace shares. Kept for callers that hold
-/// `V` as a plain matrix (the append path); the serving path uses the
-/// transposed-panel kernels in [`ats_linalg::kernels`] instead.
-#[inline]
-pub(crate) fn reconstruct_row(u_row: &[f64], lambda: &[f64], v: &Matrix, out: &mut [f64]) {
-    for (j, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for ((&l, &u), &vv) in lambda.iter().zip(u_row).zip(v.row(j)) {
-            acc = vecops::fmadd(l * u, vv, acc);
-        }
-        *o = acc;
-    }
-}
-
 impl CompressedMatrix for SvdCompressed {
     fn rows(&self) -> usize {
         self.u.rows()
@@ -321,13 +275,11 @@ impl CompressedMatrix for SvdCompressed {
         if j >= self.cols() {
             return Err(AtsError::oob("column", j, self.cols()));
         }
-        let ui = self.u.row(i);
-        let vj = self.v.row(j);
-        let mut acc = 0.0;
-        for ((&u, &v), &l) in ui.iter().zip(vj).zip(&self.lambda) {
-            acc = vecops::fmadd(l * u, v, acc);
-        }
-        Ok(acc)
+        Ok(kernels::reconstruct_cell(
+            &self.lambda,
+            self.u.row(i),
+            self.v.row(j),
+        ))
     }
 
     fn row_into(&self, i: usize, out: &mut [f64]) -> Result<()> {
@@ -530,24 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn lanczos_engine_matches_dense() {
-        let x = random_lowish_rank(120, 16, 21);
-        let dense = SvdCompressed::compress_with_engine(&x, 3, 1, EigenEngine::Dense).unwrap();
-        let lz = SvdCompressed::compress_with_engine(&x, 3, 1, EigenEngine::Lanczos).unwrap();
-        assert_eq!(dense.k(), lz.k());
-        for i in (0..120).step_by(11) {
-            for j in 0..16 {
-                let a = dense.cell(i, j).unwrap();
-                let b = lz.cell(i, j).unwrap();
-                assert!(
-                    (a - b).abs() < 1e-6 * a.abs().max(1.0),
-                    "({i},{j}): {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_pass1_same_result() {
         let x = random_lowish_rank(150, 9, 8);
         let c1 = SvdCompressed::compress(&x, 4, 1).unwrap();
@@ -575,7 +509,7 @@ mod tests {
         let x = random_lowish_rank(50, 10, 10);
         let mut c = SvdCompressed::compress(&x, 6, 1).unwrap();
         let before = c.storage_bytes();
-        c.truncate(2);
+        c.truncate(2).unwrap();
         assert_eq!(c.k(), 2);
         assert!(c.storage_bytes() < before);
         // still works

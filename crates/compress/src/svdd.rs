@@ -44,7 +44,7 @@ use crate::delta::{DeltaStore, DELTA_BYTES};
 use crate::gram::{compute_gram_sharded, shard_ranges, GRAM_BLOCK_ROWS};
 use crate::method::{svd_bytes, CompressedMatrix, SpaceBudget};
 use crate::par::fork_join;
-use crate::svd::{check_nonempty, emit_u, SvdCompressed};
+use crate::svd::{check_nonempty, emit_u, leading_factors, SvdCompressed};
 use ats_common::{AtsError, Result, TopK};
 use ats_linalg::{sym_eigen, vecops, Matrix};
 use ats_storage::RowSource;
@@ -209,25 +209,6 @@ fn fold_sse(sse: &mut [f64], blocks: Vec<Vec<f64>>) {
     }
 }
 
-/// Pass-1 epilogue: truncate the eigendecomposition of `c` to `(Λ, V)`
-/// with `k_max` components.
-fn factorize(c: &Matrix, m: usize, k_max: usize) -> Result<(Vec<f64>, Matrix)> {
-    let eig = sym_eigen(c)?;
-    let lambda_all: Vec<f64> = eig
-        .values
-        .iter()
-        .take(k_max)
-        .map(|&l| l.max(0.0).sqrt())
-        .collect();
-    let mut v_full = Matrix::zeros(m, k_max);
-    for j in 0..k_max {
-        for i in 0..m {
-            v_full[(i, j)] = eig.vectors[(i, j)];
-        }
-    }
-    Ok((lambda_all, v_full))
-}
-
 /// Candidate sizing and thinning. Depends only on dimensions, budget,
 /// and `max_queue_entries` — never on the row partition or thread
 /// count, so `k_opt`'s candidate set is identical for any sharding.
@@ -338,7 +319,8 @@ impl SvddCompressed {
 
         // ---- Pass 1: blocked Gram fold, eigendecomposition ----
         let c = compute_gram_sharded(source, ranges, threads)?;
-        let (lambda_all, v_full) = factorize(&c, m, k_max)?;
+        // No rank clamp: SVDD keeps `k_max` pairs and lets pass 2 choose.
+        let (lambda_all, v_full) = leading_factors(&sym_eigen(&c)?, k_max)?;
         let candidate_ks = size_candidates(n, m, opts, k_max)?;
 
         // ---- Pass 2: one heap set per shard, merged in shard order ----
@@ -401,12 +383,7 @@ impl SvddCompressed {
 
         // ---- Pass 3: emit U truncated to k_opt ----
         let lambda = lambda_all[..k_opt].to_vec();
-        let mut v = Matrix::zeros(m, k_opt);
-        for j in 0..k_opt {
-            for i in 0..m {
-                v[(i, j)] = v_full[(i, j)];
-            }
-        }
+        let v = v_full.slice_cols(0, k_opt)?;
         let mut u = Matrix::zeros(n, k_opt);
         emit_u(source, &v, &lambda, &mut u, threads)?;
 
@@ -780,7 +757,6 @@ mod tests {
 
     #[test]
     fn every_build_entry_point_rejects_empty_input() {
-        use crate::svd::EigenEngine::Lanczos;
         let b = SpaceBudget::from_percent(40.0);
         for x in [Matrix::zeros(0, 5), Matrix::zeros(5, 0)] {
             let (opts, one) = (SvddOptions::new(b), shard_ranges(x.rows(), 1));
@@ -789,7 +765,6 @@ mod tests {
                 SvddCompressed::compress_sharded(&x, &opts, &one).err(),
                 SvddCompressed::compress_naive(&x, &opts).err(),
                 SvdCompressed::compress(&x, 2, 1).err(),
-                SvdCompressed::compress_with_engine(&x, 2, 1, Lanczos).err(),
                 SvdCompressed::compress_sharded(&x, 2, 1, &one).err(),
                 SvdCompressed::compress_budget(&x, b, 1).err(),
                 SvdCompressed::compress_budget_sharded(&x, b, 1, &one).err(),

@@ -20,7 +20,7 @@
 //!
 //! | component | first touched by | checked how |
 //! |---|---|---|
-//! | `v.atsm`, `lambda.atsm` | any cell/row read of the store | read whole → CRC → decode |
+//! | `v.atsm`, `lambda.atsm` | any cell/row read of the store, or [`append_rows`] | read whole → CRC → decode |
 //! | `shard-NNNN/u.atsm` | a read of a row the shard owns | streamed through the CRC, then paged |
 //! | `shard-NNNN/deltas.bin` | the same | read whole → CRC → decode |
 //! | `shard-NNNN/synopsis.bin` | a `where` scan planning the shard | read whole → CRC → decode |
@@ -51,9 +51,7 @@ use ats_compress::method::BYTES_PER_NUMBER;
 use ats_compress::{project_frozen, CompressedMatrix, DeltaStore, GramCache, SvdCompressed};
 use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::Matrix;
-use ats_storage::file::{
-    matrix_from_bytes, read_matrix, write_matrix, MatrixFile, MatrixFileWriter,
-};
+use ats_storage::file::{matrix_from_bytes, write_matrix, MatrixFile, MatrixFileWriter};
 use ats_storage::store_dir::{
     file_crc, publish_manifest, shard_dir_name, validate_sharded_store_dir, Component,
     SHARDED_STORE_VERSION,
@@ -585,13 +583,7 @@ impl CompressedMatrix for ShardedStore {
         let st = self.state(idx)?;
         let mut u_row = vec![0.0f64; self.k()];
         st.u.read_row_into(local, &mut u_row)?; // ≤ 1 disk access, owning shard only
-        let base: f64 = f
-            .lambda
-            .iter()
-            .zip(&u_row)
-            .zip(f.v.row(j))
-            .map(|((&lam, &uv), &vv)| lam * uv * vv)
-            .sum();
+        let base = kernels::reconstruct_cell(&f.lambda, &u_row, f.v.row(j));
         Ok(match st.deltas.probe(local, j) {
             Some(d) => base + d,
             None => base,
@@ -808,20 +800,13 @@ pub fn append_rows<S: RowSource + ?Sized>(
             (batch.rows(), manifest.cols),
         ));
     }
-    let v = read_matrix(dir.join("v.atsm"))?;
-    let lambda_m = read_matrix(dir.join("lambda.atsm"))?;
-    if lambda_m.rows() != 1 || lambda_m.cols() != manifest.k || v.cols() != manifest.k {
-        return Err(AtsError::Corrupt(format!(
-            "factors disagree with manifest: V is {}x{}, Λ is {}x{}, manifest k={}",
-            v.rows(),
-            v.cols(),
-            lambda_m.rows(),
-            lambda_m.cols(),
-            manifest.k
-        )));
-    }
-    let lambda = lambda_m.row(0).to_vec();
-    let (u_new, sse) = project_frozen(batch, &v, &lambda)?;
+    // The factors through the serving path's checked first touch: the
+    // bytes decoded are the bytes checksummed, and their shape is checked
+    // against the manifest.
+    let store = ShardedStore::from_manifest(dir, manifest, 1)?;
+    let f = store.factors()?;
+    let (u_new, sse) = project_frozen(batch, &f.v, &f.lambda)?;
+    let manifest = &store.manifest;
 
     let index = manifest.shards.len();
     let start = manifest.rows;
@@ -841,14 +826,14 @@ pub fn append_rows<S: RowSource + ?Sized>(
         writer.path(),
         &u_new,
         0..u_new.rows(),
-        &lambda,
-        &VPanel::from_v(&v),
+        &f.lambda,
+        &f.vt,
         &[],
     )?;
     writer.commit_dir()?;
 
     // Publish: extend the manifest and replace it atomically.
-    let mut next = manifest;
+    let mut next = manifest.clone();
     next.rows = end;
     next.shards.push(ShardEntry {
         start,
@@ -877,6 +862,7 @@ pub(crate) mod tests {
     use crate::disk::decode_deltas;
     use ats_common::TestDir;
     use ats_compress::{shard_ranges, SpaceBudget, SvddCompressed, SvddOptions};
+    use ats_storage::file::read_matrix;
 
     /// Stage and commit `svdd` as a v3 directory over `ranges`.
     fn save_sharded(dir: &Path, svdd: &SvddCompressed, ranges: &[(usize, usize)]) -> Result<()> {
@@ -1157,7 +1143,8 @@ pub(crate) mod tests {
         // Appended rows reconstruct under the frozen factors.
         let (u_new, _) = project_frozen(&batch, svdd.svd().v(), svdd.svd().lambda()).unwrap();
         let mut expect = vec![0.0; 14];
-        svdd.svd().reconstruct_row_from_u(u_new.row(5), &mut expect);
+        let vt = VPanel::from_v(svdd.svd().v());
+        kernels::reconstruct_row(u_new.row(5), svdd.svd().lambda(), &vt, &mut expect);
         let mut got = vec![0.0; 14];
         store.row_into(165, &mut got).unwrap();
         for (a, b) in got.iter().zip(&expect) {

@@ -17,7 +17,6 @@ use crate::timeblock::{
 use ats_common::{AtsError, Result};
 use ats_compress::method::block_budget;
 use ats_compress::{shard_ranges, CompressedMatrix, SpaceBudget};
-use ats_linalg::Matrix;
 use ats_query::engine::{AggregateFn, QueryEngine};
 use ats_query::metrics::{error_report, ErrorReport};
 use ats_query::selection::Selection;
@@ -378,29 +377,6 @@ impl SequenceStore {
     pub fn error_report(&self, original: &dyn RowSource) -> Result<ErrorReport> {
         error_report(original, self.compressed.as_ref())
     }
-
-    /// Batched append (§1 assumes updates are rare and batched): rebuild
-    /// the store from a source containing old + new rows, keeping method
-    /// and budget semantics. Returns the fresh store.
-    pub fn rebuild_with<S: RowSource + ?Sized>(
-        &self,
-        source: &S,
-        budget: SpaceBudget,
-        threads: usize,
-    ) -> Result<SequenceStore> {
-        SequenceStore::builder()
-            .method(self.method)
-            .budget(budget)
-            .threads(threads)
-            .shards(self.shards)
-            .time_blocks(self.time_blocks)
-            .build(source)
-    }
-}
-
-/// Convenience: compress an in-memory matrix with defaults (SVDD @ 10%).
-pub fn compress_default(x: &Matrix) -> Result<SequenceStore> {
-    SequenceStore::builder().build(x)
 }
 
 /// The method a name (a `--method` value, a manifest's `method` key)
@@ -418,6 +394,7 @@ pub fn method_by_name(name: &str) -> Result<Method> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ats_linalg::Matrix;
     use ats_query::selection::Axis;
 
     fn structured(n: usize, m: usize) -> Matrix {
@@ -445,7 +422,7 @@ mod tests {
     #[test]
     fn svdd_default_reconstructs_structured_data() {
         let x = structured(300, 28);
-        let store = compress_default(&x).unwrap();
+        let store = SequenceStore::builder().build(&x).unwrap();
         assert_eq!(store.method(), Method::Svdd);
         let r = store.error_report(&x).unwrap();
         assert!(r.rmspe < 0.05, "rmspe {}", r.rmspe);
@@ -521,21 +498,6 @@ mod tests {
         for other in ["zstd", "hc", "dct", "sampling", "SVDD"] {
             assert!(method_by_name(other).is_err(), "{other}");
         }
-    }
-
-    #[test]
-    fn rebuild_with_appended_rows() {
-        let x = structured(100, 14);
-        let store = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .build(&x)
-            .unwrap();
-        let bigger = structured(150, 14);
-        let rebuilt = store
-            .rebuild_with(&bigger, SpaceBudget::from_percent(20.0), 1)
-            .unwrap();
-        assert_eq!(rebuilt.rows(), 150);
-        assert_eq!(rebuilt.method(), Method::Svdd);
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!
 //! [`dataset::Dataset`] is the carrier type: a named matrix with summary
 //! statistics, subset extraction (the paper's `phoneN` prefixes), and
-//! CSV / `.atsm` persistence.
+//! `.atsm` persistence.
 
-pub mod csv;
 pub mod dataset;
 mod perm;
 pub mod phone;

@@ -42,8 +42,6 @@ const HALF_BLOCK: usize = 4;
 pub struct VPanel {
     /// Row-major `k × M` storage: component `m` occupies `data[m·M .. (m+1)·M]`.
     data: Vec<f64>,
-    /// Number of retained components `k` (panel rows).
-    k: usize,
     /// Sequence length `M` (panel columns).
     m: usize,
 }
@@ -51,15 +49,8 @@ pub struct VPanel {
 impl VPanel {
     /// Transpose the row-major `M × k` matrix `V` into a component panel.
     pub fn from_v(v: &Matrix) -> VPanel {
-        let (m, k) = v.shape();
         let data = v.transpose().into_vec();
-        VPanel { data, k, m }
-    }
-
-    /// Number of retained components `k`.
-    #[inline]
-    pub fn components_len(&self) -> usize {
-        self.k
+        VPanel { data, m: v.rows() }
     }
 
     /// Sequence length `M`.
@@ -76,6 +67,21 @@ impl VPanel {
         // backing storage is empty and yields no slices anyway.
         self.data.chunks_exact(self.m.max(1))
     }
+}
+
+/// Reconstruct one cell: `Σ_m lambda[m]·u_row[m]·v_row[m]` (Eq. 12), with
+/// `v_row` the cell's row of the row-major `M × k` matrix `V`.
+///
+/// The canonical order itself — ascending `m`, each `(λ·u)·v` term folded
+/// into an accumulator that starts at `+0.0` — so a lone cell is bitwise
+/// the value the row, batch and multi-cell kernels produce for it.
+#[inline]
+pub fn reconstruct_cell(lambda: &[f64], u_row: &[f64], v_row: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for ((&l, &u), &v) in lambda.iter().zip(u_row).zip(v_row) {
+        acc = vecops::fmadd(l * u, v, acc);
+    }
+    acc
 }
 
 /// Fuse the per-component coefficients `coef[m] = lambda[m] · u_row[m]`.
@@ -423,7 +429,6 @@ mod tests {
     fn zero_component_panel_reconstructs_zeros() {
         let v = Matrix::zeros(7, 0);
         let panel = VPanel::from_v(&v);
-        assert_eq!(panel.components_len(), 0);
         assert_eq!(panel.cols(), 7);
         assert_eq!(panel.components().count(), 0);
         let mut out = vec![1.0; 14];

@@ -244,13 +244,6 @@ impl Svd {
             .map(|j| (0..x.len()).map(|l| x[l] * self.v[(l, j)]).sum())
             .collect())
     }
-
-    /// Storage cost in numbers (the paper's Eq. 9 numerator):
-    /// `N·k + k + k·M`.
-    pub fn stored_numbers(&self) -> usize {
-        let k = self.rank();
-        self.u.rows() * k + k + self.v.rows() * k
-    }
 }
 
 #[cfg(test)]
@@ -402,13 +395,6 @@ mod tests {
             prev = e;
         }
         assert!((svd.energy(svd.rank()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stored_numbers_formula() {
-        let svd = Svd::compute(&table1(), SvdOptions::default()).unwrap();
-        // N=7, M=5, k=2 → 14 + 2 + 10 = 26
-        assert_eq!(svd.stored_numbers(), 26);
     }
 
     #[test]

@@ -203,56 +203,102 @@ fn out_of_range_batch_does_no_io() {
 
 #[test]
 fn blocked_kernels_match_scalar_baseline_bitwise() {
-    // In-memory SVD and SVDD stores plus a disk-paged sharded store: the
-    // overridden batch entry points must be bitwise identical to the
-    // default per-cell implementations on rows, selected cells, and
-    // multi-row blocks (including duplicated, unsorted indices).
+    // In-memory SVD and SVDD stores plus disk-paged sharded stores of
+    // both: the overridden batch entry points must be bitwise identical
+    // to the default per-cell implementations on rows, selected cells,
+    // and multi-row blocks (including duplicated, unsorted indices).
+    //
+    // The second input has every fifth row zero under a rank-1 pattern
+    // whose columns change sign, so a zero row's `λ·u·v` products are
+    // −0.0 in the negative columns: every path must answer the +0.0 an
+    // accumulator started at +0.0 gives, on every cell of those rows.
     let dir = TestDir::new("ats-batch");
-    let x = phone(70, 18, 21);
-    let svd = SequenceStore::builder()
-        .method(method_by_name("svd").unwrap())
-        .budget(SpaceBudget::from_percent(25.0))
-        .build(&x)
-        .unwrap();
-    let svdd = SequenceStore::builder()
-        .budget(SpaceBudget::from_percent(25.0))
-        .time_blocks(1)
-        .build(&x)
-        .unwrap();
-    svdd.save(dir.file("store")).unwrap();
-    let sharded = ShardedStore::open(dir.file("store"), 128).unwrap();
+    let zero_rows = Matrix::from_fn(400, 12, |i, j| {
+        let a = if i % 5 == 0 { 0.0 } else { (i % 7 + 1) as f64 };
+        let b = if j % 2 == 0 {
+            1.0 + j as f64
+        } else {
+            -2.0 - j as f64
+        };
+        a * b
+    });
+    for (x, percent) in [(phone(70, 18, 21), 25.0), (zero_rows, 10.0)] {
+        for method in ["svd", "svdd"] {
+            let builder = || {
+                SequenceStore::builder()
+                    .method(method_by_name(method).unwrap())
+                    .budget(SpaceBudget::from_percent(percent))
+            };
+            let built = builder().build(&x).unwrap();
+            // Pinned to one time block: the v3 sharded layout, opened
+            // directly.
+            let path = dir.file(format!("{method}-{}", x.rows()));
+            builder()
+                .time_blocks(1)
+                .build(&x)
+                .unwrap()
+                .save(&path)
+                .unwrap();
+            let sharded = ShardedStore::open(&path, 128).unwrap();
+            let mats: [(&str, &dyn CompressedMatrix); 2] =
+                [("built", built.compressed()), ("sharded", &sharded)];
+            for (name, m) in mats {
+                assert_matches_scalar(m, &format!("{method} {name} {}", x.rows()));
+            }
 
-    let mats: [(&str, &dyn CompressedMatrix); 3] = [
-        ("svd", svd.compressed()),
-        ("svdd", svdd.compressed()),
-        ("sharded", &sharded),
-    ];
-    let rows = [4usize, 69, 0, 4, 33, 17, 18, 19, 20, 21];
-    let cols = [17usize, 0, 9, 9, 3];
-    for (name, m) in mats {
-        let scalar = ScalarOnly(m);
-        let width = m.cols();
-
-        let mut a = vec![0.0; width];
-        let mut b = vec![0.0; width];
-        for i in [0, 33, 69] {
-            m.row_into(i, &mut a).unwrap();
-            scalar.row_into(i, &mut b).unwrap();
-            assert_bits_eq(&a, &b, &format!("{name} row {i}"));
+            let zero = (0..x.rows()).filter(|&i| x.row(i).iter().all(|&v| v == 0.0));
+            let req = BatchRequest::new(
+                zero.flat_map(|i| (0..x.cols()).map(move |j| (i, j)))
+                    .collect(),
+            );
+            let batch = QueryEngine::new(&sharded).batch_cells(&req).unwrap();
+            let mut row = vec![0.0; x.cols()];
+            for (&(i, j), &got) in req.cells().iter().zip(batch.values()) {
+                sharded.row_into(i, &mut row).unwrap();
+                for (path, v) in [
+                    ("built cell", built.cell(i, j).unwrap()),
+                    ("cell", sharded.cell(i, j).unwrap()),
+                    ("row_into", row[j]),
+                    ("batch_cells", got),
+                ] {
+                    assert_eq!(
+                        v.to_bits(),
+                        0.0f64.to_bits(),
+                        "{method} zero row {i} col {j}: {path} {v}"
+                    );
+                }
+            }
         }
-
-        let mut a = vec![0.0; cols.len()];
-        let mut b = vec![0.0; cols.len()];
-        m.cells_in_row(33, &cols, &mut a).unwrap();
-        scalar.cells_in_row(33, &cols, &mut b).unwrap();
-        assert_bits_eq(&a, &b, &format!("{name} cells_in_row"));
-
-        let mut a = vec![0.0; rows.len() * width];
-        let mut b = vec![0.0; rows.len() * width];
-        m.rows_into(&rows, &mut a).unwrap();
-        scalar.rows_into(&rows, &mut b).unwrap();
-        assert_bits_eq(&a, &b, &format!("{name} rows_into"));
     }
+}
+
+/// `m`'s row, multi-cell and multi-row entry points against the default
+/// per-cell implementations of [`ScalarOnly`], bit for bit.
+fn assert_matches_scalar(m: &dyn CompressedMatrix, name: &str) {
+    let rows = [4usize, 69, 0, 4, 33, 17, 18, 19, 20, 21];
+    let width = m.cols();
+    let cols = [width - 1, 0, 9, 9, 3];
+    let scalar = ScalarOnly(m);
+
+    let mut a = vec![0.0; width];
+    let mut b = vec![0.0; width];
+    for i in [0, 33, 69] {
+        m.row_into(i, &mut a).unwrap();
+        scalar.row_into(i, &mut b).unwrap();
+        assert_bits_eq(&a, &b, &format!("{name} row {i}"));
+    }
+
+    let mut a = vec![0.0; cols.len()];
+    let mut b = vec![0.0; cols.len()];
+    m.cells_in_row(33, &cols, &mut a).unwrap();
+    scalar.cells_in_row(33, &cols, &mut b).unwrap();
+    assert_bits_eq(&a, &b, &format!("{name} cells_in_row"));
+
+    let mut a = vec![0.0; rows.len() * width];
+    let mut b = vec![0.0; rows.len() * width];
+    m.rows_into(&rows, &mut a).unwrap();
+    scalar.rows_into(&rows, &mut b).unwrap();
+    assert_bits_eq(&a, &b, &format!("{name} rows_into"));
 }
 
 #[test]

@@ -102,6 +102,7 @@ pub const UNTRUSTED_SURFACES: &[&str] = &[
     "crates/storage/src/file.rs",
     "crates/storage/src/pool.rs",
     "crates/storage/src/synopsis.rs",
+    "crates/compress/src/append.rs",
     "crates/compress/src/delta.rs",
     "crates/core/src/disk.rs",
     "crates/core/src/shard.rs",
@@ -110,7 +111,6 @@ pub const UNTRUSTED_SURFACES: &[&str] = &[
     "crates/query/src/parse.rs",
     "crates/query/src/metrics.rs",
     "crates/query/src/serve.rs",
-    "crates/data/src/csv.rs",
     "src/bin/ats.rs",
 ];
 

@@ -18,7 +18,8 @@
 //!   deviation, Def. 5.1);
 //! - [`codec`] — little-endian byte codecs for the on-disk formats;
 //! - [`testutil`] — unique, self-cleaning temp directories for tests that
-//!   exercise the on-disk paths.
+//!   exercise the on-disk paths, and the store layouts
+//!   ([`testutil::LAYOUTS`]) layout-sensitive tests loop over.
 
 pub mod bloom;
 pub mod codec;

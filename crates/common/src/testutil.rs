@@ -1,4 +1,5 @@
-//! Test support: unique, self-cleaning temp directories.
+//! Test support: unique, self-cleaning temp directories, and the store
+//! layouts every layout-sensitive test runs over.
 //!
 //! Several crates in the workspace exercise the out-of-core code paths by
 //! writing matrix files under `std::env::temp_dir()`. Keying those paths
@@ -6,6 +7,12 @@
 //! containers) and leaks files on panic. [`TestDir`] gives every test its
 //! own directory — pid + monotonic counter + a caller prefix — and removes
 //! it on drop, including the unwind path of a failed assertion.
+//!
+//! A store's layout (row-range shards × time blocks) and an engine's
+//! zone-map pruning are arguments, never ambient state: a test that
+//! must hold under every layout says so by looping over [`LAYOUTS`], or
+//! over [`for_each_layout`] when its answers also pass through a
+//! `where` scan.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,6 +89,67 @@ impl TestDir {
 impl Drop for TestDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
+/// One on-disk store layout: the builder's row-range shard count and
+/// time-block count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// Short name for failure messages.
+    pub name: &'static str,
+    /// Row-range shards (`StoreBuilder::shards`).
+    pub shards: usize,
+    /// Column (time) blocks (`StoreBuilder::time_blocks`).
+    pub time_blocks: usize,
+}
+
+/// The layouts a layout-sensitive test must hold under: the single
+/// decomposition (v3, one shard), row sharding alone, time blocking
+/// alone (v4), and both at once.
+pub const LAYOUTS: [Layout; 4] = [
+    Layout {
+        name: "mono",
+        shards: 1,
+        time_blocks: 1,
+    },
+    Layout {
+        name: "4 shards",
+        shards: 4,
+        time_blocks: 1,
+    },
+    Layout {
+        name: "4 time blocks",
+        shards: 1,
+        time_blocks: 4,
+    },
+    Layout {
+        name: "3 shards x 4 time blocks",
+        shards: 3,
+        time_blocks: 4,
+    },
+];
+
+/// Run `case` once per layout in [`LAYOUTS`] × zone-map pruning {on,
+/// off} (the argument an engine takes through `with_synopsis`). A
+/// failing case names its layout and pruning setting on stderr before
+/// the panic unwinds out of the loop.
+pub fn for_each_layout(mut case: impl FnMut(Layout, bool)) {
+    /// Reports the running case if it panics.
+    struct Running(Layout, bool);
+    impl Drop for Running {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let pruning = if self.1 { "on" } else { "off" };
+                eprintln!("failing case: layout {}, pruning {pruning}", self.0.name);
+            }
+        }
+    }
+    for layout in LAYOUTS {
+        for synopsis in [true, false] {
+            let _running = Running(layout, synopsis);
+            case(layout, synopsis);
+        }
     }
 }
 

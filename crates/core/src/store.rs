@@ -85,8 +85,9 @@ impl StoreBuilder {
     }
 
     /// Number of row-range shards for the build passes and the saved
-    /// store layout (default 1, or the `ATS_TEST_SHARDS`
-    /// environment variable when set). Sharding never changes results:
+    /// store layout (default 1). The count is clamped to the number of
+    /// 32-row Gram blocks; [`SequenceStore::shards`] reports the count
+    /// actually built. Sharding never changes results:
     /// pass 1 folds per-block partial Grams in a fixed global order and
     /// pass 2 merges per-shard outlier heaps globally, so `k_opt`, the
     /// delta set, and every reconstructed cell are bit-identical to the
@@ -97,8 +98,7 @@ impl StoreBuilder {
     }
 
     /// Number of time blocks the column axis is partitioned into
-    /// (default 1, or the `ATS_TEST_TBLOCKS` environment variable when
-    /// set). With `B > 1` the build runs once per column block
+    /// (default 1). With `B > 1` the build runs once per column block
     /// — each block gets its own `(U_b, Λ_b, V_b)` and delta set under a
     /// per-block budget ([`ats_compress::method::block_budget`]) — and
     /// [`SequenceStore::save`] writes the time-blocked (v4) layout.
@@ -120,8 +120,8 @@ impl StoreBuilder {
     fn build_blocks<S: RowSource + ?Sized>(
         &self,
         source: &S,
+        row_ranges: &[(usize, usize)],
     ) -> Result<(Arc<dyn CompressedMatrix>, Vec<BuiltBlock>)> {
-        let row_ranges = shard_ranges(source.rows(), self.shards);
         let (method, threads, bloom) = (self.method.name(), self.threads, self.with_bloom);
         let col_ranges = time_block_ranges(source.cols(), self.time_blocks);
         if col_ranges.len() <= 1 {
@@ -131,7 +131,7 @@ impl StoreBuilder {
                 self.budget,
                 threads,
                 bloom,
-                &row_ranges,
+                row_ranges,
                 false,
             )?;
             return Ok((only.matrix(), vec![only]));
@@ -141,13 +141,7 @@ impl StoreBuilder {
             let slice = ColumnSlice::new(source, c0, c1)?;
             let budget = block_budget(self.budget, source.rows(), c1 - c0);
             blocks.push(BuiltBlock::build(
-                method,
-                &slice,
-                budget,
-                threads,
-                bloom,
-                &row_ranges,
-                true,
+                method, &slice, budget, threads, bloom, row_ranges, true,
             )?);
         }
         let grid = TimeGrid::new(
@@ -160,12 +154,13 @@ impl StoreBuilder {
     /// Compress from any [`RowSource`] (disk file or in-memory matrix)
     /// in the method's streaming passes.
     pub fn build<S: RowSource + ?Sized>(self, source: &S) -> Result<SequenceStore> {
-        let (compressed, persist) = self.build_blocks(source)?;
+        let row_ranges = shard_ranges(source.rows(), self.shards);
+        let (compressed, persist) = self.build_blocks(source, &row_ranges)?;
         Ok(SequenceStore {
             compressed,
             method: self.method,
             threads: self.threads,
-            shards: self.shards,
+            shards: row_ranges.len().max(1),
             time_blocks: persist.len(),
             persist,
         })
@@ -186,26 +181,18 @@ pub struct SequenceStore {
 }
 
 impl SequenceStore {
-    /// Start building a store. The default shard count is 1 unless the
-    /// `ATS_TEST_SHARDS` environment variable names another, and the
-    /// default time-block count is 1 unless `ATS_TEST_TBLOCKS` names
-    /// another (the CI hooks that rerun the whole suite in sharded and
-    /// time-blocked modes).
+    /// Start building a store: SVDD at a 10% budget, one thread, a
+    /// Bloom filter on the delta table, one shard and one time block —
+    /// the single-decomposition v3 layout unless the caller asks for
+    /// another.
     pub fn builder() -> StoreBuilder {
-        let env_knob = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .unwrap_or(1)
-                .max(1)
-        };
         StoreBuilder {
             method: Method::Svdd,
             budget: SpaceBudget::from_percent(10.0),
             threads: 1,
             with_bloom: true,
-            shards: env_knob("ATS_TEST_SHARDS"),
-            time_blocks: env_knob("ATS_TEST_TBLOCKS"),
+            shards: 1,
+            time_blocks: 1,
         }
     }
 
@@ -298,9 +285,10 @@ impl SequenceStore {
         self.threads
     }
 
-    /// Number of row-range shards (the builder's
-    /// [`StoreBuilder::shards`] knob; for an opened store, the shard
-    /// count recorded in the manifest).
+    /// Number of row-range shards: the count the build produced (the
+    /// builder's [`StoreBuilder::shards`] request, clamped to the
+    /// source's 32-row Gram blocks), or for an opened store the count
+    /// recorded in the manifest.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -394,6 +382,7 @@ pub fn method_by_name(name: &str) -> Result<Method> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ats_common::testutil::LAYOUTS;
     use ats_linalg::Matrix;
     use ats_query::selection::Axis;
 
@@ -406,15 +395,24 @@ mod tests {
     #[test]
     fn builds_every_method() {
         let x = structured(300, 28);
-        for method in [Method::Svd, Method::Svdd] {
+        for (layout, method) in LAYOUTS
+            .iter()
+            .flat_map(|l| [(l, Method::Svd), (l, Method::Svdd)])
+        {
             let store = SequenceStore::builder()
                 .method(method)
                 .budget(SpaceBudget::from_percent(25.0))
+                .shards(layout.shards)
+                .time_blocks(layout.time_blocks)
                 .build(&x)
-                .unwrap_or_else(|e| panic!("{method:?}: {e}"));
+                .unwrap_or_else(|e| panic!("{layout:?} {method:?}: {e}"));
             assert_eq!(store.rows(), 300);
             assert_eq!(store.cols(), 28);
-            assert!(store.space_ratio() <= 0.25 + 1e-9, "{method:?}");
+            assert_eq!(
+                (store.shards(), store.time_blocks()),
+                (layout.shards, layout.time_blocks)
+            );
+            assert!(store.space_ratio() <= 0.25 + 1e-9, "{layout:?} {method:?}");
             store.cell(0, 0).unwrap();
         }
     }
@@ -424,42 +422,58 @@ mod tests {
         let x = structured(300, 28);
         let store = SequenceStore::builder().build(&x).unwrap();
         assert_eq!(store.method(), Method::Svdd);
-        let r = store.error_report(&x).unwrap();
-        assert!(r.rmspe < 0.05, "rmspe {}", r.rmspe);
+        assert_eq!((store.shards(), store.time_blocks()), (1, 1));
+        for layout in LAYOUTS {
+            let store = SequenceStore::builder()
+                .shards(layout.shards)
+                .time_blocks(layout.time_blocks)
+                .build(&x)
+                .unwrap();
+            let r = store.error_report(&x).unwrap();
+            assert!(r.rmspe < 0.05, "{layout:?}: rmspe {}", r.rmspe);
+        }
     }
 
     #[test]
     fn aggregate_queries_close_to_truth() {
         let x = structured(300, 28);
-        let store = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(15.0))
-            .build(&x)
-            .unwrap();
         let sel = Selection {
             rows: Axis::Range(10, 200),
             cols: Axis::Range(0, 14),
         };
-        let approx = store.aggregate(&sel, AggregateFn::Avg).unwrap();
         let exact = ats_query::engine::aggregate_exact(&x, &sel, AggregateFn::Avg).unwrap();
-        assert!(
-            (approx - exact).abs() / exact.abs() < 0.01,
-            "{approx} vs {exact}"
-        );
+        for layout in LAYOUTS {
+            let store = SequenceStore::builder()
+                .budget(SpaceBudget::from_percent(15.0))
+                .shards(layout.shards)
+                .time_blocks(layout.time_blocks)
+                .build(&x)
+                .unwrap();
+            let approx = store.aggregate(&sel, AggregateFn::Avg).unwrap();
+            assert!(
+                (approx - exact).abs() / exact.abs() < 0.01,
+                "{layout:?}: {approx} vs {exact}"
+            );
+        }
     }
 
     #[test]
     fn sequence_reconstruction() {
         let x = structured(100, 14);
-        let store = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(30.0))
-            .build(&x)
-            .unwrap();
-        let seq = store.sequence(42).unwrap();
-        assert_eq!(seq.len(), 14);
-        for (a, b) in seq.iter().zip(x.row(42)) {
-            assert!((a - b).abs() < 0.3);
+        for layout in LAYOUTS {
+            let store = SequenceStore::builder()
+                .budget(SpaceBudget::from_percent(30.0))
+                .shards(layout.shards)
+                .time_blocks(layout.time_blocks)
+                .build(&x)
+                .unwrap();
+            let seq = store.sequence(42).unwrap();
+            assert_eq!(seq.len(), 14);
+            for (a, b) in seq.iter().zip(x.row(42)) {
+                assert!((a - b).abs() < 0.3, "{layout:?}");
+            }
+            assert!(store.sequence(100).is_err());
         }
-        assert!(store.sequence(100).is_err());
     }
 
     #[test]
@@ -468,26 +482,32 @@ mod tests {
         // threaded aggregate scans; results stay within float-merge noise
         // of the single-threaded store.
         let x = structured(300, 28);
-        let budget = SpaceBudget::from_percent(20.0);
-        let serial = SequenceStore::builder().budget(budget).build(&x).unwrap();
-        let par = SequenceStore::builder()
-            .budget(budget)
-            .threads(4)
-            .build(&x)
-            .unwrap();
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(par.threads(), 4);
         let sel = Selection {
             rows: Axis::Range(5, 280),
             cols: Axis::Range(0, 28),
         };
-        for f in AggregateFn::ALL {
-            let a = serial.aggregate(&sel, f).unwrap();
-            let b = par.aggregate(&sel, f).unwrap();
-            assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{a} vs {b}");
+        for layout in LAYOUTS {
+            let builder = || {
+                SequenceStore::builder()
+                    .budget(SpaceBudget::from_percent(20.0))
+                    .shards(layout.shards)
+                    .time_blocks(layout.time_blocks)
+            };
+            let serial = builder().build(&x).unwrap();
+            let par = builder().threads(4).build(&x).unwrap();
+            assert_eq!(serial.threads(), 1);
+            assert_eq!(par.threads(), 4);
+            for f in AggregateFn::ALL {
+                let a = serial.aggregate(&sel, f).unwrap();
+                let b = par.aggregate(&sel, f).unwrap();
+                assert!(
+                    (a - b).abs() <= 1e-6 * a.abs().max(1.0),
+                    "{layout:?}: {a} vs {b}"
+                );
+            }
+            let all = par.aggregate_all(&sel).unwrap();
+            assert_eq!(all.count, 275 * 28);
         }
-        let all = par.aggregate_all(&sel).unwrap();
-        assert_eq!(all.count, 275 * 28);
     }
 
     #[test]
@@ -503,10 +523,15 @@ mod tests {
     #[test]
     fn save_open_lifecycle_svdd_and_svd() {
         let x = structured(150, 21);
-        for method in [Method::Svdd, Method::Svd] {
+        for (layout, method) in LAYOUTS
+            .iter()
+            .flat_map(|l| [(l, Method::Svdd), (l, Method::Svd)])
+        {
             let built = SequenceStore::builder()
                 .method(method)
                 .budget(SpaceBudget::from_percent(20.0))
+                .shards(layout.shards)
+                .time_blocks(layout.time_blocks)
                 .build(&x)
                 .unwrap();
             let tmp = ats_common::TestDir::new("ats-store-lifecycle");
@@ -527,7 +552,7 @@ mod tests {
                     assert_eq!(
                         opened.cell(i, j).unwrap(),
                         built.cell(i, j).unwrap(),
-                        "{method:?} ({i},{j})"
+                        "{layout:?} {method:?} ({i},{j})"
                     );
                 }
             }
@@ -551,10 +576,12 @@ mod tests {
     #[test]
     fn bloom_knob_survives_save_open() {
         let x = structured(100, 14);
-        for bloom in [false, true] {
+        for (layout, bloom) in LAYOUTS.iter().flat_map(|l| [(l, false), (l, true)]) {
             let built = SequenceStore::builder()
                 .bloom(bloom)
                 .budget(SpaceBudget::from_percent(15.0))
+                .shards(layout.shards)
+                .time_blocks(layout.time_blocks)
                 .build(&x)
                 .unwrap();
             let tmp = ats_common::TestDir::new("ats-store-lifecycle");
@@ -578,17 +605,25 @@ mod tests {
         // k_opt, the delta set, and every reconstructed cell — bit for
         // bit — for both SVD and SVDD, in memory and through disk.
         let x = structured(300, 28);
-        for method in [Method::Svd, Method::Svdd] {
+        // Shard counts are this test's subject; the layouts' time-block
+        // counts ride along.
+        let time_blocks = LAYOUTS
+            .iter()
+            .filter(|l| l.shards == 1)
+            .map(|l| l.time_blocks);
+        for (b, method) in time_blocks.flat_map(|b| [(b, Method::Svd), (b, Method::Svdd)]) {
             let mono = SequenceStore::builder()
                 .method(method)
                 .budget(SpaceBudget::from_percent(20.0))
                 .shards(1)
+                .time_blocks(b)
                 .build(&x)
                 .unwrap();
             let sharded = SequenceStore::builder()
                 .method(method)
                 .budget(SpaceBudget::from_percent(20.0))
                 .shards(4)
+                .time_blocks(b)
                 .threads(3)
                 .build(&x)
                 .unwrap();
@@ -619,6 +654,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shards_reports_the_built_count_not_the_request() {
+        // 60 rows are two 32-row Gram blocks: a request for 4 shards
+        // builds 2, and the saved store says 2 as well.
+        let x = structured(60, 20);
+        let built = SequenceStore::builder().shards(4).build(&x).unwrap();
+        assert_eq!(built.shards(), 2);
+        let tmp = ats_common::TestDir::new("ats-store-shards");
+        built.save(tmp.file("store")).unwrap();
+        assert_eq!(
+            SequenceStore::open(tmp.file("store"), 16).unwrap().shards(),
+            2
+        );
     }
 
     #[test]

@@ -678,6 +678,7 @@ pub fn append_time_block<S: RowSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::store::{Method, SequenceStore};
+    use ats_common::testutil::LAYOUTS;
     use ats_common::TestDir;
     use ats_linalg::Matrix;
     use ats_storage::ColumnSlice;
@@ -692,6 +693,15 @@ mod tests {
         x[(2, 1)] += 80.0;
         x[(n - 1, m - 1)] += 60.0;
         x
+    }
+
+    /// The shard counts of the time-blocked [`LAYOUTS`]: the tests
+    /// below pin their own time-block counts and run under each.
+    fn layout_shards() -> impl Iterator<Item = usize> {
+        LAYOUTS
+            .iter()
+            .filter(|l| l.time_blocks > 1)
+            .map(|l| l.shards)
     }
 
     #[test]
@@ -719,109 +729,119 @@ mod tests {
         // answers bitwise what a standalone store built over that
         // column slice (same per-block budget) answers — in memory and
         // through the v4 disk layout.
-        let x = wavy(120, 24);
-        let pct = SpaceBudget::from_percent(15.0);
-        let blocked = SequenceStore::builder()
-            .budget(pct)
-            .time_blocks(3)
-            .build(&x)
-            .unwrap();
-        assert_eq!(blocked.time_blocks(), 3);
-        let (c0, c1) = (8usize, 16usize); // block 1 of 3 over 24 cols
-        let slice = ColumnSlice::new(&x, c0, c1).unwrap();
-        let standalone = SequenceStore::builder()
-            .budget(block_budget(pct, 120, c1 - c0))
-            .time_blocks(1)
-            .build(&slice)
-            .unwrap();
-        for i in (0..120).step_by(7) {
-            for j in c0..c1 {
-                assert_eq!(
-                    blocked.cell(i, j).unwrap().to_bits(),
-                    standalone.cell(i, j - c0).unwrap().to_bits(),
-                    "({i},{j})"
-                );
+        for shards in layout_shards() {
+            let x = wavy(120, 24);
+            let pct = SpaceBudget::from_percent(15.0);
+            let blocked = SequenceStore::builder()
+                .shards(shards)
+                .budget(pct)
+                .time_blocks(3)
+                .build(&x)
+                .unwrap();
+            assert_eq!(blocked.time_blocks(), 3);
+            let (c0, c1) = (8usize, 16usize); // block 1 of 3 over 24 cols
+            let slice = ColumnSlice::new(&x, c0, c1).unwrap();
+            let standalone = SequenceStore::builder()
+                .shards(shards)
+                .budget(block_budget(pct, 120, c1 - c0))
+                .time_blocks(1)
+                .build(&slice)
+                .unwrap();
+            for i in (0..120).step_by(7) {
+                for j in c0..c1 {
+                    assert_eq!(
+                        blocked.cell(i, j).unwrap().to_bits(),
+                        standalone.cell(i, j - c0).unwrap().to_bits(),
+                        "({i},{j})"
+                    );
+                }
             }
-        }
-        // Same through disk: v4 store vs v3 slice store.
-        let tmp = TestDir::new("ats-tblock");
-        let (d4, d3) = (tmp.file("v4"), tmp.file("v3"));
-        blocked.save(&d4).unwrap();
-        standalone.save(&d3).unwrap();
-        let o4 = SequenceStore::open(&d4, 64).unwrap();
-        let o3 = SequenceStore::open(&d3, 64).unwrap();
-        assert_eq!(o4.time_blocks(), 3);
-        assert_eq!(o3.time_blocks(), 1);
-        for i in (0..120).step_by(13) {
-            for j in c0..c1 {
-                assert_eq!(
-                    o4.cell(i, j).unwrap().to_bits(),
-                    o3.cell(i, j - c0).unwrap().to_bits(),
-                    "({i},{j})"
-                );
+            // Same through disk: v4 store vs v3 slice store.
+            let tmp = TestDir::new("ats-tblock");
+            let (d4, d3) = (tmp.file("v4"), tmp.file("v3"));
+            blocked.save(&d4).unwrap();
+            standalone.save(&d3).unwrap();
+            let o4 = SequenceStore::open(&d4, 64).unwrap();
+            let o3 = SequenceStore::open(&d3, 64).unwrap();
+            assert_eq!(o4.time_blocks(), 3);
+            assert_eq!(o3.time_blocks(), 1);
+            for i in (0..120).step_by(13) {
+                for j in c0..c1 {
+                    assert_eq!(
+                        o4.cell(i, j).unwrap().to_bits(),
+                        o3.cell(i, j - c0).unwrap().to_bits(),
+                        "({i},{j})"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn v4_roundtrip_serves_bitwise_and_full_rows() {
-        let x = wavy(90, 21);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .time_blocks(4)
-            .threads(2)
-            .build(&x)
-            .unwrap();
-        let tmp = TestDir::new("ats-tblock");
-        let dir = tmp.file("store");
-        built.save(&dir).unwrap();
-        let opened = SequenceStore::open(&dir, 64).unwrap();
-        assert_eq!(opened.method(), Method::Svdd);
-        assert_eq!((opened.rows(), opened.cols()), (90, 21));
-        assert_eq!(opened.time_blocks(), 4);
-        assert_eq!(opened.storage_bytes(), built.storage_bytes());
-        for i in (0..90).step_by(7) {
-            for j in 0..21 {
-                assert_eq!(
-                    opened.cell(i, j).unwrap().to_bits(),
-                    built.cell(i, j).unwrap().to_bits()
-                );
+        for shards in layout_shards() {
+            let x = wavy(90, 21);
+            let built = SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(20.0))
+                .time_blocks(4)
+                .threads(2)
+                .build(&x)
+                .unwrap();
+            let tmp = TestDir::new("ats-tblock");
+            let dir = tmp.file("store");
+            built.save(&dir).unwrap();
+            let opened = SequenceStore::open(&dir, 64).unwrap();
+            assert_eq!(opened.method(), Method::Svdd);
+            assert_eq!((opened.rows(), opened.cols()), (90, 21));
+            assert_eq!(opened.time_blocks(), 4);
+            assert_eq!(opened.storage_bytes(), built.storage_bytes());
+            for i in (0..90).step_by(7) {
+                for j in 0..21 {
+                    assert_eq!(
+                        opened.cell(i, j).unwrap().to_bits(),
+                        built.cell(i, j).unwrap().to_bits()
+                    );
+                }
             }
-        }
-        // Full-row reconstruction stitches across every block and
-        // agrees with the per-cell path exactly.
-        let seq = opened.sequence(47).unwrap();
-        for (j, &got) in seq.iter().enumerate() {
-            assert_eq!(got.to_bits(), opened.cell(47, j).unwrap().to_bits());
+            // Full-row reconstruction stitches across every block and
+            // agrees with the per-cell path exactly.
+            let seq = opened.sequence(47).unwrap();
+            for (j, &got) in seq.iter().enumerate() {
+                assert_eq!(got.to_bits(), opened.cell(47, j).unwrap().to_bits());
+            }
         }
     }
 
     #[test]
     fn queries_in_one_block_leave_other_blocks_cold() {
-        let x = wavy(96, 30);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .time_blocks(3)
-            .build(&x)
-            .unwrap();
-        let tmp = TestDir::new("ats-tblock");
-        let dir = tmp.file("store");
-        built.save(&dir).unwrap();
-        let store = TimeBlockedStore::open(&dir, 96).unwrap();
-        assert_eq!(store.blocks().len(), 3);
-        // Touch only columns 10..20 — block 1 of [0..10, 10..20, 20..30].
-        for i in (0..96).step_by(9) {
-            for j in 12..18 {
-                store.cell(i, j).unwrap();
+        for shards in layout_shards() {
+            let x = wavy(96, 30);
+            let built = SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(20.0))
+                .time_blocks(3)
+                .build(&x)
+                .unwrap();
+            let tmp = TestDir::new("ats-tblock");
+            let dir = tmp.file("store");
+            built.save(&dir).unwrap();
+            let store = TimeBlockedStore::open(&dir, 96).unwrap();
+            assert_eq!(store.blocks().len(), 3);
+            // Touch only columns 10..20 — block 1 of [0..10, 10..20, 20..30].
+            for i in (0..96).step_by(9) {
+                for j in 12..18 {
+                    store.cell(i, j).unwrap();
+                }
             }
-        }
-        let per_block = store.block_io_snapshots();
-        assert_eq!(per_block.len(), 3);
-        assert!(per_block[1].physical_reads > 0);
-        for (b, snap) in per_block.iter().enumerate() {
-            if b != 1 {
-                assert_eq!(snap.physical_reads, 0, "block {b} must stay cold");
-                assert_eq!(snap.logical_reads, 0, "block {b} must stay cold");
+            let per_block = store.block_io_snapshots();
+            assert_eq!(per_block.len(), 3);
+            assert!(per_block[1].physical_reads > 0);
+            for (b, snap) in per_block.iter().enumerate() {
+                if b != 1 {
+                    assert_eq!(snap.physical_reads, 0, "block {b} must stay cold");
+                    assert_eq!(snap.logical_reads, 0, "block {b} must stay cold");
+                }
             }
         }
     }
@@ -833,49 +853,52 @@ mod tests {
         // reconstruction SSE, and (b) the exact squared error of any
         // column slice is bounded by the sum of the SSEs of the blocks
         // it overlaps.
-        let x = wavy(80, 24);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(15.0))
-            .time_blocks(3)
-            .build(&x)
-            .unwrap();
-        let tmp = TestDir::new("ats-tblock");
-        let dir = tmp.file("store");
-        built.save(&dir).unwrap();
-        let store = TimeBlockedStore::open(&dir, 64).unwrap();
-        let sses: Vec<f64> = store
-            .manifest()
-            .blocks
-            .iter()
-            .map(|b| b.sse.expect("v4 blocks record SSE"))
-            .collect();
-        assert!(sses.iter().all(|s| s.is_finite() && *s >= 0.0));
-        let total = reconstruction_sse(&x, &store).unwrap();
-        let sum: f64 = sses.iter().sum();
-        assert!(
-            (total - sum).abs() <= 1e-9 * sum.max(1.0),
-            "total {total} vs per-block sum {sum}"
-        );
-        // A slice spanning the block 1/2 boundary (cols 12..20 of
-        // [0..8, 8..16, 16..24]) errs at most the two blocks' SSEs.
-        let slice = ColumnSlice::new(&x, 12, 20).unwrap();
-        let mut buf = vec![0.0f64; 24];
-        let mut slice_sse = 0.0f64;
-        slice
-            .for_each_row(&mut |i, row| {
-                store.row_into(i, &mut buf)?;
-                for (x, xh) in row.iter().zip(buf.get(12..20).into_iter().flatten()) {
-                    let d = x - xh;
-                    slice_sse += d * d;
-                }
-                Ok(())
-            })
-            .unwrap();
-        let bound = sses[1] + sses[2];
-        assert!(
-            slice_sse <= bound * (1.0 + 1e-12) + 1e-12,
-            "slice sse {slice_sse} exceeds stitching bound {bound}"
-        );
+        for shards in layout_shards() {
+            let x = wavy(80, 24);
+            let built = SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(15.0))
+                .time_blocks(3)
+                .build(&x)
+                .unwrap();
+            let tmp = TestDir::new("ats-tblock");
+            let dir = tmp.file("store");
+            built.save(&dir).unwrap();
+            let store = TimeBlockedStore::open(&dir, 64).unwrap();
+            let sses: Vec<f64> = store
+                .manifest()
+                .blocks
+                .iter()
+                .map(|b| b.sse.expect("v4 blocks record SSE"))
+                .collect();
+            assert!(sses.iter().all(|s| s.is_finite() && *s >= 0.0));
+            let total = reconstruction_sse(&x, &store).unwrap();
+            let sum: f64 = sses.iter().sum();
+            assert!(
+                (total - sum).abs() <= 1e-9 * sum.max(1.0),
+                "total {total} vs per-block sum {sum}"
+            );
+            // A slice spanning the block 1/2 boundary (cols 12..20 of
+            // [0..8, 8..16, 16..24]) errs at most the two blocks' SSEs.
+            let slice = ColumnSlice::new(&x, 12, 20).unwrap();
+            let mut buf = vec![0.0f64; 24];
+            let mut slice_sse = 0.0f64;
+            slice
+                .for_each_row(&mut |i, row| {
+                    store.row_into(i, &mut buf)?;
+                    for (x, xh) in row.iter().zip(buf.get(12..20).into_iter().flatten()) {
+                        let d = x - xh;
+                        slice_sse += d * d;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            let bound = sses[1] + sses[2];
+            assert!(
+                slice_sse <= bound * (1.0 + 1e-12) + 1e-12,
+                "slice sse {slice_sse} exceeds stitching bound {bound}"
+            );
+        }
     }
 
     #[test]
@@ -915,114 +938,131 @@ mod tests {
 
     #[test]
     fn append_time_block_grows_the_time_axis() {
-        let x = wavy(100, 16);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .time_blocks(2)
-            .build(&x)
-            .unwrap();
-        let tmp = TestDir::new("ats-tblock");
-        let dir = tmp.file("store");
-        built.save(&dir).unwrap();
-        let before: Vec<u64> = (0..100)
-            .step_by(11)
-            .map(|i| built.cell(i, 5).unwrap().to_bits())
-            .collect();
+        for shards in layout_shards() {
+            let x = wavy(100, 16);
+            let built = SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(20.0))
+                .time_blocks(2)
+                .build(&x)
+                .unwrap();
+            let tmp = TestDir::new("ats-tblock");
+            let dir = tmp.file("store");
+            built.save(&dir).unwrap();
+            let before: Vec<u64> = (0..100)
+                .step_by(11)
+                .map(|i| built.cell(i, 5).unwrap().to_bits())
+                .collect();
 
-        // Nine new time points for every sequence: a fresh block with
-        // its own decomposition.
-        let batch = Matrix::from_fn(100, 9, |i, j| ((i % 4) + 1) as f64 * ((j % 3) as f64 + 0.5));
-        let report = append_time_block(&dir, &batch, SpaceBudget::from_percent(20.0), 1).unwrap();
-        assert_eq!(report.block_index, 2);
-        assert_eq!(report.cols, 9);
-        assert!(report.sse.is_finite() && report.sse >= 0.0);
+            // Nine new time points for every sequence: a fresh block with
+            // its own decomposition.
+            let batch =
+                Matrix::from_fn(100, 9, |i, j| ((i % 4) + 1) as f64 * ((j % 3) as f64 + 0.5));
+            let report =
+                append_time_block(&dir, &batch, SpaceBudget::from_percent(20.0), 1).unwrap();
+            assert_eq!(report.block_index, 2);
+            assert_eq!(report.cols, 9);
+            assert!(report.sse.is_finite() && report.sse >= 0.0);
 
-        let store = TimeBlockedStore::open(&dir, 64).unwrap();
-        assert_eq!(store.cols(), 25);
-        assert_eq!(store.blocks().len(), 3);
-        // The SSE survives the manifest round trip bit-exactly.
-        assert_eq!(
-            store.manifest().blocks[2].sse.map(f64::to_bits),
-            Some(report.sse.to_bits())
-        );
-        // Old columns serve exactly as before the append.
-        for (i, &bits) in (0..100).step_by(11).zip(&before) {
-            assert_eq!(store.cell(i, 5).unwrap().to_bits(), bits);
+            let store = TimeBlockedStore::open(&dir, 64).unwrap();
+            assert_eq!(store.cols(), 25);
+            assert_eq!(store.blocks().len(), 3);
+            // The SSE survives the manifest round trip bit-exactly.
+            assert_eq!(
+                store.manifest().blocks[2].sse.map(f64::to_bits),
+                Some(report.sse.to_bits())
+            );
+            // Old columns serve exactly as before the append.
+            for (i, &bits) in (0..100).step_by(11).zip(&before) {
+                assert_eq!(store.cell(i, 5).unwrap().to_bits(), bits);
+            }
+            // New columns answer from the new block's own decomposition.
+            for i in (0..100).step_by(17) {
+                let got = store.cell(i, 16 + 4).unwrap();
+                let truth = batch[(i, 4)];
+                assert!((got - truth).abs() < 1.0, "{got} vs {truth}");
+            }
+            // A second append stacks another block.
+            let report2 =
+                append_time_block(&dir, &batch, SpaceBudget::from_percent(20.0), 1).unwrap();
+            assert_eq!(report2.block_index, 3);
+            assert_eq!(TimeBlockedStore::open(&dir, 64).unwrap().cols(), 34);
         }
-        // New columns answer from the new block's own decomposition.
-        for i in (0..100).step_by(17) {
-            let got = store.cell(i, 16 + 4).unwrap();
-            let truth = batch[(i, 4)];
-            assert!((got - truth).abs() < 1.0, "{got} vs {truth}");
-        }
-        // A second append stacks another block.
-        let report2 = append_time_block(&dir, &batch, SpaceBudget::from_percent(20.0), 1).unwrap();
-        assert_eq!(report2.block_index, 3);
-        assert_eq!(TimeBlockedStore::open(&dir, 64).unwrap().cols(), 34);
     }
 
     #[test]
     fn append_time_block_refuses_legacy_and_bad_shapes() {
-        let x = wavy(60, 12);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .time_blocks(1)
-            .build(&x)
-            .unwrap();
-        let tmp = TestDir::new("ats-tblock");
-        let dir = tmp.file("v3only");
-        built.save(&dir).unwrap();
-        let batch = Matrix::from_fn(60, 4, |i, j| (i + j) as f64);
-        let err = append_time_block(&dir, &batch, SpaceBudget::from_percent(20.0), 1).unwrap_err();
-        assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
-        assert!(err.to_string().contains("--time-blocks"), "{err}");
+        for shards in layout_shards() {
+            let x = wavy(60, 12);
+            let built = SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(20.0))
+                .time_blocks(1)
+                .build(&x)
+                .unwrap();
+            let tmp = TestDir::new("ats-tblock");
+            let dir = tmp.file("v3only");
+            built.save(&dir).unwrap();
+            let batch = Matrix::from_fn(60, 4, |i, j| (i + j) as f64);
+            let err =
+                append_time_block(&dir, &batch, SpaceBudget::from_percent(20.0), 1).unwrap_err();
+            assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
+            assert!(err.to_string().contains("--time-blocks"), "{err}");
 
-        // Re-save time-blocked, then bad shapes are refused cleanly.
-        let dir4 = tmp.file("v4");
-        SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(20.0))
-            .time_blocks(2)
-            .build(&x)
-            .unwrap()
-            .save(&dir4)
-            .unwrap();
-        let wrong_rows = Matrix::from_fn(61, 4, |i, j| (i + j) as f64);
-        assert!(append_time_block(&dir4, &wrong_rows, SpaceBudget::from_percent(20.0), 1).is_err());
-        let empty = Matrix::zeros(60, 0);
-        assert!(append_time_block(&dir4, &empty, SpaceBudget::from_percent(20.0), 1).is_err());
-        // And the store is unchanged by the refused appends.
-        assert_eq!(TimeBlockedStore::open(&dir4, 16).unwrap().cols(), 12);
+            // Re-save time-blocked, then bad shapes are refused cleanly.
+            let dir4 = tmp.file("v4");
+            SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(20.0))
+                .time_blocks(2)
+                .build(&x)
+                .unwrap()
+                .save(&dir4)
+                .unwrap();
+            let wrong_rows = Matrix::from_fn(61, 4, |i, j| (i + j) as f64);
+            assert!(
+                append_time_block(&dir4, &wrong_rows, SpaceBudget::from_percent(20.0), 1).is_err()
+            );
+            let empty = Matrix::zeros(60, 0);
+            assert!(append_time_block(&dir4, &empty, SpaceBudget::from_percent(20.0), 1).is_err());
+            // And the store is unchanged by the refused appends.
+            assert_eq!(TimeBlockedStore::open(&dir4, 16).unwrap().cols(), 12);
+        }
     }
 
     #[test]
     fn interrupted_time_append_leaves_store_intact() {
-        let x = wavy(64, 10);
-        let built = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(25.0))
-            .time_blocks(2)
-            .build(&x)
-            .unwrap();
-        let tmp = TestDir::new("ats-tblock");
-        let dir = tmp.file("crash");
-        built.save(&dir).unwrap();
-        let baseline = TimeBlockedStore::open(&dir, 16)
-            .unwrap()
-            .cell(30, 7)
-            .unwrap();
+        for shards in layout_shards() {
+            let x = wavy(64, 10);
+            let built = SequenceStore::builder()
+                .shards(shards)
+                .budget(SpaceBudget::from_percent(25.0))
+                .time_blocks(2)
+                .build(&x)
+                .unwrap();
+            let tmp = TestDir::new("ats-tblock");
+            let dir = tmp.file("crash");
+            built.save(&dir).unwrap();
+            let baseline = TimeBlockedStore::open(&dir, 16)
+                .unwrap()
+                .cell(30, 7)
+                .unwrap();
 
-        // Crash after the block dir landed but before the manifest was
-        // replaced: an unreferenced orphan; the store serves old data
-        // and a retried append succeeds over the orphan.
-        let orphan = dir.join(tblock_dir_name(2));
-        std::fs::create_dir(&orphan).unwrap();
-        std::fs::write(orphan.join("manifest.txt"), b"half-written").unwrap();
-        let store = TimeBlockedStore::open(&dir, 16).unwrap();
-        assert_eq!(store.cols(), 10);
-        assert_eq!(store.cell(30, 7).unwrap().to_bits(), baseline.to_bits());
-        drop(store);
-        let batch = Matrix::from_fn(64, 3, |i, j| (i * j) as f64 + 1.0);
-        let report = append_time_block(&dir, &batch, SpaceBudget::from_percent(25.0), 1).unwrap();
-        assert_eq!(report.block_index, 2);
-        assert_eq!(TimeBlockedStore::open(&dir, 16).unwrap().cols(), 13);
+            // Crash after the block dir landed but before the manifest was
+            // replaced: an unreferenced orphan; the store serves old data
+            // and a retried append succeeds over the orphan.
+            let orphan = dir.join(tblock_dir_name(2));
+            std::fs::create_dir(&orphan).unwrap();
+            std::fs::write(orphan.join("manifest.txt"), b"half-written").unwrap();
+            let store = TimeBlockedStore::open(&dir, 16).unwrap();
+            assert_eq!(store.cols(), 10);
+            assert_eq!(store.cell(30, 7).unwrap().to_bits(), baseline.to_bits());
+            drop(store);
+            let batch = Matrix::from_fn(64, 3, |i, j| (i * j) as f64 + 1.0);
+            let report =
+                append_time_block(&dir, &batch, SpaceBudget::from_percent(25.0), 1).unwrap();
+            assert_eq!(report.block_index, 2);
+            assert_eq!(TimeBlockedStore::open(&dir, 16).unwrap().cols(), 13);
+        }
     }
 }

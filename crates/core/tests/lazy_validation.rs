@@ -13,6 +13,7 @@
 //! Plus the counter that makes the cost model of an open visible
 //! (`checked_bytes`), and first touch raced by real threads.
 
+use ats_common::testutil::LAYOUTS;
 use ats_common::{AtsError, Result, TestDir};
 use ats_compress::{CompressedMatrix, SpaceBudget};
 use ats_core::store::SequenceStore;
@@ -566,18 +567,14 @@ fn first_touch_under_real_threads_eight_units() {
     check_first_touch_under_threads(&dir);
 }
 
-/// The same on the store shape the environment asks for
-/// (`ATS_TEST_SHARDS` / `ATS_TEST_TBLOCKS`; one unit by default, where
-/// all eight threads race one first touch).
+/// The same on every layout of [`LAYOUTS`]: the mono store is one unit,
+/// where all eight threads race one first touch.
 #[test]
 fn first_touch_under_real_threads_default_layout() {
-    let tmp = TestDir::new("ats-lazy");
-    let dir = tmp.file("store");
-    SequenceStore::builder()
-        .budget(SpaceBudget::from_percent(20.0))
-        .build(&wavy(160, 32))
-        .unwrap()
-        .save(&dir)
-        .unwrap();
-    check_first_touch_under_threads(&dir);
+    for layout in LAYOUTS {
+        let tmp = TestDir::new("ats-lazy");
+        let dir = tmp.file("store");
+        save(&dir, &wavy(160, 32), layout.shards, layout.time_blocks);
+        check_first_touch_under_threads(&dir);
+    }
 }

@@ -144,18 +144,12 @@ pub struct QueryEngine<'a> {
     pub(crate) handle: MatrixHandle<'a>,
     pub(crate) threads: usize,
     /// Whether `where` scans consult the store's zone-map synopses to
-    /// prune tiles. Defaults on (`ATS_TEST_SYNOPSIS=off` flips the
-    /// default for CI's exact-scan leg); [`QueryEngine::with_synopsis`]
-    /// overrides per engine. Pruning never changes results — only which
-    /// tiles are reconstructed — so this knob exists for fallback
-    /// pinning and benchmarks, not correctness.
+    /// prune tiles. On for every new engine;
+    /// [`QueryEngine::with_synopsis`] turns it off per engine. Pruning
+    /// never changes results — only which tiles are reconstructed — so
+    /// this switch exists to pin the exact-scan fallback in tests and
+    /// benchmarks, not for correctness.
     pub(crate) synopsis: bool,
-}
-
-/// Default for the synopsis-pruning knob: on, unless the environment
-/// pins the exact-scan fallback (`ATS_TEST_SYNOPSIS=off`).
-fn synopsis_default() -> bool {
-    std::env::var("ATS_TEST_SYNOPSIS").map_or(true, |v| v != "off")
 }
 
 /// Rows fetched per [`CompressedMatrix::rows_into`] call by the dense
@@ -170,7 +164,7 @@ impl<'a> QueryEngine<'a> {
         QueryEngine {
             handle: MatrixHandle::Borrowed(matrix),
             threads: 1,
-            synopsis: synopsis_default(),
+            synopsis: true,
         }
     }
 
@@ -182,7 +176,7 @@ impl<'a> QueryEngine<'a> {
         QueryEngine {
             handle: MatrixHandle::Shared(matrix),
             threads: 1,
-            synopsis: synopsis_default(),
+            synopsis: true,
         }
     }
 
@@ -1628,9 +1622,12 @@ mod tests {
             rows: Axis::Range(3, 3),
             cols: Axis::All,
         };
-        assert!(QueryEngine::new(&e)
-            .aggregate_where(&empty, AggregateFn::Count, &pred)
-            .is_err());
+        for on in [true, false] {
+            assert!(QueryEngine::new(&e)
+                .with_synopsis(on)
+                .aggregate_where(&empty, AggregateFn::Count, &pred)
+                .is_err());
+        }
     }
 
     #[test]
@@ -1653,11 +1650,14 @@ mod tests {
             assert!(pruned.is_finite(), "NaN must be excluded, not aggregated");
         }
         // The NaN cell itself is never a match.
-        let count = QueryEngine::new(&e)
-            .aggregate_where(&sel, AggregateFn::Count, &pred)
-            .unwrap();
         let expect = where_exact(&m, &sel, AggregateFn::Count, &pred).unwrap();
-        assert_eq!(count, expect);
+        for on in [true, false] {
+            let count = QueryEngine::new(&e)
+                .with_synopsis(on)
+                .aggregate_where(&sel, AggregateFn::Count, &pred)
+                .unwrap();
+            assert_eq!(count, expect, "synopsis={on}");
+        }
     }
 
     #[test]

@@ -596,18 +596,15 @@ fn run() -> Result<(), CliError> {
                 }
             };
             let t0 = std::time::Instant::now();
-            let mut builder = SequenceStore::builder()
+            let store = SequenceStore::builder()
                 .method(method)
                 .budget(SpaceBudget::from_percent(pct))
                 .threads(threads)
-                .bloom(!flags.contains_key("no-bloom"));
-            if flags.contains_key("shards") {
-                builder = builder.shards(flag_usize(&flags, "shards", 1)?);
-            }
-            if flags.contains_key("time-blocks") {
-                builder = builder.time_blocks(flag_usize(&flags, "time-blocks", 1)?);
-            }
-            let store = builder.build(source.as_ref()).map_err(rt)?;
+                .bloom(!flags.contains_key("no-bloom"))
+                .shards(flag_usize(&flags, "shards", 1)?)
+                .time_blocks(flag_usize(&flags, "time-blocks", 1)?)
+                .build(source.as_ref())
+                .map_err(rt)?;
             store.save(out).map_err(rt)?;
             println!(
                 "{}: {} x {}, {} shards, {} time blocks, {:.2}% space, {:.1}s -> {out}",

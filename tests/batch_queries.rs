@@ -13,6 +13,7 @@ use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::{AggregateFn, QueryEngine};
 use adhoc_ts::query::selection::{Axis, Selection};
 use adhoc_ts::query::BatchRequest;
+use ats_common::testutil::LAYOUTS;
 use ats_common::{Result, TestDir};
 use proptest::prelude::*;
 
@@ -54,6 +55,15 @@ fn phone(rows: usize, cols: usize, seed: u64) -> Matrix {
     .clone()
 }
 
+/// The time-block counts of the one-shard [`LAYOUTS`], for the tests
+/// below that pin their own shard counts.
+fn layout_time_blocks() -> impl Iterator<Item = usize> {
+    LAYOUTS
+        .iter()
+        .filter(|l| l.shards == 1)
+        .map(|l| l.time_blocks)
+}
+
 /// Unsorted, duplicated cell requests crossing every shard of a 90-row
 /// matrix split into up to 4 shards.
 fn scattered_cells() -> Vec<(usize, usize)> {
@@ -77,22 +87,27 @@ fn batch_matches_per_cell_loop_bitwise_across_methods_shards_threads() {
     let x = phone(90, 24, 11);
     let req = BatchRequest::new(scattered_cells());
     for method in ["svd", "svdd"] {
-        for shards in [1usize, 2, 4] {
+        for (shards, b) in [1usize, 2, 4]
+            .into_iter()
+            .flat_map(|r| layout_time_blocks().map(move |b| (r, b)))
+        {
             let store = SequenceStore::builder()
                 .method(method_by_name(method).unwrap())
                 .budget(SpaceBudget::from_percent(20.0))
                 .shards(shards)
+                .time_blocks(b)
                 .build(&x)
                 .unwrap();
             for threads in [1usize, 3] {
                 let engine = QueryEngine::new(store.compressed()).with_threads(threads);
                 let res = engine.batch_cells(&req).unwrap();
-                assert_eq!(res.distinct_rows(), 7, "{method} shards={shards}");
+                let case = format!("{method} shards={shards} time_blocks={b} threads={threads}");
+                assert_eq!(res.distinct_rows(), 7, "{case}");
                 for (&(i, j), &got) in req.cells().iter().zip(res.values()) {
                     assert_eq!(
                         got.to_bits(),
                         engine.cell(i, j).unwrap().to_bits(),
-                        "{method} shards={shards} threads={threads} cell ({i},{j})"
+                        "{case} cell ({i},{j})"
                     );
                 }
             }
@@ -102,16 +117,19 @@ fn batch_matches_per_cell_loop_bitwise_across_methods_shards_threads() {
 
 #[test]
 fn store_level_batch_matches_cells() {
-    let x = phone(60, 20, 3);
-    let store = SequenceStore::builder()
-        .budget(SpaceBudget::from_percent(20.0))
-        .shards(2)
-        .build(&x)
-        .unwrap();
-    let cells = vec![(59, 0), (0, 19), (31, 4), (31, 4), (12, 12)];
-    let got = store.batch_cells(&cells).unwrap();
-    for (&(i, j), &v) in cells.iter().zip(&got) {
-        assert_eq!(v.to_bits(), store.cell(i, j).unwrap().to_bits());
+    for b in layout_time_blocks() {
+        let x = phone(60, 20, 3);
+        let store = SequenceStore::builder()
+            .time_blocks(b)
+            .budget(SpaceBudget::from_percent(20.0))
+            .shards(2)
+            .build(&x)
+            .unwrap();
+        let cells = vec![(59, 0), (0, 19), (31, 4), (31, 4), (12, 12)];
+        let got = store.batch_cells(&cells).unwrap();
+        for (&(i, j), &v) in cells.iter().zip(&got) {
+            assert_eq!(v.to_bits(), store.cell(i, j).unwrap().to_bits());
+        }
     }
 }
 
@@ -223,16 +241,17 @@ fn blocked_kernels_match_scalar_baseline_bitwise() {
         a * b
     });
     for (x, percent) in [(phone(70, 18, 21), 25.0), (zero_rows, 10.0)] {
-        for method in ["svd", "svdd"] {
+        for (layout, method) in LAYOUTS.iter().flat_map(|l| [(l, "svd"), (l, "svdd")]) {
             let builder = || {
                 SequenceStore::builder()
                     .method(method_by_name(method).unwrap())
                     .budget(SpaceBudget::from_percent(percent))
+                    .shards(layout.shards)
             };
-            let built = builder().build(&x).unwrap();
+            let built = builder().time_blocks(layout.time_blocks).build(&x).unwrap();
             // Pinned to one time block: the v3 sharded layout, opened
             // directly.
-            let path = dir.file(format!("{method}-{}", x.rows()));
+            let path = dir.file(format!("{method}-{}-{}", x.rows(), layout.shards));
             builder()
                 .time_blocks(1)
                 .build(&x)
@@ -243,7 +262,7 @@ fn blocked_kernels_match_scalar_baseline_bitwise() {
             let mats: [(&str, &dyn CompressedMatrix); 2] =
                 [("built", built.compressed()), ("sharded", &sharded)];
             for (name, m) in mats {
-                assert_matches_scalar(m, &format!("{method} {name} {}", x.rows()));
+                assert_matches_scalar(m, &format!("{layout:?} {method} {name} {}", x.rows()));
             }
 
             let zero = (0..x.rows()).filter(|&i| x.row(i).iter().all(|&v| v == 0.0));
@@ -264,7 +283,7 @@ fn blocked_kernels_match_scalar_baseline_bitwise() {
                     assert_eq!(
                         v.to_bits(),
                         0.0f64.to_bits(),
-                        "{method} zero row {i} col {j}: {path} {v}"
+                        "{layout:?} {method} zero row {i} col {j}: {path} {v}"
                     );
                 }
             }
@@ -369,20 +388,22 @@ proptest! {
         threads in 1usize..4,
     ) {
         let x = phone(48, 14, seed);
-        let store = SequenceStore::builder()
-            .budget(SpaceBudget::from_percent(25.0))
-            .shards(shards)
-            .build(&x)
-            .unwrap();
-        let engine = QueryEngine::new(store.compressed()).with_threads(threads);
-        let req = BatchRequest::new(raw.clone());
-        let res = engine.batch_cells(&req).unwrap();
         let mut distinct: Vec<usize> = raw.iter().map(|&(i, _)| i).collect();
         distinct.sort_unstable();
         distinct.dedup();
-        prop_assert_eq!(res.distinct_rows(), distinct.len());
-        for (&(i, j), &got) in raw.iter().zip(res.values()) {
-            prop_assert_eq!(got.to_bits(), engine.cell(i, j).unwrap().to_bits());
+        for b in layout_time_blocks() {
+            let store = SequenceStore::builder()
+                .budget(SpaceBudget::from_percent(25.0))
+                .shards(shards)
+                .time_blocks(b)
+                .build(&x)
+                .unwrap();
+            let engine = QueryEngine::new(store.compressed()).with_threads(threads);
+            let res = engine.batch_cells(&BatchRequest::new(raw.clone())).unwrap();
+            prop_assert_eq!(res.distinct_rows(), distinct.len());
+            for (&(i, j), &got) in raw.iter().zip(res.values()) {
+                prop_assert_eq!(got.to_bits(), engine.cell(i, j).unwrap().to_bits());
+            }
         }
     }
 }

@@ -7,13 +7,7 @@ use ats_common::TestDir;
 use std::process::Command;
 
 fn ats() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ats"));
-    // These tests assert exact on-disk layouts and exit codes, so the
-    // workspace-wide store-shape knobs must not leak into the binary;
-    // shard and time-block counts are always passed explicitly here.
-    cmd.env_remove("ATS_TEST_SHARDS");
-    cmd.env_remove("ATS_TEST_TBLOCKS");
-    cmd
+    Command::new(env!("CARGO_BIN_EXE_ats"))
 }
 
 #[test]
@@ -307,6 +301,41 @@ fn cli_save_open_flow() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error"), "{err}");
+}
+
+/// A store's layout comes from `save`'s flags alone: variables in the
+/// caller's environment that once set the library's default shard and
+/// time-block counts leave the saved store the one-shard v3 layout.
+#[test]
+fn cli_save_ignores_ambient_layout_env() {
+    let dir = TestDir::new("ats-cli");
+    let store = dir.file("store");
+    let out = ats()
+        .args([
+            "save",
+            "--generate",
+            "phone",
+            "--rows",
+            "200",
+            "--cols",
+            "40",
+        ])
+        .args(["--out", store.to_str().unwrap()])
+        .env("ATS_TEST_SHARDS", "4")
+        .env("ATS_TEST_TBLOCKS", "4")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1 shards, 1 time blocks"), "{stdout}");
+    let manifest = std::fs::read_to_string(store.join("manifest.txt")).unwrap();
+    assert!(manifest.starts_with("ats-store-version=3\n"), "{manifest}");
+    assert!(manifest.contains("\nshards=1\n"), "{manifest}");
+    assert!(!store.join("tblock-0000").exists() && !store.join("shard-0001").exists());
 }
 
 /// Which commands vouch for the whole directory and which check what

@@ -6,9 +6,9 @@
 //! (IoStats-asserted). Appended shards emit synopses too, so pruning
 //! keeps working after growth.
 //!
-//! Every engine here pins `.with_synopsis(..)` explicitly: the tests
-//! must assert the same thing whether or not the CI leg exporting
-//! `ATS_TEST_SYNOPSIS=off` is running.
+//! Every engine here pins `.with_synopsis(..)` explicitly, since the
+//! tests compare the pruned scan against the exact one; the store
+//! layouts are loop arguments ([`LAYOUTS`]).
 
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget};
 use adhoc_ts::core::shard::append_rows;
@@ -18,6 +18,7 @@ use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::{AggregateFn, QueryEngine};
 use adhoc_ts::query::predicate::{CmpOp, Predicate};
 use adhoc_ts::query::selection::{Axis, Selection};
+use ats_common::testutil::LAYOUTS;
 use ats_common::{OnlineStats, TestDir};
 use proptest::prelude::*;
 
@@ -44,83 +45,87 @@ fn u_reads(store: &TimeBlockedStore) -> (u64, u64) {
 
 #[test]
 fn selective_where_touches_only_straddling_tiles_u_pages() {
-    // 64 x 64, one shard, one block: an 8x4 = 32-tile grid. One spiked
-    // cell (an svdd delta, so the synopsis bounds it exactly) makes a
+    // 64 x 64 under every layout (mono is an 8x4 = 32-tile grid). One
+    // spiked cell (an svdd delta, so the synopsis bounds it exactly) makes a
     // `> 500` predicate ~0.02% selective: every tile except the spike's
     // proves False, so the pruned scan may touch only that tile's band
     // of U rows — all other rows cost zero I/O.
-    let base = wavy(64, 64, 11);
-    let x = Matrix::from_fn(64, 64, |i, j| {
-        if (i, j) == (20, 10) {
-            1000.0
-        } else {
-            base.get(i, j).unwrap()
-        }
-    });
-    let tmp = TestDir::new("ats-predpush");
-    let dir = tmp.file("store");
-    SequenceStore::builder()
-        .budget(SpaceBudget::from_percent(15.0))
-        .build(&x)
-        .unwrap()
-        .save(&dir)
-        .unwrap();
+    for layout in LAYOUTS {
+        let base = wavy(64, 64, 11);
+        let x = Matrix::from_fn(64, 64, |i, j| {
+            if (i, j) == (20, 10) {
+                1000.0
+            } else {
+                base.get(i, j).unwrap()
+            }
+        });
+        let tmp = TestDir::new("ats-predpush");
+        let dir = tmp.file("store");
+        SequenceStore::builder()
+            .shards(layout.shards)
+            .time_blocks(layout.time_blocks)
+            .budget(SpaceBudget::from_percent(15.0))
+            .build(&x)
+            .unwrap()
+            .save(&dir)
+            .unwrap();
 
-    let pred = Predicate::new(CmpOp::Gt, 500.0).unwrap();
-    let sel = Selection {
-        rows: Axis::All,
-        cols: Axis::All,
-    };
+        let pred = Predicate::new(CmpOp::Gt, 500.0).unwrap();
+        let sel = Selection {
+            rows: Axis::All,
+            cols: Axis::All,
+        };
 
-    // Exact scan (pruning off): reads every U page the selection spans.
-    let store = TimeBlockedStore::open(&dir, 128).unwrap();
-    let engine = QueryEngine::new(&store).with_synopsis(false);
-    let exact_count = engine
-        .aggregate_where(&sel, AggregateFn::Count, &pred)
-        .unwrap();
-    let exact_sum = engine
-        .aggregate_where(&sel, AggregateFn::Sum, &pred)
-        .unwrap();
-    let (exact_phys, exact_logi) = u_reads(&store);
-    assert_eq!(exact_count, 1.0, "only the spiked cell passes");
-    assert!(exact_phys > 0);
+        // Exact scan (pruning off): reads every U page the selection spans.
+        let store = TimeBlockedStore::open(&dir, 128).unwrap();
+        let engine = QueryEngine::new(&store).with_synopsis(false);
+        let exact_count = engine
+            .aggregate_where(&sel, AggregateFn::Count, &pred)
+            .unwrap();
+        let exact_sum = engine
+            .aggregate_where(&sel, AggregateFn::Sum, &pred)
+            .unwrap();
+        let (exact_phys, exact_logi) = u_reads(&store);
+        assert_eq!(exact_count, 1.0, "only the spiked cell passes");
+        assert!(exact_phys > 0);
 
-    // Pruned scan: bitwise-equal answers, strictly fewer U pages — and
-    // no more than the straddling band's share (8 of 64 rows, +1 page
-    // for a band that straddles a page boundary).
-    let store = TimeBlockedStore::open(&dir, 128).unwrap();
-    let engine = QueryEngine::new(&store).with_synopsis(true);
-    let pruned_count = engine
-        .aggregate_where(&sel, AggregateFn::Count, &pred)
-        .unwrap();
-    let pruned_sum = engine
-        .aggregate_where(&sel, AggregateFn::Sum, &pred)
-        .unwrap();
-    let (pruned_phys, pruned_logi) = u_reads(&store);
-    assert_eq!(pruned_count.to_bits(), exact_count.to_bits());
-    assert_eq!(pruned_sum.to_bits(), exact_sum.to_bits());
-    assert!(
-        pruned_phys < exact_phys,
-        "pruned {pruned_phys} pages vs exact {exact_phys}"
-    );
-    assert!(
-        pruned_phys <= exact_phys / 8 + 1,
-        "pruned scan read {pruned_phys} pages; the straddling band is 1/8 \
-         of {exact_phys}"
-    );
-    assert!(pruned_logi < exact_logi);
+        // Pruned scan: bitwise-equal answers, strictly fewer U pages — and
+        // no more than the straddling band's share (8 of 64 rows, +1 page
+        // for a band that straddles a page boundary).
+        let store = TimeBlockedStore::open(&dir, 128).unwrap();
+        let engine = QueryEngine::new(&store).with_synopsis(true);
+        let pruned_count = engine
+            .aggregate_where(&sel, AggregateFn::Count, &pred)
+            .unwrap();
+        let pruned_sum = engine
+            .aggregate_where(&sel, AggregateFn::Sum, &pred)
+            .unwrap();
+        let (pruned_phys, pruned_logi) = u_reads(&store);
+        assert_eq!(pruned_count.to_bits(), exact_count.to_bits());
+        assert_eq!(pruned_sum.to_bits(), exact_sum.to_bits());
+        assert!(
+            pruned_phys < exact_phys,
+            "pruned {pruned_phys} pages vs exact {exact_phys}"
+        );
+        assert!(
+            pruned_phys <= exact_phys / 8 + 1,
+            "pruned scan read {pruned_phys} pages; the straddling band is 1/8 \
+             of {exact_phys}"
+        );
+        assert!(pruned_logi < exact_logi);
 
-    // A predicate no cell can satisfy proves every tile False: the
-    // pruned scan answers count = 0 with ZERO U I/O.
-    let store = TimeBlockedStore::open(&dir, 128).unwrap();
-    let engine = QueryEngine::new(&store).with_synopsis(true);
-    let none = Predicate::new(CmpOp::Gt, 2000.0).unwrap();
-    let c = engine
-        .aggregate_where(&sel, AggregateFn::Count, &none)
-        .unwrap();
-    assert_eq!(c, 0.0);
-    let (phys, logi) = u_reads(&store);
-    assert_eq!((phys, logi), (0, 0), "all-False scan must not touch U");
+        // A predicate no cell can satisfy proves every tile False: the
+        // pruned scan answers count = 0 with ZERO U I/O.
+        let store = TimeBlockedStore::open(&dir, 128).unwrap();
+        let engine = QueryEngine::new(&store).with_synopsis(true);
+        let none = Predicate::new(CmpOp::Gt, 2000.0).unwrap();
+        let c = engine
+            .aggregate_where(&sel, AggregateFn::Count, &none)
+            .unwrap();
+        assert_eq!(c, 0.0);
+        let (phys, logi) = u_reads(&store);
+        assert_eq!((phys, logi), (0, 0), "all-False scan must not touch U");
+    }
 }
 
 #[test]

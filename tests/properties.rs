@@ -240,26 +240,30 @@ fn disk_roundtrip_is_bitwise(x: &Matrix) {
     if budget.max_svd_k(n, m) == 0 {
         return;
     }
-    let built = adhoc_ts::core::store::SequenceStore::builder()
-        .budget(budget)
-        .build(x)
-        .unwrap();
-    // A directory of its own per call: the pinned case and a generated
-    // one of the same shape may run at once.
-    let tmp = ats_common::TestDir::new("adhoc-ts-prop");
-    let dir = tmp.file("store");
-    built.save(&dir).unwrap();
-    let store = adhoc_ts::core::timeblock::TimeBlockedStore::open(&dir, 8).unwrap();
-    for i in (0..n).step_by(3) {
-        for j in (0..m).step_by(2) {
-            let a = store.cell(i, j).unwrap();
-            let b = built.cell(i, j).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits());
+    for layout in ats_common::testutil::LAYOUTS {
+        let built = adhoc_ts::core::store::SequenceStore::builder()
+            .budget(budget)
+            .shards(layout.shards)
+            .time_blocks(layout.time_blocks)
+            .build(x)
+            .unwrap();
+        // A directory of its own per call: the pinned case and a generated
+        // one of the same shape may run at once.
+        let tmp = ats_common::TestDir::new("adhoc-ts-prop");
+        let dir = tmp.file("store");
+        built.save(&dir).unwrap();
+        let store = adhoc_ts::core::timeblock::TimeBlockedStore::open(&dir, 8).unwrap();
+        for i in (0..n).step_by(3) {
+            for j in (0..m).step_by(2) {
+                let a = store.cell(i, j).unwrap();
+                let b = built.cell(i, j).unwrap();
+                assert_eq!(a.to_bits(), b.to_bits(), "{layout:?} ({i},{j})");
+            }
         }
+        // One page per distinct cold row, summed over blocks and shards.
+        let touched = n.div_ceil(3) as u64 * store.manifest().blocks.len() as u64;
+        assert!(store.io_snapshot().physical_reads <= touched, "{layout:?}");
     }
-    // One page per distinct cold row, summed over blocks and shards.
-    let touched = n.div_ceil(3) as u64 * store.manifest().blocks.len() as u64;
-    assert!(store.io_snapshot().physical_reads <= touched);
 }
 
 fn ats_common_bytes(x: &Matrix) -> Vec<u8> {

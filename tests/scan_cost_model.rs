@@ -14,9 +14,9 @@
 //!   proved empty;
 //! - a sparse-column aggregate fetches `U` once per row, not per cell.
 //!
-//! Layouts are pinned with `.shards(..)`/`.time_blocks(..)` and every
-//! engine pins `.with_synopsis(..)`, so the CI legs that move the
-//! defaults assert the same thing.
+//! Every store pins its layout with `.shards(..)`/`.time_blocks(..)` and
+//! every engine pins `.with_synopsis(..)`: each test names the store
+//! shape and the scan whose cost it measures.
 
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget, SvddCompressed, SvddOptions};
 use adhoc_ts::core::shard::ShardedStore;

@@ -14,6 +14,7 @@ use adhoc_ts::query::engine::QueryEngine;
 use adhoc_ts::query::parse::run_query;
 use adhoc_ts::query::serve::{client, serve, ServeConfig, ServerHandle};
 use adhoc_ts::storage::ShardSynopsis;
+use ats_common::testutil::for_each_layout;
 use ats_common::{Result, TestDir};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -570,79 +571,92 @@ fn pipelined_burst_is_answered_in_order_and_whole() {
     use std::io::Write as _;
     const FRAMES: usize = 2_000;
     const MAX_FRAME: usize = 64;
-    let dir = TestDir::new("ats-serve");
     let x = phone(60, 20, 5);
-    let store = saved_store(&dir, &x, 2);
-    // Deep enough that nothing bounces as `ERR busy`: every reply below
-    // is the query's own answer.
-    let handle = start(
-        &store,
-        1,
-        ServeConfig {
-            max_frame: MAX_FRAME,
-            pending_max: 2 * FRAMES,
-            ..ServeConfig::default()
-        },
-    );
-    let engine = baseline(&store);
+    for_each_layout(|layout, synopsis| {
+        let dir = TestDir::new("ats-serve");
+        SequenceStore::builder()
+            .budget(SpaceBudget::from_percent(15.0))
+            .shards(layout.shards)
+            .time_blocks(layout.time_blocks)
+            .build(&x)
+            .unwrap()
+            .save(dir.file("store"))
+            .unwrap();
+        let engine = SequenceStore::open(dir.file("store"), 256)
+            .unwrap()
+            .engine()
+            .with_synopsis(synopsis);
+        // Deep enough that nothing bounces as `ERR busy`: every reply below
+        // is the query's own answer.
+        let handle = serve(
+            engine.clone(),
+            ServeConfig {
+                max_frame: MAX_FRAME,
+                pending_max: 2 * FRAMES,
+                ..ServeConfig::default()
+            },
+            None,
+        )
+        .unwrap();
 
-    // The request stream, with what each frame must be answered by.
-    let mut wire = Vec::new();
-    let mut expect: Vec<String> = Vec::new();
-    let ask = |wire: &mut Vec<u8>, expect: &mut Vec<String>, q: &str| {
-        wire.extend(frame(q.as_bytes()));
-        expect.push(format!("OK {}", run_query(&engine, q).unwrap()));
-    };
-    for t in 0..FRAMES {
-        match t % 97 {
-            13 => {
-                wire.extend(frame(b"PING"));
-                expect.push("OK pong".to_string());
+        // The request stream, with what each frame must be answered by.
+        let mut wire = Vec::new();
+        let mut expect: Vec<String> = Vec::new();
+        let ask = |wire: &mut Vec<u8>, expect: &mut Vec<String>, q: &str| {
+            wire.extend(frame(q.as_bytes()));
+            expect.push(format!("OK {}", run_query(&engine, q).unwrap()));
+        };
+        for t in 0..FRAMES {
+            match t % 97 {
+                13 => {
+                    wire.extend(frame(b"PING"));
+                    expect.push("OK pong".to_string());
+                }
+                29 => ask(&mut wire, &mut expect, "sum rows 5..25 cols 2..9"),
+                41 => ask(&mut wire, &mut expect, "count rows all where value > 1"),
+                53 => {
+                    wire.extend(frame(format!("cell 60 {}", t % 20).as_bytes()));
+                    expect.push("ERR row index 60 out of bounds".to_string());
+                }
+                67 => {
+                    wire.extend(frame(&[0xff, 0xfe, b'x']));
+                    expect.push("ERR request payload is not valid UTF-8".to_string());
+                }
+                83 => {
+                    wire.extend(frame(&[b'y'; MAX_FRAME + 9]));
+                    expect.push(format!("ERR frame of {} bytes exceeds", MAX_FRAME + 9));
+                }
+                _ => ask(
+                    &mut wire,
+                    &mut expect,
+                    &format!("cell {} {}", (t * 7) % 60, (t * 3) % 20),
+                ),
             }
-            29 => ask(&mut wire, &mut expect, "sum rows 5..25 cols 2..9"),
-            41 => ask(&mut wire, &mut expect, "count rows all where value > 1"),
-            53 => {
-                wire.extend(frame(format!("cell 60 {}", t % 20).as_bytes()));
-                expect.push("ERR row index 60 out of bounds".to_string());
-            }
-            67 => {
-                wire.extend(frame(&[0xff, 0xfe, b'x']));
-                expect.push("ERR request payload is not valid UTF-8".to_string());
-            }
-            83 => {
-                wire.extend(frame(&[b'y'; MAX_FRAME + 9]));
-                expect.push(format!("ERR frame of {} bytes exceeds", MAX_FRAME + 9));
-            }
-            _ => ask(
-                &mut wire,
-                &mut expect,
-                &format!("cell {} {}", (t * 7) % 60, (t * 3) % 20),
-            ),
         }
-    }
 
-    // A handful of writes, cut at arbitrary byte offsets — inside headers
-    // and payloads alike — then every reply, in request order.
-    let mut s = connect(&handle);
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    for chunk in wire.chunks(wire.len() / 5 + 1) {
-        s.write_all(chunk).unwrap();
-    }
-    for (t, want) in expect.iter().enumerate() {
-        let got = client::recv(&mut s).unwrap();
-        if want.starts_with("ERR ") {
-            assert!(
-                got.starts_with(want.as_str()),
-                "frame {t}: {got:?} vs {want:?}"
-            );
-        } else {
-            assert_eq!(&got, want, "frame {t}");
+        // A handful of writes, cut at arbitrary byte offsets — inside headers
+        // and payloads alike — then every reply, in request order.
+        let mut s = connect(&handle);
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        for chunk in wire.chunks(wire.len() / 5 + 1) {
+            s.write_all(chunk).unwrap();
         }
-    }
-    assert_eq!(client::round_trip(&mut s, "PING").unwrap(), "OK pong");
-    drop(s);
-    let m = handle.join().unwrap();
-    assert_eq!(m.busy, 0, "{m:?}");
+        for (t, want) in expect.iter().enumerate() {
+            let got = client::recv(&mut s).unwrap();
+            if want.starts_with("ERR ") {
+                assert!(
+                    got.starts_with(want.as_str()),
+                    "frame {t}: {got:?} vs {want:?}"
+                );
+            } else {
+                assert_eq!(&got, want, "frame {t}");
+            }
+        }
+        assert_eq!(client::round_trip(&mut s, "PING").unwrap(), "OK pong");
+        drop(s);
+        let m = handle.join().unwrap();
+        assert_eq!(m.busy, 0, "{m:?}");
+    });
 }
 
 #[test]

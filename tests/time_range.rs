@@ -13,6 +13,7 @@ use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::{AggregateFn, QueryEngine};
 use adhoc_ts::query::selection::{Axis, Selection};
 use adhoc_ts::storage::ColumnSlice;
+use ats_common::testutil::LAYOUTS;
 use ats_common::{AtsError, OnlineStats, TestDir};
 use proptest::prelude::*;
 
@@ -24,6 +25,15 @@ fn wavy(n: usize, m: usize, seed: u64) -> Matrix {
         ((i % 5) + 1) as f64 * if (j + s) % 7 < 5 { 2.0 } else { 0.3 }
             + ((i * 7 + j * 13 + s) % 11) as f64 * 0.05
     })
+}
+
+/// The shard counts of the time-blocked [`LAYOUTS`], for the tests
+/// below that pin their own time-block counts.
+fn layout_shards() -> impl Iterator<Item = usize> {
+    LAYOUTS
+        .iter()
+        .filter(|l| l.time_blocks > 1)
+        .map(|l| l.shards)
 }
 
 #[test]
@@ -91,86 +101,93 @@ fn block_local_range_aggregates_bitwise_match_standalone_slice_store() {
     // The tentpole invariant at the query layer: an aggregate confined
     // to one block answers bit-for-bit what a standalone store built
     // over that column slice (same per-block budget) answers.
-    let x = wavy(100, 24, 9);
-    let pct = SpaceBudget::from_percent(15.0);
-    let blocked = SequenceStore::builder()
-        .budget(pct)
-        .time_blocks(3)
-        .build(&x)
-        .unwrap();
-    let (c0, c1) = (8usize, 16usize); // block 1 of [0..8, 8..16, 16..24]
-    let slice = ColumnSlice::new(&x, c0, c1).unwrap();
-    // Pinned to one block: this store IS the single-block baseline.
-    let standalone = SequenceStore::builder()
-        .budget(block_budget(pct, 100, c1 - c0))
-        .time_blocks(1)
-        .build(&slice)
-        .unwrap();
-    for rows in [Axis::All, Axis::Range(10, 60), Axis::set(vec![0, 7, 99])] {
-        let a = blocked
-            .aggregate_all(&Selection::time_range(rows.clone(), c0, c1))
+    for shards in layout_shards() {
+        let x = wavy(100, 24, 9);
+        let pct = SpaceBudget::from_percent(15.0);
+        let blocked = SequenceStore::builder()
+            .shards(shards)
+            .budget(pct)
+            .time_blocks(3)
+            .build(&x)
             .unwrap();
-        let b = standalone
-            .aggregate_all(&Selection::time_range(rows, 0, c1 - c0))
+        let (c0, c1) = (8usize, 16usize); // block 1 of [0..8, 8..16, 16..24]
+        let slice = ColumnSlice::new(&x, c0, c1).unwrap();
+        // Pinned to one block: this store IS the single-block baseline.
+        let standalone = SequenceStore::builder()
+            .shards(shards)
+            .budget(block_budget(pct, 100, c1 - c0))
+            .time_blocks(1)
+            .build(&slice)
             .unwrap();
-        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-        assert_eq!(a.count, b.count);
-        assert_eq!(a.min.to_bits(), b.min.to_bits());
-        assert_eq!(a.max.to_bits(), b.max.to_bits());
-        assert_eq!(a.avg.to_bits(), b.avg.to_bits());
-        assert_eq!(a.stddev.to_bits(), b.stddev.to_bits());
+        for rows in [Axis::All, Axis::Range(10, 60), Axis::set(vec![0, 7, 99])] {
+            let a = blocked
+                .aggregate_all(&Selection::time_range(rows.clone(), c0, c1))
+                .unwrap();
+            let b = standalone
+                .aggregate_all(&Selection::time_range(rows, 0, c1 - c0))
+                .unwrap();
+            assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+            assert_eq!(a.count, b.count);
+            assert_eq!(a.min.to_bits(), b.min.to_bits());
+            assert_eq!(a.max.to_bits(), b.max.to_bits());
+            assert_eq!(a.avg.to_bits(), b.avg.to_bits());
+            assert_eq!(a.stddev.to_bits(), b.stddev.to_bits());
+        }
     }
 }
 
 #[test]
 fn boundary_ranges_error_cleanly_or_answer_exactly() {
-    let x = wavy(40, 18, 5);
-    let store = SequenceStore::builder()
-        .budget(SpaceBudget::from_percent(20.0))
-        .time_blocks(3)
-        .build(&x)
-        .unwrap();
-    // Empty range: InvalidArgument from every aggregate, never a panic.
-    for f in AggregateFn::ALL {
-        let err = store
-            .aggregate(&Selection::time_range(Axis::All, 7, 7), f)
-            .unwrap_err();
-        assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
-    }
-    // Backwards and past-the-end ranges are refused.
-    assert!(store
-        .aggregate(&Selection::time_range(Axis::All, 9, 4), AggregateFn::Sum)
-        .is_err());
-    assert!(store
-        .aggregate(&Selection::time_range(Axis::All, 10, 19), AggregateFn::Sum)
-        .is_err());
-    // A single-column range answers the column exactly (count) and the
-    // min/max of reconstructed cells bitwise.
-    let sel = Selection::time_range(Axis::All, 11, 12);
-    assert_eq!(store.aggregate(&sel, AggregateFn::Count).unwrap(), 40.0);
-    let mut stats = OnlineStats::new();
-    for i in 0..40 {
-        stats.push(store.cell(i, 11).unwrap());
-    }
-    assert_eq!(
-        store.aggregate(&sel, AggregateFn::Min).unwrap().to_bits(),
-        stats.min().to_bits()
-    );
-    assert_eq!(
-        store.aggregate(&sel, AggregateFn::Max).unwrap().to_bits(),
-        stats.max().to_bits()
-    );
-    // A range ending exactly on a block edge (cols 0..6 of blocks
-    // [0..6, 6..12, 12..18]) answers and equals the per-cell fold.
-    let sel = Selection::time_range(Axis::All, 0, 6);
-    let got = store.aggregate(&sel, AggregateFn::Sum).unwrap();
-    let mut expect = OnlineStats::new();
-    for i in 0..40 {
-        for j in 0..6 {
-            expect.push(store.cell(i, j).unwrap());
+    for shards in layout_shards() {
+        let x = wavy(40, 18, 5);
+        let store = SequenceStore::builder()
+            .shards(shards)
+            .budget(SpaceBudget::from_percent(20.0))
+            .time_blocks(3)
+            .build(&x)
+            .unwrap();
+        // Empty range: InvalidArgument from every aggregate, never a panic.
+        for f in AggregateFn::ALL {
+            let err = store
+                .aggregate(&Selection::time_range(Axis::All, 7, 7), f)
+                .unwrap_err();
+            assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
         }
+        // Backwards and past-the-end ranges are refused.
+        assert!(store
+            .aggregate(&Selection::time_range(Axis::All, 9, 4), AggregateFn::Sum)
+            .is_err());
+        assert!(store
+            .aggregate(&Selection::time_range(Axis::All, 10, 19), AggregateFn::Sum)
+            .is_err());
+        // A single-column range answers the column exactly (count) and the
+        // min/max of reconstructed cells bitwise.
+        let sel = Selection::time_range(Axis::All, 11, 12);
+        assert_eq!(store.aggregate(&sel, AggregateFn::Count).unwrap(), 40.0);
+        let mut stats = OnlineStats::new();
+        for i in 0..40 {
+            stats.push(store.cell(i, 11).unwrap());
+        }
+        assert_eq!(
+            store.aggregate(&sel, AggregateFn::Min).unwrap().to_bits(),
+            stats.min().to_bits()
+        );
+        assert_eq!(
+            store.aggregate(&sel, AggregateFn::Max).unwrap().to_bits(),
+            stats.max().to_bits()
+        );
+        // A range ending exactly on a block edge (cols 0..6 of blocks
+        // [0..6, 6..12, 12..18]) answers and equals the per-cell fold.
+        let sel = Selection::time_range(Axis::All, 0, 6);
+        let got = store.aggregate(&sel, AggregateFn::Sum).unwrap();
+        let mut expect = OnlineStats::new();
+        for i in 0..40 {
+            for j in 0..6 {
+                expect.push(store.cell(i, j).unwrap());
+            }
+        }
+        assert!((got - expect.sum()).abs() <= 1e-9 * expect.sum().abs().max(1.0));
     }
-    assert!((got - expect.sum()).abs() <= 1e-9 * expect.sum().abs().max(1.0));
 }
 
 proptest! {

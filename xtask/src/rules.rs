@@ -62,6 +62,12 @@ pub const RULES: &[(&str, &str)] = &[
         "`crossbeam::` appears only in the one fork-join (crates/compress/src/par.rs); \
          threaded passes call ats_compress::par::fork_join",
     ),
+    (
+        "no-ambient-env",
+        "no env::var/var_os/vars/vars_os in library or CLI code outside crates/bench/: \
+         a store's layout and an engine's behaviour are arguments, never the caller's \
+         environment",
+    ),
 ];
 
 /// One lint violation.
@@ -140,6 +146,15 @@ pub const FLOAT_HOT_FILES: &[&str] = &[
 /// pass goes through its `fork_join`, so swapping the thread primitive
 /// is a change to one function.
 pub const FORK_JOIN_FILE: &str = "crates/compress/src/par.rs";
+
+/// Path prefixes exempt from `no-ambient-env`: the offline experiment
+/// harness reads its knobs (`ATS_MAX_N`, `ATS_RESULTS_DIR`) from the
+/// environment. (`xtask/` itself is never scanned.)
+pub const AMBIENT_ENV_EXEMPT_PREFIXES: &[&str] = &["crates/bench/"];
+
+/// The `std::env` readers `no-ambient-env` flags. `env::args` (the CLI's
+/// own arguments) and `env::temp_dir` stay legal.
+const AMBIENT_ENV_READERS: &[&str] = &["var", "var_os", "vars", "vars_os"];
 
 /// Files whose named `Mutex`/`RwLock` fields form the nodes of the
 /// cross-file lock-acquisition-order graph (the long-lived daemon and
@@ -304,6 +319,12 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
     }
     if file != FORK_JOIN_FILE {
         rule_one_fork_join(file, &toks, &mut raw);
+    }
+    if !AMBIENT_ENV_EXEMPT_PREFIXES
+        .iter()
+        .any(|&p| file.starts_with(p))
+    {
+        rule_no_ambient_env(file, &toks, &mut raw);
     }
     rule_lock_discipline(file, &toks, &ast, &mut raw);
     rule_error_type(file, &toks, &mut raw);
@@ -628,6 +649,33 @@ fn rule_one_fork_join(file: &str, toks: &[Token], out: &mut Vec<Finding>) {
                      ats_compress::par::fork_join"
                 ),
             });
+        }
+    }
+}
+
+/// `env::var` and friends in shipped code: behaviour that changes with
+/// the caller's shell instead of with an argument.
+fn rule_no_ambient_env(file: &str, toks: &[Token], out: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        if ident(&toks[i]) == Some("env")
+            && punct_at(toks, i + 1, ':')
+            && punct_at(toks, i + 2, ':')
+        {
+            if let Some(reader) = toks
+                .get(i + 3)
+                .and_then(ident)
+                .filter(|r| AMBIENT_ENV_READERS.contains(r))
+            {
+                out.push(Finding {
+                    file: file.to_string(),
+                    line: toks[i].line,
+                    rule: "no-ambient-env",
+                    message: format!(
+                        "`env::{reader}` reads the caller's environment; take the value \
+                         as an argument or a flag instead"
+                    ),
+                });
+            }
         }
     }
 }

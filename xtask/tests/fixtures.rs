@@ -9,7 +9,7 @@
 //! files) without living at those paths.
 //!
 //! Two guarantees, both asserted by name: each fixture behaves as its
-//! name claims, and each of the ten rules in [`rules::RULES`] has at
+//! name claims, and every rule in [`rules::RULES`] has at
 //! least one true-positive and one true-negative fixture.
 
 use std::collections::BTreeSet;

@@ -1,11 +1,10 @@
-//! Eigensolver ablation: the production tridiagonal-QL path vs the
-//! cyclic Jacobi oracle, across the `M` range the paper cares about
-//! (`M` is "of the order of hundreds").
+//! The production tridiagonal-QL eigensolver across the `M` range the
+//! paper cares about (`M` is "of the order of hundreds").
 
 // ats-lint: allow(lint-table) — criterion_group! generates undocumented glue fns; scoped to this bench target
 #![allow(missing_docs)]
 
-use ats_linalg::{sym_eigen, sym_eigen_jacobi, Matrix};
+use ats_linalg::{sym_eigen, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 
@@ -30,17 +29,5 @@ fn bench_ql(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_jacobi(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sym_eigen_jacobi");
-    group.sample_size(10);
-    for m in [64usize, 128] {
-        let a = gram_like(m, 1);
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| black_box(sym_eigen_jacobi(&a).expect("eigen")))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_ql, bench_jacobi);
+criterion_group!(benches, bench_ql);
 criterion_main!(benches);

@@ -46,12 +46,6 @@ impl BloomFilter {
         Self::sized(nbits, k)
     }
 
-    /// Create a filter with an explicit number of bits (rounded up to a
-    /// power of two, minimum 64) and hash functions.
-    pub fn with_bits(nbits: usize, k: usize) -> Self {
-        Self::sized(nbits.max(64).next_power_of_two(), k.clamp(1, 16))
-    }
-
     /// The one place a filter comes into being: `nbits` is a power of
     /// two of at least one word, which is what lets
     /// [`double_hash_positions`] mask instead of divide.
@@ -116,12 +110,6 @@ impl BloomFilter {
         (1.0 - (-kn / m).exp()).powi(self.k as i32)
     }
 
-    /// Fraction of bits set — a direct saturation measure.
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        f64::from(set) / self.nbits as f64
-    }
-
     /// Clear all bits.
     pub fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
@@ -173,7 +161,6 @@ mod tests {
         bf.clear();
         assert!(!bf.contains(5));
         assert!(bf.is_empty());
-        assert_eq!(bf.fill_ratio(), 0.0);
     }
 
     #[test]
@@ -183,13 +170,6 @@ mod tests {
             assert!(bf.nbits().is_power_of_two());
             assert!(bf.num_hashes() >= 1 && bf.num_hashes() <= 16);
         }
-    }
-
-    #[test]
-    fn with_bits_respects_minimum() {
-        let bf = BloomFilter::with_bits(1, 0);
-        assert_eq!(bf.nbits(), 64);
-        assert_eq!(bf.num_hashes(), 1);
     }
 
     #[test]
@@ -206,7 +186,9 @@ mod tests {
 
     #[test]
     fn storage_bytes_matches_bits() {
-        let bf = BloomFilter::with_bits(1 << 20, 7);
-        assert_eq!(bf.storage_bytes(), (1 << 20) / 8);
+        for n in [1usize, 1000, 123_456] {
+            let bf = BloomFilter::with_capacity(n, 0.01);
+            assert_eq!(bf.storage_bytes(), bf.nbits() / 8);
+        }
     }
 }

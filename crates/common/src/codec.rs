@@ -3,8 +3,7 @@
 //! `ats-storage` lays matrices out as raw little-endian IEEE-754 doubles;
 //! the SVDD delta file stores `(row, col, delta)` triplets; headers carry
 //! fixed-width integers. These helpers centralize the encoding so every
-//! file format in the workspace agrees on byte order and width, and so the
-//! hot row-decode path (`read_f64_slice_into`) is a single tight loop.
+//! file format in the workspace agrees on byte order and width.
 
 use crate::error::{AtsError, Result};
 
@@ -24,14 +23,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 #[inline]
 pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a whole `f64` slice little-endian.
-pub fn put_f64_slice(buf: &mut Vec<u8>, vs: &[f64]) {
-    buf.reserve(vs.len() * 8);
-    for &v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
 }
 
 /// Read a `u32` at `offset`, or error if out of range.
@@ -68,28 +59,6 @@ pub fn get_u64(buf: &[u8], offset: usize) -> Result<u64> {
 #[inline]
 pub fn get_f64(buf: &[u8], offset: usize) -> Result<f64> {
     Ok(f64::from_bits(get_u64(buf, offset)?))
-}
-
-/// Decode `out.len()` doubles starting at `offset`. Errors if the buffer
-/// is too short.
-pub fn read_f64_slice_into(buf: &[u8], offset: usize, out: &mut [f64]) -> Result<()> {
-    let need = out.len() * 8;
-    let end = offset
-        .checked_add(need)
-        .ok_or_else(|| AtsError::Corrupt("f64 slice offset overflow".into()))?;
-    let src = buf.get(offset..end).ok_or_else(|| {
-        AtsError::Corrupt(format!(
-            "f64 slice read of {need} bytes at {offset} past end {}",
-            buf.len()
-        ))
-    })?;
-    for (dst, chunk) in out.iter_mut().zip(src.chunks_exact(8)) {
-        let arr: [u8; 8] = chunk
-            .try_into()
-            .map_err(|_| AtsError::Corrupt("f64 chunk width".into()))?;
-        *dst = f64::from_le_bytes(arr);
-    }
-    Ok(())
 }
 
 /// LEB128-style variable-length encoding of a `u64` (used by the LZ
@@ -171,21 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn slice_into_with_offset() {
-        let mut buf = vec![0xAA; 3]; // 3 bytes of junk prefix
-        put_f64_slice(&mut buf, &[1.0, 2.0]);
-        let mut out = [0.0; 2];
-        read_f64_slice_into(&buf, 3, &mut out).unwrap();
-        assert_eq!(out, [1.0, 2.0]);
-    }
-
-    #[test]
     fn short_reads_error() {
         let buf = vec![0u8; 7];
         assert!(get_u64(&buf, 0).is_err());
         assert!(get_u32(&buf, 5).is_err());
-        let mut out = [0.0; 1];
-        assert!(read_f64_slice_into(&buf, 0, &mut out).is_err());
     }
 
     #[test]

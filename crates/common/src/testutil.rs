@@ -13,6 +13,9 @@
 //! must hold under every layout says so by looping over [`LAYOUTS`], or
 //! over [`for_each_layout`] when its answers also pass through a
 //! `where` scan.
+//!
+//! [`jacobi_svd`] is the SVD the production Gram route is checked
+//! against: it takes a different route, so it can disagree.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,6 +156,100 @@ pub fn for_each_layout(mut case: impl FnMut(Layout, bool)) {
     }
 }
 
+/// Sweeps [`jacobi_svd`] may take; a small test matrix needs under ten.
+const MAX_JACOBI_SWEEPS: usize = 64;
+
+/// The SVD of the row-major `rows × cols` matrix `x` by one-sided
+/// (Hestenes) Jacobi: plane rotations orthogonalize the columns of `X`
+/// itself until every pair is orthogonal to working precision, so `XᵀX`
+/// is never formed and a small singular value is not buried under the
+/// `eps·σ₁²` error the Gram route's eigenvalues carry. `O(rows·cols²)`
+/// per sweep: a test oracle for small matrices, not a production path.
+///
+/// Returns the `cols` singular values, descending, and `V` as a
+/// row-major `cols × cols` matrix whose column `j` is the right singular
+/// vector of `σ[j]`. Panics if `x` is not `rows × cols` or the sweeps do
+/// not converge.
+///
+/// # Examples
+///
+/// ```
+/// use ats_common::testutil::jacobi_svd;
+/// let (sigma, v) = jacobi_svd(&[3.0, 0.0, 0.0, -4.0], 2, 2);
+/// assert_eq!(sigma, vec![4.0, 3.0]);
+/// assert_eq!(v[1].abs(), 1.0); // σ = 4 lies along the second column
+/// ```
+pub fn jacobi_svd(x: &[f64], rows: usize, cols: usize) -> (Vec<f64>, Vec<f64>) {
+    assert_eq!(x.len(), rows * cols, "jacobi_svd: shape {rows} × {cols}");
+    // Column-major working copies: column j of A is a[j·rows..], of V is v[j·cols..].
+    let mut a: Vec<f64> = (0..cols)
+        .flat_map(|j| x.iter().skip(j).step_by(cols).copied())
+        .collect();
+    let mut v: Vec<f64> = (0..cols * cols)
+        .map(|e| if e % (cols + 1) == 0 { 1.0 } else { 0.0 })
+        .collect();
+    let col = |len: usize, j: usize| j * len..(j + 1) * len;
+    let dot = |s: &[f64], t: &[f64]| s.iter().zip(t).map(|(p, q)| p * q).sum::<f64>();
+    // A computed inner product carries up to `rows·eps` relative error,
+    // so a pair whose cosine is below `tol` counts as orthogonal.
+    // A column below `floor` is rounding residue, numerically zero: with
+    // more columns than rows such residue can never be orthogonal to the
+    // rest, so rotating it would never converge.
+    let tol = f64::EPSILON * rows as f64;
+    let floor = (tol * cols as f64).powi(2) * dot(x, x);
+    let mut converged = false;
+    for _ in 0..MAX_JACOBI_SWEEPS {
+        converged = true;
+        for p in 0..cols {
+            for q in p + 1..cols {
+                let (ap, aq) = (&a[col(rows, p)], &a[col(rows, q)]);
+                let (alpha, beta, gamma) = (dot(ap, ap), dot(aq, aq), dot(ap, aq));
+                if gamma.abs() <= tol * (alpha * beta).sqrt() || alpha.min(beta) <= floor {
+                    continue;
+                }
+                converged = false;
+                // The rotation that zeroes the pair's inner product.
+                let zeta = (beta - alpha) / (2.0 * gamma);
+                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                rotate(&mut a, rows, p, q, c, c * t);
+                rotate(&mut v, cols, p, q, c, c * t);
+            }
+        }
+        if converged {
+            break;
+        }
+    }
+    assert!(
+        converged,
+        "jacobi_svd: no convergence in {MAX_JACOBI_SWEEPS} sweeps"
+    );
+    let norms: Vec<f64> = (0..cols)
+        .map(|j| dot(&a[col(rows, j)], &a[col(rows, j)]).sqrt())
+        .collect();
+    let mut order: Vec<usize> = (0..cols).collect();
+    order.sort_by(|&i, &j| norms[j].total_cmp(&norms[i]));
+    let sigma = order.iter().map(|&j| norms[j]).collect();
+    let v_rows = (0..cols)
+        .flat_map(|r| order.iter().map(|&j| v[j * cols + r]).collect::<Vec<_>>())
+        .collect();
+    (sigma, v_rows)
+}
+
+/// Rotate columns `p < q` of the column-major `m` (columns of `len`):
+/// `(m_p, m_q) ← (c·m_p − s·m_q, s·m_p + c·m_q)`.
+fn rotate(m: &mut [f64], len: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = m.split_at_mut(q * len);
+    for (xp, xq) in head[p * len..(p + 1) * len]
+        .iter_mut()
+        .zip(&mut tail[..len])
+    {
+        let (mp, mq) = (*xp, *xq);
+        *xp = c * mp - s * mq;
+        *xq = s * mp + c * mq;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +271,27 @@ mod tests {
         let dst = dir.copy_of(dir.file("src"), "dst");
         assert_eq!(std::fs::read(dst.join("a.bin")).unwrap(), b"abc");
         assert!(!dst.join("sub").exists());
+    }
+
+    #[test]
+    fn jacobi_svd_diagonalizes() {
+        // V is orthogonal and X V has orthogonal columns of norms σ.
+        let (n, m) = (9, 4);
+        let x: Vec<f64> = (0..n * m)
+            .map(|e| (e * 7 % 11) as f64 / 3.0 - 1.5)
+            .collect();
+        let (sigma, v) = jacobi_svd(&x, n, m);
+        assert!(sigma.windows(2).all(|w| w[0] >= w[1]));
+        let xv = |i: usize, j: usize| (0..m).map(|l| x[i * m + l] * v[l * m + j]).sum::<f64>();
+        for p in 0..m {
+            for q in 0..m {
+                let want = if p == q { 1.0 } else { 0.0 };
+                let vtv: f64 = (0..m).map(|l| v[l * m + p] * v[l * m + q]).sum();
+                let g: f64 = (0..n).map(|i| xv(i, p) * xv(i, q)).sum();
+                assert!((vtv - want).abs() < 1e-14, "VᵀV[{p}][{q}] = {vtv}");
+                assert!((g - want * sigma[p] * sigma[p]).abs() < 1e-12 * sigma[0] * sigma[0]);
+            }
+        }
     }
 
     #[test]

@@ -281,14 +281,9 @@ impl DeltaStore {
 
     /// Bytes charged against the space budget: [`DELTA_BYTES`] per delta.
     /// (The Bloom filter is main-memory metadata in the paper's model and
-    /// is reported separately by [`DeltaStore::bloom_bytes`].)
+    /// is not charged.)
     pub fn storage_bytes(&self) -> usize {
         self.len * DELTA_BYTES
-    }
-
-    /// Memory consumed by the optional Bloom filter.
-    pub fn bloom_bytes(&self) -> usize {
-        self.bloom.as_ref().map_or(0, |b| b.storage_bytes())
     }
 
     /// Iterate stored `(row, col, delta)` triplets in `(row, col)`
@@ -381,7 +376,6 @@ mod tests {
     fn storage_accounting() {
         let store = DeltaStore::build(10, vec![(0, 0, 1.0), (1, 1, 2.0)], true).unwrap();
         assert_eq!(store.storage_bytes(), 2 * DELTA_BYTES);
-        assert!(store.bloom_bytes() > 0);
     }
 
     #[test]

@@ -24,6 +24,27 @@ use ats_linalg::{sym_eigen, EigenDecomposition, Matrix};
 use ats_storage::RowSource;
 
 /// A matrix compressed by truncated SVD.
+///
+/// # Examples
+///
+/// ```
+/// use ats_compress::SvdCompressed;
+/// use ats_linalg::Matrix;
+/// // The paper's Table 1 toy matrix: two "blobs".
+/// let x = Matrix::from_rows(vec![
+///     vec![1., 1., 1., 0., 0.],
+///     vec![2., 2., 2., 0., 0.],
+///     vec![1., 1., 1., 0., 0.],
+///     vec![5., 5., 5., 0., 0.],
+///     vec![0., 0., 0., 2., 2.],
+///     vec![0., 0., 0., 3., 3.],
+///     vec![0., 0., 0., 1., 1.],
+/// ]).unwrap();
+/// let svd = SvdCompressed::compress(&x, 5, 1).unwrap();
+/// assert_eq!(svd.k(), 2); // weekday + weekend patterns: k clamps to the rank
+/// assert!((svd.lambda()[0] - 9.64).abs() < 0.01); // Eq. 5
+/// assert!((svd.lambda()[1] - 5.29).abs() < 0.01);
+/// ```
 #[derive(Debug, Clone)]
 pub struct SvdCompressed {
     /// `N × k` left singular vectors ("customer-to-pattern").
@@ -159,9 +180,16 @@ impl SvdCompressed {
 }
 
 /// The numerical rank of `XᵀX`'s eigendecomposition: how many singular
-/// values `√λ` exceed `1e-6·σ₁`. Eigenvalues of `XᵀX` carry squared
-/// error, so the cutoff on singular values is ~sqrt(machine noise)
-/// relative; a noise component kept past it would blow up `U = X V Λ⁻¹`.
+/// values `√λ` exceed `1e-6·σ₁`.
+///
+/// The Gram route computes the eigenvalues of `XᵀX` with absolute error
+/// `~eps·σ₁²`, so an exactly rank-deficient `X` shows spurious singular
+/// values at `σ ≈ √eps·σ₁ ≈ 1.5e-8·σ₁`; the cut sits two decades above
+/// that. A noise component kept past it would blow up `U = X V Λ⁻¹`.
+/// Measured against an SVD that never forms `XᵀX` (the test
+/// `gram_route_drift_at_kappa_1e7`, κ = 1e7), the kept σ drift by at
+/// most `10·eps·(σ₁/σ)²` relative — 5.4e-6 at `σ = 3e-6·σ₁` — while the
+/// first dropped one (`1e-7·σ₁`) is already off by 2.7e-3.
 pub(crate) fn numerical_rank(eig: &EigenDecomposition) -> usize {
     let sigma = |l: f64| l.max(0.0).sqrt();
     let cutoff = 1e-6 * eig.values.first().map_or(0.0, |&l| sigma(l)).max(1e-300);
@@ -374,8 +402,54 @@ impl CompressedMatrix for SvdCompressed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_linalg::{Svd, SvdOptions};
+    use ats_common::testutil::jacobi_svd;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The oracle's singular values and `V` (row-major `M × M`) of `x`.
+    fn oracle(x: &Matrix) -> (Vec<f64>, Vec<f64>) {
+        jacobi_svd(x.as_slice(), x.rows(), x.cols())
+    }
+
+    /// The paper's Table 1 toy matrix: two "blobs".
+    fn table1() -> Matrix {
+        Matrix::from_rows(vec![
+            vec![1., 1., 1., 0., 0.],
+            vec![2., 2., 2., 0., 0.],
+            vec![1., 1., 1., 0., 0.],
+            vec![5., 5., 5., 0., 0.],
+            vec![0., 0., 0., 2., 2.],
+            vec![0., 0., 0., 3., 3.],
+            vec![0., 0., 0., 1., 1.],
+        ])
+        .unwrap()
+    }
+
+    fn uniform(n: usize, m: usize, seed: u64) -> Matrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        Matrix::from_fn(n, m, |_, _| rng.gen_range(-2.0..2.0))
+    }
+
+    /// `cols` orthonormal columns of length `rows`: Gram–Schmidt, run
+    /// twice so the columns are orthonormal to working precision.
+    fn orthonormal_cols(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut q = uniform(rows, cols, seed);
+        for _ in 0..2 {
+            for j in 0..cols {
+                for p in 0..j {
+                    let d: f64 = (0..rows).map(|i| q[(i, j)] * q[(i, p)]).sum();
+                    for i in 0..rows {
+                        q[(i, j)] -= d * q[(i, p)];
+                    }
+                }
+                let norm = (0..rows).map(|i| q[(i, j)].powi(2)).sum::<f64>().sqrt();
+                for i in 0..rows {
+                    q[(i, j)] /= norm;
+                }
+            }
+        }
+        q
+    }
 
     fn random_lowish_rank(n: usize, m: usize, seed: u64) -> Matrix {
         // rank-3 structure + noise
@@ -391,17 +465,149 @@ mod tests {
 
     #[test]
     fn two_pass_matches_in_memory_svd() {
+        // The oracle's rank-k reconstruction X V_k V_kᵀ, formed without XᵀX.
         let x = random_lowish_rank(60, 10, 1);
         let c = SvdCompressed::compress(&x, 5, 1).unwrap();
-        let mut reference = Svd::compute(&x, SvdOptions::default()).unwrap();
-        reference.truncate(5);
+        let (_, v) = oracle(&x);
         for i in 0..60 {
+            let coord: Vec<f64> = (0..5)
+                .map(|l| (0..10).map(|j| x[(i, j)] * v[j * 10 + l]).sum())
+                .collect();
             for j in 0..10 {
                 let got = c.cell(i, j).unwrap();
-                let want = reference.reconstruct_cell(i, j);
+                let want: f64 = (0..5).map(|l| coord[l] * v[j * 10 + l]).sum();
                 assert!((got - want).abs() < 1e-6, "({i},{j}): {got} vs {want}");
             }
         }
+    }
+
+    #[test]
+    fn table1_rank_and_singular_values() {
+        // Eq. 5 of the paper: λ₁ = 9.64, λ₂ = 5.29.
+        let c = SvdCompressed::compress(&table1(), 5, 1).unwrap();
+        assert_eq!(c.k(), 2);
+        assert!((c.lambda()[0] - 9.643650).abs() < 1e-3);
+        assert!((c.lambda()[1] - 5.291502).abs() < 1e-3);
+    }
+
+    #[test]
+    fn table1_u_matches_paper() {
+        // First column of U from Eq. 5: (.18, .36, .18, .90, 0, 0, 0).
+        let c = SvdCompressed::compress(&table1(), 5, 1).unwrap();
+        let expect0 = [0.1796, 0.3592, 0.1796, 0.8980, 0.0, 0.0, 0.0];
+        for (i, want) in expect0.iter().enumerate() {
+            let got = c.u()[(i, 0)];
+            assert!((got.abs() - want).abs() < 1e-3, "u[{i},0] = {got}");
+        }
+        // Second pattern: weekend customers (.53, .80, .27).
+        let expect1 = [0.0, 0.0, 0.0, 0.0, 0.5345, 0.8018, 0.2673];
+        for (i, want) in expect1.iter().enumerate() {
+            assert!((c.u()[(i, 1)].abs() - want).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn table1_v_matches_paper() {
+        // V column 1 ≈ (.58,.58,.58,0,0); column 2 ≈ (0,0,0,.71,.71).
+        let c = SvdCompressed::compress(&table1(), 5, 1).unwrap();
+        let v = c.v();
+        for j in 0..3 {
+            assert!((v[(j, 0)].abs() - 0.5774).abs() < 1e-3);
+            assert!(v[(j, 1)].abs() < 1e-8);
+        }
+        for j in 3..5 {
+            assert!(v[(j, 0)].abs() < 1e-8);
+            assert!((v[(j, 1)].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn u_and_v_column_orthonormal() {
+        let x = uniform(40, 7, 8);
+        let c = SvdCompressed::compress(&x, 7, 1).unwrap();
+        let eye = Matrix::identity(c.k());
+        assert!(c
+            .u()
+            .transpose()
+            .matmul(c.u())
+            .unwrap()
+            .approx_eq(&eye, 1e-7));
+        assert!(c
+            .v()
+            .transpose()
+            .matmul(c.v())
+            .unwrap()
+            .approx_eq(&eye, 1e-7));
+    }
+
+    #[test]
+    fn zero_matrix_rank_zero() {
+        // No component carries energy, and every cell is +0.0, not -0.0.
+        let c = SvdCompressed::compress(&Matrix::zeros(5, 3), 3, 1).unwrap();
+        assert!(c.lambda().iter().all(|&l| l == 0.0));
+        for i in 0..5 {
+            for j in 0..3 {
+                assert_eq!(c.cell(i, j).unwrap().to_bits(), 0.0f64.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_agrees_with_lambda_on_well_conditioned_inputs() {
+        for x in [
+            table1(),
+            uniform(40, 7, 8),
+            uniform(20, 6, 5),
+            uniform(30, 8, 7),
+        ] {
+            let c = SvdCompressed::compress(&x, x.cols(), 1).unwrap();
+            let (sigma, _) = oracle(&x);
+            for (j, (&got, &want)) in c.lambda().iter().zip(&sigma).enumerate() {
+                let rel = (got - want).abs() / want;
+                assert!(rel < 1e-10, "σ{j}: {got} vs {want}, rel {rel:.1e}");
+            }
+        }
+    }
+
+    #[test]
+    fn gram_route_drift_at_kappa_1e7() {
+        // X = P Σ Qᵀ with σ from 1 down to 1e-7 (κ = 1e7, κ(XᵀX) = 1e14).
+        let known = [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 1e-7];
+        let (p, q) = (orthonormal_cols(40, 8, 21), orthonormal_cols(8, 8, 22));
+        let x = Matrix::from_fn(40, 8, |i, j| {
+            (0..8).map(|l| p[(i, l)] * known[l] * q[(j, l)]).sum()
+        });
+        // The oracle recovers every σ, the smallest to 3.6e-11 relative.
+        let (sigma, _) = oracle(&x);
+        for (l, (&got, &want)) in sigma.iter().zip(&known).enumerate() {
+            assert!((got - want).abs() < 1e-9 * want, "oracle σ{l}: {got}");
+        }
+        // The Gram route's eigenvalues carry ~eps·σ₁² absolute error, so
+        // its σ drift by ~eps·(σ₁/σ)² relative: measured 1.8e-6 (x.gram())
+        // and 5.4e-6 (the production build) at σ = 3e-6, 2.7e-3 at 1e-7.
+        let eig = sym_eigen(&x.gram()).unwrap();
+        let c = SvdCompressed::compress(&x, 8, 1).unwrap();
+        // The 1e-6·σ₁ cut keeps the seven components above it, ...
+        assert_eq!(numerical_rank(&eig), 7);
+        assert_eq!(c.k(), 7);
+        let drift = |got: f64, l: usize| (got - sigma[l]).abs() / sigma[l];
+        for l in 0..7 {
+            let bound = (10.0 * f64::EPSILON * (sigma[0] / sigma[l]).powi(2)).min(1e-4);
+            let gram = eig.values[l].sqrt();
+            assert!(
+                drift(gram, l) <= bound,
+                "σ{l}: Gram drift {:.1e}",
+                drift(gram, l)
+            );
+            let built = c.lambda()[l];
+            assert!(
+                drift(built, l) <= bound,
+                "σ{l}: built drift {:.1e}",
+                drift(built, l)
+            );
+        }
+        // ... and drops the one the Gram route no longer resolves.
+        assert!(drift(eig.values[7].max(0.0).sqrt(), 7) > 1e-4);
     }
 
     #[test]
@@ -533,6 +739,43 @@ mod tests {
                     c.cell(i, j).unwrap().to_bits(),
                     reference.cell(i, j).unwrap().to_bits()
                 );
+            }
+        }
+    }
+
+    fn rectangular(max_n: usize, max_m: usize) -> impl Strategy<Value = Matrix> {
+        (1usize..max_n, 1usize..max_m).prop_flat_map(|(n, m)| {
+            proptest::collection::vec(-50.0f64..50.0, n * m)
+                .prop_map(move |data| Matrix::from_vec(n, m, data).unwrap())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn svd_full_rank_roundtrip(x in rectangular(12, 8)) {
+            let c = SvdCompressed::compress(&x, x.cols(), 1).unwrap();
+            let scale = x.max_abs().max(1.0);
+            let mut row = vec![0.0; x.cols()];
+            for i in 0..x.rows() {
+                c.row_into(i, &mut row).unwrap();
+                for (a, b) in row.iter().zip(x.row(i)) {
+                    prop_assert!((a - b).abs() <= 1e-7 * scale);
+                }
+            }
+        }
+
+        #[test]
+        fn svd_projection_norm_bounded(x in rectangular(12, 8)) {
+            // A row's principal-component coordinates (UΛ)ᵢ = xᵢ V have
+            // ‖xᵢ V‖ ≤ ‖xᵢ‖, since V has orthonormal columns.
+            let c = SvdCompressed::compress(&x, x.cols(), 1).unwrap();
+            let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|e| e * e).sum::<f64>().sqrt();
+            for i in 0..x.rows() {
+                let pn = norm(&mut c.u().row(i).iter().zip(c.lambda()).map(|(u, l)| u * l));
+                let rn = norm(&mut x.row(i).iter().copied());
+                prop_assert!(pn <= rn * (1.0 + 1e-9) + 1e-9);
             }
         }
     }

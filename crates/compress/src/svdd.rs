@@ -755,26 +755,47 @@ mod tests {
         );
     }
 
+    /// What each of the seven SVD / SVDD build entry points returns on
+    /// `x` at a 40 % budget, if it fails.
+    fn entry_point_errors(x: &Matrix) -> [Option<AtsError>; 7] {
+        let b = SpaceBudget::from_percent(40.0);
+        let (opts, one) = (SvddOptions::new(b), shard_ranges(x.rows(), 1));
+        [
+            SvddCompressed::compress(x, &opts).err(),
+            SvddCompressed::compress_sharded(x, &opts, &one).err(),
+            SvddCompressed::compress_naive(x, &opts).err(),
+            SvdCompressed::compress(x, 2, 1).err(),
+            SvdCompressed::compress_sharded(x, 2, 1, &one).err(),
+            SvdCompressed::compress_budget(x, b, 1).err(),
+            SvdCompressed::compress_budget_sharded(x, b, 1, &one).err(),
+        ]
+    }
+
     #[test]
     fn every_build_entry_point_rejects_empty_input() {
-        let b = SpaceBudget::from_percent(40.0);
         for x in [Matrix::zeros(0, 5), Matrix::zeros(5, 0)] {
-            let (opts, one) = (SvddOptions::new(b), shard_ranges(x.rows(), 1));
-            let errors = [
-                SvddCompressed::compress(&x, &opts).err(),
-                SvddCompressed::compress_sharded(&x, &opts, &one).err(),
-                SvddCompressed::compress_naive(&x, &opts).err(),
-                SvdCompressed::compress(&x, 2, 1).err(),
-                SvdCompressed::compress_sharded(&x, 2, 1, &one).err(),
-                SvdCompressed::compress_budget(&x, b, 1).err(),
-                SvdCompressed::compress_budget_sharded(&x, b, 1, &one).err(),
-            ];
-            for (entry, e) in errors.into_iter().enumerate() {
+            for (entry, e) in entry_point_errors(&x).into_iter().enumerate() {
                 assert!(
                     matches!(e, Some(AtsError::InvalidArgument(_))),
                     "entry point {entry} on {}×{}: {e:?}",
                     x.rows(),
                     x.cols()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_build_entry_point_rejects_non_finite_input() {
+        // 40 × 8, so the 40 % budget affords a k and each build reaches
+        // the data (at 4 × 3 it affords none and fails on the budget).
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut x = Matrix::from_fn(40, 8, |i, j| ((i * 8 + j) % 13) as f64);
+            x[(17, 3)] = bad;
+            for (entry, e) in entry_point_errors(&x).into_iter().enumerate() {
+                assert!(
+                    matches!(e, Some(AtsError::Numerical(_))),
+                    "entry point {entry} on a {bad} cell: {e:?}"
                 );
             }
         }

@@ -203,7 +203,7 @@ pub(crate) fn sample_standard_normal(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_linalg::{Svd, SvdOptions};
+    use ats_linalg::sym_eigen;
 
     fn gen_small(seed: u64) -> Dataset {
         generate_phone(&PhoneConfig {
@@ -270,8 +270,9 @@ mod tests {
             spike_prob: 0.0,
             ..PhoneConfig::small()
         });
-        let svd = Svd::compute(d.matrix(), SvdOptions::default()).unwrap();
-        let e8 = svd.energy(8);
+        // Energy: the share of Σσ² = trace(XᵀX) in the top 8 eigenvalues.
+        let lambda = sym_eigen(&d.matrix().gram()).unwrap().values;
+        let e8 = lambda[..8].iter().sum::<f64>() / lambda.iter().map(|l| l.max(0.0)).sum::<f64>();
         assert!(e8 > 0.85, "top-8 energy only {e8}");
     }
 

@@ -124,7 +124,7 @@ pub(crate) fn normal(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ats_linalg::{Svd, SvdOptions};
+    use ats_linalg::sym_eigen;
 
     #[test]
     fn deterministic_and_shaped() {
@@ -170,8 +170,9 @@ mod tests {
         // (Appendix A): the first principal component carries almost all
         // the energy.
         let d = generate_stocks(&StocksConfig::small());
-        let svd = Svd::compute(d.matrix(), SvdOptions::default()).unwrap();
-        let e1 = svd.energy(1);
+        // Energy: the share of Σσ² = trace(XᵀX) in the top eigenvalue.
+        let lambda = sym_eigen(&d.matrix().gram()).unwrap().values;
+        let e1 = lambda[0] / lambda.iter().map(|l| l.max(0.0)).sum::<f64>();
         assert!(e1 > 0.95, "first-PC energy only {e1}");
     }
 

@@ -1,22 +1,16 @@
-//! Symmetric eigensolvers.
+//! The symmetric eigensolver.
 //!
 //! The paper's two-pass SVD (§4.1) reduces the whole decomposition to one
 //! in-memory eigendecomposition of the `M × M` Gram matrix `C = XᵀX`
-//! (Lemma 3.2: `C = V Λ² Vᵀ`). Everything here serves that step.
+//! (Lemma 3.2: `C = V Λ² Vᵀ`). [`sym_eigen`] is that step: Householder
+//! tridiagonalization (`tred2`) followed by implicit-shift QL iteration
+//! (`tqli`), `O(n³)` with a small constant, `M` in the hundreds in
+//! milliseconds. It returns eigenpairs **sorted by descending
+//! eigenvalue**, matching the paper's convention that `λ₁ ≥ λ₂ ≥ …`
+//! (§3.3).
 //!
-//! Two independent solvers are provided:
-//!
-//! - [`sym_eigen`] — the production path: Householder tridiagonalization
-//!   (`tred2`) followed by implicit-shift QL iteration (`tqli`). `O(n³)`
-//!   with a small constant; handles `M` in the hundreds in milliseconds.
-//! - [`sym_eigen_jacobi`] — a cyclic Jacobi solver. Slower (typically
-//!   ~5–10× at `M ≈ 100`) but derived completely differently, so the test
-//!   suite uses it as an oracle against `sym_eigen`; it is also exposed
-//!   because Jacobi attains slightly better relative accuracy for tiny
-//!   eigenvalues.
-//!
-//! Both return eigenpairs **sorted by descending eigenvalue**, matching
-//! the paper's convention that `λ₁ ≥ λ₂ ≥ …` (§3.3).
+//! Its tests check it against a cyclic Jacobi solver, derived completely
+//! differently, that is compiled into the test build only.
 
 use crate::matrix::Matrix;
 use ats_common::{AtsError, Result};
@@ -29,40 +23,6 @@ pub struct EigenDecomposition {
     /// Orthonormal eigenvectors, stored as **columns**; column `j`
     /// corresponds to `values[j]`.
     pub vectors: Matrix,
-}
-
-impl EigenDecomposition {
-    /// Borrow eigenvector `j` as an owned column vector.
-    pub fn vector(&self, j: usize) -> Vec<f64> {
-        self.vectors.col(j)
-    }
-
-    /// Reconstruct `A = Q Λ Qᵀ` (test/diagnostic helper).
-    pub fn reconstruct(&self) -> Matrix {
-        let n = self.values.len();
-        let q = &self.vectors;
-        Matrix::from_fn(n, n, |i, l| {
-            (0..n).map(|j| q[(i, j)] * self.values[j] * q[(l, j)]).sum()
-        })
-    }
-
-    /// Verify `‖A q_j − λ_j q_j‖ ≤ tol·‖A‖` for every pair — used by tests.
-    /// Errors if `a`'s dimensions do not match the decomposition.
-    pub fn residual(&self, a: &Matrix) -> Result<f64> {
-        let n = self.values.len();
-        let mut worst = 0.0f64;
-        for j in 0..n {
-            let q = self.vector(j);
-            let aq = a.matvec(&q)?;
-            let mut r = 0.0;
-            for i in 0..n {
-                let d = aq[i] - self.values[j] * q[i];
-                r += d * d;
-            }
-            worst = worst.max(r.sqrt());
-        }
-        Ok(worst)
-    }
 }
 
 /// Maximum QL iterations per eigenvalue before declaring non-convergence.
@@ -272,85 +232,6 @@ fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<()> {
     Ok(())
 }
 
-/// Cyclic Jacobi eigensolver — the independent oracle.
-///
-/// Sweeps all off-diagonal pairs with plane rotations until the
-/// off-diagonal Frobenius mass drops below `1e-13 · ‖A‖_F`, or 64 sweeps.
-pub fn sym_eigen_jacobi(a: &Matrix) -> Result<EigenDecomposition> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(AtsError::dims("sym_eigen_jacobi", a.shape(), (n, n)));
-    }
-    if !a.is_finite() {
-        return Err(AtsError::Numerical(
-            "sym_eigen_jacobi: input contains NaN or infinity".into(),
-        ));
-    }
-    if n == 0 {
-        return Ok(EigenDecomposition {
-            values: vec![],
-            vectors: Matrix::zeros(0, 0),
-        });
-    }
-    let mut s = a.clone();
-    let mut q = Matrix::identity(n);
-    let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
-    let tol = 1e-13 * norm;
-    for _sweep in 0..64 {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for r in (p + 1)..n {
-                off += s[(p, r)] * s[(p, r)];
-            }
-        }
-        if (2.0 * off).sqrt() <= tol {
-            let d: Vec<f64> = (0..n).map(|i| s[(i, i)]).collect();
-            return Ok(sorted_desc(d, q));
-        }
-        for p in 0..n {
-            for r in (p + 1)..n {
-                let apq = s[(p, r)];
-                if apq.abs() <= tol / (n as f64) {
-                    continue;
-                }
-                let app = s[(p, p)];
-                let aqq = s[(r, r)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let sn = t * c;
-                // Apply rotation G(p, r, θ)ᵀ S G(p, r, θ)
-                for k in 0..n {
-                    let skp = s[(k, p)];
-                    let skq = s[(k, r)];
-                    s[(k, p)] = c * skp - sn * skq;
-                    s[(k, r)] = sn * skp + c * skq;
-                }
-                for k in 0..n {
-                    let spk = s[(p, k)];
-                    let sqk = s[(r, k)];
-                    s[(p, k)] = c * spk - sn * sqk;
-                    s[(r, k)] = sn * spk + c * sqk;
-                }
-                for k in 0..n {
-                    let qkp = q[(k, p)];
-                    let qkq = q[(k, r)];
-                    q[(k, p)] = c * qkp - sn * qkq;
-                    q[(k, r)] = sn * qkp + c * qkq;
-                }
-            }
-        }
-    }
-    Err(AtsError::NoConvergence {
-        routine: "jacobi",
-        iterations: 64,
-    })
-}
-
 /// Sort eigenpairs by descending eigenvalue, permuting the columns of `q`,
 /// and canonicalize each eigenvector's sign (largest-magnitude component
 /// positive) so decompositions are comparable across solvers.
@@ -381,6 +262,121 @@ fn sorted_desc(d: Vec<f64>, q: Matrix) -> EigenDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The helpers below check a decomposition; only tests call them.
+    impl EigenDecomposition {
+        /// Borrow eigenvector `j` as an owned column vector.
+        fn vector(&self, j: usize) -> Vec<f64> {
+            self.vectors.col(j)
+        }
+
+        /// Reconstruct `A = Q Λ Qᵀ`.
+        fn reconstruct(&self) -> Matrix {
+            let n = self.values.len();
+            let q = &self.vectors;
+            Matrix::from_fn(n, n, |i, l| {
+                (0..n).map(|j| q[(i, j)] * self.values[j] * q[(l, j)]).sum()
+            })
+        }
+
+        /// The worst residual `‖A q_j − λ_j q_j‖` over every pair. Errors
+        /// if `a`'s dimensions do not match the decomposition.
+        fn residual(&self, a: &Matrix) -> Result<f64> {
+            let n = self.values.len();
+            let mut worst = 0.0f64;
+            for j in 0..n {
+                let q = self.vector(j);
+                let aq = a.matvec(&q)?;
+                let mut r = 0.0;
+                for i in 0..n {
+                    let d = aq[i] - self.values[j] * q[i];
+                    r += d * d;
+                }
+                worst = worst.max(r.sqrt());
+            }
+            Ok(worst)
+        }
+    }
+
+    /// Cyclic Jacobi eigensolver — the independent oracle.
+    ///
+    /// Sweeps all off-diagonal pairs with plane rotations until the
+    /// off-diagonal Frobenius mass drops below `1e-13 · ‖A‖_F`, or 64 sweeps.
+    fn sym_eigen_jacobi(a: &Matrix) -> Result<EigenDecomposition> {
+        let n = a.rows();
+        if a.cols() != n {
+            return Err(AtsError::dims("sym_eigen_jacobi", a.shape(), (n, n)));
+        }
+        if !a.is_finite() {
+            return Err(AtsError::Numerical(
+                "sym_eigen_jacobi: input contains NaN or infinity".into(),
+            ));
+        }
+        if n == 0 {
+            return Ok(EigenDecomposition {
+                values: vec![],
+                vectors: Matrix::zeros(0, 0),
+            });
+        }
+        let mut s = a.clone();
+        let mut q = Matrix::identity(n);
+        let norm = a.frobenius_norm().max(f64::MIN_POSITIVE);
+        let tol = 1e-13 * norm;
+        for _sweep in 0..64 {
+            let mut off = 0.0f64;
+            for p in 0..n {
+                for r in (p + 1)..n {
+                    off += s[(p, r)] * s[(p, r)];
+                }
+            }
+            if (2.0 * off).sqrt() <= tol {
+                let d: Vec<f64> = (0..n).map(|i| s[(i, i)]).collect();
+                return Ok(sorted_desc(d, q));
+            }
+            for p in 0..n {
+                for r in (p + 1)..n {
+                    let apq = s[(p, r)];
+                    if apq.abs() <= tol / (n as f64) {
+                        continue;
+                    }
+                    let app = s[(p, p)];
+                    let aqq = s[(r, r)];
+                    let theta = (aqq - app) / (2.0 * apq);
+                    let t = if theta >= 0.0 {
+                        1.0 / (theta + (1.0 + theta * theta).sqrt())
+                    } else {
+                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let sn = t * c;
+                    // Apply rotation G(p, r, θ)ᵀ S G(p, r, θ)
+                    for k in 0..n {
+                        let skp = s[(k, p)];
+                        let skq = s[(k, r)];
+                        s[(k, p)] = c * skp - sn * skq;
+                        s[(k, r)] = sn * skp + c * skq;
+                    }
+                    for k in 0..n {
+                        let spk = s[(p, k)];
+                        let sqk = s[(r, k)];
+                        s[(p, k)] = c * spk - sn * sqk;
+                        s[(r, k)] = sn * spk + c * sqk;
+                    }
+                    for k in 0..n {
+                        let qkp = q[(k, p)];
+                        let qkq = q[(k, r)];
+                        q[(k, p)] = c * qkp - sn * qkq;
+                        q[(k, r)] = sn * qkp + c * qkq;
+                    }
+                }
+            }
+        }
+        Err(AtsError::NoConvergence {
+            routine: "jacobi",
+            iterations: 64,
+        })
+    }
 
     fn sym_from(rows: Vec<Vec<f64>>) -> Matrix {
         Matrix::from_rows(rows).unwrap()
@@ -570,5 +566,43 @@ mod tests {
         let e = sym_eigen(&a).unwrap();
         let sum: f64 = e.values.iter().sum();
         assert!((trace - sum).abs() < 1e-8);
+    }
+
+    /// Random symmetric matrix strategy.
+    fn symmetric(max_n: usize) -> impl Strategy<Value = Matrix> {
+        (1usize..max_n).prop_flat_map(|n| {
+            proptest::collection::vec(-50.0f64..50.0, n * n).prop_map(move |data| {
+                let mut a = Matrix::from_vec(n, n, data).unwrap();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        let v = a[(i, j)];
+                        a[(j, i)] = v;
+                    }
+                }
+                a
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn eigen_reconstructs_input(a in symmetric(16)) {
+            let e = sym_eigen(&a).unwrap();
+            let back = e.reconstruct();
+            let scale = a.max_abs().max(1.0);
+            prop_assert!(back.approx_eq(&a, 1e-8 * scale));
+        }
+
+        #[test]
+        fn ql_and_jacobi_agree_on_spectra(a in symmetric(12)) {
+            let e1 = sym_eigen(&a).unwrap();
+            let e2 = sym_eigen_jacobi(&a).unwrap();
+            let scale = a.max_abs().max(1.0);
+            for (v1, v2) in e1.values.iter().zip(&e2.values) {
+                prop_assert!((v1 - v2).abs() < 1e-7 * scale);
+            }
+        }
     }
 }

@@ -14,29 +14,25 @@
 //! - [`kernels`] — blocked reconstruction kernels over a transposed `V`
 //!   panel ([`kernels::VPanel`]): multi-row and multi-cell Eq. 12
 //!   evaluation, bitwise identical to the scalar path;
-//! - [`eigen`] — two symmetric eigensolvers: the production path
-//!   (Householder tridiagonalization + implicit-shift QL, `O(M³)`) and a
-//!   cyclic Jacobi solver kept as a slow, independently-derived oracle for
-//!   tests, plus a Lanczos top-`k` engine ([`lanczos`]) for the regime
-//!   where only a few extremal pairs are needed;
-//! - [`svd`] — singular value decomposition via the Gram-matrix route the
-//!   paper uses (Lemma 3.2: eigendecompose `C = XᵀX = V Λ² Vᵀ`, then
-//!   `U = X V Λ⁻¹`), plus truncation to `k` principal components (Eq. 8)
-//!   and cell reconstruction (Eq. 12).
+//! - [`eigen`] — the symmetric eigensolver the paper's SVD runs on
+//!   (Lemma 3.2: eigendecompose `C = XᵀX = V Λ² Vᵀ`): Householder
+//!   tridiagonalization + implicit-shift QL, `O(M³)`, checked in its
+//!   tests against a cyclic Jacobi solver that exists only there; plus a
+//!   Lanczos top-`k` engine ([`lanczos`]) for the regime where only a
+//!   few extremal pairs are needed.
 //!
-//! The out-of-core two-pass variant of the same SVD (which never holds `X`
-//! in memory) lives in `ats-compress`; this crate is the in-memory engine
-//! and the numerical ground truth it is tested against.
+//! The SVD itself — the two-pass, out-of-core Gram route (§4.1) with its
+//! truncation (Eq. 8) and `U = X V Λ⁻¹` (Eq. 10) — is written once, as
+//! `ats-compress`'s `SvdCompressed`; its tests check it against
+//! `ats_common::testutil::jacobi_svd`, which never forms `XᵀX`.
 
 pub mod eigen;
 pub mod kernels;
 pub mod lanczos;
 pub mod matrix;
-pub mod svd;
 pub mod vecops;
 
-pub use eigen::{sym_eigen, sym_eigen_jacobi, EigenDecomposition};
+pub use eigen::{sym_eigen, EigenDecomposition};
 pub use kernels::VPanel;
 pub use lanczos::{lanczos_top_k, LanczosOptions};
 pub use matrix::Matrix;
-pub use svd::{Svd, SvdOptions};

@@ -1,10 +1,10 @@
-//! Allocation-count regression tests for the hot reconstruction paths.
+//! Allocation-count regression test for the hot reconstruction kernels.
 //!
-//! `Svd::reconstruct_row_into` used to allocate a fresh `Vec` per component
-//! per row (a strided column gather of `V`); the panel kernels must likewise
-//! stay allocation-free once their scratch is set up. A counting global
-//! allocator pins both properties: any future allocation in these loops
-//! fails the test rather than silently regressing throughput.
+//! A row reconstruction once allocated a fresh `Vec` per component per
+//! row (a strided column gather of `V`); the panel kernels that serve
+//! every store must stay allocation-free once their scratch is set up. A
+//! counting global allocator pins that: any future allocation in these
+//! loops fails the test rather than silently regressing throughput.
 //!
 //! The counting allocator needs `unsafe impl GlobalAlloc`; the allow below
 //! scopes that exemption to this test binary only — library code stays under
@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ats_linalg::kernels::{self, VPanel};
-use ats_linalg::{Matrix, Svd, SvdOptions};
+use ats_linalg::{sym_eigen, Matrix};
 
 struct CountingAlloc;
 
@@ -43,37 +43,32 @@ fn alloc_count() -> usize {
 /// pollute the counter.
 #[test]
 fn reconstruction_hot_paths_do_not_allocate() {
+    // The factors of X's Gram route (Lemma 3.2); the rows of X stand in
+    // for U, whose values the allocation count does not depend on.
     let x = Matrix::from_fn(16, 12, |i, j| ((i * 7 + j * 3) as f64).sin() * 4.0);
-    let svd = Svd::compute(&x, SvdOptions::default()).unwrap();
+    let eig = sym_eigen(&x.gram()).unwrap();
+    let v = eig.vectors;
+    let lambda: Vec<f64> = eig.values.iter().map(|l| l.max(0.0).sqrt()).collect();
+    let k = lambda.len();
     let mut out = vec![0.0; 12];
 
-    // Warm-up outside the measured window.
-    svd.reconstruct_row_into(0, &mut out);
-    let before = alloc_count();
-    for i in 0..16 {
-        svd.reconstruct_row_into(i, &mut out);
-    }
-    let grew = alloc_count() - before;
-    assert_eq!(grew, 0, "Svd::reconstruct_row_into allocated {grew} times");
-
-    // The panel kernels: scratch is provided by the caller, the kernels
-    // themselves must not touch the allocator.
-    let panel = VPanel::from_v(svd.v());
-    let lambda: Vec<f64> = svd.sigma().to_vec();
-    let k = lambda.len();
+    // Scratch is provided by the caller, the kernels themselves must not
+    // touch the allocator.
+    let panel = VPanel::from_v(&v);
     let mut coef = vec![0.0; k];
     let mut block = vec![0.0; 16 * 12];
     let cols = [0usize, 5, 11, 3, 3, 7, 1];
     let mut cells = vec![0.0; cols.len()];
-    let u_rows: Vec<f64> = (0..16).flat_map(|i| svd.u().row(i).to_vec()).collect();
 
+    // Warm-up outside the measured window.
+    kernels::reconstruct_row(x.row(0), &lambda, &panel, &mut out);
     let before = alloc_count();
     for i in 0..16 {
-        kernels::reconstruct_row(svd.u().row(i), &lambda, &panel, &mut out);
-        kernels::fuse_coefficients(&lambda, svd.u().row(i), &mut coef);
-        kernels::reconstruct_cells(&coef, svd.v(), &cols, &mut cells).unwrap();
+        kernels::reconstruct_row(x.row(i), &lambda, &panel, &mut out);
+        kernels::fuse_coefficients(&lambda, x.row(i), &mut coef);
+        kernels::reconstruct_cells(&coef, &v, &cols, &mut cells).unwrap();
     }
-    kernels::reconstruct_rows(&u_rows, &lambda, &panel, &mut block).unwrap();
+    kernels::reconstruct_rows(x.as_slice(), &lambda, &panel, &mut block).unwrap();
     let grew = alloc_count() - before;
     assert_eq!(grew, 0, "panel kernels allocated {grew} times");
 }

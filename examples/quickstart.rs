@@ -10,10 +10,10 @@
 //! query classes of §1 (cell + aggregate), compare against ground truth,
 //! and reproduce the Table 1 / Eq. 5 toy decomposition.
 
-use adhoc_ts::compress::SpaceBudget;
+use adhoc_ts::compress::{SpaceBudget, SvdCompressed};
 use adhoc_ts::core::store::{Method, SequenceStore};
 use adhoc_ts::data::{generate_phone, PhoneConfig};
-use adhoc_ts::linalg::{Matrix, Svd, SvdOptions};
+use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::{aggregate_exact, AggregateFn};
 use adhoc_ts::query::selection::{Axis, Selection};
 
@@ -85,15 +85,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![0., 0., 0., 3., 3.],
         vec![0., 0., 0., 1., 1.],
     ])?;
-    let svd = Svd::compute(&toy, SvdOptions::default())?;
+    let svd = SvdCompressed::compress(&toy, 2, 1)?;
     println!(
-        "  rank = {} (two 'blobs': weekday + weekend patterns)",
-        svd.rank()
+        "  k = {} (two 'blobs': weekday + weekend patterns)",
+        svd.k()
     );
     println!(
         "  singular values: {:.2}, {:.2}  (paper: 9.64, 5.29)",
-        svd.sigma()[0],
-        svd.sigma()[1]
+        svd.lambda()[0],
+        svd.lambda()[1]
     );
 
     // SVDD round-trip sanity: every stored value is queryable.

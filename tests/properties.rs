@@ -1,12 +1,13 @@
 //! Cross-crate property-based tests: invariants that must hold for *any*
 //! input, checked with proptest-generated matrices.
 
+use adhoc_ts::common::testutil::jacobi_svd;
 use adhoc_ts::common::TopK;
 use adhoc_ts::compress::{
     lz, CompressedMatrix, SpaceBudget, SvdCompressed, SvddCompressed, SvddOptions,
 };
 use adhoc_ts::core::disk::{decode_deltas, encode_deltas};
-use adhoc_ts::linalg::{sym_eigen, Matrix, Svd, SvdOptions};
+use adhoc_ts::linalg::{sym_eigen, Matrix};
 use adhoc_ts::query::engine::{aggregate_exact, AggregateFn, ExactMatrix, QueryEngine};
 use adhoc_ts::query::selection::{Axis, Selection};
 use proptest::prelude::*;
@@ -150,23 +151,35 @@ fn recorded_rank_two_case_holds_every_matrix_property() {
 }
 
 fn svd_error_matches_tail(x: &Matrix) {
-    // Eckart–Young across the whole pipeline: rank-k SSE equals the
-    // tail eigenvalue mass. Singular *subspaces* are conditioned by
-    // the spectral gap at the cut, so skip near-degenerate cuts where
-    // the identity holds only to O(ε/gap).
-    let svd = Svd::compute(x, SvdOptions::default()).unwrap();
-    let k = (svd.rank() / 2).max(1);
-    if k >= svd.rank() {
+    // Eckart–Young across the whole pipeline: the two-pass build's
+    // rank-k SSE equals the tail σ² mass of an SVD that never forms XᵀX.
+    // Singular *subspaces* are conditioned by the spectral gap at the
+    // cut, so skip near-degenerate cuts where the identity holds only to
+    // O(ε/gap).
+    let (sigma, _) = jacobi_svd(x.as_slice(), x.rows(), x.cols());
+    let rank = sigma.iter().take_while(|&&s| s > 1e-6 * sigma[0]).count();
+    let k = (rank / 2).max(1);
+    if k >= rank {
         return;
     }
-    let gap = svd.sigma()[k - 1] - svd.sigma()[k];
-    if gap < 1e-3 * svd.sigma()[0] {
+    let gap = sigma[k - 1] - sigma[k];
+    if gap < 1e-3 * sigma[0] {
         return;
     }
-    let mut t = svd.clone();
-    t.truncate(k);
-    let err = t.reconstruct().sub(x).unwrap().frobenius_norm();
-    let tail: f64 = svd.sigma()[k..].iter().map(|s| s * s).sum();
+    let c = SvdCompressed::compress(x, k, 1).unwrap();
+    assert_eq!(c.k(), k);
+    let mut row = vec![0.0; x.cols()];
+    let mut sse = 0.0;
+    for i in 0..x.rows() {
+        c.row_into(i, &mut row).unwrap();
+        sse += row
+            .iter()
+            .zip(x.row(i))
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>();
+    }
+    let err = sse.sqrt();
+    let tail: f64 = sigma[k..].iter().map(|s| s * s).sum();
     assert!(
         (err - tail.sqrt()).abs() < 1e-6 * (1.0 + err),
         "err {err}, tail {}, gap {gap}",
@@ -291,10 +304,14 @@ fn table1_matches_paper_exactly() {
         vec![0., 0., 0., 1., 1.],
     ])
     .unwrap();
-    let svd = Svd::compute(&x, SvdOptions::default()).unwrap();
-    assert_eq!(svd.rank(), 2);
-    assert!((svd.sigma()[0] - 9.64).abs() < 0.01);
-    assert!((svd.sigma()[1] - 5.29).abs() < 0.01);
+    let svd = SvdCompressed::compress(&x, 5, 1).unwrap();
+    assert_eq!(svd.k(), 2);
+    assert!((svd.lambda()[0] - 9.64).abs() < 0.01);
+    assert!((svd.lambda()[1] - 5.29).abs() < 0.01);
     // and the reconstruction is exact at full rank
-    assert!(svd.reconstruct().approx_eq(&x, 1e-9));
+    let mut row = vec![0.0; 5];
+    for i in 0..x.rows() {
+        svd.row_into(i, &mut row).unwrap();
+        assert!(row.iter().zip(x.row(i)).all(|(a, b)| (a - b).abs() <= 1e-9));
+    }
 }

@@ -7,7 +7,6 @@
 
 use ats_common::Result;
 use ats_compress::{CompressedMatrix, SpaceBudget, SvddCompressed, SvddOptions};
-use ats_core::shard::ShardedStore;
 use ats_core::store::SequenceStore;
 use ats_core::timeblock::TimeBlockedStore;
 use ats_linalg::Matrix;
@@ -137,7 +136,7 @@ impl CompressedMatrix for ScalarOnly<'_> {
 
 /// Build a saved SVDD store split into `shards` row-range shards and
 /// reopen it disk-paged.
-fn sharded_store(x: &Matrix, shards: usize, tag: &str) -> ShardedStore {
+fn sharded_store(x: &Matrix, shards: usize, tag: &str) -> TimeBlockedStore {
     let dir = std::env::temp_dir().join(format!("ats-bench-{tag}-{shards}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     SequenceStore::builder()
@@ -147,7 +146,7 @@ fn sharded_store(x: &Matrix, shards: usize, tag: &str) -> ShardedStore {
         .expect("build")
         .save(&dir)
         .expect("save");
-    ShardedStore::open(&dir, 4_096).expect("open")
+    TimeBlockedStore::open(&dir, 4_096).expect("open")
 }
 
 fn bench_batch_cells(c: &mut Criterion) {

@@ -190,6 +190,14 @@ impl SvdCompressed {
 /// `gram_route_drift_at_kappa_1e7`, κ = 1e7), the kept σ drift by at
 /// most `10·eps·(σ₁/σ)²` relative — 5.4e-6 at `σ = 3e-6·σ₁` — while the
 /// first dropped one (`1e-7·σ₁`) is already off by 2.7e-3.
+///
+/// [`SvdCompressed::from_gram`] keeps at least one component even when
+/// this is 0 (an all-zero input), because an `N × 0` `U` cannot be
+/// saved: `Matrix::iter_rows` cannot chunk zero-width rows (the `.atsm`
+/// writer walks them), and the `.atsm` header decoder refuses a file of
+/// rows and zero columns as corrupt. A rank-0 input therefore stores
+/// one `λ = 0` component and `N` zeros of `U`, and serves `+0.0`
+/// everywhere (the golden corpus's all-zero stores).
 pub(crate) fn numerical_rank(eig: &EigenDecomposition) -> usize {
     let sigma = |l: f64| l.max(0.0).sqrt();
     let cutoff = 1e-6 * eig.values.first().map_or(0.0, |&l| sigma(l)).max(1e-300);
@@ -543,7 +551,9 @@ mod tests {
     #[test]
     fn zero_matrix_rank_zero() {
         // No component carries energy, and every cell is +0.0, not -0.0.
+        // One λ = 0 component stays (see `numerical_rank`'s doc).
         let c = SvdCompressed::compress(&Matrix::zeros(5, 3), 3, 1).unwrap();
+        assert_eq!(c.k(), 1);
         assert!(c.lambda().iter().all(|&l| l == 0.0));
         for i in 0..5 {
             for j in 0..3 {

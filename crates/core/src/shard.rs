@@ -1,60 +1,67 @@
-//! [`ShardedStore`]: the §4.1 serving architecture scaled out to
-//! row-range shards (store format v3).
+//! [`ShardedStore`]: one time block of an opened store — the §4.1
+//! serving architecture scaled out to row-range shards.
 //!
-//! The factors are global — every shard reconstructs against the same
-//! `V`/`Λ`, pinned in memory from the first read on — while `U` rows and
-//! delta triplets partition by row range into per-shard subdirectories:
+//! A block's factors are global to it — every shard reconstructs
+//! against the same `V`/`Λ`, pinned in memory from the first read on —
+//! while `U` rows and delta triplets partition by row range into
+//! per-shard subdirectories:
 //!
 //! ```text
-//! store/
-//!   manifest.txt          # v3 manifest: shard row ranges + CRCs
+//! block/                  # the store directory of a one-block store
+//!   manifest.txt          # the block's manifest: shard row ranges + CRCs
 //!   v.atsm  lambda.atsm   # shared factors
-//!   shard-0000/ u.atsm deltas.bin
-//!   shard-0001/ u.atsm deltas.bin
+//!   shard-0000/ u.atsm deltas.bin synopsis.bin
+//!   shard-0001/ u.atsm deltas.bin synopsis.bin
 //! ```
 //!
-//! Opening reads the manifest and nothing else; every component file is
-//! checked against the CRC the manifest pins the first time a query
-//! reads it — *before* any value derived from it is served — and the
-//! bytes that are checksummed are the bytes that get decoded:
+//! A store directory is read one way: [`crate::timeblock::TimeBlockedStore::open`]
+//! reads the block table (a v2 or v3 directory is one block) and serves
+//! each block as a `ShardedStore`, reached through
+//! [`crate::timeblock::TimeBlockedStore::blocks`]. Serving reads the
+//! manifests and nothing else; every component file is checked against
+//! the CRC its manifest pins the first time a query reads it — *before*
+//! any value derived from it is served — and the bytes that are
+//! checksummed are the bytes that get decoded:
 //!
 //! | component | first touched by | checked how |
 //! |---|---|---|
-//! | `v.atsm`, `lambda.atsm` | any cell/row read of the store, or [`append_rows`] | read whole → CRC → decode |
+//! | `v.atsm`, `lambda.atsm` | any cell/row read of the block, or [`append_rows`] | read whole → CRC → decode |
 //! | `shard-NNNN/u.atsm` | a read of a row the shard owns | streamed through the CRC, then paged |
 //! | `shard-NNNN/deltas.bin` | the same | read whole → CRC → decode |
 //! | `shard-NNNN/synopsis.bin` | a `where` scan planning the shard | read whole → CRC → decode |
 //!
 //! A failed check is [`AtsError::Corrupt`] and is not cached: the next
 //! touch checks again. A caller that wants everything checked *now* runs
-//! [`ats_storage::store_dir::validate_sharded_store_dir`], which loops
+//! [`ats_storage::store_dir::validate_timeblocked_store_dir`], which loops
 //! the same per-component check over the whole directory. The
 //! buffer-pool page budget is split evenly across shards. A v2
-//! directory is exactly a one-shard v3 store (delta rows are stored
+//! directory is exactly a one-shard block (delta rows are stored
 //! relative to the shard start, and a v2 store starts at row 0), so
-//! legacy stores open here unchanged.
+//! legacy stores serve here unchanged.
 //!
-//! The append path (`§1`: updates are rare and batched) lands new rows
-//! in a fresh shard under the *frozen* global `V`: each new row is
-//! projected onto the existing principal components and its exact
-//! reconstruction SSE is recorded in the manifest (`append-sse`), so
-//! the error introduced by not re-deriving the factors is tracked, not
-//! hidden. The shard directory is staged, fsynced, and renamed in
-//! before the manifest is atomically replaced — a crash leaves the old
-//! store or an unreferenced orphan directory, never a torn store.
+//! The row-append path (`§1`: updates are rare and batched) grows a
+//! one-block store: new rows land in a fresh shard under the *frozen*
+//! `V`: each new row is projected onto the existing principal
+//! components and its exact reconstruction SSE is recorded in the
+//! manifest (`append-sse`), so the error introduced by not re-deriving
+//! the factors is tracked, not hidden. The shard directory is staged,
+//! fsynced, and renamed in before the manifest is atomically replaced —
+//! a crash leaves the old store or an unreferenced orphan directory,
+//! never a torn store. A time-blocked store grows along time instead
+//! ([`crate::timeblock::append_time_block`]).
 
 use crate::disk::{encode_deltas, read_deltas, DeltaTriplet};
 use ats_common::codec::{u64_from_usize, usize_from_u64};
 use ats_common::{AtsError, Result};
 use ats_compress::delta::DELTA_BYTES;
-use ats_compress::method::BYTES_PER_NUMBER;
+use ats_compress::method::svd_bytes;
 use ats_compress::{project_frozen, CompressedMatrix, DeltaStore, GramCache, SvdCompressed};
 use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::Matrix;
 use ats_storage::file::{matrix_from_bytes, write_matrix, MatrixFile, MatrixFileWriter};
 use ats_storage::store_dir::{
-    file_crc, publish_manifest, shard_dir_name, validate_sharded_store_dir, Component,
-    SHARDED_STORE_VERSION,
+    file_crc, publish_manifest, shard_dir_name, validate_timeblocked_store_dir, Component,
+    SHARDED_STORE_VERSION, TIMEBLOCKED_STORE_VERSION,
 };
 use ats_storage::synopsis::{ShardSynopsis, SynopsisBuilder, TileStat, SYNOPSIS_FILE};
 use ats_storage::{
@@ -296,22 +303,12 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Open a sharded (v3) store directory — or a legacy v2 directory,
-    /// which is served as a single shard with identical semantics.
-    ///
-    /// Only the manifest is read (self-checksum, schema, geometry); no
-    /// component file is. Each component is verified against its
-    /// recorded CRC when a query first reads it (see the module docs).
-    /// `pool_pages` bounds the *total* `U` buffer-pool budget; each of
-    /// `R` shards gets `max(pool_pages / R, 1)` pages.
-    pub fn open(dir: impl AsRef<Path>, pool_pages: usize) -> Result<Self> {
-        let dir = dir.as_ref();
-        Self::from_manifest(dir, ShardedManifest::read(dir)?, pool_pages)
-    }
-
-    /// Serve `dir` under its parsed manifest (the store directory's own,
-    /// or one block's nested manifest of a time-blocked store, whose CRC
-    /// the block table pins).
+    /// Serve the block directory `dir` under its parsed manifest (the
+    /// store directory's own for a v2/v3 store, or one block's nested
+    /// manifest of a time-blocked store, whose CRC the block table
+    /// pins). No component file is read. `pool_pages` bounds the
+    /// block's `U` buffer-pool budget; each of `R` shards gets
+    /// `max(pool_pages / R, 1)` pages.
     pub(crate) fn from_manifest(
         dir: &Path,
         manifest: ShardedManifest,
@@ -718,8 +715,7 @@ impl CompressedMatrix for ShardedStore {
     }
 
     fn storage_bytes(&self) -> usize {
-        (self.manifest.rows * self.k() + self.k() + self.manifest.cols * self.k())
-            * BYTES_PER_NUMBER
+        svd_bytes(self.manifest.rows, self.manifest.cols, self.k())
             + self.manifest.deltas * DELTA_BYTES
     }
 
@@ -763,21 +759,24 @@ pub struct AppendReport {
     pub sse: f64,
 }
 
-/// Append a batch of new sequences to an existing sharded (v3) store
-/// on disk, without rebuilding: the rows are projected onto the frozen
-/// global `V`/`Λ` (`U_new = X_new · V · Λ⁻¹`, the §3.3 reconstruction
-/// identity run forward) and land in a fresh shard whose manifest entry
-/// records the batch's exact reconstruction SSE.
+/// Append a batch of new sequences to an existing single-time-block
+/// (v3) store on disk, without rebuilding: the rows are projected onto
+/// the frozen `V`/`Λ` (`U_new = X_new · V · Λ⁻¹`, the §3.3
+/// reconstruction identity run forward) and land in a fresh shard whose
+/// manifest entry records the batch's exact reconstruction SSE.
 ///
-/// Crash-safe: the shard directory is staged hidden, fsynced, and
-/// renamed in *before* the manifest is atomically replaced — until the
-/// new manifest is in place the store opens exactly as before, and an
-/// interrupted append leaves at worst an unreferenced orphan directory.
+/// The whole directory is validated first. Crash-safe: the shard
+/// directory is staged hidden, fsynced, and renamed in *before* the
+/// manifest is atomically replaced — until the new manifest is in place
+/// the store opens exactly as before, and an interrupted append leaves
+/// at worst an unreferenced orphan directory.
 ///
-/// Legacy v2 directories are refused ([`AtsError::InvalidArgument`]):
-/// re-save the store in the sharded layout first. Pass a [`GramCache`]
-/// to keep the §1 single-pass rebuild path warm — the batch is folded
-/// into the cache after the store is durable.
+/// Refused with [`AtsError::InvalidArgument`]: a time-blocked (v4)
+/// directory, which grows along time instead
+/// ([`crate::timeblock::append_time_block`]), and a legacy v2 directory
+/// (re-save it in the sharded layout first). Pass a [`GramCache`] to
+/// keep the §1 single-pass rebuild path warm — the batch is folded into
+/// the cache after the store is durable.
 pub fn append_rows<S: RowSource + ?Sized>(
     dir: impl AsRef<Path>,
     batch: &S,
@@ -785,14 +784,28 @@ pub fn append_rows<S: RowSource + ?Sized>(
     cache: Option<&mut GramCache>,
 ) -> Result<AppendReport> {
     let dir = dir.as_ref();
-    let manifest = validate_sharded_store_dir(dir)?;
-    if manifest.source_version != SHARDED_STORE_VERSION {
-        return Err(AtsError::InvalidArgument(
-            "cannot append to a legacy (v2) store directory: open and re-save it \
-             in the sharded (v3) layout first"
-                .into(),
-        ));
+    let (top, mut blocks) = validate_timeblocked_store_dir(dir)?;
+    match top.source_version {
+        SHARDED_STORE_VERSION => {}
+        TIMEBLOCKED_STORE_VERSION => {
+            return Err(AtsError::InvalidArgument(format!(
+                "row appends need a single-time-block store, and this store has {} time \
+                 blocks: grow it along time instead (ats append DIR FILE --time)",
+                top.blocks.len()
+            )))
+        }
+        _ => {
+            return Err(AtsError::InvalidArgument(
+                "cannot append to a legacy (v2) store directory: open and re-save it \
+                 in the sharded (v3) layout first"
+                    .into(),
+            ))
+        }
     }
+    // A v3 directory is one block, served from the store directory itself.
+    let manifest = blocks
+        .pop()
+        .ok_or_else(|| AtsError::internal("a v3 store read as no time block"))?;
     if batch.cols() != manifest.cols {
         return Err(AtsError::dims(
             "append_rows",
@@ -860,16 +873,27 @@ pub fn append_rows<S: RowSource + ?Sized>(
 pub(crate) mod tests {
     use super::*;
     use crate::disk::decode_deltas;
+    use crate::timeblock::TimeBlockedStore;
     use ats_common::TestDir;
     use ats_compress::{shard_ranges, SpaceBudget, SvddCompressed, SvddOptions};
     use ats_storage::file::read_matrix;
+    use ats_storage::store_dir::write_sharded_manifest_into;
 
     /// Stage and commit `svdd` as a v3 directory over `ranges`.
     fn save_sharded(dir: &Path, svdd: &SvddCompressed, ranges: &[(usize, usize)]) -> Result<()> {
         let w = StoreWriter::begin(dir)?;
         let m =
             write_sharded_components(w.path(), svdd.svd(), Some(svdd.deltas()), "svdd", ranges)?;
-        w.commit_sharded(m)
+        write_sharded_manifest_into(w.path(), m)?;
+        w.commit_dir()
+    }
+
+    /// Open the one-block store at `dir` the one way a directory opens;
+    /// its block is `.blocks()[0]`.
+    fn open_one_block(dir: &Path, pool_pages: usize) -> TimeBlockedStore {
+        let store = TimeBlockedStore::open(dir, pool_pages).unwrap();
+        assert_eq!(store.blocks().len(), 1);
+        store
     }
 
     /// A scratch copy of the golden v2 directory (real bytes from the
@@ -934,7 +958,8 @@ pub(crate) mod tests {
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("rt");
         save_sharded(&dir, &svdd, &ranges).unwrap();
-        let store = ShardedStore::open(&dir, 64).unwrap();
+        let opened = open_one_block(&dir, 64);
+        let store = &opened.blocks()[0];
         assert_eq!(store.shard_count(), 3);
         assert_eq!(store.rows(), 203);
         assert_eq!(store.cols(), 17);
@@ -965,7 +990,8 @@ pub(crate) mod tests {
     fn v2_store_opens_as_single_shard() {
         let tmp = TestDir::new("ats-shard");
         let (dir, truth) = v2_fixture(&tmp);
-        let store = ShardedStore::open(&dir, 32).unwrap();
+        let opened = open_one_block(&dir, 32);
+        let store = &opened.blocks()[0];
         assert_eq!(store.shard_count(), 1);
         assert_eq!(store.shard_starts(), vec![0]);
         assert_eq!(store.manifest().source_version, 2);
@@ -996,7 +1022,8 @@ pub(crate) mod tests {
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("1io");
         save_sharded(&dir, &svdd, &ranges).unwrap();
-        let store = ShardedStore::open(&dir, 256).unwrap();
+        let opened = open_one_block(&dir, 256);
+        let store = &opened.blocks()[0];
         // Query 10 distinct rows of shard 1 only, all cold.
         let (s1_start, s1_end) = ranges[1];
         for i in s1_start..(s1_start + 10).min(s1_end) {
@@ -1031,7 +1058,8 @@ pub(crate) mod tests {
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("syn");
         save_sharded(&dir, &svdd, &ranges).unwrap();
-        let store = ShardedStore::open(&dir, 64).unwrap();
+        let opened = open_one_block(&dir, 64);
+        let store = &opened.blocks()[0];
         for (s, &(start, end)) in ranges.iter().enumerate() {
             let syn = store
                 .shard_synopsis(s)
@@ -1063,7 +1091,8 @@ pub(crate) mod tests {
         }
         // A v2 store opens with no synopses and serves unchanged.
         let (v2, _) = v2_fixture(&tmp);
-        let legacy = ShardedStore::open(&v2, 16).unwrap();
+        let opened = open_one_block(&v2, 16);
+        let legacy = &opened.blocks()[0];
         assert!(legacy.shard_synopsis(0).unwrap().is_none());
         assert!(legacy.shard_synopsis(7).unwrap().is_none());
     }
@@ -1077,7 +1106,8 @@ pub(crate) mod tests {
         save_sharded(&dir, &svdd, &shard_ranges(80, 2)).unwrap();
         let batch = Matrix::from_fn(10, 12, |i, j| (i as f64) - (j as f64) * 0.25);
         append_rows(&dir, &batch, 1, None).unwrap();
-        let store = ShardedStore::open(&dir, 32).unwrap();
+        let opened = open_one_block(&dir, 32);
+        let store = &opened.blocks()[0];
         let syn = store
             .shard_synopsis(2)
             .unwrap()
@@ -1126,7 +1156,8 @@ pub(crate) mod tests {
         assert!(report.sse.is_finite() && report.sse > 0.0);
         assert_eq!(cache.rows_seen(), 160 + 24);
 
-        let store = ShardedStore::open(&dir, 64).unwrap();
+        let opened = open_one_block(&dir, 64);
+        let store = &opened.blocks()[0];
         assert_eq!(store.rows(), 184);
         assert_eq!(store.shard_count(), 3);
         let entry = &store.manifest().shards[2];
@@ -1153,7 +1184,7 @@ pub(crate) mod tests {
         // A second append stacks another shard.
         let report2 = append_rows(&dir, &batch, 1, None).unwrap();
         assert_eq!(report2.shard_index, 3);
-        assert_eq!(ShardedStore::open(&dir, 64).unwrap().rows(), 208);
+        assert_eq!(open_one_block(&dir, 64).rows(), 208);
     }
 
     #[test]
@@ -1164,7 +1195,7 @@ pub(crate) mod tests {
         let err = append_rows(&v2, &batch, 1, None).unwrap_err();
         assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
         assert!(err.to_string().contains("v2"), "{err}");
-        assert_eq!(ShardedStore::open(&v2, 16).unwrap().rows(), 40);
+        assert_eq!(open_one_block(&v2, 16).rows(), 40);
 
         // Against a v3 store a wrong-width batch is refused.
         let dir = tmp.file("v3");
@@ -1177,7 +1208,46 @@ pub(crate) mod tests {
         let wrong = Matrix::from_fn(8, 9, |i, j| (i + j) as f64);
         assert!(append_rows(&dir, &wrong, 1, None).is_err());
         // And the store is unchanged by the refused append.
-        assert_eq!(ShardedStore::open(&dir, 16).unwrap().rows(), 80);
+        assert_eq!(open_one_block(&dir, 16).rows(), 80);
+    }
+
+    /// Every file under `dir`, by path, with its bytes.
+    fn tree_bytes(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = std::collections::BTreeMap::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(d) = pending.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                } else {
+                    out.insert(path.clone(), std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn append_refuses_a_time_blocked_store_and_leaves_it_untouched() {
+        // A valid two-block store is not damage: the refusal is an
+        // invalid argument naming the growth it does take.
+        let tmp = TestDir::new("ats-shard");
+        let dir = tmp.file("v4");
+        crate::store::SequenceStore::builder()
+            .time_blocks(2)
+            .build(&spiky(80, 12))
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        let before = tree_bytes(&dir);
+        let batch = Matrix::from_fn(8, 12, |i, j| (i + j) as f64);
+        let err = append_rows(&dir, &batch, 1, None).unwrap_err();
+        assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("single-time-block"), "{msg}");
+        assert!(msg.contains("ats append DIR FILE --time"), "{msg}");
+        assert_eq!(tree_bytes(&dir), before, "a refused append writes nothing");
     }
 
     #[test]
@@ -1188,7 +1258,7 @@ pub(crate) mod tests {
         let tmp = TestDir::new("ats-shard");
         let dir = tmp.file("crash");
         save_sharded(&dir, &svdd, &ranges).unwrap();
-        let baseline = ShardedStore::open(&dir, 16).unwrap().cell(50, 4).unwrap();
+        let baseline = open_one_block(&dir, 16).cell(50, 4).unwrap();
 
         // Crash after the shard dir was renamed in but before the
         // manifest was replaced: an unreferenced orphan, store serves old
@@ -1196,20 +1266,20 @@ pub(crate) mod tests {
         let orphan = dir.join(shard_dir_name(2));
         std::fs::create_dir(&orphan).unwrap();
         std::fs::write(orphan.join("u.atsm"), b"half-written").unwrap();
-        let store = ShardedStore::open(&dir, 16).unwrap();
+        let store = open_one_block(&dir, 16);
         assert_eq!(store.rows(), 100);
         assert_eq!(store.cell(50, 4).unwrap(), baseline);
         let batch = Matrix::from_fn(8, 12, |i, j| (i * j) as f64 + 1.0);
         let report = append_rows(&dir, &batch, 1, None).unwrap();
         assert_eq!(report.shard_index, 2);
-        assert_eq!(ShardedStore::open(&dir, 16).unwrap().rows(), 108);
+        assert_eq!(open_one_block(&dir, 16).rows(), 108);
 
         // Crash with a stale staged temp dir lying around: ignored and
         // cleaned by the next append at that index.
         let staged = dir.join(format!(".{}.tmp-999", shard_dir_name(3)));
         std::fs::create_dir(&staged).unwrap();
         std::fs::write(staged.join("u.atsm"), b"junk").unwrap();
-        assert_eq!(ShardedStore::open(&dir, 16).unwrap().rows(), 108);
+        assert_eq!(open_one_block(&dir, 16).rows(), 108);
     }
 
     #[test]
@@ -1227,16 +1297,17 @@ pub(crate) mod tests {
         // The stale CRC catches the graft the first time the shard is
         // touched — the open reads the manifest only — and again on the
         // next touch: a failed check is not cached…
-        let store = ShardedStore::open(&d1, 4).unwrap();
+        let store = open_one_block(&d1, 4);
         for _ in 0..2 {
             assert!(matches!(store.cell(0, 0), Err(AtsError::Corrupt(_))));
         }
         // …and with the CRC recomputed (rows still 40) the header
         // cross-check refuses the shard the first time it is touched.
-        let mut manifest = ShardedManifest::read(&d1).unwrap();
+        let text = std::fs::read_to_string(d1.join("manifest.txt")).unwrap();
+        let mut manifest = ShardedManifest::parse(&text).unwrap();
         manifest.shards[0].crc_u = file_crc(&u1).unwrap();
         std::fs::write(d1.join("manifest.txt"), manifest.encode()).unwrap();
-        let store = ShardedStore::open(&d1, 4).unwrap();
+        let store = open_one_block(&d1, 4);
         match store.cell(0, 0) {
             Err(AtsError::Corrupt(_)) => {}
             other => panic!("dimension mismatch must not serve: {other:?}"),

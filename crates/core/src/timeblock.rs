@@ -61,8 +61,8 @@ use ats_compress::{
     SvddOptions,
 };
 use ats_storage::store_dir::{
-    file_crc, publish_manifest, tblock_dir_name, write_sharded_manifest_into, MANIFEST_FILE,
-    TIMEBLOCKED_STORE_VERSION,
+    file_crc, publish_manifest, tblock_dir_name, write_sharded_manifest_into,
+    write_timeblocked_manifest_into, MANIFEST_FILE, TIMEBLOCKED_STORE_VERSION,
 };
 use ats_storage::{
     IoSnapshot, RowSource, ShardSynopsis, StoreWriter, TimeBlockEntry, TimeBlockedManifest,
@@ -219,8 +219,8 @@ pub(crate) fn block_table(method: &str, blocks: &[BuiltBlock]) -> TimeBlockedMan
 /// Persist freshly built blocks into `dir`, atomically: one block lands
 /// as a sharded (v3) directory, several as a time-blocked (v4) directory
 /// whose every block is a complete nested v3 tree (components plus
-/// CRC-filled nested manifest). Everything is staged inside one
-/// [`StoreWriter`] temp directory and exposed by its single
+/// CRC-filled nested manifest) under a block table. Everything is staged
+/// inside one [`StoreWriter`] temp directory and exposed by its single
 /// all-or-nothing commit — a torn save never exposes a half-written
 /// store. `row_ranges` are the shard ranges the build passes ran over.
 pub(crate) fn save_blocks(
@@ -231,18 +231,20 @@ pub(crate) fn save_blocks(
 ) -> Result<()> {
     let writer = StoreWriter::begin(dir)?;
     let stage = |bdir: &Path, b: &BuiltBlock| {
-        write_sharded_components(bdir, b.svd(), b.deltas(), method, row_ranges)
+        let manifest = write_sharded_components(bdir, b.svd(), b.deltas(), method, row_ranges)?;
+        write_sharded_manifest_into(bdir, manifest)
     };
     if let [only] = blocks {
-        let manifest = stage(writer.path(), only)?;
-        return writer.commit_sharded(manifest);
+        stage(writer.path(), only)?;
+    } else {
+        for (i, b) in blocks.iter().enumerate() {
+            let bdir = writer.path().join(tblock_dir_name(i));
+            std::fs::create_dir(&bdir)?;
+            stage(&bdir, b)?;
+        }
+        write_timeblocked_manifest_into(writer.path(), block_table(method, blocks))?;
     }
-    for (i, b) in blocks.iter().enumerate() {
-        let bdir = writer.path().join(tblock_dir_name(i));
-        std::fs::create_dir(&bdir)?;
-        write_sharded_manifest_into(&bdir, stage(&bdir, b)?)?;
-    }
-    writer.commit_timeblocked(block_table(method, blocks))
+    writer.commit_dir()
 }
 
 /// A column-partitioned grid of compressed matrices serving as one:

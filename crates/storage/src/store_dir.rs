@@ -375,7 +375,7 @@ pub struct ShardedManifest {
 impl ShardedManifest {
     /// Directory holding shard `index`'s component files: the store
     /// directory itself for a normalized v2 store, `shard-NNNN/` for v3.
-    pub fn shard_dir(&self, base: &Path, index: usize) -> PathBuf {
+    fn shard_dir(&self, base: &Path, index: usize) -> PathBuf {
         if self.source_version == LEGACY_STORE_VERSION {
             base.to_path_buf()
         } else {
@@ -432,8 +432,13 @@ impl ShardedManifest {
         Ok(manifest)
     }
 
-    /// The v2/v3 schema over already-checksummed fields.
+    /// The v2/v3 schema over already-checksummed fields. The version is
+    /// checked before any other key is read, so a manifest of another
+    /// version fails by naming it, not by the first key it lacks.
     fn from_fields(version: usize, f: &mut Fields<'_>) -> Result<Self> {
+        if !matches!(version, 2 | 3) {
+            return Err(unsupported_version(version, "2 or 3"));
+        }
         let method = f.text("method")?.to_string();
         let (rows, cols, k) = (f.number("rows")?, f.number("cols")?, f.number("k")?);
         let deltas = f.number("deltas")?;
@@ -453,7 +458,7 @@ impl ShardedManifest {
                 };
                 (vec![only], LEGACY_STORE_VERSION)
             }
-            3 => {
+            _ => {
                 let count = f.number("shards")?;
                 if count == 0 {
                     return Err(AtsError::Corrupt("manifest declares zero shards".into()));
@@ -489,7 +494,6 @@ impl ShardedManifest {
                 }
                 (shards, SHARDED_STORE_VERSION)
             }
-            v => return Err(unsupported_version(v, "2 or 3")),
         };
         Ok(ShardedManifest {
             method,
@@ -503,15 +507,6 @@ impl ShardedManifest {
             shards,
             source_version,
         })
-    }
-
-    /// Read `dir/manifest.txt` and parse it as either format.
-    ///
-    /// A missing directory surfaces as the underlying I/O error ("clean
-    /// absence"); a directory that exists but has no manifest is a
-    /// corrupt store.
-    pub fn read(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::parse(&read_manifest_text(dir.as_ref())?)
     }
 
     /// Every component file this manifest pins, in the order the eager
@@ -602,7 +597,7 @@ impl ShardedManifest {
         self.read_component_into(dir, c, Vec::new())
     }
 
-    /// [`ShardedManifest::read_component`] into a buffer the caller
+    /// [`Self::read_component`] into a buffer the caller
     /// already holds (its contents are discarded; it grows if the file
     /// is larger than its capacity).
     pub fn read_component_into(
@@ -625,19 +620,6 @@ impl ShardedManifest {
         }
         Ok(())
     }
-}
-
-/// Validate a v2 or v3 store directory: parse the manifest (normalizing
-/// v2 into a single-shard view) and cross-check the shared `V/Λ` CRCs
-/// plus every shard's component CRCs against the bytes on disk.
-///
-/// Returns the normalized manifest on success. A missing directory
-/// propagates as an I/O error; anything else is [`AtsError::Corrupt`].
-pub fn validate_sharded_store_dir(dir: impl AsRef<Path>) -> Result<ShardedManifest> {
-    let dir = dir.as_ref();
-    let manifest = ShardedManifest::read(dir)?;
-    manifest.check_components(dir)?;
-    Ok(manifest)
 }
 
 /// Name of the subdirectory holding time block `index` inside a v4 store
@@ -902,12 +884,9 @@ pub fn validate_timeblocked_store_dir(
 /// Fill a sharded manifest's CRCs from the component files staged under
 /// `dir` (the v3 layout: `v.atsm`/`lambda.atsm` at the top,
 /// `shard-NNNN/{u.atsm,deltas.bin}` per shard), stamp it v3, and write
-/// `dir/manifest.txt`. Shared by [`StoreWriter::commit_sharded`] and the
-/// per-block staging of a v4 save. Returns the filled manifest.
-pub fn write_sharded_manifest_into(
-    dir: &Path,
-    mut manifest: ShardedManifest,
-) -> Result<ShardedManifest> {
+/// `dir/manifest.txt`: the manifest of a one-block store, or of one
+/// block of a v4 save.
+pub fn write_sharded_manifest_into(dir: &Path, mut manifest: ShardedManifest) -> Result<()> {
     manifest.crc_v = staged_crc(&dir.join("v.atsm"), "v.atsm")?;
     manifest.crc_lambda = staged_crc(&dir.join("lambda.atsm"), "lambda.atsm")?;
     for (i, s) in manifest.shards.iter_mut().enumerate() {
@@ -925,7 +904,24 @@ pub fn write_sharded_manifest_into(
     }
     manifest.source_version = SHARDED_STORE_VERSION;
     fs::write(dir.join(MANIFEST_FILE), manifest.encode())?;
-    Ok(manifest)
+    Ok(())
+}
+
+/// Fill a block table's nested-manifest CRCs from the `tblock-NNNN/`
+/// directories staged under `dir` — each already a complete nested v3
+/// store sealed by [`write_sharded_manifest_into`] — stamp it v4, and
+/// write `dir/manifest.txt`.
+pub fn write_timeblocked_manifest_into(
+    dir: &Path,
+    mut manifest: TimeBlockedManifest,
+) -> Result<()> {
+    for (i, b) in manifest.blocks.iter_mut().enumerate() {
+        let path = dir.join(tblock_dir_name(i)).join(MANIFEST_FILE);
+        b.crc_manifest = staged_crc(&path, &format!("time block {i} manifest"))?;
+    }
+    manifest.source_version = TIMEBLOCKED_STORE_VERSION;
+    fs::write(dir.join(MANIFEST_FILE), manifest.encode())?;
+    Ok(())
 }
 
 /// Atomically replace `dir/manifest.txt` with `text`: write a hidden
@@ -944,12 +940,15 @@ pub fn publish_manifest(dir: &Path, text: &str) -> Result<()> {
 /// sibling temp directory, then swap it into place atomically.
 ///
 /// ```text
-/// begin(dir)   -> create  <parent>/.<name>.tmp-<pid>
-/// (write components into writer.path())
-/// commit_*(m)  -> CRC components, write manifest, fsync everything,
-///                 rename old dir aside, rename temp -> dir, fsync parent
+/// begin(dir)    -> create  <parent>/.<name>.tmp-<pid>
+/// (write components and manifests into writer.path(); the
+///  write_*_manifest_into functions CRC what is staged)
+/// commit_dir()  -> fsync everything, rename old dir aside,
+///                  rename temp -> dir, fsync parent
 /// drop w/o commit -> temp directory removed, target untouched
 /// ```
+///
+/// The writer knows nothing about manifests: it stages and swaps.
 ///
 /// A crash before the final rename leaves the previous store (or nothing,
 /// if there was none) at `dir`; a crash inside the swap window leaves
@@ -1000,38 +999,11 @@ impl StoreWriter {
         &self.tmp
     }
 
-    /// Finish a sharded (v3) save: fill the manifest's shared and
-    /// per-shard CRCs from the files staged under
-    /// [`StoreWriter::path`] (`v.atsm` / `lambda.atsm` at the top,
-    /// `shard-NNNN/{u.atsm,deltas.bin}` per shard), write it, fsync the
-    /// whole staged tree, and atomically swap it into place.
-    pub fn commit_sharded(self, manifest: ShardedManifest) -> Result<()> {
-        write_sharded_manifest_into(&self.tmp, manifest)?;
-        self.commit_dir()
-    }
-
-    /// Finish a time-blocked (v4) save. The staged tree must hold one
-    /// `tblock-NNNN/` directory per manifest block, each already a
-    /// complete nested v3 store (manifest written during staging via
-    /// [`write_sharded_manifest_into`]). Fills each block's
-    /// nested-manifest CRC, writes the top-level manifest, fsyncs the
-    /// whole staged tree, and atomically swaps it into place — so a
-    /// torn multi-block commit never exposes a half-written store.
-    pub fn commit_timeblocked(self, mut manifest: TimeBlockedManifest) -> Result<()> {
-        for (i, b) in manifest.blocks.iter_mut().enumerate() {
-            let path = self.tmp.join(tblock_dir_name(i)).join(MANIFEST_FILE);
-            b.crc_manifest = staged_crc(&path, &format!("time block {i} manifest"))?;
-        }
-        manifest.source_version = TIMEBLOCKED_STORE_VERSION;
-        fs::write(self.tmp.join(MANIFEST_FILE), manifest.encode())?;
-        self.commit_dir()
-    }
-
-    /// Finish staging a directory that carries no manifest of its own —
-    /// a shard directory the parent store's manifest will pin — and the
-    /// tail of every other commit: fsync every staged byte (recursing
-    /// into subdirectories), then rename the staged directory into
-    /// place, retiring whatever sat at the target.
+    /// Finish the save: fsync every staged byte (recursing into
+    /// subdirectories), then rename the staged directory into place,
+    /// retiring whatever sat at the target. What was staged — a whole
+    /// store with its manifests, or a shard directory the parent store's
+    /// manifest will pin — is the caller's business.
     pub fn commit_dir(mut self) -> Result<()> {
         // Durability point: every staged byte reaches disk before the
         // rename can expose the new directory.
@@ -1195,6 +1167,19 @@ mod tests {
     }
 
     #[test]
+    fn sharded_parse_names_the_version_before_any_key() {
+        // A top-level v4 manifest where a v2/v3 one belongs (say, a
+        // nested manifest swapped for a top one) fails on its version.
+        let err = ShardedManifest::parse(&timeblocked_manifest().encode()).unwrap_err();
+        assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("unsupported store format version 4 (expected 2 or 3)"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn abandoned_writer_leaves_no_trace() {
         let t = ats_common::TestDir::new("ats-storedir");
         let target = t.file("store");
@@ -1220,8 +1205,6 @@ mod tests {
     #[test]
     fn missing_dir_is_io_not_corrupt() {
         let t = ats_common::TestDir::new("ats-storedir");
-        let err = validate_sharded_store_dir(t.file("never-saved")).unwrap_err();
-        assert!(matches!(err, AtsError::Io(_)), "{err}");
         let err = validate_timeblocked_store_dir(t.file("never-saved")).unwrap_err();
         assert!(matches!(err, AtsError::Io(_)), "{err}");
     }
@@ -1290,6 +1273,19 @@ mod tests {
             ],
             source_version: SHARDED_STORE_VERSION,
         }
+    }
+
+    /// Seal the one-block store staged in `w` with `m` and swap it in.
+    fn seal_one_block(w: StoreWriter, m: ShardedManifest) -> Result<()> {
+        write_sharded_manifest_into(w.path(), m)?;
+        w.commit_dir()
+    }
+
+    /// Validate the one-block store at `dir`, returning its manifest.
+    fn validate_one_block(dir: &Path) -> Result<ShardedManifest> {
+        let (top, mut blocks) = validate_timeblocked_store_dir(dir)?;
+        assert_eq!((top.blocks.len(), blocks.len()), (1, 1));
+        Ok(blocks.remove(0))
     }
 
     fn stage_sharded_components(dir: &Path, shards: usize) {
@@ -1405,14 +1401,14 @@ mod tests {
     }
 
     #[test]
-    fn commit_sharded_swaps_atomically_and_validates() {
+    fn one_block_commit_swaps_atomically_and_validates() {
         let t = ats_common::TestDir::new("ats-storedir");
         let target = t.file("store");
 
         let w = StoreWriter::begin(&target).unwrap();
         stage_sharded_components(w.path(), 2);
-        w.commit_sharded(sharded_manifest()).unwrap();
-        let m = validate_sharded_store_dir(&target).unwrap();
+        seal_one_block(w, sharded_manifest()).unwrap();
+        let m = validate_one_block(&target).unwrap();
         assert_eq!(m.source_version, SHARDED_STORE_VERSION);
         assert_eq!(m.shards.len(), 2);
         assert_ne!(m.crc_v, 11, "commit recomputes real CRCs");
@@ -1432,46 +1428,46 @@ mod tests {
             crc_synopsis: None,
             append_sse: None,
         }];
-        w.commit_sharded(m1).unwrap();
-        let got = validate_sharded_store_dir(&target).unwrap();
+        seal_one_block(w, m1).unwrap();
+        let got = validate_one_block(&target).unwrap();
         assert_eq!(got.shards.len(), 1);
         assert!(!target.join(shard_dir_name(1)).exists(), "stale shard dir");
     }
 
     #[test]
-    fn commit_sharded_without_staged_shard_refused() {
+    fn sharded_manifest_without_staged_shard_refused() {
         let t = ats_common::TestDir::new("ats-storedir");
         let w = StoreWriter::begin(t.file("store")).unwrap();
         stage_sharded_components(w.path(), 1); // manifest declares 2
-        let err = w.commit_sharded(sharded_manifest()).unwrap_err();
+        let err = seal_one_block(w, sharded_manifest()).unwrap_err();
         assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
         assert!(!t.file("store").exists());
     }
 
     #[test]
-    fn validate_sharded_rejects_per_shard_corruption() {
+    fn validate_rejects_per_shard_corruption() {
         let t = ats_common::TestDir::new("ats-storedir");
         let target = t.file("store");
         let w = StoreWriter::begin(&target).unwrap();
         stage_sharded_components(w.path(), 2);
-        w.commit_sharded(sharded_manifest()).unwrap();
+        seal_one_block(w, sharded_manifest()).unwrap();
 
         let victim = target.join(shard_dir_name(1)).join("u.atsm");
         let mut bytes = std::fs::read(&victim).unwrap();
         bytes[0] ^= 0x80;
         std::fs::write(&victim, &bytes).unwrap();
-        let err = validate_sharded_store_dir(&target).unwrap_err();
+        let err = validate_timeblocked_store_dir(&target).unwrap_err();
         assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("shard 1"), "{err}");
 
         std::fs::remove_file(&victim).unwrap();
-        let err = validate_sharded_store_dir(&target).unwrap_err();
+        let err = validate_timeblocked_store_dir(&target).unwrap_err();
         assert!(matches!(err, AtsError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn staged_synopsis_is_pinned_and_corruption_detected() {
-        // commit_sharded autodetects a staged synopsis.bin per shard:
+        // The manifest writer autodetects a staged synopsis.bin per shard:
         // shard 0 gets one (pinned by CRC), shard 1 stays legacy (None).
         let t = ats_common::TestDir::new("ats-storedir");
         let target = t.file("store");
@@ -1482,9 +1478,9 @@ mod tests {
             b"synopsis payload",
         )
         .unwrap();
-        w.commit_sharded(sharded_manifest()).unwrap();
+        seal_one_block(w, sharded_manifest()).unwrap();
 
-        let m = validate_sharded_store_dir(&target).unwrap();
+        let m = validate_one_block(&target).unwrap();
         assert!(m.shards[0].crc_synopsis.is_some());
         assert_eq!(m.shards[1].crc_synopsis, None);
 
@@ -1494,19 +1490,19 @@ mod tests {
         let original = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &original[..original.len() - 1]).unwrap();
         assert!(matches!(
-            validate_sharded_store_dir(&target),
+            validate_timeblocked_store_dir(&target),
             Err(AtsError::Corrupt(_))
         ));
         let mut bytes = original.clone();
         bytes[3] ^= 0x40;
         std::fs::write(&victim, &bytes).unwrap();
-        let err = validate_sharded_store_dir(&target).unwrap_err();
+        let err = validate_timeblocked_store_dir(&target).unwrap_err();
         assert!(err.to_string().contains("shard 0 synopsis.bin"), "{err}");
         std::fs::remove_file(&victim).unwrap();
-        let err = validate_sharded_store_dir(&target).unwrap_err();
+        let err = validate_timeblocked_store_dir(&target).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
         std::fs::write(&victim, &original).unwrap();
-        validate_sharded_store_dir(&target).unwrap();
+        validate_one_block(&target).unwrap();
     }
 
     #[test]
@@ -1514,12 +1510,13 @@ mod tests {
         // Real bytes from the retired v2 writer (DESIGN.md §5c): every
         // CRC still checks out.
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2-store");
-        let m = validate_sharded_store_dir(&fixture).unwrap();
+        let (top, nested) = validate_timeblocked_store_dir(&fixture).unwrap();
+        assert_eq!(top.source_version, LEGACY_STORE_VERSION);
+        assert_eq!(top.blocks.len(), 1);
+        let m = validate_one_block(&fixture).unwrap();
         assert_eq!(m.source_version, LEGACY_STORE_VERSION);
         assert_eq!((m.rows, m.cols, m.k, m.deltas), (40, 24, 2, 55));
         assert_eq!(m.shards.len(), 1);
-        let (top, nested) = validate_timeblocked_store_dir(&fixture).unwrap();
-        assert_eq!(top.blocks.len(), 1);
         assert_eq!(nested, vec![m]);
     }
 
@@ -1632,12 +1629,13 @@ mod tests {
     }
 
     #[test]
-    fn commit_timeblocked_swaps_atomically_and_validates() {
+    fn timeblocked_commit_swaps_atomically_and_validates() {
         let t = ats_common::TestDir::new("ats-storedir");
         let target = t.file("store");
         let w = StoreWriter::begin(&target).unwrap();
         stage_timeblocked(w.path(), &[12, 9]);
-        w.commit_timeblocked(timeblocked_manifest()).unwrap();
+        write_timeblocked_manifest_into(w.path(), timeblocked_manifest()).unwrap();
+        w.commit_dir().unwrap();
 
         let (m, nested) = validate_timeblocked_store_dir(&target).unwrap();
         assert_eq!(m.source_version, TIMEBLOCKED_STORE_VERSION);
@@ -1662,13 +1660,14 @@ mod tests {
     }
 
     #[test]
-    fn commit_timeblocked_without_staged_block_refused() {
+    fn block_table_without_staged_block_refused() {
         let t = ats_common::TestDir::new("ats-storedir");
         let target = t.file("store");
         let w = StoreWriter::begin(&target).unwrap();
         // Only block 0 staged; the manifest declares two.
         stage_timeblocked(w.path(), &[12]);
-        let err = w.commit_timeblocked(timeblocked_manifest()).unwrap_err();
+        let err = write_timeblocked_manifest_into(w.path(), timeblocked_manifest()).unwrap_err();
+        drop(w);
         assert!(matches!(err, AtsError::InvalidArgument(_)), "{err}");
         assert!(err.to_string().contains("time block 1"), "{err}");
         assert!(!target.exists());
@@ -1680,7 +1679,8 @@ mod tests {
         let target = t.file("store");
         let w = StoreWriter::begin(&target).unwrap();
         stage_timeblocked(w.path(), &[12, 9]);
-        w.commit_timeblocked(timeblocked_manifest()).unwrap();
+        write_timeblocked_manifest_into(w.path(), timeblocked_manifest()).unwrap();
+        w.commit_dir().unwrap();
 
         // Corrupt one byte of a nested component: per-block validation fails.
         let victim = target
@@ -1698,7 +1698,8 @@ mod tests {
         // Rewrite a nested manifest (self-consistent but different):
         // the top-level nested-manifest CRC catches the swap.
         let nested_path = target.join(tblock_dir_name(0)).join(MANIFEST_FILE);
-        let mut nested = ShardedManifest::read(target.join(tblock_dir_name(0))).unwrap();
+        let mut nested =
+            ShardedManifest::parse(&std::fs::read_to_string(&nested_path).unwrap()).unwrap();
         nested.k += 1;
         std::fs::write(&nested_path, nested.encode()).unwrap();
         let err = validate_timeblocked_store_dir(&target).unwrap_err();

@@ -14,9 +14,9 @@ use ats_common::AtsError;
 use ats_linalg::Matrix;
 use ats_storage::file::{read_matrix, write_matrix, MatrixFileWriter};
 use ats_storage::store_dir::{
-    shard_dir_name, tblock_dir_name, validate_sharded_store_dir, validate_timeblocked_store_dir,
-    write_sharded_manifest_into, ShardEntry, ShardedManifest, TimeBlockEntry, TimeBlockedManifest,
-    MANIFEST_FILE, SHARD_FILES,
+    shard_dir_name, tblock_dir_name, validate_timeblocked_store_dir, write_sharded_manifest_into,
+    write_timeblocked_manifest_into, ShardEntry, ShardedManifest, TimeBlockEntry,
+    TimeBlockedManifest, MANIFEST_FILE, SHARD_FILES,
 };
 use ats_storage::synopsis::{SynopsisBuilder, SYNOPSIS_FILE};
 use ats_storage::{CachedFile, MatrixFile, StoreWriter};
@@ -25,6 +25,28 @@ use std::sync::Arc;
 
 fn dir() -> ats_common::TestDir {
     ats_common::TestDir::new("ats-failinj")
+}
+
+/// The full check of a one-block (v2 or v3) store directory — the one
+/// validator every store goes through — returning its block's manifest.
+fn validate_one_block(dir: &Path) -> ats_common::Result<ShardedManifest> {
+    let (top, mut blocks) = validate_timeblocked_store_dir(dir)?;
+    assert_eq!(top.blocks.len(), 1, "a one-block store");
+    Ok(blocks.remove(0))
+}
+
+/// Seal the one-block store staged in `w` with its manifest, then swap
+/// it into place.
+fn commit_one_block(w: StoreWriter, m: ShardedManifest) -> ats_common::Result<()> {
+    write_sharded_manifest_into(w.path(), m)?;
+    w.commit_dir()
+}
+
+/// Seal the time blocks staged in `w` with their block table, then swap
+/// the store into place.
+fn commit_block_table(w: StoreWriter, m: TimeBlockedManifest) -> ats_common::Result<()> {
+    write_timeblocked_manifest_into(w.path(), m)?;
+    w.commit_dir()
 }
 
 fn sample(n: usize, m: usize) -> Matrix {
@@ -211,10 +233,7 @@ fn v2_fixture_copy(dir: &ats_common::TestDir) -> std::path::PathBuf {
 fn v2_every_component_truncation_deletion_bitflip_is_corrupt() {
     let dir = dir();
     let target = v2_fixture_copy(&dir);
-    assert_eq!(
-        validate_sharded_store_dir(&target).unwrap().source_version,
-        2
-    );
+    assert_eq!(validate_one_block(&target).unwrap().source_version, 2);
 
     for name in V2_FILES {
         let path = target.join(name);
@@ -307,7 +326,7 @@ fn demo_sharded_manifest() -> ShardedManifest {
         crc_v: 0,
         crc_lambda: 0,
         shards: entries,
-        source_version: 0, // filled in by commit_sharded
+        source_version: 0, // filled in by write_sharded_manifest_into
     }
 }
 
@@ -361,8 +380,8 @@ fn commit_demo_sharded_store(target: &Path, tag: f64) -> Vec<u8> {
         std::fs::write(shard.join("deltas.bin"), [tag as u8; 8]).unwrap();
         std::fs::write(shard.join(SYNOPSIS_FILE), demo_synopsis_bytes(3, tag)).unwrap();
     }
-    w.commit_sharded(demo_sharded_manifest()).unwrap();
-    let m = validate_sharded_store_dir(target).unwrap();
+    commit_one_block(w, demo_sharded_manifest()).unwrap();
+    let m = validate_one_block(target).unwrap();
     assert!(
         m.shards.iter().all(|s| s.crc_synopsis.is_some()),
         "every staged synopsis must be CRC-pinned by the commit"
@@ -390,8 +409,7 @@ fn sharded_kill_point_at_every_save_stage_preserves_old_store() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(path, b"partial new generation").unwrap();
         }
-        let m =
-            validate_sharded_store_dir(&target).unwrap_or_else(|e| panic!("stage {stage}: {e}"));
+        let m = validate_one_block(&target).unwrap_or_else(|e| panic!("stage {stage}: {e}"));
         assert_eq!(m.shards.len(), DEMO_SHARDS, "stage {stage}");
         assert_eq!(
             std::fs::read(target.join(shard_dir_name(1)).join("u.atsm")).unwrap(),
@@ -405,12 +423,9 @@ fn sharded_kill_point_at_every_save_stage_preserves_old_store() {
     // place) leaves a clean absence, not a torn store.
     let aside = dir.file(".store.old-sim");
     std::fs::rename(&target, &aside).unwrap();
-    assert!(matches!(
-        validate_sharded_store_dir(&target),
-        Err(AtsError::Io(_))
-    ));
+    assert!(matches!(validate_one_block(&target), Err(AtsError::Io(_))));
     std::fs::rename(&aside, &target).unwrap();
-    validate_sharded_store_dir(&target).unwrap();
+    validate_one_block(&target).unwrap();
 }
 
 #[test]
@@ -427,9 +442,9 @@ fn sharded_interrupted_save_never_exposes_new_data_early() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(path, b"new generation, never committed").unwrap();
         }
-        // Writer dropped without commit_sharded: crash-before-rename.
+        // Writer dropped without a commit: crash-before-rename.
     }
-    validate_sharded_store_dir(&target).unwrap();
+    validate_one_block(&target).unwrap();
     assert_eq!(
         std::fs::read(target.join(shard_dir_name(1)).join("u.atsm")).unwrap(),
         old_u1
@@ -458,7 +473,7 @@ fn sharded_commit_without_staged_shard_is_rejected() {
     std::fs::create_dir_all(&shard0).unwrap();
     std::fs::write(shard0.join("u.atsm"), b"u").unwrap();
     std::fs::write(shard0.join("deltas.bin"), b"d").unwrap();
-    match w.commit_sharded(demo_sharded_manifest()) {
+    match commit_one_block(w, demo_sharded_manifest()) {
         Err(AtsError::InvalidArgument(msg)) => assert!(msg.contains("shard 1"), "{msg}"),
         other => panic!("commit with missing shard: {other:?}"),
     }
@@ -478,7 +493,7 @@ fn sharded_every_component_truncation_deletion_bitflip_is_corrupt() {
         // Truncation at several depths, including to zero bytes.
         for cut in [0usize, 1, pristine.len() / 2, pristine.len() - 1] {
             std::fs::write(&path, &pristine[..cut]).unwrap();
-            match validate_sharded_store_dir(&target) {
+            match validate_one_block(&target) {
                 Err(AtsError::Corrupt(_)) => {}
                 other => panic!("{name} cut at {cut}: {other:?}"),
             }
@@ -489,7 +504,7 @@ fn sharded_every_component_truncation_deletion_bitflip_is_corrupt() {
             let mut bytes = pristine.clone();
             bytes[off] ^= 0x40;
             std::fs::write(&path, &bytes).unwrap();
-            match validate_sharded_store_dir(&target) {
+            match validate_one_block(&target) {
                 Err(AtsError::Corrupt(_)) => {}
                 other => panic!("{name} flip at {off}: {other:?}"),
             }
@@ -497,20 +512,20 @@ fn sharded_every_component_truncation_deletion_bitflip_is_corrupt() {
 
         // Deletion.
         std::fs::remove_file(&path).unwrap();
-        match validate_sharded_store_dir(&target) {
+        match validate_one_block(&target) {
             Err(AtsError::Corrupt(_)) => {}
             other => panic!("{name} deleted: {other:?}"),
         }
 
         std::fs::write(&path, &pristine).unwrap();
-        validate_sharded_store_dir(&target).unwrap();
+        validate_one_block(&target).unwrap();
     }
 
     // Losing a whole shard directory is corruption too.
     let shard = target.join(shard_dir_name(DEMO_SHARDS - 1));
     std::fs::remove_dir_all(&shard).unwrap();
     assert!(matches!(
-        validate_sharded_store_dir(&target),
+        validate_one_block(&target),
         Err(AtsError::Corrupt(_))
     ));
 }
@@ -530,14 +545,14 @@ fn sharded_manifest_tampering_is_corrupt() {
         bytes[off] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            validate_sharded_store_dir(&target).is_err(),
+            validate_one_block(&target).is_err(),
             "manifest flip at {off} accepted"
         );
     }
 
     std::fs::remove_file(&path).unwrap();
     assert!(matches!(
-        validate_sharded_store_dir(&target),
+        validate_one_block(&target),
         Err(AtsError::Corrupt(_))
     ));
 }
@@ -584,7 +599,7 @@ fn demo_timeblocked_manifest() -> TimeBlockedManifest {
             start: b * DEMO_BLOCK_COLS,
             end: (b + 1) * DEMO_BLOCK_COLS,
             sse: Some(0.25),
-            crc_manifest: 0, // filled in by commit_timeblocked
+            crc_manifest: 0, // filled in by write_timeblocked_manifest_into
         })
         .collect();
     TimeBlockedManifest {
@@ -593,7 +608,7 @@ fn demo_timeblocked_manifest() -> TimeBlockedManifest {
         cols: DEMO_TBLOCKS * DEMO_BLOCK_COLS,
         bloom: false,
         blocks,
-        source_version: 0, // stamped v4 by commit_timeblocked
+        source_version: 0, // stamped v4 by write_timeblocked_manifest_into
     }
 }
 
@@ -657,7 +672,7 @@ fn commit_demo_timeblocked_store(target: &Path, tag: f64) -> Vec<u8> {
     for b in 0..DEMO_TBLOCKS {
         stage_demo_block(w.path(), b, tag);
     }
-    w.commit_timeblocked(demo_timeblocked_manifest()).unwrap();
+    commit_block_table(w, demo_timeblocked_manifest()).unwrap();
     std::fs::read(
         target
             .join(tblock_dir_name(1))
@@ -729,7 +744,7 @@ fn timeblocked_interrupted_save_never_exposes_new_data_early() {
         for b in 0..DEMO_TBLOCKS {
             stage_demo_block(w.path(), b, 77.0);
         }
-        // Writer dropped without commit_timeblocked: crash-before-rename.
+        // Writer dropped without a commit: crash-before-rename.
     }
     validate_timeblocked_store_dir(&target).unwrap();
     assert_eq!(
@@ -753,7 +768,7 @@ fn timeblocked_commit_without_staged_block_is_rejected() {
     let target = dir.file("store");
     let w = StoreWriter::begin(&target).unwrap();
     stage_demo_block(w.path(), 0, 4.0); // block 1 never staged
-    match w.commit_timeblocked(demo_timeblocked_manifest()) {
+    match commit_block_table(w, demo_timeblocked_manifest()) {
         Err(AtsError::InvalidArgument(msg)) => assert!(msg.contains("time block 1"), "{msg}"),
         other => panic!("commit with missing block: {other:?}"),
     }
@@ -869,7 +884,7 @@ fn crashed_save_litter_is_cleared_by_next_save() {
     std::fs::write(staged.join("u.atsm"), b"stale crash litter").unwrap();
 
     commit_demo_sharded_store(&target, 5.0);
-    validate_sharded_store_dir(&target).unwrap();
+    validate_one_block(&target).unwrap();
     assert!(!staged.exists(), "stale temp dir must be consumed/cleared");
     let survivors: Vec<String> = std::fs::read_dir(dir.path())
         .unwrap()

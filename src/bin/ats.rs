@@ -4,10 +4,11 @@
 //! ats generate phone --rows 2000 --cols 366 --out data.atsm
 //! ats generate stocks --out stocks.atsm
 //! ats info data.atsm                  # matrix file header
-//! ats info store/                     # validated store manifest
+//! ats info store/                     # full integrity check + summary
 //! ats save data.atsm --out store/ --percent 10 [--method svdd] [--threads 4]
 //! ats save data.atsm --out store/ --shards 4 --time-blocks 8
 //! ats append store/ more-rows.atsm    # new rows land in a fresh shard
+//! ats append store/ more-days.atsm --time  # new time points, a fresh block
 //! ats query store/ "cell 42 17"
 //! ats query store/ "avg rows 0..100 cols all"
 //! ats query store/ --batch-file cells.txt
@@ -27,7 +28,7 @@
 //! missing argument, malformed flag value).
 
 use adhoc_ts::compress::delta::DELTA_BYTES;
-use adhoc_ts::compress::method::BYTES_PER_NUMBER;
+use adhoc_ts::compress::method::svd_bytes;
 use adhoc_ts::compress::SpaceBudget;
 use adhoc_ts::core::shard::append_rows;
 use adhoc_ts::core::store::{method_by_name, SequenceStore};
@@ -42,11 +43,14 @@ use adhoc_ts::query::metrics::error_report;
 use adhoc_ts::query::parse::{parse_batch_file, run_query};
 use adhoc_ts::query::serve::{serve, ServeConfig};
 use adhoc_ts::storage::file::write_source;
-use adhoc_ts::storage::store_dir::{validate_timeblocked_store_dir, TIMEBLOCKED_STORE_VERSION};
+use adhoc_ts::storage::store_dir::{
+    validate_timeblocked_store_dir, Component, ShardedManifest, TimeBlockedManifest,
+};
 use adhoc_ts::storage::MatrixFile;
 use adhoc_ts::storage::RowSource;
-use adhoc_ts::storage::{ShardSynopsis, SYNOPSIS_FILE};
+use adhoc_ts::storage::ShardSynopsis;
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,23 +65,27 @@ USAGE:
                                  scale ladder); --summary materializes the
                                  dataset in memory first and prints cell
                                  statistics (mean/std dev) — small N only
-  ats info <FILE|DIR>            matrix-file header, or the validated
-                                 manifest of a store directory (format
-                                 version, shards, row ranges; for a
-                                 time-blocked v4 store the block table:
-                                 column ranges, k, reconstruction SSE,
-                                 delta counts, and a RETRAIN flag on
-                                 blocks whose per-cell SSE exceeds the
-                                 threshold) without paging any U data;
-                                 each shard's zone-map synopsis is
-                                 summarized (tiles, bytes, avg bound
-                                 width vs the store's value spread —
-                                 `synopsis none` on legacy stores)
+  ats info <FILE|DIR>            matrix-file header, or the full
+                                 integrity check of a store directory of
+                                 any format (every manifest and every
+                                 component file is checksummed, as
+                                 `serve` does at start) and its summary,
+                                 without paging any U data: format
+                                 version, method, N x M, deltas, bloom,
+                                 time blocks, row shards per block and
+                                 compressed MB; per time block its
+                                 column range, k, deltas, shards,
+                                 reconstruction SSE and a RETRAIN flag
+                                 on blocks whose per-cell SSE exceeds
+                                 the threshold; per shard its row range,
+                                 deltas, append SSE and zone-map
+                                 synopsis (tiles, bytes, avg bound width
+                                 vs the store's value spread — `synopsis
+                                 none` on legacy stores)
   ats save FILE --out DIR [--percent P] [--method svd|svdd] [--threads T]
                                  build a SequenceStore and persist it
-                                 crash-safely (sharded format v3; `ats
-                                 compress` is the old name of this
-                                 command);
+                                 crash-safely (format v3 for one time
+                                 block);
                                  --shards R splits the build and the
                                  store into R row-range shards (results
                                  are bit-identical for any R);
@@ -92,9 +100,9 @@ USAGE:
                                  generator — no intermediate .atsm file,
                                  O(cols) memory per pass; bit-identical
                                  to generating the file and saving it
-  ats append DIR FILE            append FILE's rows to a sharded store:
-                                 they land in a fresh shard under the
-                                 frozen global factors, with the batch's
+  ats append DIR FILE            append FILE's rows to a single-time-block
+                                 store: they land in a fresh shard under
+                                 the frozen factors, with the batch's
                                  reconstruction SSE recorded
   ats append DIR FILE --time [--percent P]
                                  append FILE's *columns* as new time
@@ -102,11 +110,6 @@ USAGE:
                                  they become a fresh block with its own
                                  decomposition (never a projection under
                                  a frozen V), published atomically
-  ats open DIR [--pool-pages N]  validate and summarize a saved store:
-                                 the full integrity check — every
-                                 manifest and every component file is
-                                 checksummed (as `info` and `serve` do at
-                                 start)
   ats query DIR \"<query>\"       e.g. \"cell 42 17\", \"avg rows 0..100 cols all\",
                                  \"sum rows all in time [30..90]\" — a
                                  query checksums the manifests and then
@@ -151,7 +154,7 @@ USAGE:
 
 /// The one-line usage hint printed with every usage error (exit code 2).
 const USAGE_LINE: &str =
-    "usage: ats <generate|info|compress|save|append|open|query|serve|verify|help> — run `ats help` for details";
+    "usage: ats <generate|info|save|append|query|serve|verify|help> — run `ats help` for details";
 
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["no-bloom", "summary", "time"];
@@ -210,11 +213,12 @@ fn check_flags(
     Ok(())
 }
 
-fn flag_usize(
+/// `--key`'s value as a number, or `default` when the flag is absent.
+fn flag<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
-    default: usize,
-) -> Result<usize, CliError> {
+    default: T,
+) -> Result<T, CliError> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v
@@ -223,21 +227,34 @@ fn flag_usize(
     }
 }
 
-fn flag_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage(format!("--{key} expects a number, got {v:?}"))),
-    }
-}
-
-fn flag_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, CliError> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage(format!("--{key} expects a number, got {v:?}"))),
+/// The streaming generator `kind` sized by `--rows`, `--cols` and
+/// `--seed`, with the name `generate` reports it by.
+fn generator(
+    kind: &str,
+    flags: &HashMap<String, String>,
+) -> Result<(String, Box<dyn RowSource>), CliError> {
+    let seed = flag(flags, "seed", 42)?;
+    match kind {
+        "phone" => {
+            let cfg = PhoneConfig {
+                customers: flag(flags, "rows", 2_000)?,
+                days: flag(flags, "cols", 366)?,
+                seed,
+                ..PhoneConfig::default()
+            };
+            let name = format!("phone{}", cfg.customers);
+            Ok((name, Box::new(StreamingPhone::new(cfg))))
+        }
+        "stocks" => {
+            let cfg = StocksConfig {
+                stocks: flag(flags, "rows", 381)?,
+                days: flag(flags, "cols", 128)?,
+                seed,
+                ..StocksConfig::default()
+            };
+            Ok(("stocks".to_string(), Box::new(StreamingStocks::new(cfg))))
+        }
+        other => Err(usage(format!("unknown generator {other:?}"))),
     }
 }
 
@@ -255,8 +272,12 @@ struct SynopsisInfo {
     hi: f64,
 }
 
-fn read_synopsis(dir: &std::path::Path) -> Result<SynopsisInfo, CliError> {
-    let bytes = std::fs::read(dir.join(SYNOPSIS_FILE)).map_err(rt)?;
+/// Shard `s`'s synopsis in the block at `bdir`, read and checked
+/// through the block's manifest.
+fn read_synopsis(block: &ShardedManifest, bdir: &Path, s: usize) -> Result<SynopsisInfo, CliError> {
+    let bytes = block
+        .read_component(bdir, Component::Synopsis(s))
+        .map_err(rt)?;
     let syn = ShardSynopsis::decode(&bytes).map_err(rt)?;
     let mut info = SynopsisInfo {
         tiles: syn.tiles().len(),
@@ -315,9 +336,9 @@ type SynopsisGrid = Vec<Vec<Option<SynopsisInfo>>>;
 /// spread, which needs every tile before any line prints. Returns the
 /// per-block, per-shard facts plus that spread.
 fn collect_synopses(
-    base: &std::path::Path,
-    top: &adhoc_ts::storage::store_dir::TimeBlockedManifest,
-    nested: &[adhoc_ts::storage::store_dir::ShardedManifest],
+    base: &Path,
+    top: &TimeBlockedManifest,
+    nested: &[ShardedManifest],
 ) -> Result<(SynopsisGrid, f64), CliError> {
     let mut per_block = Vec::new();
     for (i, n) in nested.iter().enumerate() {
@@ -325,7 +346,7 @@ fn collect_synopses(
         let mut per_shard = Vec::new();
         for (s, entry) in n.shards.iter().enumerate() {
             per_shard.push(match entry.crc_synopsis {
-                Some(_) => Some(read_synopsis(&n.shard_dir(&bdir, s))?),
+                Some(_) => Some(read_synopsis(n, &bdir, s)?),
                 None => None,
             });
         }
@@ -339,14 +360,59 @@ fn collect_synopses(
     Ok((per_block, hi - lo))
 }
 
-/// Open a store for a command that vouches for the whole directory:
-/// `ats open` exists to validate it, and `ats serve` should refuse a
-/// damaged store at start rather than at whichever request first reads
-/// the damaged file. Every component is checksummed before the open;
-/// `ats query` and `ats verify` open directly and check what they read.
-fn open_checked(dir: &str, pool_pages: usize) -> Result<TimeBlockedStore, CliError> {
-    validate_timeblocked_store_dir(dir).map_err(rt)?;
-    TimeBlockedStore::open(dir, pool_pages).map_err(rt)
+/// `ats info DIR`: check every manifest and component file of a store
+/// directory of any format, then describe it — one header, one line per
+/// time block, one per shard. A v2/v3 store is one block. The counts are
+/// the library's: row shards per block (what `ats save` prints), and the
+/// space of every block's factors (`svd_bytes`) plus its deltas.
+fn describe_store(path: &str) -> Result<(), CliError> {
+    let (top, nested) = validate_timeblocked_store_dir(path).map_err(rt)?;
+    let (syn, spread) = collect_synopses(Path::new(path), &top, &nested)?;
+    let deltas: usize = nested.iter().map(|b| b.deltas).sum();
+    let bytes: usize = nested
+        .iter()
+        .map(|b| svd_bytes(b.rows, b.cols, b.k) + b.deltas * DELTA_BYTES)
+        .sum();
+    println!(
+        "{path}: format v{}, {} store, {} x {}, {deltas} deltas, bloom={}, {} time blocks, {} shards, {:.2} MB compressed",
+        top.source_version,
+        top.method,
+        top.rows,
+        top.cols,
+        top.bloom,
+        top.blocks.len(),
+        nested.first().map_or(0, |b| b.shards.len()),
+        bytes as f64 / 1e6
+    );
+    let flags = retrain_flags(&top.blocks, top.rows, RETRAIN_SSE_FACTOR);
+    for (i, ((b, n), flagged)) in top.blocks.iter().zip(&nested).zip(&flags).enumerate() {
+        let sse = b
+            .sse
+            .map_or("sse n/a".to_string(), |s| format!("sse {s:.4}"));
+        let mark = if *flagged { "  RETRAIN" } else { "" };
+        println!(
+            "  tblock {i}: cols {}..{}, k={}, {} deltas, {} shards, {sse}{mark}",
+            b.start,
+            b.end,
+            n.k,
+            n.deltas,
+            n.shards.len(),
+        );
+        let block_syn = syn.get(i).map(Vec::as_slice).unwrap_or(&[]);
+        for (s, (entry, info)) in n.shards.iter().zip(block_syn).enumerate() {
+            let sse = entry
+                .append_sse
+                .map_or(String::new(), |x| format!(", append sse {x:.4}"));
+            println!(
+                "    shard {s}: rows {}..{}, {} deltas{sse}, {}",
+                entry.start,
+                entry.end,
+                entry.deltas,
+                synopsis_cell(info.as_ref(), spread)
+            );
+        }
+    }
+    Ok(())
 }
 
 fn run() -> Result<(), CliError> {
@@ -369,36 +435,13 @@ fn run() -> Result<(), CliError> {
             let out = flags
                 .get("out")
                 .ok_or_else(|| usage("generate needs --out FILE"))?;
-            let seed = flag_u64(&flags, "seed", 42)?;
+            let seed = flag(&flags, "seed", 42)?;
             let summary = flags.contains_key("summary");
             // Rows stream straight into the file writer — the dataset is
             // never materialized, so N is bounded by disk, not RAM. The
             // in-memory generators produce bit-identical rows; --summary
             // uses them to also report cell statistics (small N only).
-            let (name, src): (String, Box<dyn RowSource>) = match kind.as_str() {
-                "phone" => {
-                    let cfg = PhoneConfig {
-                        customers: flag_usize(&flags, "rows", 2_000)?,
-                        days: flag_usize(&flags, "cols", 366)?,
-                        seed,
-                        ..PhoneConfig::default()
-                    };
-                    (
-                        format!("phone{}", cfg.customers),
-                        Box::new(StreamingPhone::new(cfg)),
-                    )
-                }
-                "stocks" => {
-                    let cfg = StocksConfig {
-                        stocks: flag_usize(&flags, "rows", 381)?,
-                        days: flag_usize(&flags, "cols", 128)?,
-                        seed,
-                        ..StocksConfig::default()
-                    };
-                    ("stocks".to_string(), Box::new(StreamingStocks::new(cfg)))
-                }
-                other => return Err(usage(format!("unknown generator {other:?}"))),
-            };
+            let (name, src) = generator(kind, &flags)?;
             let (rows, cols) = (src.rows(), src.cols());
             if summary {
                 let dataset = match kind.as_str() {
@@ -437,86 +480,8 @@ fn run() -> Result<(), CliError> {
             let path = pos
                 .get(1)
                 .ok_or_else(|| usage("info needs FILE or store DIR"))?;
-            if std::path::Path::new(path).is_dir() {
-                // A store directory: print the validated manifest — every
-                // component CRC is checked, but no U page is served.
-                let (top, nested) = validate_timeblocked_store_dir(path).map_err(rt)?;
-                let (syn, spread) = collect_synopses(std::path::Path::new(path), &top, &nested)?;
-                if top.source_version == TIMEBLOCKED_STORE_VERSION {
-                    let total: usize = nested
-                        .iter()
-                        .map(|b| {
-                            (b.rows * b.k + b.k + b.cols * b.k) * BYTES_PER_NUMBER
-                                + b.deltas * DELTA_BYTES
-                        })
-                        .sum();
-                    let deltas: usize = nested.iter().map(|b| b.deltas).sum();
-                    println!(
-                        "{path}: format v4, {} store, {} x {}, {} deltas, bloom={}, {} time blocks, {:.2} MB compressed",
-                        top.method,
-                        top.rows,
-                        top.cols,
-                        deltas,
-                        top.bloom,
-                        top.blocks.len(),
-                        total as f64 / 1e6
-                    );
-                    let flags = retrain_flags(&top.blocks, top.rows, RETRAIN_SSE_FACTOR);
-                    for (i, ((b, n), flagged)) in
-                        top.blocks.iter().zip(&nested).zip(&flags).enumerate()
-                    {
-                        let sse = b
-                            .sse
-                            .map_or("sse n/a".to_string(), |s| format!("sse {s:.4}"));
-                        let mark = if *flagged { "  RETRAIN" } else { "" };
-                        println!(
-                            "  tblock {i}: cols {}..{}, k={}, {} deltas, {} shards, {sse}{mark}",
-                            b.start,
-                            b.end,
-                            n.k,
-                            n.deltas,
-                            n.shards.len(),
-                        );
-                        let block_syn = syn.get(i).map(Vec::as_slice).unwrap_or(&[]);
-                        for (s, (entry, info)) in n.shards.iter().zip(block_syn).enumerate() {
-                            println!(
-                                "    shard {s}: rows {}..{}, {}",
-                                entry.start,
-                                entry.end,
-                                synopsis_cell(info.as_ref(), spread)
-                            );
-                        }
-                    }
-                } else if let Some(m) = nested.first() {
-                    let total = (m.rows * m.k + m.k + m.cols * m.k) * BYTES_PER_NUMBER
-                        + m.deltas * DELTA_BYTES;
-                    println!(
-                        "{path}: format v{}, {} store, {} x {}, k={}, {} deltas, bloom={}, {} shards, {:.2} MB compressed",
-                        m.source_version,
-                        m.method,
-                        m.rows,
-                        m.cols,
-                        m.k,
-                        m.deltas,
-                        m.bloom,
-                        m.shards.len(),
-                        total as f64 / 1e6
-                    );
-                    let block_syn = syn.first().map(Vec::as_slice).unwrap_or(&[]);
-                    for (i, (s, info)) in m.shards.iter().zip(block_syn).enumerate() {
-                        let cell = synopsis_cell(info.as_ref(), spread);
-                        match s.append_sse {
-                            Some(sse) => println!(
-                                "  shard {i}: rows {}..{}, {} deltas, append sse {sse:.4}, {cell}",
-                                s.start, s.end, s.deltas
-                            ),
-                            None => println!(
-                                "  shard {i}: rows {}..{}, {} deltas, {cell}",
-                                s.start, s.end, s.deltas
-                            ),
-                        }
-                    }
-                }
+            if Path::new(path).is_dir() {
+                describe_store(path)?;
             } else {
                 let f = MatrixFile::open(path).map_err(rt)?;
                 println!(
@@ -529,9 +494,9 @@ fn run() -> Result<(), CliError> {
             }
             Ok(())
         }
-        Some(cmd @ ("save" | "compress")) => {
+        Some("save") => {
             check_flags(
-                cmd,
+                "save",
                 &flags,
                 &[
                     "out",
@@ -549,9 +514,9 @@ fn run() -> Result<(), CliError> {
             )?;
             let out = flags
                 .get("out")
-                .ok_or_else(|| usage(format!("{cmd} needs --out DIR")))?;
-            let pct = flag_f64(&flags, "percent", 10.0)?;
-            let threads = flag_usize(&flags, "threads", 1)?;
+                .ok_or_else(|| usage("save needs --out DIR"))?;
+            let pct = flag(&flags, "percent", 10.0)?;
+            let threads = flag(&flags, "threads", 1)?;
             let method = flags.get("method").map(String::as_str).unwrap_or("svdd");
             let method = method_by_name(method).map_err(|e| usage(e.to_string()))?;
             // The build pass reads any RowSource: a matrix file, or the
@@ -559,15 +524,9 @@ fn run() -> Result<(), CliError> {
             // trip (closes the PR 6 leftover).
             let source: Box<dyn RowSource> = match (flags.get("generate"), pos.get(1)) {
                 (Some(_), Some(_)) => {
-                    return Err(usage(format!(
-                        "{cmd} takes either FILE or --generate, not both"
-                    )))
+                    return Err(usage("save takes either FILE or --generate, not both"))
                 }
-                (None, None) => {
-                    return Err(usage(format!(
-                        "{cmd} needs FILE or --generate phone|stocks"
-                    )))
-                }
+                (None, None) => return Err(usage("save needs FILE or --generate phone|stocks")),
                 (None, Some(input)) => {
                     for k in ["rows", "cols", "seed"] {
                         if flags.contains_key(k) {
@@ -576,24 +535,7 @@ fn run() -> Result<(), CliError> {
                     }
                     Box::new(MatrixFile::open(input).map_err(rt)?)
                 }
-                (Some(kind), None) => {
-                    let seed = flag_u64(&flags, "seed", 42)?;
-                    match kind.as_str() {
-                        "phone" => Box::new(StreamingPhone::new(PhoneConfig {
-                            customers: flag_usize(&flags, "rows", 2_000)?,
-                            days: flag_usize(&flags, "cols", 366)?,
-                            seed,
-                            ..PhoneConfig::default()
-                        })),
-                        "stocks" => Box::new(StreamingStocks::new(StocksConfig {
-                            stocks: flag_usize(&flags, "rows", 381)?,
-                            days: flag_usize(&flags, "cols", 128)?,
-                            seed,
-                            ..StocksConfig::default()
-                        })),
-                        other => return Err(usage(format!("unknown generator {other:?}"))),
-                    }
-                }
+                (Some(kind), None) => generator(kind, &flags)?.1,
             };
             let t0 = std::time::Instant::now();
             let store = SequenceStore::builder()
@@ -601,8 +543,8 @@ fn run() -> Result<(), CliError> {
                 .budget(SpaceBudget::from_percent(pct))
                 .threads(threads)
                 .bloom(!flags.contains_key("no-bloom"))
-                .shards(flag_usize(&flags, "shards", 1)?)
-                .time_blocks(flag_usize(&flags, "time-blocks", 1)?)
+                .shards(flag(&flags, "shards", 1)?)
+                .time_blocks(flag(&flags, "time-blocks", 1)?)
                 .build(source.as_ref())
                 .map_err(rt)?;
             store.save(out).map_err(rt)?;
@@ -622,12 +564,12 @@ fn run() -> Result<(), CliError> {
             check_flags("append", &flags, &["threads", "time", "percent"])?;
             let dir = pos.get(1).ok_or_else(|| usage("append needs DIR FILE"))?;
             let input = pos.get(2).ok_or_else(|| usage("append needs DIR FILE"))?;
-            let threads = flag_usize(&flags, "threads", 1)?;
+            let threads = flag(&flags, "threads", 1)?;
             let batch = MatrixFile::open(input).map_err(rt)?;
             if flags.contains_key("time") {
                 // New *time points*: a fresh block with its own
                 // decomposition, never a projection under a frozen V.
-                let budget = SpaceBudget::from_percent(flag_f64(&flags, "percent", 10.0)?);
+                let budget = SpaceBudget::from_percent(flag(&flags, "percent", 10.0)?);
                 let report = append_time_block(dir, &batch, budget, threads).map_err(rt)?;
                 println!(
                     "appended {} time points as block {} of {dir} (block sse {:.4})",
@@ -645,30 +587,10 @@ fn run() -> Result<(), CliError> {
             }
             Ok(())
         }
-        Some("open") => {
-            check_flags("open", &flags, &["pool-pages"])?;
-            let dir = pos.get(1).ok_or_else(|| usage("open needs DIR"))?;
-            let pool = flag_usize(&flags, "pool-pages", 1024)?;
-            let store = open_checked(dir, pool)?;
-            let m = store.manifest();
-            let shards: usize = store.blocks().iter().map(|b| b.shard_count()).sum();
-            println!(
-                "{dir}: {} store, {} x {}, {} deltas, bloom={}, {} time blocks, {} shards, {:.2} MB compressed",
-                m.method,
-                m.rows,
-                m.cols,
-                store.num_deltas(),
-                m.bloom,
-                store.blocks().len(),
-                shards,
-                adhoc_ts::compress::CompressedMatrix::storage_bytes(&store) as f64 / 1e6
-            );
-            Ok(())
-        }
         Some("query") => {
             check_flags("query", &flags, &["batch-file", "threads"])?;
             let dir = pos.get(1).ok_or_else(|| usage("query needs DIR"))?;
-            let threads = flag_usize(&flags, "threads", 1)?;
+            let threads = flag(&flags, "threads", 1)?;
             match (flags.get("batch-file"), pos.get(2)) {
                 (Some(_), Some(_)) => Err(usage(
                     "query takes either a query string or --batch-file, not both",
@@ -704,7 +626,7 @@ fn run() -> Result<(), CliError> {
                 &["addr", "threads", "pool-pages", "max-frame", "pending-max"],
             )?;
             let dir = pos.get(1).ok_or_else(|| usage("serve needs DIR"))?;
-            let pool = flag_usize(&flags, "pool-pages", 1024)?;
+            let pool = flag(&flags, "pool-pages", 1024)?;
             // The library's defaults are the CLI's: only the listen
             // address differs (a fixed port to find the daemon at).
             let defaults = ServeConfig::default();
@@ -713,13 +635,17 @@ fn run() -> Result<(), CliError> {
                     .get("addr")
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-                threads: flag_usize(&flags, "threads", defaults.threads)?,
-                max_frame: flag_usize(&flags, "max-frame", defaults.max_frame)?,
-                pending_max: flag_usize(&flags, "pending-max", defaults.pending_max)?,
+                threads: flag(&flags, "threads", defaults.threads)?,
+                max_frame: flag(&flags, "max-frame", defaults.max_frame)?,
+                pending_max: flag(&flags, "pending-max", defaults.pending_max)?,
             };
-            // One store, one page pool: every connection and every batch
-            // shares the same Arc'd store through a 'static engine.
-            let store = Arc::new(open_checked(dir, pool)?);
+            // Refuse a damaged store at start rather than at whichever
+            // request first reads the damaged file (`query` and `verify`
+            // check what they read). One store, one page pool: every
+            // connection and every batch shares the same Arc'd store
+            // through a 'static engine.
+            validate_timeblocked_store_dir(dir).map_err(rt)?;
+            let store = Arc::new(TimeBlockedStore::open(dir, pool).map_err(rt)?);
             let io_store = Arc::clone(&store);
             let engine = QueryEngine::shared(store).with_threads(cfg.threads);
             let handle = serve(

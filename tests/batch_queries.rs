@@ -6,8 +6,8 @@
 //! `U`-row fetch per distinct requested row per shard.
 
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget};
-use adhoc_ts::core::shard::ShardedStore;
 use adhoc_ts::core::store::{method_by_name, SequenceStore};
+use adhoc_ts::core::timeblock::TimeBlockedStore;
 use adhoc_ts::data::{generate_phone, PhoneConfig};
 use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::{AggregateFn, QueryEngine};
@@ -137,8 +137,8 @@ fn store_level_batch_matches_cells() {
 fn saved_store_batch_fetches_each_distinct_row_once_per_shard() {
     let dir = TestDir::new("ats-batch");
     let x = phone(120, 24, 5);
-    // Pinned to one time block: this test opens the v3 sharded layout
-    // directly to count per-shard fetches.
+    // Pinned to one time block: one block's per-shard fetches are what
+    // this test counts.
     SequenceStore::builder()
         .budget(SpaceBudget::from_percent(15.0))
         .shards(3)
@@ -147,7 +147,7 @@ fn saved_store_batch_fetches_each_distinct_row_once_per_shard() {
         .unwrap()
         .save(dir.file("store"))
         .unwrap();
-    let store = ShardedStore::open(dir.file("store"), 256).unwrap();
+    let store = TimeBlockedStore::open(dir.file("store"), 256).unwrap();
 
     // Distinct rows {3, 7, 50, 119} spread over shards 0, 1, 2 (rows
     // 0..40, 40..80, 80..120), with heavy duplication within each row.
@@ -205,7 +205,7 @@ fn out_of_range_batch_does_no_io() {
         .unwrap()
         .save(dir.file("store"))
         .unwrap();
-    let store = ShardedStore::open(dir.file("store"), 64).unwrap();
+    let store = TimeBlockedStore::open(dir.file("store"), 64).unwrap();
     let engine = QueryEngine::new(&store);
 
     // One bad row (and, separately, one bad column) poisons the whole
@@ -249,8 +249,8 @@ fn blocked_kernels_match_scalar_baseline_bitwise() {
                     .shards(layout.shards)
             };
             let built = builder().time_blocks(layout.time_blocks).build(&x).unwrap();
-            // Pinned to one time block: the v3 sharded layout, opened
-            // directly.
+            // Pinned to one time block: the v3 sharded layout, served
+            // through the one-block grid.
             let path = dir.file(format!("{method}-{}-{}", x.rows(), layout.shards));
             builder()
                 .time_blocks(1)
@@ -258,7 +258,7 @@ fn blocked_kernels_match_scalar_baseline_bitwise() {
                 .unwrap()
                 .save(&path)
                 .unwrap();
-            let sharded = ShardedStore::open(&path, 128).unwrap();
+            let sharded = TimeBlockedStore::open(&path, 128).unwrap();
             let mats: [(&str, &dyn CompressedMatrix); 2] =
                 [("built", built.compressed()), ("sharded", &sharded)];
             for (name, m) in mats {
@@ -334,7 +334,7 @@ fn blocked_aggregates_match_scalar_baseline_bitwise() {
         .build(&x)
         .unwrap();
     store.save(dir.file("store")).unwrap();
-    let sharded = ShardedStore::open(dir.file("store"), 256).unwrap();
+    let sharded = TimeBlockedStore::open(dir.file("store"), 256).unwrap();
 
     let selections = [
         Selection::all(),

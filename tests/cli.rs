@@ -1,13 +1,56 @@
 //! Integration tests for the `ats` command-line tool: the full
-//! generate → info → save (under its old name, `compress`) → query →
-//! verify flow, plus the crash-safe save → open lifecycle, driven
-//! through the actual binary.
+//! generate → info → save → query → verify flow, the crash-safe save →
+//! info lifecycle, and every verb that takes a store over every layout,
+//! driven through the actual binary.
 
+use adhoc_ts::core::shard::ShardedStore;
+use adhoc_ts::core::store::SequenceStore;
+use adhoc_ts::core::timeblock::TimeBlockedStore;
+use adhoc_ts::query::serve::client;
+use ats_common::testutil::LAYOUTS;
 use ats_common::TestDir;
-use std::process::Command;
+use std::io::BufRead as _;
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
 
 fn ats() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ats"))
+}
+
+/// Run `ats args`, asserting it exits 0; returns its stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = ats().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// A saved store every store-taking verb must read as undamaged, with
+/// a data file of its shape (for `verify`) and batches to append.
+struct StoreInput {
+    name: String,
+    dir: PathBuf,
+    data: PathBuf,
+    more_rows: PathBuf,
+    more_time: PathBuf,
+}
+
+/// Generate a phone matrix file of `rows × cols` at `path`.
+fn generate(path: &std::path::Path, rows: usize, cols: usize) {
+    let (rows, cols) = (rows.to_string(), cols.to_string());
+    run_ok(&[
+        "generate",
+        "phone",
+        "--rows",
+        &rows,
+        "--cols",
+        &cols,
+        "--out",
+        path.to_str().unwrap(),
+    ]);
 }
 
 #[test]
@@ -45,10 +88,10 @@ fn full_cli_flow() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("300 rows x 60 cols"), "{text}");
 
-    // compress: the old spelling of `save`, same layout on disk
+    // save: the one-block layout on disk
     let out = ats()
         .args([
-            "compress",
+            "save",
             data.to_str().unwrap(),
             "--out",
             store.to_str().unwrap(),
@@ -103,6 +146,18 @@ fn cli_errors_are_clean() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
 
+    // `open` and `compress` are gone: `info` checks a store, `save`
+    // builds one
+    for gone in ["open", "compress"] {
+        let out = ats().args([gone, "/nonexistent/store"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{gone}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("usage: ats <generate|info|save|append|query|serve|verify|help>"),
+            "{gone}: {err}"
+        );
+    }
+
     // query against a missing store
     let out = ats()
         .args(["query", "/nonexistent/store", "cell 0 0"])
@@ -129,7 +184,7 @@ fn cli_errors_are_clean() {
         .unwrap();
     ats()
         .args([
-            "compress",
+            "save",
             data.to_str().unwrap(),
             "--out",
             store.to_str().unwrap(),
@@ -167,7 +222,7 @@ fn cli_svd_method() {
         .success());
     let out = ats()
         .args([
-            "compress",
+            "save",
             data.to_str().unwrap(),
             "--out",
             store.to_str().unwrap(),
@@ -264,9 +319,9 @@ fn cli_save_open_flow() {
         assert!(store.join(f).exists(), "missing {f}");
     }
 
-    // open validates the manifest and summarizes the store
+    // info validates the whole store and summarizes it
     let out = ats()
-        .args(["open", store.to_str().unwrap()])
+        .args(["info", store.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -288,14 +343,14 @@ fn cli_save_open_flow() {
     let val: f64 = String::from_utf8_lossy(&out.stdout).trim().parse().unwrap();
     assert!(val.is_finite());
 
-    // corrupting a component makes open fail cleanly, not crash
+    // corrupting a component makes info fail cleanly, not crash
     let u = store.join("shard-0000").join("u.atsm");
     let mut bytes = std::fs::read(&u).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&u, &bytes).unwrap();
     let out = ats()
-        .args(["open", store.to_str().unwrap()])
+        .args(["info", store.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(!out.status.success());
@@ -341,8 +396,8 @@ fn cli_save_ignores_ambient_layout_env() {
 /// Which commands vouch for the whole directory and which check what
 /// they read: with one byte flipped in one unit's `u.atsm`, `query`
 /// answers cells of every other unit exactly as before and fails — naming
-/// the component — on a cell of that unit; `open`, `info` and `serve`
-/// refuse the store outright.
+/// the component — on a cell of that unit; `info` and `serve` refuse
+/// the store outright.
 #[test]
 fn cli_damaged_unit_fails_its_queries_and_the_eager_commands_only() {
     let dir = TestDir::new("ats-cli");
@@ -392,12 +447,10 @@ fn cli_damaged_unit_fails_its_queries_and_the_eager_commands_only() {
     // An aggregate whose selection crosses the unit fails the same way.
     assert!(!query("sum rows all cols all").status.success());
 
-    for cmd in ["open", "info"] {
-        let out = ats().args([cmd, store_arg]).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{cmd} must refuse");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("shard 2 u.atsm"), "{cmd}: {err}");
-    }
+    let out = ats().args(["info", store_arg]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "info must refuse");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("shard 2 u.atsm"), "info: {err}");
     // The daemon refuses at start, before it binds or serves anything
     // (were it to start, the closed stdin would stop it with exit 0).
     let out = ats()
@@ -595,14 +648,6 @@ fn cli_sharded_save_info_append_flow() {
     assert!(text.contains("shard 0: rows 0.."), "{text}");
     assert!(text.contains("shard 3: rows "), "{text}");
 
-    // open reports the shard count too
-    let out = ats()
-        .args(["open", store.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("4 shards"));
-
     // a query spanning every shard still answers
     let out = ats()
         .args(["query", store.to_str().unwrap(), "avg rows all cols all"])
@@ -733,15 +778,6 @@ fn cli_timeblocked_save_info_query_append_flow() {
     assert!(text.contains("k="), "{text}");
     assert!(text.contains("sse "), "{text}");
     assert!(text.contains("deltas"), "{text}");
-
-    // open serves the v4 directory.
-    let out = ats()
-        .args(["open", store.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("3 time blocks"), "{text}");
 
     // A time-range aggregate answers, as do plain queries and cells.
     for q in [
@@ -893,8 +929,8 @@ fn cli_timeblocked_save_info_query_append_flow() {
 
 #[test]
 fn cli_legacy_v2_store_info_open_query() {
-    // Real bytes from the retired v2 writer: `info`, `open` and `query`
-    // serve the golden directory through the one store family.
+    // Real bytes from the retired v2 writer: `info` and `query` serve
+    // the golden directory through the one store family.
     let dir = TestDir::new("ats-cli");
     let store = dir.copy_of(
         concat!(
@@ -903,37 +939,27 @@ fn cli_legacy_v2_store_info_open_query() {
         ),
         "v2",
     );
-    let run = |args: &[&str]| {
-        let out = ats().args(args).output().unwrap();
-        assert!(
-            out.status.success(),
-            "{args:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
     let store = store.to_str().unwrap();
-    let info = run(&["info", store]);
+    let info = run_ok(&["info", store]);
     for want in [
         "format v2",
         "40 x 24",
         "k=2",
         "55 deltas",
         "1 shards",
+        "1 time blocks, 1 shards",
         "synopsis none",
     ] {
         assert!(info.contains(want), "missing {want:?} in {info}");
     }
-    let opened = run(&["open", store]);
-    assert!(
-        opened.contains("1 time blocks, 1 shards"),
-        "open summary: {opened}"
-    );
-    let cell: f64 = run(&["query", store, "cell 3 5"]).trim().parse().unwrap();
+    let cell: f64 = run_ok(&["query", store, "cell 3 5"])
+        .trim()
+        .parse()
+        .unwrap();
     assert!(cell.is_finite());
     // A legacy directory is read-only at the edge: appends are refused.
     let batch = dir.file("batch.atsm");
-    run(&[
+    run_ok(&[
         "generate",
         "phone",
         "--rows",
@@ -949,4 +975,185 @@ fn cli_legacy_v2_store_info_open_query() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("v2"));
+}
+
+/// The stores of the verb and count checks: a scratch copy of the v2
+/// fixture (its data file is a stand-in of its shape), a one-block v3
+/// store saved with the defaults, and one store per [`LAYOUTS`] entry.
+fn store_inputs(tmp: &TestDir) -> Vec<StoreInput> {
+    const ROWS: usize = 128;
+    const COLS: usize = 24;
+    let more_rows = tmp.file("more-rows.atsm");
+    generate(&more_rows, 8, COLS);
+    let data = tmp.file("data.atsm");
+    generate(&data, ROWS, COLS);
+    let more_time = tmp.file("more-time.atsm");
+    generate(&more_time, ROWS, 6);
+    let v2_data = tmp.file("v2-data.atsm");
+    generate(&v2_data, 40, COLS);
+    let v2_time = tmp.file("v2-time.atsm");
+    generate(&v2_time, 40, 6);
+    let mut inputs = vec![StoreInput {
+        name: "v2 fixture".into(),
+        dir: tmp.copy_of(
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/crates/storage/tests/fixtures/v2-store"
+            ),
+            "v2",
+        ),
+        data: v2_data,
+        more_rows: more_rows.clone(),
+        more_time: v2_time,
+    }];
+    let default_dir = tmp.file("v3-default");
+    run_ok(&[
+        "save",
+        data.to_str().unwrap(),
+        "--out",
+        default_dir.to_str().unwrap(),
+    ]);
+    inputs.push(StoreInput {
+        name: "v3 default save".into(),
+        dir: default_dir,
+        data: data.clone(),
+        more_rows: more_rows.clone(),
+        more_time: more_time.clone(),
+    });
+    for (i, layout) in LAYOUTS.iter().enumerate() {
+        let dir = tmp.file(format!("layout-{i}"));
+        let (shards, blocks) = (layout.shards.to_string(), layout.time_blocks.to_string());
+        run_ok(&[
+            "save",
+            data.to_str().unwrap(),
+            "--out",
+            dir.to_str().unwrap(),
+            "--shards",
+            &shards,
+            "--time-blocks",
+            &blocks,
+        ]);
+        inputs.push(StoreInput {
+            name: layout.name.into(),
+            dir,
+            data: data.clone(),
+            more_rows: more_rows.clone(),
+            more_time: more_time.clone(),
+        });
+    }
+    inputs
+}
+
+/// An undamaged store is never `Corrupt`: the verb exits 0, or 1 with
+/// an invalid-argument refusal, and says nothing of corruption.
+fn assert_reads_as_valid(what: &str, out: &Output) {
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    for text in [&stdout, &stderr] {
+        assert!(
+            !text.to_lowercase().contains("corrupt"),
+            "{what}: {stdout}{stderr}"
+        );
+    }
+    match out.status.code() {
+        Some(0) => {}
+        Some(1) => assert!(stderr.contains("invalid argument"), "{what}: {stderr}"),
+        other => panic!("{what}: exit {other:?}: {stderr}"),
+    }
+}
+
+/// `ats serve DIR` starts, answers `PING`, and shuts down on `SHUTDOWN`.
+fn serve_ping_shutdown(what: &str, dir: &str) {
+    let mut child = ats()
+        .args(["serve", dir, "--addr", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Held until the daemon exits: its closing summary goes to stdout.
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let Some(addr) = banner.trim().strip_prefix("listening on ") else {
+        let out = child.wait_with_output().unwrap();
+        assert_reads_as_valid(what, &out);
+        panic!(
+            "{what}: no banner, {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    assert_eq!(client::round_trip(&mut s, "PING").unwrap(), "OK pong");
+    assert_eq!(
+        client::round_trip(&mut s, "SHUTDOWN").unwrap(),
+        "OK shutting down"
+    );
+    drop(s);
+    let mut out = child.wait_with_output().unwrap();
+    std::io::Read::read_to_end(&mut stdout, &mut out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{what}");
+    assert_reads_as_valid(what, &out);
+}
+
+/// Every verb that takes a store, over every layout and format: a valid
+/// store is answered or refused as an invalid argument, never reported
+/// as corrupt — the converse of "any corrupt byte surfaces as
+/// `Corrupt`". A row append on a time-blocked store is such a refusal.
+#[test]
+fn cli_every_store_verb_reads_an_undamaged_store_as_valid() {
+    let tmp = TestDir::new("ats-cli");
+    for input in store_inputs(&tmp) {
+        let dir = input.dir.to_str().unwrap();
+        let (data, rows, time) = (
+            input.data.to_str().unwrap(),
+            input.more_rows.to_str().unwrap(),
+            input.more_time.to_str().unwrap(),
+        );
+        for args in [
+            vec!["info", dir],
+            vec!["query", dir, "cell 0 0"],
+            vec!["verify", data, dir],
+            vec!["append", dir, rows],
+            vec!["append", dir, time, "--time"],
+        ] {
+            let out = ats().args(&args).output().unwrap();
+            assert_reads_as_valid(&format!("{}: {args:?}", input.name), &out);
+        }
+        serve_ping_shutdown(&format!("{}: serve", input.name), dir);
+    }
+}
+
+/// `ats info`'s header counts what the library counts: time blocks,
+/// row shards per block, deltas and compressed megabytes.
+#[test]
+fn cli_info_header_counts_what_the_library_counts() {
+    let tmp = TestDir::new("ats-cli");
+    for input in store_inputs(&tmp) {
+        let info = run_ok(&["info", input.dir.to_str().unwrap()]);
+        let header = info.lines().next().unwrap_or_default();
+        let store = SequenceStore::open(&input.dir, 64).unwrap();
+        let deltas: usize = TimeBlockedStore::open(&input.dir, 64)
+            .unwrap()
+            .blocks()
+            .iter()
+            .map(ShardedStore::num_deltas)
+            .sum();
+        let want = [
+            format!(", {deltas} deltas, "),
+            format!(
+                ", {} time blocks, {} shards, {:.2} MB compressed",
+                store.time_blocks(),
+                store.shards(),
+                store.storage_bytes() as f64 / 1e6
+            ),
+        ];
+        for w in want {
+            assert!(header.contains(&w), "{}: {w:?} not in {header}", input.name);
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! The golden corpus: "same bytes, same answers" as a committed file.
 //!
 //! Every layout in [`LAYOUTS`] × {svd, svdd} is built from an
-//! integer-only input, saved, reopened, appended to (rows on the
-//! one-block stores, a time block on every store) and reopened again.
+//! integer-only input (and the mono layout also from an all-zero one), saved, reopened, appended to (rows, then a time
+//! block; each layout takes one of the two and records the other's
+//! refusal) and reopened again.
 //! `tests/golden/stores.txt` records, per state, the length and CRC of
 //! every store component that is new or changed and the `f64` bits of a
 //! fixed list of answers. A change that moves one stored byte or one
@@ -87,6 +88,11 @@ fn input(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> Matrix {
     Matrix::from_fn(rows.len(), cols.len(), |i, j| {
         value(rows.start + i, cols.start + j)
     })
+}
+
+/// The all-zero input of the same shape: a rank-0 matrix.
+fn zeros(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> Matrix {
+    Matrix::zeros(rows.len(), cols.len())
 }
 
 /// One answer line: `name` and each answer's `f64` bits, or `err` for
@@ -217,11 +223,21 @@ fn answers(out: &mut String, m: &dyn CompressedMatrix) {
     }
 }
 
-/// Build, save and append to one store, recording every state.
-fn record(out: &mut String, layout: Layout, method: Method, tmp: &TestDir) {
-    let name = format!("{}-{}x{}", method.name(), layout.shards, layout.time_blocks);
-    let dir = tmp.file(name);
-    writeln!(out, "== {} {}", layout.name, method.name()).unwrap();
+/// An input of the corpus: a cell range to the matrix holding it.
+type Input = fn(std::ops::Range<usize>, std::ops::Range<usize>) -> Matrix;
+
+/// Build `input` under `layout`, save and append to it, recording every
+/// state under the heading `== <name> <method>`.
+fn record(
+    out: &mut String,
+    name: &str,
+    layout: Layout,
+    method: Method,
+    input: Input,
+    tmp: &TestDir,
+) {
+    let dir = tmp.file(format!("{name}-{}", method.name()));
+    writeln!(out, "== {name} {}", method.name()).unwrap();
     let budget = SpaceBudget::from_percent(PERCENT);
     SequenceStore::builder()
         .method(method)
@@ -234,10 +250,12 @@ fn record(out: &mut String, layout: Layout, method: Method, tmp: &TestDir) {
         .unwrap();
     let mut files = BTreeMap::new();
     state(out, "saved", &dir, &mut files);
-    if layout.time_blocks == 1 {
-        let report = append_rows(&dir, &input(ROWS..ROWS + NEW_ROWS, 0..COLS), 1, None);
-        put(out, "append-rows sse", &[report.map(|r| r.sse)]);
-        state(out, "rows appended", &dir, &mut files);
+    match append_rows(&dir, &input(ROWS..ROWS + NEW_ROWS, 0..COLS), 1, None) {
+        Ok(report) => {
+            put(out, "append-rows sse", &[Ok(report.sse)]);
+            state(out, "rows appended", &dir, &mut files);
+        }
+        Err(e) => writeln!(out, "err {e}").unwrap(),
     }
     match append_time_block(&dir, &input(0..ROWS, COLS..COLS + NEW_COLS), budget, 1) {
         Ok(report) => {
@@ -254,8 +272,19 @@ fn stores_and_answers_match_the_golden_file() {
     let mut actual = HEADER.to_string();
     for layout in LAYOUTS {
         for method in [Method::Svd, Method::Svdd] {
-            record(&mut actual, layout, method, &tmp);
+            record(&mut actual, layout.name, layout, method, input, &tmp);
         }
+    }
+    // Rank 0: no component carries energy.
+    for method in [Method::Svd, Method::Svdd] {
+        record(
+            &mut actual,
+            "all-zero mono",
+            LAYOUTS[0],
+            method,
+            zeros,
+            &tmp,
+        );
     }
     let written = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden-stores.txt");
     std::fs::write(&written, &actual).unwrap();

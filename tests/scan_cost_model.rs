@@ -19,7 +19,6 @@
 //! shape and the scan whose cost it measures.
 
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget, SvddCompressed, SvddOptions};
-use adhoc_ts::core::shard::ShardedStore;
 use adhoc_ts::core::store::SequenceStore;
 use adhoc_ts::core::timeblock::TimeBlockedStore;
 use adhoc_ts::linalg::Matrix;
@@ -127,7 +126,7 @@ proptest! {
             .save(&dir)
             .unwrap();
         // A 4-page pool: run reads and pool reads interleave and evict.
-        let disk = ShardedStore::open(&dir, 4).unwrap();
+        let disk = TimeBlockedStore::open(&dir, 4).unwrap();
         assert_row_reads_equal_cell_reads(&disk, seed);
     }
 }

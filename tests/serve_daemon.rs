@@ -6,8 +6,8 @@
 //! not disturb the server; and `SHUTDOWN` must drain, not tear.
 
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget};
-use adhoc_ts::core::shard::ShardedStore;
 use adhoc_ts::core::store::SequenceStore;
+use adhoc_ts::core::timeblock::TimeBlockedStore;
 use adhoc_ts::data::{generate_phone, PhoneConfig};
 use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::QueryEngine;
@@ -32,9 +32,9 @@ fn phone(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// Build, save, and reopen a paged store with the given shard count.
-fn saved_store(dir: &TestDir, x: &Matrix, shards: usize) -> Arc<ShardedStore> {
-    // Pinned to one time block: the daemon fixture opens the v3 sharded
-    // layout directly (time-blocked serving is covered separately below).
+fn saved_store(dir: &TestDir, x: &Matrix, shards: usize) -> Arc<TimeBlockedStore> {
+    // Pinned to one time block: the daemon fixture serves the v3 sharded
+    // layout (time-blocked serving is covered separately below).
     SequenceStore::builder()
         .budget(SpaceBudget::from_percent(15.0))
         .shards(shards)
@@ -43,12 +43,12 @@ fn saved_store(dir: &TestDir, x: &Matrix, shards: usize) -> Arc<ShardedStore> {
         .unwrap()
         .save(dir.file("store"))
         .unwrap();
-    Arc::new(ShardedStore::open(dir.file("store"), 256).unwrap())
+    Arc::new(TimeBlockedStore::open(dir.file("store"), 256).unwrap())
 }
 
 /// Start a daemon over `store` with the given knobs; port 0 picks a free
 /// port so parallel tests never collide.
-fn start(store: &Arc<ShardedStore>, threads: usize, cfg: ServeConfig) -> ServerHandle {
+fn start(store: &Arc<TimeBlockedStore>, threads: usize, cfg: ServeConfig) -> ServerHandle {
     start_over(store.clone(), store, threads, cfg)
 }
 
@@ -56,7 +56,7 @@ fn start(store: &Arc<ShardedStore>, threads: usize, cfg: ServeConfig) -> ServerH
 /// it — with `store`'s per-shard I/O counters behind `STATS`.
 fn start_over(
     matrix: Arc<dyn CompressedMatrix>,
-    store: &Arc<ShardedStore>,
+    store: &Arc<TimeBlockedStore>,
     threads: usize,
     cfg: ServeConfig,
 ) -> ServerHandle {
@@ -71,7 +71,7 @@ fn start_over(
 
 /// The serial baseline: the same shared engine the daemon wraps, asked
 /// directly, one query at a time.
-fn baseline(store: &Arc<ShardedStore>) -> QueryEngine<'static> {
+fn baseline(store: &Arc<TimeBlockedStore>) -> QueryEngine<'static> {
     QueryEngine::shared(store.clone())
 }
 
@@ -482,8 +482,6 @@ fn shutdown_verb_acknowledges_then_drains() {
 
 #[test]
 fn coalesced_range_aggregates_share_one_block_scan() {
-    use adhoc_ts::core::timeblock::TimeBlockedStore;
-
     // A time-blocked (v4) store: 4 blocks of 8 columns each.
     let x = phone(80, 32, 77);
     let dir = TestDir::new("ats-serve");
